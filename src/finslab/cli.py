@@ -7,8 +7,7 @@ Subcommands:
     finslab batch <file> [--out dir]   run a battery of experiments
 
 Exit codes: 0 pass, 1 fail, 2 configuration error.  Reports stream to
-stdout; files are written only under an explicit --out.  FINSLAB_THREADS
-caps batch parallelism.
+stdout; files are written only under an explicit --out.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,6 +89,13 @@ class ExperimentConfig:
     def validate(self):
         if self.check not in _CHECKS:
             raise UnknownCheck(f"unknown check '{self.check}'")
+        ints = {"n": self.n, "per_level": self.per_level,
+                "samples": self.samples, "seed": self.seed}
+        if self.m is not None:
+            ints["m"] = self.m
+        for name, value in ints.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"field '{name}' must be an integer")
         if self.tol is None:
             self.tol = _DEFAULT_TOLS[self.check]
         if self.tol <= 0:
@@ -126,19 +130,23 @@ class ExperimentConfig:
 
 def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
     spec = cfg.clifford
-    if spec is None:
-        if cfg.m is not None:
-            return cl.build_clifford(cfg.m, cfg.k if cfg.k is not None else 1)
-        raise ConfigError("field 'clifford': required for otfkm functions")
-    if isinstance(spec, str):
-        return cl.CliffordSystem.from_json(Path(spec).read_text())
-    if "matrices" in spec:
-        return cl.CliffordSystem.from_json(spec)
-    if "m" in spec:
-        k = spec.get("k", 1)
-        if "k2" in spec:
-            k = (spec.get("k1", k), spec["k2"])
-        return cl.build_clifford(spec["m"], k)
+    try:
+        if spec is None:
+            if cfg.m is not None:
+                return cl.build_clifford(cfg.m,
+                                         cfg.k if cfg.k is not None else 1)
+            raise ConfigError("field 'clifford': required for otfkm functions")
+        if isinstance(spec, str):
+            return cl.CliffordSystem.from_json(Path(spec).read_text())
+        if "matrices" in spec:
+            return cl.CliffordSystem.from_json(spec)
+        if "m" in spec:
+            k = spec.get("k", 1)
+            if "k2" in spec:
+                k = (spec.get("k1", k), spec["k2"])
+            return cl.build_clifford(spec["m"], k)
+    except ValueError as exc:
+        raise ConfigError(f"invalid Clifford system: {exc}") from None
     raise ConfigError("field 'clifford': need a file, matrices, or {m, k}")
 
 
@@ -360,7 +368,7 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
 
     Returns (reports, all_ok) where a report counts as ok when pass
     matches the experiment's expect_fail flag.  Reports keep config
-    order regardless of completion order.
+    order.
     """
     text = Path(path).read_text()
     try:
@@ -371,14 +379,7 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
     if not isinstance(entries, list):
         raise ParseError("battery must be a JSON array of experiments")
     configs = [ExperimentConfig.from_dict(e) for e in entries]
-
-    threads = int(os.environ.get("FINSLAB_THREADS", "1"))
-    if threads > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, configs))
-    else:
-        reports = [run(c) for c in configs]
-
+    reports = [run(c) for c in configs]
     ok = all(r.passed != c.expect_fail for r, c in zip(reports, configs))
     if out_dir is not None:
         out = Path(out_dir)

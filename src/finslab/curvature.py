@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (ChartBoundary, DegenerateFlag, DifferentiationFailure,
                      ZeroBaseVector)
+from .minkowski import randers_fiber
 from .sphere import MetricField
 
 # 4-point, fourth-order central first-derivative stencil
@@ -35,6 +36,21 @@ _WGTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 _X_STEP = 1e-4      # stencil for the coefficient-field derivatives
 _OUT_STEP = 5e-3    # stencils applied to the spray itself
+
+
+def central_diff(fn: Callable, x, h: float, directions=None) -> np.ndarray:
+    """Fourth-order central first derivatives of fn at x, step h.
+
+    Differentiates along each row of ``directions`` (a single vector, or
+    the coordinate axes by default) and stacks the results on a new first
+    axis, so for array-valued fn, ``out[k]`` is d fn / d direction_k.
+    Exact up to roundoff for polynomials of degree <= 4.
+    """
+    x = np.asarray(x, dtype=float)
+    dirs = np.eye(len(x)) if directions is None else np.atleast_2d(directions)
+    pts = x + h * _OFFS[:, None, None] * dirs        # [offset, direction]
+    vals = np.array([[fn(p) for p in row] for row in pts])
+    return np.einsum("j,j...->...", _WGTS / h, vals)
 
 
 def _check_stencil(metric: MetricField, x: np.ndarray, reach: float):
@@ -67,25 +83,19 @@ class _LocalModel:
             return
         if self.quad:
             self.A = norm.matrix
-            self.DA = np.zeros((n, n, n))
-            for k in range(n):
-                ek = np.zeros(n)
-                ek[k] = _X_STEP
-                for off, wgt in zip(_OFFS, _WGTS):
-                    self.DA[k] += (wgt / _X_STEP) * \
-                        metric.norm_at(x + off * ek).matrix
+            self.DA = central_diff(lambda xv: metric.norm_at(xv).matrix,
+                                   x, _X_STEP)
         else:
             self.alpha = norm.alpha
             self.beta = norm.beta
-            self.Dalpha = np.zeros((n, n, n))
-            self.Dbeta = np.zeros((n, n))
-            for k in range(n):
-                ek = np.zeros(n)
-                ek[k] = _X_STEP
-                for off, wgt in zip(_OFFS, _WGTS):
-                    nb = metric.norm_at(x + off * ek)
-                    self.Dalpha[k] += (wgt / _X_STEP) * nb.alpha
-                    self.Dbeta[k] += (wgt / _X_STEP) * nb.beta
+
+            def coeffs(xv):
+                nb = metric.norm_at(xv)
+                return np.concatenate((nb.alpha, nb.beta[None]))
+
+            D = central_diff(coeffs, x, _X_STEP)
+            self.Dalpha = D[:, :n]
+            self.Dbeta = D[:, n]
 
     def spray(self, y: np.ndarray) -> np.ndarray:
         if self.generic is not None:
@@ -95,23 +105,14 @@ class _LocalModel:
             s = DAy @ y                             # y^T dA/dx^k y
             rhs = 2.0 * (y @ DAy) - s
             return 0.25 * np.linalg.solve(self.A, rhs)
-        ay = self.alpha @ y
-        a2 = float(y @ ay)
-        if a2 <= 0.0:
-            raise ZeroBaseVector("spray undefined at y = 0")
-        a = np.sqrt(a2)
-        b = float(self.beta @ y)
-        F = a + b
-        p = ay / a
-        m = p + self.beta
+        a, F, p, m, g = randers_fiber(self.alpha, self.beta, y)
         Day = self.Dalpha @ y                       # (k, l)
         s = Day @ y                                 # (k,)
         dF = s / (2.0 * a) + self.Dbeta @ y         # dF/dx^k
-        mixed = 2.0 * (np.outer(dF, m)
-                       + F * (Day / a - np.outer(s, p) / (2.0 * a2)
+        mixed = 2.0 * (dF[:, None] * m
+                       + F * (Day / a - s[:, None] * p / (2.0 * a * a)
                               + self.Dbeta))
         rhs = y @ mixed - 2.0 * F * dF
-        g = (F / a) * (self.alpha - np.outer(p, p)) + np.outer(m, m)
         return 0.25 * np.linalg.solve(g, rhs)
 
 
@@ -119,37 +120,13 @@ def _generic_spray(metric: MetricField, x: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
     # direct stencils of F^2 for pointwise norms without stored
     # coefficient fields
-    n = metric.dim
-    norm = metric.norm_at(x)
-    g = 0.5 * norm.sq_jet(y).hess
+    g = 0.5 * metric.norm_at(x).sq_jet(y).hess
     yn = np.linalg.norm(y)
-    u = y / yn
-    dgrad = np.zeros(n)
-    for off, wgt in zip(_OFFS, _WGTS):
-        _, gr = metric.norm_at(x + off * _X_STEP * u).sq_value_grad(y)
-        dgrad += wgt * gr
-    dgrad *= yn / _X_STEP
-    dphi = np.zeros(n)
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = _X_STEP
-        acc = 0.0
-        for off, wgt in zip(_OFFS, _WGTS):
-            acc += wgt * metric.norm_at(x + off * ek)(y) ** 2
-        dphi[k] = acc / _X_STEP
+    dgrad = yn * central_diff(
+        lambda xv: metric.norm_at(xv).sq_value_grad(y)[1],
+        x, _X_STEP, y / yn)[0]
+    dphi = central_diff(lambda xv: metric.norm_at(xv)(y) ** 2, x, _X_STEP)
     return 0.25 * np.linalg.solve(g, dgrad - dphi)
-
-
-def _model_at(metric: MetricField, x: np.ndarray) -> _LocalModel:
-    cache = metric.__dict__.setdefault("_model_cache", {})
-    key = x.tobytes()
-    model = cache.get(key)
-    if model is None:
-        if len(cache) > 4000:
-            cache.clear()
-        model = _LocalModel(metric, x)
-        cache[key] = model
-    return model
 
 
 def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
@@ -159,7 +136,7 @@ def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
     if not np.any(y):
         raise ZeroBaseVector("spray undefined at y = 0")
     _check_stencil(metric, x, _X_STEP * 2.0)
-    return _model_at(metric, x).spray(y)
+    return _LocalModel(metric, x).spray(y)
 
 
 def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
@@ -169,72 +146,26 @@ def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
     if not np.any(y):
         raise ZeroBaseVector("Riemann curvature undefined at y = 0")
     _check_stencil(metric, x, 2.0 * _OUT_STEP + 2.0 * _X_STEP)
-    n = metric.dim
     h = _OUT_STEP
 
-    base = _model_at(metric, x)
+    def y_jacobian(model: _LocalModel, yv: np.ndarray) -> np.ndarray:
+        return central_diff(model.spray, yv, h)       # [k, i] = dG^i/dy^k
+
+    base = _LocalModel(metric, x)
     G0 = base.spray(y)
-
-    # 2 dG/dx^k
-    dGdx = np.zeros((n, n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = h
-        acc = np.zeros(n)
-        for off, wgt in zip(_OFFS, _WGTS):
-            acc += wgt * _model_at(metric, x + off * ek).spray(y)
-        dGdx[:, k] = acc / h
-
-    # directional x-derivative of G along w = y, then d/dy^k of it
+    dGdx = central_diff(lambda xv: _LocalModel(metric, xv).spray(y), x, h).T
+    dGdy = y_jacobian(base, y).T
+    # y^j d^2G/dx^j dy^k: the y-Jacobian differentiated in x along y, so
+    # each of the four off-center models is built once
     yn = np.linalg.norm(y)
-    u = y / yn
-    dir_models = [_model_at(metric, x + off * h * u) for off in _OFFS]
-
-    def dir_x(yv):
-        acc = np.zeros(n)
-        for mod, wgt in zip(dir_models, _WGTS):
-            acc += wgt * mod.spray(yv)
-        return acc * (yn / h)
-
-    mixed = np.zeros((n, n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = h
-        acc = np.zeros(n)
-        for off, wgt in zip(_OFFS, _WGTS):
-            acc += wgt * dir_x(y + off * ek)
-        mixed[:, k] = acc / h
-
-    # directional y-derivative of G along w = G0, then d/dy^k of it
+    mixed = yn * central_diff(
+        lambda xv: y_jacobian(_LocalModel(metric, xv), y), x, h, y / yn)[0].T
+    # G^j d^2G/dy^j dy^k: the y-Jacobian differentiated in y along G
     g0n = np.linalg.norm(G0)
-    second = np.zeros((n, n))
+    second = np.zeros_like(dGdy)
     if g0n > 1e-14:
-        v = G0 / g0n
-
-        def dir_y(yv):
-            acc = np.zeros(n)
-            for off, wgt in zip(_OFFS, _WGTS):
-                acc += wgt * base.spray(yv + off * h * v)
-            return acc * (g0n / h)
-
-        for k in range(n):
-            ek = np.zeros(n)
-            ek[k] = h
-            acc = np.zeros(n)
-            for off, wgt in zip(_OFFS, _WGTS):
-                acc += wgt * dir_y(y + off * ek)
-            second[:, k] = acc / h
-
-    # full y-Jacobian of G
-    dGdy = np.zeros((n, n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = h
-        acc = np.zeros(n)
-        for off, wgt in zip(_OFFS, _WGTS):
-            acc += wgt * base.spray(y + off * ek)
-        dGdy[:, k] = acc / h
-
+        second = g0n * central_diff(
+            lambda yv: y_jacobian(base, yv), y, h, G0 / g0n)[0].T
     return 2.0 * dGdx - mixed + 2.0 * second - dGdy @ dGdy
 
 
@@ -387,13 +318,5 @@ def geodesic_field_residual(metric: MetricField,
     integral curves of the chart vector field V."""
     x = np.asarray(x, dtype=float)
     V = field(x)
-    n = len(x)
-    JV = np.zeros((n, n))
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = step
-        acc = np.zeros(n)
-        for off, wgt in zip(_OFFS, _WGTS):
-            acc += wgt * field(x + off * ek)
-        JV[:, k] = acc / step
+    JV = central_diff(field, x, step).T
     return float(np.linalg.norm(JV @ V + 2.0 * geodesic_spray(metric, x, V)))

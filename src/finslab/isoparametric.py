@@ -29,14 +29,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from .clifford import CliffordSystem, otfkm_gradient, otfkm_value
+from .curvature import central_diff
 from .errors import (ClusterAmbiguity, CriticalPoint, EmptyLevel,
                      StencilEscape)
 from .minkowski import legendre_solve
 from .report import VerificationReport
 from .sphere import Chart, KillingField, MetricField, random_sphere_points
-
-_OFFS = np.array([-2.0, -1.0, 1.0, 2.0])
-_WGTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 _CRITICAL_EPS = 1e-10
 
@@ -236,7 +234,6 @@ def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x,
                         step: float = 1e-3) -> float:
     """Laplace-Beltrami of f in the localization metric g^F_{grad f}."""
     x = np.asarray(x, dtype=float)
-    n = metric.dim
     df = f.chart_gradient(metric.chart, x)
     if np.linalg.norm(df) < _CRITICAL_EPS:
         raise CriticalPoint("df vanishes; nonlinear Laplacian undefined")
@@ -253,13 +250,8 @@ def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x,
     norm0 = metric.norm_at(x)
     grad0 = legendre_solve(norm0, df)
     q0 = 0.5 * norm0.sq_jet(grad0).hess
-    div = 0.0
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        for off, wgt in zip(_OFFS, _WGTS):
-            div += wgt * flux(x + off * ei)[i]
-    return div / (step * np.sqrt(np.linalg.det(q0)))
+    div = np.trace(central_diff(flux, x, step))
+    return div / np.sqrt(np.linalg.det(q0))
 
 
 def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
@@ -432,15 +424,9 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
         q0 = qmat(x0)
         nu = n1(x0)
 
-        # dq[k] and the Jacobian of the unit normal, fourth-order stencils
-        dq = np.zeros((n, n, n))
-        Jnu = np.zeros((n, n))
-        for k in range(n):
-            ek = np.zeros(n)
-            ek[k] = step
-            for off, wgt in zip(_OFFS, _WGTS):
-                dq[k] += (wgt / step) * qmat(x0 + off * ek)
-                Jnu[:, k] += (wgt / step) * n1(x0 + off * ek)
+        # dq[k] = d_k q and the Jacobian of the unit normal
+        dq = central_diff(qmat, x0, step)
+        Jnu = central_diff(n1, x0, step).T
 
         qinv = np.linalg.inv(q0)
         # Gamma^k_{ij} = 1/2 q^{kl} (d_i q_{jl} + d_j q_{il} - d_l q_{ij});

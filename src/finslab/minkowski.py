@@ -7,23 +7,54 @@ Two closed-form kinds are built in:
 * ``euclidean-quadratic-form``: F(y) = sqrt(y^T A y) for SPD A,
 * ``randers``: F(y) = sqrt(y^T alpha y) + beta . y with |beta|_alpha < 1.
 
-A ``custom`` kind wraps an arbitrary evaluation rule; its derivatives fall
-back to central finite differences at step 1e-5 (1 + |y|).
+For both closed-form kinds the value, gradient and Hessian of F^2 in the
+fiber variable y are written out in closed form (for Randers norms see
+Bao-Chern-Shen, *An Introduction to Riemann-Finsler Geometry*, Ch. 11),
+so they are exact to roundoff.  A ``custom`` kind wraps an arbitrary
+evaluation rule; its derivatives fall back to central finite differences
+at step 1e-5 (1 + |y|).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NoConvergence, NotPositiveDefinite, ZeroBaseVector
-from .jets import Jet2, linear_jet, quadratic_jet, sqrt_jet
 
 _FD_STEP = 1e-5
+
+
+class SqJet(NamedTuple):
+    """Value, gradient and Hessian of F^2 at one y."""
+
+    val: float
+    grad: np.ndarray
+    hess: np.ndarray
+
+
+def randers_fiber(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray):
+    """Fiber data (a, F, p, m, g) of F(y) = sqrt(y^T alpha y) + beta . y.
+
+    a = |y|_alpha, F = a + beta . y, p = alpha y / a = grad a,
+    m = p + beta = grad F, and the fundamental tensor
+    g = 1/2 Hess F^2 = (F / a)(alpha - p p^T) + m m^T.
+    """
+    ay = alpha @ y
+    a2 = float(y @ ay)
+    if a2 <= 0.0:
+        raise ZeroBaseVector("Randers F^2 is not differentiable at y = 0")
+    a = math.sqrt(a2)
+    F = a + float(beta @ y)
+    p = ay / a
+    m = p + beta
+    g = (F / a) * (alpha - p[:, None] * p) + m[:, None] * m
+    return a, F, p, m, g
 
 
 class NormEvaluator:
@@ -97,37 +128,32 @@ class NormEvaluator:
     def is_quadratic(self) -> bool:
         return self.kind == "euclidean-quadratic-form"
 
-    def sq_jet(self, y) -> Jet2:
+    def sq_jet(self, y) -> SqJet:
         """Value, gradient and Hessian of F^2 at y (exact for closed forms)."""
         y = np.asarray(y, dtype=float)
         if not np.any(y):
             raise ZeroBaseVector("F^2 is not twice differentiable at y = 0")
         if self.kind == "euclidean-quadratic-form":
-            return quadratic_jet(self.matrix, y)
+            Ay = self.matrix @ y
+            return SqJet(float(y @ Ay), 2.0 * Ay, 2.0 * self.matrix)
         if self.kind == "randers":
-            q = quadratic_jet(self.alpha, y)
-            b = linear_jet(self.beta, y)
-            f = sqrt_jet(q) + b
-            return f * f
+            _, F, _, m, g = randers_fiber(self.alpha, self.beta, y)
+            return SqJet(F * F, 2.0 * F * m, 2.0 * g)
         return self._fd_sq_jet(y)
 
     def sq_value_grad(self, y) -> tuple[float, np.ndarray]:
-        """Value and gradient of F^2 at y; cheaper than a full jet."""
+        """Value and gradient of F^2 at y."""
         y = np.asarray(y, dtype=float)
         if self.kind == "euclidean-quadratic-form":
             Ay = self.matrix @ y
             return float(y @ Ay), 2.0 * Ay
         if self.kind == "randers":
-            Ay = self.alpha @ y
-            a = np.sqrt(max(y @ Ay, 0.0))
-            if a == 0.0:
-                raise ZeroBaseVector("gradient of F^2 undefined at y = 0")
-            f = a + self.beta @ y
-            return float(f * f), 2.0 * f * (Ay / a + self.beta)
+            _, F, _, m, _ = randers_fiber(self.alpha, self.beta, y)
+            return F * F, 2.0 * F * m
         jet = self._fd_sq_jet(y, need_hess=False)
         return jet.val, jet.grad
 
-    def _fd_sq_jet(self, y: np.ndarray, need_hess: bool = True) -> Jet2:
+    def _fd_sq_jet(self, y: np.ndarray, need_hess: bool = True) -> SqJet:
         # central differences of F^2; step scales with |y| so the stencil
         # stays well inside the cone where the rule is smooth
         h = _FD_STEP * (1.0 + np.linalg.norm(y))
@@ -159,7 +185,7 @@ class NormEvaluator:
                     hess[i, j] = hess[j, i] = (
                         f2(y + e) - f2(y + em) - f2(y - em) + f2(y - e)
                     ) / (4.0 * h * h)
-        return Jet2(val, grad, hess)
+        return SqJet(val, grad, hess)
 
     # -- serialization -------------------------------------------------
 

@@ -9,6 +9,17 @@ Laplacians instead of the divergence form.
 import numpy as np
 
 
+def fd_gradient(func, y, h=1e-6):
+    """Central finite-difference gradient of a scalar function."""
+    y = np.asarray(y, dtype=float)
+    g = np.zeros(len(y))
+    for i in range(len(y)):
+        e = np.zeros(len(y))
+        e[i] = h
+        g[i] = (func(y + e) - func(y - e)) / (2 * h)
+    return g
+
+
 def fd_hessian(func, y, h=1e-5):
     """Central finite-difference Hessian of a scalar function."""
     y = np.asarray(y, dtype=float)

@@ -1,12 +1,17 @@
 """CLI: dispatch, exit codes, determinism, batch batteries."""
 
+import importlib.util
+import inspect
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from finslab.cli import ExperimentConfig, batch, main, run
 from finslab.errors import ConfigError, ParseError, UnknownCheck
+from finslab.sphere import MetricField
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_run_flag_curvature_round():
@@ -127,6 +132,18 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("entry", [
+    {"check": "flag-curvature", "samples": "5"},
+    {"check": "clifford-audit", "clifford": {"m": 0}},
+])
+def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
+    path = tmp_path / "batt.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["batch", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["error"] == "ConfigError"
+
+
 def test_main_clifford_build_and_audit(tmp_path, capsys):
     out = tmp_path / "sys.json"
     assert main(["clifford", "build", "--m", "3", "--k", "2",
@@ -161,24 +178,23 @@ def test_main_spectrum_cli(tmp_path, capsys):
 
 
 def test_shipped_paper_suite_passes():
-    from pathlib import Path
-    suite = Path(__file__).resolve().parent.parent / "demos" / "paper_suite.json"
+    suite = ROOT / "demos" / "paper_suite.json"
     reports, ok = batch(str(suite))
     assert ok
     expected_failures = [r.check for r in reports if not r.passed]
     assert expected_failures == ["tangency", "transnormal"]
 
 
-def test_threaded_batch_matches_sequential(tmp_path, monkeypatch):
-    battery = [
-        {"check": "flag-curvature", "n": 2, "metric": "round",
-         "samples": 5, "tol": 1e-5, "seed": s} for s in range(3)
-    ]
-    path = tmp_path / "batt.json"
-    path.write_text(json.dumps(battery))
-    seq, ok1 = batch(str(path))
-    monkeypatch.setenv("FINSLAB_THREADS", "3")
-    par, ok2 = batch(str(path))
-    assert ok1 and ok2
-    for a, b in zip(seq, par):
-        assert a.max_deviation == b.max_deviation
+def test_benchmark_tracer_names_resolve():
+    # bench/spans.py patches these names from outside the package; a
+    # rename must fail here, not only in the benchmark smoke test
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module, attr in spans.SPANS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"
+    assert "builder" in inspect.signature(MetricField.__init__).parameters

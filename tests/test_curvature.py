@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from finslab.curvature import (Flag, flag_curvature, geodesic_spray,
-                               integrate_geodesic, riemann_curvature)
+from finslab.curvature import (Flag, central_diff, flag_curvature,
+                               geodesic_spray, integrate_geodesic,
+                               riemann_curvature)
 from finslab.errors import (ChartBoundary, DegenerateFlag,
                             DifferentiationFailure)
 from finslab.minkowski import NormEvaluator
@@ -16,6 +17,48 @@ def flat_metric(n: int) -> MetricField:
     chart = Chart(np.eye(n + 1)[0])
     return MetricField(chart, "localization",
                        lambda fld, x: NormEvaluator.euclidean(n))
+
+
+def test_central_diff_exact_on_quartics():
+    # the fourth-order stencil differentiates degree-4 polynomials exactly,
+    # even at a coarse step; only roundoff remains
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2, 3))
+    M = rng.standard_normal((3, 3))
+
+    def quartic(x):
+        return (a @ x) ** 4 - 2.0 * (b @ x) ** 3 + x @ M @ x + 0.5 * x[0]
+
+    def quartic_grad(x):
+        return (4.0 * (a @ x) ** 3 * a - 6.0 * (b @ x) ** 2 * b
+                + (M + M.T) @ x + 0.5 * np.eye(3)[0])
+
+    def field(x):
+        return np.array([[quartic(x), x[1] ** 4],
+                         [x[0] * x[2] ** 3, 7.0]])
+
+    def field_jac(x):
+        # [k, i, j] = d field[i, j] / dx^k
+        J = np.zeros((3, 2, 2))
+        J[:, 0, 0] = quartic_grad(x)
+        J[1, 0, 1] = 4.0 * x[1] ** 3
+        J[0, 1, 0] = x[2] ** 3
+        J[2, 1, 0] = 3.0 * x[0] * x[2] ** 2
+        return J
+
+    u = rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    for _ in range(5):
+        x = rng.standard_normal(3)
+        g = quartic_grad(x)
+        J = field_jac(x)
+        scale = max(1.0, np.abs(J).max())
+        assert np.abs(central_diff(quartic, x, 0.25) - g).max() < 1e-11 * scale
+        assert np.abs(central_diff(quartic, x, 0.25, u)
+                      - [g @ u]).max() < 1e-11 * scale
+        assert np.abs(central_diff(field, x, 0.25) - J).max() < 1e-11 * scale
+        assert np.abs(central_diff(field, x, 0.25, u)[0]
+                      - np.einsum("k,kij->ij", u, J)).max() < 1e-11 * scale
 
 
 def test_flat_spray_vanishes():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direction_scan_legendre, fd_hessian
+from conftest import direction_scan_legendre, fd_gradient, fd_hessian
 from finslab.errors import NoConvergence, NotPositiveDefinite, ZeroBaseVector
 from finslab.minkowski import (NormEvaluator, fundamental_tensor,
                                inner_product, legendre_solve)
@@ -44,6 +44,29 @@ def test_randers_tensor_matches_fd_hessian():
     G = fundamental_tensor(RANDERS_2D, y).matrix
     oracle = 0.5 * fd_hessian(lambda z: RANDERS_2D(z) ** 2, y)
     assert np.abs(G - oracle).max() < 1e-6
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_randers_jet_matches_fd_oracles(dim):
+    # closed-form value, gradient and Hessian of F^2 against central
+    # differences, for winds |beta|_alpha from 0 up to 0.9
+    rng = np.random.default_rng(dim)
+    for strength in np.linspace(0.0, 0.9, 10):
+        M = rng.standard_normal((dim, dim))
+        alpha = M @ M.T / dim + np.eye(dim)
+        beta = rng.standard_normal(dim)
+        beta *= strength / np.sqrt(beta @ np.linalg.solve(alpha, beta))
+        norm = NormEvaluator.randers(alpha, beta)
+        y = rng.standard_normal(dim)
+        y /= np.sqrt(y @ alpha @ y)
+
+        def f2(z):
+            return norm(z) ** 2
+
+        jet = norm.sq_jet(y)
+        assert abs(jet.val - f2(y)) < 1e-14
+        assert np.abs(jet.grad - fd_gradient(f2, y)).max() < 1e-8
+        assert np.abs(jet.hess - fd_hessian(f2, y, h=1e-4)).max() < 1e-6
 
 
 def test_euler_identity():
