@@ -17,7 +17,8 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,19 +36,6 @@ from .report import VerificationReport
 from .sphere import (Chart, KillingField, block_killing, killing_norm,
                      randers_sphere, round_metric, standard_rotation)
 
-_CHECKS = ("flag-curvature", "navigation-lemma", "transnormal",
-           "isoparametric", "tangency", "spectrum", "clifford-audit")
-
-_DEFAULT_TOLS = {
-    "flag-curvature": 1e-4,
-    "navigation-lemma": 1e-8,
-    "transnormal": 1e-6,
-    "isoparametric": 1e-3,
-    "tangency": 1e-8,
-    "spectrum": 1e-2,
-    "clifford-audit": 1e-10,
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -56,17 +44,17 @@ class ExperimentConfig:
     check: str
     n: int = 3
     metric: str = "round"
-    w_spec: dict | None = None
+    w_spec: dict | str | None = None
     function: str = "height"
     clifford: dict | str | None = None
-    levels: list = field(default_factory=lambda: [-0.5, 0.0, 0.5])
+    levels: list[float] = field(default_factory=lambda: [-0.5, 0.0, 0.5])
     per_level: int = 20
     samples: int = 200
     tol: float | None = None
     seed: int = 0
     lam: float = 0.5
     level: float = 0.0
-    expect_g: list | None = None
+    expect_g: list[int] | None = None
     expect_fail: bool = False
     m: int | None = None
     k: object = None
@@ -74,44 +62,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if "check" not in data:
+        if not isinstance(data, dict) or "check" not in data:
             raise ConfigError("missing field 'check'")
-        known = {f for f in cls.__dataclass_fields__}
         cfg = cls(check=data["check"])
         for key, value in data.items():
             attr = {"lambda": "lam"}.get(key, key.replace("-", "_"))
-            if attr not in known:
+            if attr not in cls.__dataclass_fields__:
                 raise ConfigError(f"unknown field '{key}'")
             setattr(cfg, attr, value)
         cfg.validate()
         return cfg
 
     def validate(self):
+        for f in fields(self):
+            if not _accepts(_FIELD_TYPES[f.name], getattr(self, f.name)):
+                key = "lambda" if f.name == "lam" else f.name
+                raise ConfigError(f"field '{key}' must be {f.type}")
         if self.check not in _CHECKS:
             raise UnknownCheck(f"unknown check '{self.check}'")
-        ints = {"n": self.n, "per_level": self.per_level,
-                "samples": self.samples, "seed": self.seed}
-        if self.m is not None:
-            ints["m"] = self.m
-        for name, value in ints.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"field '{name}' must be an integer")
         if self.tol is None:
-            self.tol = _DEFAULT_TOLS[self.check]
+            self.tol = _CHECKS[self.check][0]
         if self.tol <= 0:
             raise ConfigError("field 'tol' must be positive")
-        if self.samples < 1:
-            raise ConfigError("field 'samples' must be >= 1")
-        if self.per_level < 1:
-            raise ConfigError("field 'per_level' must be >= 1")
+        for name, low in (("n", 1), ("samples", 1), ("per_level", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"field '{name}' must be >= {low}")
         if self.metric not in ("round", "randers"):
             raise ConfigError("field 'metric' must be round or randers")
-        if isinstance(self.clifford, str) and not Path(self.clifford).exists():
-            raise ConfigError(f"field 'clifford': file {self.clifford!r} "
-                              "does not exist")
-        if isinstance(self.w_spec, str) and not Path(self.w_spec).exists():
-            raise ConfigError(f"field 'w_spec': file {self.w_spec!r} "
-                              "does not exist")
+        if self.check in ("transnormal", "isoparametric") and not self.levels:
+            raise ConfigError("field 'levels' must not be empty")
+        for name in ("clifford", "w_spec", "norm"):
+            value = getattr(self, name)
+            if isinstance(value, str) and not Path(value).exists():
+                raise ConfigError(f"field '{name}': file {value!r} "
+                                  "does not exist")
 
     def echo(self) -> dict:
         out = {"check": self.check, "n": self.n, "metric": self.metric,
@@ -126,6 +111,23 @@ class ExperimentConfig:
         if self.clifford is not None:
             out["clifford"] = self.clifford
         return out
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _accepts(hint, value) -> bool:
+    """Whether value has the declared type: bool is never a number, and an
+    int is accepted where a float is declared."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_accepts(args[0], v)
+                                               for v in value)
+    if args:   # a union
+        return any(_accepts(h, value) for h in args)
+    if isinstance(value, bool):
+        return hint in (bool, object)
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
@@ -148,6 +150,17 @@ def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
     except ValueError as exc:
         raise ConfigError(f"invalid Clifford system: {exc}") from None
     raise ConfigError("field 'clifford': need a file, matrices, or {m, k}")
+
+
+def _load_norm(cfg: ExperimentConfig) -> NormEvaluator:
+    if cfg.norm is None:
+        return NormEvaluator.euclidean(cfg.n)
+    spec = cfg.norm
+    try:
+        return NormEvaluator.from_json(
+            Path(spec).read_text() if isinstance(spec, str) else spec)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"field 'norm': invalid norm: {exc}") from None
 
 
 def _load_killing(cfg: ExperimentConfig, ambient_dim: int,
@@ -174,27 +187,24 @@ def _load_killing(cfg: ExperimentConfig, ambient_dim: int,
                                        spec["sizes"]))
     kind = spec.get("kind")
     scale = float(spec.get("scale", 0.5))
-    if kind == "spin":
+    if kind in ("spin", "centralizer"):
         if sys_ is None:
-            raise ConfigError("field 'w_spec': spin winds need a clifford system")
-        elems = cl.spin_lift(sys_).elements
-        idx = int(spec.get("index", 0))
-        W = elems[idx]
-        return KillingField(scale * W / killing_norm(KillingField(W)))
-    if kind == "centralizer":
-        if sys_ is None:
-            raise ConfigError("field 'w_spec': centralizer winds need a "
+            raise ConfigError(f"field 'w_spec': {kind} winds need a "
                               "clifford system")
-        elems = cl.centralizer(sys_).elements
+        algebra = cl.spin_lift if kind == "spin" else cl.centralizer
+        elems = algebra(sys_).elements
         idx = int(spec.get("index", 0))
-        W = elems[idx]
-        return KillingField(scale * W / killing_norm(KillingField(W)))
-    if kind == "random-skew":
+        if not 0 <= idx < len(elems):
+            raise ConfigError(f"field 'w_spec': index {idx} is outside the "
+                              f"{len(elems)} {kind} elements")
+        M = elems[idx]
+    elif kind == "random-skew":
         rng = np.random.default_rng(int(spec.get("seed", 0)))
         M = rng.standard_normal((ambient_dim, ambient_dim))
         M = M - M.T
-        return KillingField(scale * M / killing_norm(KillingField(M)))
-    raise ConfigError("field 'w_spec': unrecognized wind specification")
+    else:
+        raise ConfigError("field 'w_spec': unrecognized wind specification")
+    return KillingField(scale * M / killing_norm(KillingField(M)))
 
 
 def _build_function(cfg: ExperimentConfig, ambient_dim: int, sys_=None):
@@ -207,8 +217,18 @@ def _build_function(cfg: ExperimentConfig, ambient_dim: int, sys_=None):
     raise ConfigError(f"field 'function': unknown kind '{cfg.function}'")
 
 
-def _run_flag_curvature(cfg: ExperimentConfig) -> VerificationReport:
-    start = time.perf_counter()
+def _sphere_setup(cfg: ExperimentConfig, need_wind: bool = False):
+    """Metric, function and wind (None if round, unless need_wind)."""
+    sys_ = _load_clifford(cfg) if cfg.function == "otfkm" else None
+    ambient = sys_.dim if sys_ is not None else cfg.n + 1
+    chart = Chart(np.eye(ambient)[0])
+    randers = cfg.metric == "randers"
+    W = _load_killing(cfg, ambient, sys_) if randers or need_wind else None
+    met = randers_sphere(chart, W) if randers else round_metric(chart)
+    return met, _build_function(cfg, ambient, sys_), W
+
+
+def _run_flag_curvature(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
     center = rng.standard_normal(n + 1)
@@ -216,8 +236,7 @@ def _run_flag_curvature(cfg: ExperimentConfig) -> VerificationReport:
     if cfg.metric == "round":
         met = round_metric(chart)
     else:
-        W = _load_killing(cfg, n + 1)
-        met = randers_sphere(chart, W)
+        met = randers_sphere(chart, _load_killing(cfg, n + 1))
     devs = []
     for _ in range(cfg.samples):
         x = rng.standard_normal(n) * 0.5
@@ -225,84 +244,47 @@ def _run_flag_curvature(cfg: ExperimentConfig) -> VerificationReport:
         v = rng.standard_normal(n)
         devs.append(abs(flag_curvature(met, Flag(x, y, v)) - 1.0))
     worst = float(np.max(devs))
-    return VerificationReport(
-        check="flag-curvature", config=cfg.echo(), n_samples=cfg.samples,
+    rep = VerificationReport(
+        check="flag-curvature", config={}, n_samples=cfg.samples,
         max_deviation=worst,
         per_level=[{"level": "|K-1|", "mean": float(np.mean(devs)),
                     "spread": worst}],
-        passed=bool(worst < cfg.tol),
-        wall_time_ms=int(1000 * (time.perf_counter() - start)))
+        passed=bool(worst < cfg.tol))
+    return rep, {}
 
 
-def _run_navigation_lemma(cfg: ExperimentConfig) -> VerificationReport:
-    if cfg.norm is not None:
-        spec = cfg.norm
-        if isinstance(spec, str):
-            spec = json.loads(Path(spec).read_text())
-        base = NormEvaluator.from_json(spec)
-    else:
-        base = NormEvaluator.euclidean(cfg.n)
+def _run_navigation_lemma(cfg: ExperimentConfig):
+    base = _load_norm(cfg)
     wind = np.zeros(base.dim)
     wind[0] = cfg.lam if cfg.lam < 1.0 else 0.3
     if isinstance(cfg.w_spec, dict) and "vector" in cfg.w_spec:
         wind = np.asarray(cfg.w_spec["vector"], dtype=float)
-    datum = NavigationDatum(base, wind)
-    rep = check_navigation_lemma(datum, samples=cfg.samples, tol=cfg.tol,
+    rep = check_navigation_lemma(NavigationDatum(base, wind),
+                                 samples=cfg.samples, tol=cfg.tol,
                                  seed=cfg.seed)
-    rep.config = cfg.echo() | {"wind": wind.tolist(),
-                               "norm": "custom" if cfg.norm else "euclidean"}
-    return rep
+    return rep, {"wind": wind.tolist(),
+                 "norm": "custom" if cfg.norm else "euclidean"}
 
 
-def _sphere_setup(cfg: ExperimentConfig):
-    sys_ = _load_clifford(cfg) if cfg.function == "otfkm" else None
-    ambient = sys_.dim if sys_ is not None else cfg.n + 1
-    chart = Chart(np.eye(ambient)[0])
-    if cfg.metric == "round":
-        met = round_metric(chart)
-        W = None
-    else:
-        W = _load_killing(cfg, ambient, sys_)
-        met = randers_sphere(chart, W)
-    f = _build_function(cfg, ambient, sys_)
-    return met, f, W, sys_
+def _run_level_scan(cfg: ExperimentConfig):
+    met, f, _ = _sphere_setup(cfg)
+    check = check_transnormal if cfg.check == "transnormal" \
+        else check_isoparametric
+    return check(met, f, cfg.levels, per_level=cfg.per_level, tol=cfg.tol,
+                 seed=cfg.seed), {}
 
 
-def _run_transnormal(cfg: ExperimentConfig) -> VerificationReport:
-    met, f, _, _ = _sphere_setup(cfg)
-    rep = check_transnormal(met, f, cfg.levels, per_level=cfg.per_level,
-                            tol=cfg.tol, seed=cfg.seed)
-    rep.config = cfg.echo()
-    return rep
+def _run_tangency(cfg: ExperimentConfig):
+    _, f, W = _sphere_setup(cfg, need_wind=True)
+    return check_tangency(f, W, samples=cfg.samples, tol=cfg.tol,
+                          seed=cfg.seed), {}
 
 
-def _run_isoparametric(cfg: ExperimentConfig) -> VerificationReport:
-    met, f, _, _ = _sphere_setup(cfg)
-    rep = check_isoparametric(met, f, cfg.levels, per_level=cfg.per_level,
-                              tol=cfg.tol, seed=cfg.seed)
-    rep.config = cfg.echo()
-    return rep
-
-
-def _run_tangency(cfg: ExperimentConfig) -> VerificationReport:
-    sys_ = _load_clifford(cfg) if cfg.function == "otfkm" else None
-    ambient = sys_.dim if sys_ is not None else cfg.n + 1
-    f = _build_function(cfg, ambient, sys_)
-    W = _load_killing(cfg, ambient, sys_)
-    rep = check_tangency(f, W, samples=cfg.samples, tol=cfg.tol,
-                         seed=cfg.seed)
-    rep.config = cfg.echo()
-    return rep
-
-
-def _run_spectrum(cfg: ExperimentConfig) -> VerificationReport:
-    start = time.perf_counter()
-    met, f, _, _ = _sphere_setup(cfg)
+def _run_spectrum(cfg: ExperimentConfig):
+    met, f, _ = _sphere_setup(cfg)
     spec = principal_curvature_spectrum(met, f, cfg.level,
                                         points=cfg.per_level, seed=cfg.seed)
-    ok = spec.consistent
-    if cfg.expect_g is not None:
-        ok = ok and spec.g in cfg.expect_g
+    ok = spec.consistent and (cfg.expect_g is None or spec.g in cfg.expect_g)
     # cluster-mean spread across sampled points, per cluster
     spreads = []
     if spec.consistent:
@@ -310,56 +292,57 @@ def _run_spectrum(cfg: ExperimentConfig) -> VerificationReport:
             vals = [pt[i][0] for pt in spec.per_point]
             spreads.append(max(vals) - min(vals))
     worst = float(max(spreads)) if spreads else float("inf")
-    return VerificationReport(
-        check="spectrum",
-        config=cfg.echo() | {"level": cfg.level, "expect_g": cfg.expect_g},
-        n_samples=cfg.per_level,
+    rep = VerificationReport(
+        check="spectrum", config={}, n_samples=cfg.per_level,
         max_deviation=worst,
         per_level=[{"level": mean, "mean": mean, "spread": float(spread),
                     "multiplicity": mult}
                    for (mean, mult), spread in
                    zip(zip(spec.cluster_means, spec.multiplicities),
                        spreads or [float("nan")] * spec.g)],
-        passed=bool(ok and worst < cfg.tol),
-        wall_time_ms=int(1000 * (time.perf_counter() - start)))
+        passed=bool(ok and worst < cfg.tol))
+    return rep, {"level": cfg.level, "expect_g": cfg.expect_g}
 
 
-def _run_clifford_audit(cfg: ExperimentConfig) -> VerificationReport:
-    start = time.perf_counter()
+def _run_clifford_audit(cfg: ExperimentConfig):
     sys_ = _load_clifford(cfg)
-    rep = cl.audit(sys_, seed=cfg.seed)
+    audit = cl.audit(sys_, seed=cfg.seed)
     per = [{"level": key, "mean": float(val) if np.isscalar(val) else val,
             "spread": 0.0}
-           for key, val in rep.items() if key not in ("ok",)]
-    return VerificationReport(
-        check="clifford-audit",
-        config=cfg.echo() | {"m": sys_.m, "k": sys_.k},
-        n_samples=len(sys_.matrices),
-        max_deviation=float(max(rep["anticommutation_error"],
-                                rep["lie_closure_residual"],
-                                abs(rep["centralizer_dim"]
-                                    - rep["centralizer_dim_predicted"]))),
+           for key, val in audit.items() if key not in ("ok",)]
+    rep = VerificationReport(
+        check="clifford-audit", config={}, n_samples=len(sys_.matrices),
+        max_deviation=float(max(audit["anticommutation_error"],
+                                audit["lie_closure_residual"],
+                                abs(audit["centralizer_dim"]
+                                    - audit["centralizer_dim_predicted"]))),
         per_level=per,
-        passed=bool(rep["ok"]),
-        wall_time_ms=int(1000 * (time.perf_counter() - start)))
+        passed=bool(audit["ok"]))
+    return rep, {"m": sys_.m, "k": sys_.k}
 
 
-_RUNNERS = {
-    "flag-curvature": _run_flag_curvature,
-    "navigation-lemma": _run_navigation_lemma,
-    "transnormal": _run_transnormal,
-    "isoparametric": _run_isoparametric,
-    "tangency": _run_tangency,
-    "spectrum": _run_spectrum,
-    "clifford-audit": _run_clifford_audit,
+# check name -> (default tolerance, runner); a runner returns its report
+# and the entries that run() appends to the config echo
+_CHECKS = {
+    "flag-curvature": (1e-4, _run_flag_curvature),
+    "navigation-lemma": (1e-8, _run_navigation_lemma),
+    "transnormal": (1e-6, _run_level_scan),
+    "isoparametric": (1e-3, _run_level_scan),
+    "tangency": (1e-8, _run_tangency),
+    "spectrum": (1e-2, _run_spectrum),
+    "clifford-audit": (1e-10, _run_clifford_audit),
 }
 
 
 def run(config: ExperimentConfig) -> VerificationReport:
-    """Dispatch one experiment to its check."""
-    if config.check not in _RUNNERS:
-        raise UnknownCheck(f"unknown check '{config.check}'")
-    return _RUNNERS[config.check](config)
+    """Validate, run and time one experiment, set-up included; the
+    report's config is the experiment's echo plus what its runner adds."""
+    config.validate()
+    start = time.perf_counter()
+    rep, extras = _CHECKS[config.check][1](config)
+    rep.config = config.echo() | extras
+    rep.wall_time_ms = int(1000 * (time.perf_counter() - start))
+    return rep
 
 
 def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
@@ -401,47 +384,36 @@ def _parse_levels(text: str) -> list:
 
 
 def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    # no defaults here: a flag left out keeps the ExperimentConfig default
+    p.add_argument("--n", type=int)
+    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--w-spec", dest="w_spec",
                    help="wind: JSON file or inline JSON")
     p.add_argument("--norm", help="base norm: JSON file or inline JSON")
     p.add_argument("--clifford", help="Clifford system JSON file")
-    p.add_argument("--function", default=None)
-    p.add_argument("--levels", type=_parse_levels, default=None)
-    p.add_argument("--per-level", dest="per_level", type=int, default=20)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--level", type=float, default=0.0)
-    p.add_argument("--metric", default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--function")
+    p.add_argument("--levels", type=_parse_levels)
+    p.add_argument("--per-level", dest="per_level", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--level", type=float)
+    p.add_argument("--metric")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true",
                    help="pretty-print the JSON report")
     p.add_argument("--out", help="also write the report to this file")
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    data = {"check": args.check, "n": args.n, "lambda": args.lam,
-            "per_level": args.per_level, "samples": args.samples,
-            "seed": args.seed, "level": args.level}
-    if args.metric:
-        data["metric"] = args.metric
-    if args.function:
-        data["function"] = args.function
-    if args.levels is not None:
-        data["levels"] = args.levels
-    if args.tol is not None:
-        data["tol"] = args.tol
-    if args.w_spec:
-        text = args.w_spec
-        data["w_spec"] = (json.loads(text) if text.lstrip().startswith("{")
-                          else text)
-    if args.norm:
-        text = args.norm
-        data["norm"] = (json.loads(text) if text.lstrip().startswith("{")
-                        else text)
-    if args.clifford:
-        data["clifford"] = args.clifford
+    data = {key: value for key, value in vars(args).items()
+            if value is not None and key not in ("command", "json", "out")}
+    for key in ("w_spec", "norm"):
+        text = data.get(key)
+        if text is not None and text.lstrip().startswith("{"):
+            try:
+                data[key] = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"field '{key}': {exc}") from None
     return ExperimentConfig.from_dict(data)
 
 
@@ -483,8 +455,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            cfg = _config_from_args(args)
-            report = run(cfg)
+            report = run(_config_from_args(args))
             text = report.to_json(indent=2 if args.json else None)
             print(text)
             if args.out:
@@ -502,19 +473,13 @@ def main(argv=None) -> int:
             rep = cl.audit(sys_)
             print(json.dumps(rep, indent=2 if args.json else None))
             return 0 if rep["ok"] else 1
-        if args.command == "batch":
-            reports, ok = batch(args.file, out_dir=args.out)
-            print(json.dumps([r.to_dict() for r in reports]))
-            return 0 if ok else 1
-    except (ConfigError, UnknownCheck, ParseError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        reports, ok = batch(args.file, out_dir=args.out)   # batch
+        print(json.dumps([r.to_dict() for r in reports]))
+        return 0 if ok else 1
     except FinslabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

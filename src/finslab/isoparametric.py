@@ -21,7 +21,6 @@ report the per-level spread of those quantities.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -280,7 +279,6 @@ def check_transnormal(metric: MetricField, f: SphereFunction, levels,
     Passes iff every spread is below tol; the per-level means are the
     fitted profile a(c) of F(grad f) = a(f).
     """
-    start = time.perf_counter()
     stats, worst = _per_level_scan(
         metric, f, levels, per_level, seed,
         lambda fld, x: gradient_norm(fld, f, x))
@@ -293,7 +291,6 @@ def check_transnormal(metric: MetricField, f: SphereFunction, levels,
         max_deviation=worst,
         per_level=stats,
         passed=bool(worst < tol),
-        wall_time_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -305,7 +302,6 @@ def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
     The reverse check matters because gradient and Laplacian are not odd
     in f for a non-reversible metric.
     """
-    start = time.perf_counter()
     stats, worst = _per_level_scan(
         metric, f, levels, per_level, seed,
         lambda fld, x: nonlinear_laplacian(fld, f, x))
@@ -330,7 +326,6 @@ def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
         max_deviation=worst,
         per_level=stats,
         passed=bool(worst < tol),
-        wall_time_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 
@@ -341,7 +336,6 @@ def check_tangency(f: SphereFunction, W: KillingField, samples: int = 500,
     Small residuals mean the flow of W preserves f; a short expm flow is
     cross-checked on a few points.
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     pts = random_sphere_points(f.ambient_dim - 1, samples, rng)
     resid = np.array([abs(float(f.gradient(p) @ (W.matrix @ p)))
@@ -360,7 +354,6 @@ def check_tangency(f: SphereFunction, W: KillingField, samples: int = 500,
                    {"level": "flow(0.1)", "mean": flow_dev,
                     "spread": flow_dev}],
         passed=bool(worst < tol),
-        wall_time_ms=int(1000 * (time.perf_counter() - start)),
     )
 
 

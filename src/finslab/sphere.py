@@ -221,7 +221,8 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
 
     At each chart point the wind is W(p) pulled to chart coordinates and
     the pointwise norm is the closed-form Randers solution of the
-    navigation problem.  Requires killing_norm(W) < 1.
+    navigation problem; where the wind vanishes that is h itself
+    (beta = 0).  Requires killing_norm(W) < 1.
     """
     if W.ambient_dim != chart.n + 1:
         raise DimensionMismatch("Killing field dimension does not match chart")
@@ -236,8 +237,6 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
         # gnomonic pullback has the closed-form inverse (1+r^2)(I + x x^T)
         Ainv = (1.0 + x @ x) * (np.eye(len(x)) + np.outer(x, x))
         w_chart = Ainv @ (J.T @ (W.matrix @ p))
-        if not np.any(w_chart):
-            return NormEvaluator.quadratic(A)
         alpha, beta = randers_from_navigation(A, w_chart)
         return NormEvaluator._randers_unchecked(alpha, beta)
 

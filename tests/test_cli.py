@@ -132,9 +132,30 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_flags_left_out_keep_config_defaults(capsys):
+    assert main(["verify", "flag-curvature", "--samples", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cfg = ExperimentConfig.from_dict({"check": "flag-curvature",
+                                      "samples": 3})
+    assert out["config"] == cfg.echo()
+
+
 @pytest.mark.parametrize("entry", [
     {"check": "flag-curvature", "samples": "5"},
     {"check": "clifford-audit", "clifford": {"m": 0}},
+    {"check": "tangency", "tol": "1e-4"},
+    {"check": "flag-curvature", "metric": "randers", "lambda": "0.3"},
+    {"check": "spectrum", "level": "0.3"},
+    {"check": "transnormal", "levels": "0.5"},
+    {"check": "spectrum", "expect_g": "x"},
+    {"check": "flag-curvature", "n": -1},
+    {"check": "flag-curvature", "seed": -1},
+    {"check": "navigation-lemma", "norm": "/no/such/norm.json"},
+    {"check": "tangency", "function": "otfkm", "clifford": {"m": 1, "k": 3},
+     "w_spec": {"kind": "spin", "index": 99}},
+    {"check": "navigation-lemma", "norm": {"kind": "x"}},
+    {"check": "transnormal", "levels": []},
+    {"check": "isoparametric", "levels": []},
 ])
 def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
     path = tmp_path / "batt.json"
@@ -142,6 +163,18 @@ def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
     assert main(["batch", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert json.loads(err[-1])["error"] == "ConfigError"
+
+
+def test_config_error_names_the_written_key():
+    with pytest.raises(ConfigError, match="'lambda'"):
+        ExperimentConfig.from_dict({"check": "tangency", "lambda": "0.3"})
+    with pytest.raises(ConfigError, match="'expect_fail'"):
+        ExperimentConfig.from_dict({"check": "tangency", "expect_fail": 1})
+    with pytest.raises(ConfigError, match="'tol'"):
+        ExperimentConfig.from_dict({"check": "tangency", "tol": True})
+    # an int is accepted where a float is declared
+    cfg = ExperimentConfig.from_dict({"check": "spectrum", "level": 1})
+    assert cfg.level == 1
 
 
 def test_main_clifford_build_and_audit(tmp_path, capsys):
@@ -177,12 +210,31 @@ def test_main_spectrum_cli(tmp_path, capsys):
     assert len(rep["per_level"]) == 4
 
 
-def test_shipped_paper_suite_passes():
-    suite = ROOT / "demos" / "paper_suite.json"
-    reports, ok = batch(str(suite))
+SUITE = ROOT / "demos" / "paper_suite.json"
+
+
+@pytest.fixture(scope="module")
+def paper_suite():
+    return batch(str(SUITE))
+
+
+def test_shipped_paper_suite_passes(paper_suite):
+    reports, ok = paper_suite
     assert ok
     expected_failures = [r.check for r in reports if not r.passed]
     assert expected_failures == ["tangency", "transnormal"]
+
+
+def test_run_stamps_config_and_time(paper_suite):
+    reports, _ = paper_suite
+    entries = json.loads(SUITE.read_text())["experiments"]
+    assert len(reports) == len(entries)
+    for entry, rep in zip(entries, reports):
+        cfg = ExperimentConfig.from_dict(entry)
+        echo = list(cfg.echo())
+        assert list(rep.config)[:len(echo)] == echo
+        assert rep.config["tol"] == cfg.tol
+        assert isinstance(rep.wall_time_ms, int) and rep.wall_time_ms >= 0
 
 
 def test_benchmark_tracer_names_resolve():

@@ -9,8 +9,8 @@ from finslab.curvature import (Flag, central_diff, flag_curvature,
 from finslab.errors import (ChartBoundary, DegenerateFlag,
                             DifferentiationFailure)
 from finslab.minkowski import NormEvaluator
-from finslab.sphere import (Chart, MetricField, randers_sphere, round_metric,
-                            standard_rotation)
+from finslab.sphere import (Chart, MetricField, block_killing, randers_sphere,
+                            round_metric, standard_rotation)
 
 
 def flat_metric(n: int) -> MetricField:
@@ -147,6 +147,16 @@ def test_randers_sphere_flag_curvature_is_one():
         v = rng.standard_normal(3)
         devs.append(abs(flag_curvature(met, Flag(x, y, v)) - 1.0))
     assert max(devs) < 1e-4
+
+
+def test_randers_sphere_curvature_where_wind_vanishes():
+    # the block wind vanishes at e_0, the chart center, so the stencils
+    # there see both zero and nonzero wind; K is still 1
+    met = randers_sphere(Chart([1.0, 0.0, 0.0]), block_killing(1, [0.5], [1]))
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        y, v = rng.standard_normal((2, 2))
+        assert abs(flag_curvature(met, Flag(np.zeros(2), y, v)) - 1.0) < 1e-4
 
 
 def test_flag_projective_invariance():
