@@ -34,7 +34,7 @@ from .minkowski import NormEvaluator
 from .navigation import NavigationDatum, check_navigation_lemma
 from .report import VerificationReport
 from .sphere import (Chart, KillingField, block_killing, killing_norm,
-                     randers_sphere, round_metric, standard_rotation)
+                     randers_sphere, round_metric)
 
 
 @dataclass
@@ -57,7 +57,7 @@ class ExperimentConfig:
     expect_g: list[int] | None = None
     expect_fail: bool = False
     m: int | None = None
-    k: object = None
+    k: int | None = None
     norm: dict | str | None = None
 
     @classmethod
@@ -130,17 +130,53 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
-    spec = cfg.clifford
+def _read_json(path, what: str):
+    """The JSON document in the file at path; ``what`` names it in errors."""
     try:
-        if spec is None:
-            if cfg.m is not None:
-                return cl.build_clifford(cfg.m,
-                                         cfg.k if cfg.k is not None else 1)
-            raise ConfigError("field 'clifford': required for otfkm functions")
-        if isinstance(spec, str):
-            return cl.CliffordSystem.from_json(Path(spec).read_text())
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: line {exc.lineno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _check_spec(where: str, spec, required=(), **hints):
+    """A nested spec: an object with every required entry, whose entries
+    named in hints have their type (with the rules of validate)."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object")
+    for name in required:
+        if name not in spec:
+            raise ConfigError(f"{where}: missing '{name}'")
+    for name, hint in hints.items():
+        if name in spec and not _accepts(hint, spec[name]):
+            shown = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{where}: '{name}' must be {shown}")
+
+
+def _array(where: str, name: str, value, shape: tuple) -> np.ndarray:
+    """Entry ``name`` of a nested spec: nested lists of numbers of the given
+    shape."""
+    try:
+        arr = np.array(value)
+    except ValueError:   # ragged lists
+        arr = np.array(None)
+    if arr.shape != shape or arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{where}: '{name}' needs numbers of shape {shape}")
+    return arr.astype(float)
+
+
+def _clifford_system(spec, where: str = "field 'clifford'"
+                     ) -> cl.CliffordSystem:
+    """A Clifford system from {m, l, k, matrices} or {m, k} (k1, k2 for a
+    split), with the field types and the matrix shapes checked."""
+    _check_spec(where, spec, m=int, l=int, k=int, k1=int, k2=int)
+    try:
         if "matrices" in spec:
+            _check_spec(where, spec, ("m", "l", "k"))
+            size = 2 * spec["l"]
+            _array(where, "matrices", spec["matrices"],
+                   (spec["m"] + 1, size, size))
             return cl.CliffordSystem.from_json(spec)
         if "m" in spec:
             k = spec.get("k", 1)
@@ -148,8 +184,20 @@ def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
                 k = (spec.get("k1", k), spec["k2"])
             return cl.build_clifford(spec["m"], k)
     except ValueError as exc:
-        raise ConfigError(f"invalid Clifford system: {exc}") from None
-    raise ConfigError("field 'clifford': need a file, matrices, or {m, k}")
+        raise ConfigError(f"{where}: invalid Clifford system: {exc}") \
+            from None
+    raise ConfigError(f"{where}: need a file, matrices, or {{m, k}}")
+
+
+def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
+    spec = cfg.clifford
+    if spec is None and cfg.m is not None:
+        spec = {"m": cfg.m, "k": 1 if cfg.k is None else cfg.k}
+    if spec is None:
+        raise ConfigError("field 'clifford': required for otfkm functions")
+    if isinstance(spec, str):
+        spec = _read_json(spec, "field 'clifford'")
+    return _clifford_system(spec)
 
 
 def _load_norm(cfg: ExperimentConfig) -> NormEvaluator:
@@ -157,49 +205,50 @@ def _load_norm(cfg: ExperimentConfig) -> NormEvaluator:
         return NormEvaluator.euclidean(cfg.n)
     spec = cfg.norm
     try:
-        return NormEvaluator.from_json(
-            Path(spec).read_text() if isinstance(spec, str) else spec)
-    except (KeyError, ValueError) as exc:
+        return NormEvaluator.from_json(spec if isinstance(spec, dict)
+                                       else _read_json(spec, "field 'norm'"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'norm': invalid norm: {exc}") from None
 
 
 def _load_killing(cfg: ExperimentConfig, ambient_dim: int,
                   sys_=None) -> KillingField:
     spec = cfg.w_spec
-    if spec is None:
-        if ambient_dim % 2 == 0:
-            return standard_rotation(ambient_dim, cfg.lam)
-        return block_killing(1, [cfg.lam], [(ambient_dim - 1) // 2])
+    if spec is None:   # lam J, plus one fixed axis when the dimension is odd
+        return block_killing(ambient_dim % 2, [cfg.lam], [ambient_dim // 2])
     if isinstance(spec, str):
-        spec = json.loads(Path(spec).read_text())
-
-    def check_dim(W: KillingField) -> KillingField:
+        spec = _read_json(spec, "field 'w_spec'")
+    _check_spec("field 'w_spec'", spec, n0=int, lambdas=list[float],
+                sizes=list[int], kind=str, scale=float, index=int, seed=int)
+    if "matrix" in spec:
+        return KillingField(_array("field 'w_spec'", "matrix", spec["matrix"],
+                                   (ambient_dim, ambient_dim)))
+    if "n0" in spec:
+        _check_spec("field 'w_spec'", spec, ("lambdas", "sizes"))
+        W = block_killing(spec["n0"], spec["lambdas"], spec["sizes"])
         if W.ambient_dim != ambient_dim:
             raise ConfigError(
                 f"field 'w_spec': wind acts on R^{W.ambient_dim} but the "
                 f"configuration needs R^{ambient_dim}")
         return W
-
-    if "matrix" in spec:
-        return check_dim(KillingField(np.asarray(spec["matrix"], dtype=float)))
-    if "n0" in spec:
-        return check_dim(block_killing(spec["n0"], spec["lambdas"],
-                                       spec["sizes"]))
     kind = spec.get("kind")
-    scale = float(spec.get("scale", 0.5))
+    scale = spec.get("scale", 0.5)
     if kind in ("spin", "centralizer"):
         if sys_ is None:
             raise ConfigError(f"field 'w_spec': {kind} winds need a "
                               "clifford system")
         algebra = cl.spin_lift if kind == "spin" else cl.centralizer
         elems = algebra(sys_).elements
-        idx = int(spec.get("index", 0))
+        idx = spec.get("index", 0)
         if not 0 <= idx < len(elems):
             raise ConfigError(f"field 'w_spec': index {idx} is outside the "
                               f"{len(elems)} {kind} elements")
         M = elems[idx]
     elif kind == "random-skew":
-        rng = np.random.default_rng(int(spec.get("seed", 0)))
+        seed = spec.get("seed", 0)
+        if seed < 0:
+            raise ConfigError("field 'w_spec': 'seed' must be >= 0")
+        rng = np.random.default_rng(seed)
         M = rng.standard_normal((ambient_dim, ambient_dim))
         M = M - M.T
     else:
@@ -258,7 +307,8 @@ def _run_navigation_lemma(cfg: ExperimentConfig):
     wind = np.zeros(base.dim)
     wind[0] = cfg.lam if cfg.lam < 1.0 else 0.3
     if isinstance(cfg.w_spec, dict) and "vector" in cfg.w_spec:
-        wind = np.asarray(cfg.w_spec["vector"], dtype=float)
+        wind = _array("field 'w_spec'", "vector", cfg.w_spec["vector"],
+                      (base.dim,))
     rep = check_navigation_lemma(NavigationDatum(base, wind),
                                  samples=cfg.samples, tol=cfg.tol,
                                  seed=cfg.seed)
@@ -353,11 +403,7 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
     matches the experiment's expect_fail flag.  Reports keep config
     order.
     """
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
+    doc = _read_json(path, "battery file")
     entries = doc["experiments"] if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
         raise ParseError("battery must be a JSON array of experiments")
@@ -463,13 +509,15 @@ def main(argv=None) -> int:
             return 0 if report.passed else 1
         if args.command == "clifford":
             if args.cl_command == "build":
-                k = args.k if args.k2 is None else (args.k, args.k2)
-                sys_ = cl.build_clifford(args.m, k)
+                k = {"k": args.k} if args.k2 is None \
+                    else {"k1": args.k, "k2": args.k2}
+                sys_ = _clifford_system({"m": args.m} | k, "clifford build")
                 Path(args.out).write_text(sys_.to_json())
                 print(json.dumps({"m": sys_.m, "l": sys_.l, "k": sys_.k,
                                   "delta_m": sys_.delta_m, "out": args.out}))
                 return 0
-            sys_ = cl.CliffordSystem.from_json(Path(args.file).read_text())
+            sys_ = _clifford_system(_read_json(args.file, "clifford audit"),
+                                    "clifford audit")
             rep = cl.audit(sys_)
             print(json.dumps(rep, indent=2 if args.json else None))
             return 0 if rep["ok"] else 1

@@ -123,7 +123,7 @@ def _generic_spray(metric: MetricField, x: np.ndarray,
     g = 0.5 * metric.norm_at(x).sq_jet(y).hess
     yn = np.linalg.norm(y)
     dgrad = yn * central_diff(
-        lambda xv: metric.norm_at(xv).sq_value_grad(y)[1],
+        lambda xv: metric.norm_at(xv).sq_jet(y).grad,
         x, _X_STEP, y / yn)[0]
     dphi = central_diff(lambda xv: metric.norm_at(xv)(y) ** 2, x, _X_STEP)
     return 0.25 * np.linalg.solve(g, dgrad - dphi)

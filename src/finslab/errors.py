@@ -82,4 +82,4 @@ class ConfigError(FinslabError):
 
 
 class ParseError(FinslabError):
-    """Battery file failed to parse; the message carries the line number."""
+    """A JSON input file failed to parse; the message carries the line."""

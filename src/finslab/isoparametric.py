@@ -189,6 +189,17 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
     return out
 
 
+def _dual(metric: MetricField, f: SphereFunction, x,
+          rel_tol: float = 1e-9) -> tuple:
+    """(norm, grad f) at a regular chart point: one pointwise norm build
+    and one Legendre solve of df.  Raises CriticalPoint when |df| < 1e-10."""
+    df = f.chart_gradient(metric.chart, x)
+    if np.linalg.norm(df) < _CRITICAL_EPS:
+        raise CriticalPoint("df vanishes; nonlinear gradient undefined")
+    norm = metric.norm_at(x)
+    return norm, legendre_solve(norm, df, rel_tol=rel_tol)
+
+
 def nonlinear_gradient(metric: MetricField, f: SphereFunction, x,
                        rel_tol: float = 1e-9) -> np.ndarray:
     """The Legendre dual of df at a regular chart point.
@@ -196,11 +207,7 @@ def nonlinear_gradient(metric: MetricField, f: SphereFunction, x,
     Satisfies <grad f, v>^F_{grad f} = df(v) on a basis and points in the
     increasing direction of f.  Raises CriticalPoint when |df| < 1e-10.
     """
-    x = np.asarray(x, dtype=float)
-    df = f.chart_gradient(metric.chart, x)
-    if np.linalg.norm(df) < _CRITICAL_EPS:
-        raise CriticalPoint("df vanishes; nonlinear gradient undefined")
-    return legendre_solve(metric.norm_at(x), df, rel_tol=rel_tol)
+    return _dual(metric, f, np.asarray(x, dtype=float), rel_tol)[1]
 
 
 def nonlinear_gradient_extended(metric: MetricField, f: SphereFunction,
@@ -214,8 +221,8 @@ def nonlinear_gradient_extended(metric: MetricField, f: SphereFunction,
 
 def gradient_norm(metric: MetricField, f: SphereFunction, x) -> float:
     """F(grad f)(x), the transnormal quantity."""
-    x = np.asarray(x, dtype=float)
-    return metric.norm_at(x)(nonlinear_gradient(metric, f, x))
+    norm, grad = _dual(metric, f, np.asarray(x, dtype=float))
+    return norm(grad)
 
 
 def unit_gradient_field(metric: MetricField, f: SphereFunction,
@@ -223,8 +230,8 @@ def unit_gradient_field(metric: MetricField, f: SphereFunction,
     """The F-unit normal field of the levels of f, grad f / F(grad f)."""
 
     def field(x: np.ndarray) -> np.ndarray:
-        g = nonlinear_gradient(metric, f, x, rel_tol=rel_tol)
-        return g / metric.norm_at(x)(g)
+        norm, grad = _dual(metric, f, np.asarray(x, dtype=float), rel_tol)
+        return grad / norm(grad)
 
     return field
 
@@ -233,24 +240,18 @@ def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x,
                         step: float = 1e-3) -> float:
     """Laplace-Beltrami of f in the localization metric g^F_{grad f}."""
     x = np.asarray(x, dtype=float)
-    df = f.chart_gradient(metric.chart, x)
-    if np.linalg.norm(df) < _CRITICAL_EPS:
-        raise CriticalPoint("df vanishes; nonlinear Laplacian undefined")
+    norm0, grad0 = _dual(metric, f, x)
 
     def flux(xp: np.ndarray) -> np.ndarray:
-        dfp = f.chart_gradient(metric.chart, xp)
-        if np.linalg.norm(dfp) < _CRITICAL_EPS:
-            raise StencilEscape("stencil point hit the critical set")
-        norm = metric.norm_at(xp)
-        grad = legendre_solve(norm, dfp)
+        try:
+            norm, grad = _dual(metric, f, xp)
+        except CriticalPoint:
+            raise StencilEscape("stencil point hit the critical set") from None
         q = 0.5 * norm.sq_jet(grad).hess
         return np.sqrt(np.linalg.det(q)) * grad
 
-    norm0 = metric.norm_at(x)
-    grad0 = legendre_solve(norm0, df)
     q0 = 0.5 * norm0.sq_jet(grad0).hess
-    div = np.trace(central_diff(flux, x, step))
-    return div / np.sqrt(np.linalg.det(q0))
+    return np.trace(central_diff(flux, x, step)) / np.sqrt(np.linalg.det(q0))
 
 
 def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
@@ -405,21 +406,18 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
         fld = metric.with_center(s.point)
         x0 = np.zeros(n)
 
-        def n1(xp):
-            g = nonlinear_gradient(fld, f, xp)
-            return g / fld.norm_at(xp)(g)
+        def q_and_n1(xp):
+            # q with the unit normal n1 appended as one more column
+            norm, grad = _dual(fld, f, xp)
+            return np.column_stack((0.5 * norm.sq_jet(grad).hess,
+                                    grad / norm(grad)))
 
-        def qmat(xp):
-            norm = fld.norm_at(xp)
-            grad = legendre_solve(norm, f.chart_gradient(fld.chart, xp))
-            return 0.5 * norm.sq_jet(grad).hess
-
-        q0 = qmat(x0)
-        nu = n1(x0)
+        qn = q_and_n1(x0)
+        q0, nu = qn[:, :n], qn[:, n]
 
         # dq[k] = d_k q and the Jacobian of the unit normal
-        dq = central_diff(qmat, x0, step)
-        Jnu = central_diff(n1, x0, step).T
+        D = central_diff(q_and_n1, x0, step)
+        dq, Jnu = D[:, :, :n], D[:, :, n].T
 
         qinv = np.linalg.inv(q0)
         # Gamma^k_{ij} = 1/2 q^{kl} (d_i q_{jl} + d_j q_{il} - d_l q_{ij});
@@ -429,29 +427,23 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
 
         # q-orthonormal basis of the tangent space of the level set
         basis = []
-        for i in range(n):
-            u = np.zeros(n)
-            u[i] = 1.0
-            u = u - (float(u @ q0 @ nu)) * nu   # q(nu, nu) = 1
+        for u in np.eye(n):
+            u = u - (u @ q0 @ nu) * nu   # q(nu, nu) = 1
             for b in basis:
-                u = u - float(u @ q0 @ b) * b
-            norm_u = np.sqrt(max(float(u @ q0 @ u), 0.0))
+                u = u - (u @ q0 @ b) * b
+            norm_u = np.sqrt(max(u @ q0 @ u, 0.0))
             if norm_u > 1e-8:
                 basis.append(u / norm_u)
-        basis = basis[:n - 1]
-        if len(basis) != n - 1:
+        if len(basis) < n - 1:
             raise ClusterAmbiguity(
                 "could not span the tangent space of the level set")
+        U = np.array(basis[:n - 1])
 
-        mat = np.zeros((n - 1, n - 1))
-        for a, ua in enumerate(basis):
-            cov = Jnu @ ua + np.einsum("kij,i,j->k", gamma, nu, ua)
-            cov = cov - float(cov @ q0 @ nu) * nu
-            Su = -cov
-            for b, ub in enumerate(basis):
-                mat[a, b] = float(Su @ q0 @ ub)
-        mat = 0.5 * (mat + mat.T)
-        evals = np.linalg.eigvalsh(mat)
+        # row a is S(u_a) = -(nabla^q_{u_a} nu), less its nu component
+        cov = U @ Jnu.T + np.einsum("kij,i,aj->ak", gamma, nu, U)
+        cov -= np.outer(cov @ q0 @ nu, nu)
+        mat = -cov @ q0 @ U.T
+        evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
 
         clusters = _cluster(evals, gap)
         lo = _cluster(evals, 0.5 * gap)

@@ -141,23 +141,12 @@ class NormEvaluator:
             return SqJet(F * F, 2.0 * F * m, 2.0 * g)
         return self._fd_sq_jet(y)
 
-    def sq_value_grad(self, y) -> tuple[float, np.ndarray]:
-        """Value and gradient of F^2 at y."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "euclidean-quadratic-form":
-            Ay = self.matrix @ y
-            return float(y @ Ay), 2.0 * Ay
-        if self.kind == "randers":
-            _, F, _, m, _ = randers_fiber(self.alpha, self.beta, y)
-            return F * F, 2.0 * F * m
-        jet = self._fd_sq_jet(y, need_hess=False)
-        return jet.val, jet.grad
-
-    def _fd_sq_jet(self, y: np.ndarray, need_hess: bool = True) -> SqJet:
+    def _fd_sq_jet(self, y: np.ndarray) -> SqJet:
         # central differences of F^2; step scales with |y| so the stencil
         # stays well inside the cone where the rule is smooth
         h = _FD_STEP * (1.0 + np.linalg.norm(y))
         n = self.dim
+        E = h * np.eye(n)
 
         def f2(z):
             v = self.func(z)
@@ -167,24 +156,14 @@ class NormEvaluator:
         grad = np.zeros(n)
         hess = np.zeros((n, n))
         for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            fp, fm = f2(y + ei), f2(y - ei)
+            fp, fm = f2(y + E[i]), f2(y - E[i])
             grad[i] = (fp - fm) / (2.0 * h)
-            if need_hess:
-                hess[i, i] = (fp - 2.0 * val + fm) / (h * h)
-        if need_hess:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    e = np.zeros(n)
-                    e[i] = h
-                    e[j] = h
-                    em = np.zeros(n)
-                    em[i] = h
-                    em[j] = -h
-                    hess[i, j] = hess[j, i] = (
-                        f2(y + e) - f2(y + em) - f2(y - em) + f2(y - e)
-                    ) / (4.0 * h * h)
+            hess[i, i] = (fp - 2.0 * val + fm) / (h * h)
+            for j in range(i):
+                e, em = E[j] + E[i], E[j] - E[i]
+                hess[i, j] = hess[j, i] = (
+                    f2(y + e) - f2(y + em) - f2(y - em) + f2(y - e)
+                ) / (4.0 * h * h)
         return SqJet(val, grad, hess)
 
     # -- serialization -------------------------------------------------

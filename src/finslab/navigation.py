@@ -200,19 +200,13 @@ def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
         r_cor = abs(uu_t * (1.0 + yv_v) - uu_y)
         return r_main, r_cor
 
-    devs_main, devs_cor, devs_orth = [], [], []
-    fixed = [(np.asarray(y, float), np.asarray(u, float))] if y is not None and u is not None else []
-    for yv, uv in fixed:
-        rm, rc = both_sides(yv, uv)
-        devs_main.append(rm)
-        devs_cor.append(rc)
+    pairs = [(np.asarray(y, float), np.asarray(u, float))] \
+        if y is not None and u is not None else []
     for _ in range(samples):
         yv = rng.standard_normal(n)
-        yv /= F(yv)
-        uv = rng.standard_normal(n)
-        rm, rc = both_sides(yv, uv)
-        devs_main.append(rm)
-        devs_cor.append(rc)
+        pairs.append((yv / F(yv), rng.standard_normal(n)))
+    devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
+    devs_orth = []
     # special case: base vectors with <v, y>_y^F = 0 give exact equality
     if np.any(v) and F.is_quadratic:
         A = F.matrix

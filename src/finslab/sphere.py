@@ -18,8 +18,6 @@ from .errors import (ChartBoundary, DimensionMismatch, LambdaOutOfRange,
 from .minkowski import NormEvaluator
 from .navigation import randers_from_navigation
 
-_CACHE_CAP = 20000
-
 
 def _complete_basis(center: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of center^perp (Householder columns)."""
@@ -79,10 +77,6 @@ class Chart:
         J = self.jacobian(x)
         return J.T @ J
 
-    def push_tangent(self, x, u) -> np.ndarray:
-        """Chart tangent vector u to an ambient tangent vector at map(x)."""
-        return self.jacobian(x) @ np.asarray(u, dtype=float)
-
     def pull_tangent(self, x, u_amb) -> np.ndarray:
         """Ambient tangent vector at map(x) to chart coordinates."""
         J = self.jacobian(x)
@@ -135,8 +129,8 @@ def block_killing(n0: int, lambdas, block_sizes) -> KillingField:
     block_sizes = list(block_sizes)
     if len(lambdas) != len(block_sizes):
         raise DimensionMismatch("need one rotation speed per block")
-    if any(s <= 0 or int(s) != s for s in block_sizes):
-        raise DimensionMismatch("block sizes must be positive integers")
+    if n0 < 0 or any(s <= 0 or int(s) != s for s in block_sizes):
+        raise DimensionMismatch("need n0 >= 0 and positive integer sizes")
     if any(not (0.0 < lam < 1.0) for lam in lambdas):
         raise LambdaOutOfRange("rotation speeds must lie in (0, 1)")
     if any(b >= a for a, b in zip(lambdas[1:], lambdas[:-1])):
@@ -166,7 +160,7 @@ class MetricField:
 
     kind is one of "round-h", "randers-from-navigation" (carrying the
     Killing wind) or "localization" (quadratic field frozen along a base
-    vector field).  Pointwise norms are cached per chart point.
+    vector field).  Every norm_at call builds the pointwise norm afresh.
     """
 
     def __init__(self, chart: Chart, kind: str,
@@ -176,22 +170,13 @@ class MetricField:
         self.kind = kind
         self.wind = wind
         self._builder = builder
-        self._cache: dict = {}
 
     @property
     def dim(self) -> int:
         return self.chart.n
 
     def norm_at(self, x) -> NormEvaluator:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        norm = self._cache.get(key)
-        if norm is None:
-            if len(self._cache) > _CACHE_CAP:
-                self._cache.clear()
-            norm = self._builder(self, x)
-            self._cache[key] = norm
-        return norm
+        return self._builder(self, np.asarray(x, dtype=float))
 
     def value(self, x, y) -> float:
         """F(x, y) for a chart point x and chart tangent vector y."""

@@ -156,13 +156,38 @@ def test_verify_flags_left_out_keep_config_defaults(capsys):
     {"check": "navigation-lemma", "norm": {"kind": "x"}},
     {"check": "transnormal", "levels": []},
     {"check": "isoparametric", "levels": []},
+    {"check": "clifford-audit", "clifford": {"m": 1.5}},
+    {"check": "clifford-audit",
+     "clifford": {"matrices": [[1]], "m": 1, "l": 1, "k": 1}},
+    {"check": "tangency", "w_spec": {"n0": "a", "lambdas": [0.5],
+                                     "sizes": [1]}},
+    {"check": "tangency", "w_spec": {"kind": "random-skew", "scale": "x"}},
+    {"check": "tangency", "w_spec": {"matrix": "abc"}},
+    {"check": "navigation-lemma", "n": 3, "w_spec": {"vector": [0.1, 0.2]}},
+    {"check": "navigation-lemma", "n": 3, "w_spec": {"vector": ["a", 0, 0]}},
 ])
 def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
     path = tmp_path / "batt.json"
     path.write_text(json.dumps([entry]))
     assert main(["batch", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert json.loads(err[-1])["error"] == "ConfigError"
+    error = json.loads(err[-1])
+    assert error["error"] == "ConfigError"
+    if "w_spec" in entry:
+        assert "'w_spec'" in error["message"]
+
+
+def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):
+    for argv in (["batch", "/no/such.json"],
+                 ["clifford", "audit", "/no/such.json"],
+                 ["clifford", "build", "--m", "0",
+                  "--out", str(tmp_path / "x.json")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_config_error_names_the_written_key():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import finslab.isoparametric as iso
 from conftest import laplace_beltrami_oracle
 from finslab.clifford import build_clifford, spin_lift
 from finslab.curvature import Flag, flag_curvature
@@ -14,7 +15,7 @@ from finslab.isoparametric import (check_isoparametric, check_tangency,
                                    nonlinear_gradient,
                                    nonlinear_gradient_extended,
                                    nonlinear_laplacian, otfkm_function,
-                                   principal_curvature_spectrum,
+                                   gradient_norm, principal_curvature_spectrum,
                                    sample_level_set, split_quadratic_function,
                                    unit_gradient_field)
 from finslab.sphere import (Chart, KillingField, block_killing, killing_norm,
@@ -277,6 +278,29 @@ def test_spectrum_randers_homogeneous_counts():
     spec3 = principal_curvature_spectrum(met3, f, 0.3, points=5, seed=0)
     assert spec3.g == 4 and spec3.consistent
     assert all(s.g in (1, 2, 4) for s in (spec1, spec2, spec3))
+
+
+def test_one_norm_build_and_one_solve_per_point(monkeypatch):
+    solves = []
+    solve = iso.legendre_solve
+    monkeypatch.setattr(iso, "legendre_solve",
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    _, f, met, _ = s5_setup()
+    builds = []
+    build = met._builder
+    met._builder = lambda fld, x: builds.append(1) or build(fld, x)
+    x = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
+    for evaluate in (lambda: gradient_norm(met, f, x),
+                     lambda: unit_gradient_field(met, f)(-x)):
+        builds.clear()
+        solves.clear()
+        evaluate()
+        assert (len(builds), len(solves)) == (1, 1)
+    # the spectrum solves once at each sample point and once at each of
+    # its 4 n stencil points (n = 5 on S^5)
+    solves.clear()
+    principal_curvature_spectrum(met, f, 0.3, points=1, seed=0)
+    assert len(solves) == 1 + 4 * 5
 
 
 def test_localization_metrics_have_round_curvature():
