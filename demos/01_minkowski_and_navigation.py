@@ -3,9 +3,10 @@
 
 A Randers norm is a Euclidean ball pushed off-center by a linear term.
 Navigation produces exactly these norms: take the unit ball of a
-quadratic norm and translate it by a wind vector v with F(v) < 1.  This
-script builds the navigated norm two ways (closed formula and scalar
-solve), checks the defining round trip, and undoes the navigation.
+quadratic norm and translate it by a wind vector v with F(-v) < 1.  This
+script builds the navigated norm two ways (closed Randers formula and the
+scalar solve of its defining property), checks the defining round trip,
+and undoes the navigation.
 """
 
 import numpy as np
@@ -33,8 +34,8 @@ print(f"  max deviation over 1000 samples: {worst:.2e}")
 
 print("\nclosed Randers formula vs direct scalar solve:")
 y = np.array([0.3, -0.7])
-print(f"  closed = {navigate(datum, y, method='closed'):.15f}")
-print(f"  solved = {navigate(datum, y, method='solve'):.15f}")
+print(f"  closed = Ft(y)               = {Ft(y):.15f}")
+print(f"  solved = navigate(datum, y)  = {navigate(datum, y):.15f}")
 
 print("\n=== fundamental tensor and Legendre duality ===")
 G = fundamental_tensor(Ft, np.array([0.0, 1.0]))

@@ -305,7 +305,7 @@ def _run_flag_curvature(cfg: ExperimentConfig):
 def _run_navigation_lemma(cfg: ExperimentConfig):
     base = _load_norm(cfg)
     wind = np.zeros(base.dim)
-    wind[0] = cfg.lam if cfg.lam < 1.0 else 0.3
+    wind[0] = cfg.lam
     if isinstance(cfg.w_spec, dict) and "vector" in cfg.w_spec:
         wind = _array("field 'w_spec'", "vector", cfg.w_spec["vector"],
                       (base.dim,))
@@ -313,7 +313,7 @@ def _run_navigation_lemma(cfg: ExperimentConfig):
                                  samples=cfg.samples, tol=cfg.tol,
                                  seed=cfg.seed)
     return rep, {"wind": wind.tolist(),
-                 "norm": "custom" if cfg.norm else "euclidean"}
+                 "norm": base.kind if cfg.norm else "euclidean"}
 
 
 def _run_level_scan(cfg: ExperimentConfig):

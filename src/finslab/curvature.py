@@ -36,6 +36,7 @@ _WGTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 _X_STEP = 1e-4      # stencil for the coefficient-field derivatives
 _OUT_STEP = 5e-3    # stencils applied to the spray itself
+_RIEMANN_REACH = 2.0 * _OUT_STEP + 2.0 * _X_STEP
 
 
 def central_diff(fn: Callable, x, h: float, directions=None) -> np.ndarray:
@@ -70,12 +71,12 @@ class _LocalModel:
              (reduced accuracy, since the fiber derivatives are FD too)
     """
 
-    __slots__ = ("quad", "A", "DA", "alpha", "beta", "Dalpha", "Dbeta",
-                 "generic")
+    __slots__ = ("norm", "quad", "A", "DA", "alpha", "beta", "Dalpha",
+                 "Dbeta", "generic")
 
     def __init__(self, metric: MetricField, x: np.ndarray):
         n = metric.dim
-        norm = metric.norm_at(x)
+        norm = self.norm = metric.norm_at(x)
         self.quad = norm.is_quadratic
         self.generic = None
         if norm.kind == "custom":
@@ -145,13 +146,18 @@ def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.any(y):
         raise ZeroBaseVector("Riemann curvature undefined at y = 0")
-    _check_stencil(metric, x, 2.0 * _OUT_STEP + 2.0 * _X_STEP)
+    _check_stencil(metric, x, _RIEMANN_REACH)
+    return _riemann(metric, x, y, _LocalModel(metric, x))
+
+
+def _riemann(metric: MetricField, x: np.ndarray, y: np.ndarray,
+             base: _LocalModel) -> np.ndarray:
+    # R(y) from the model at x; the caller has checked the stencil reach
     h = _OUT_STEP
 
     def y_jacobian(model: _LocalModel, yv: np.ndarray) -> np.ndarray:
         return central_diff(model.spray, yv, h)       # [k, i] = dG^i/dy^k
 
-    base = _LocalModel(metric, x)
     G0 = base.spray(y)
     dGdx = central_diff(lambda xv: _LocalModel(metric, xv).spray(y), x, h).T
     dGdy = y_jacobian(base, y).T
@@ -193,7 +199,9 @@ def flag_curvature(metric: MetricField, flag: Flag) -> float:
     Invariant under v -> v + c y and v -> c v.
     """
     x, y, v = flag.x, flag.y, flag.v
-    norm = metric.norm_at(x)
+    _check_stencil(metric, x, _RIEMANN_REACH)
+    base = _LocalModel(metric, x)
+    norm = base.norm
     Fy = norm(y)
     if Fy <= 0.0:
         raise ZeroBaseVector("flagpole has zero length")
@@ -205,7 +213,7 @@ def flag_curvature(metric: MetricField, flag: Flag) -> float:
     if vv <= 1e-12 * gyy * float(flag.v @ flag.v + 1.0):
         raise DegenerateFlag("flag plane is numerically degenerate")
     v = v / np.sqrt(vv)
-    R = riemann_curvature(metric, x, y)
+    R = _riemann(metric, x, y, base)
     return float((R @ v) @ g @ v)
 
 

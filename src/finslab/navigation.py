@@ -1,15 +1,21 @@
 """Zermelo navigation on a vector space.
 
-Given a Minkowski norm F and a wind v with F(v) < 1, the shifted
+Given a Minkowski norm F and a wind v with F(-v) < 1, the shifted
 indicatrix {y + F(y) v : F(y) = 1} is the unit sphere of a new norm
-F'; the defining property is F'(y + F(y) v) = F(y).  When F is a
-quadratic (Riemannian) norm the result is a Randers norm in closed form,
+F'; the defining property is F'(y + F(y) v) = F(y).  The condition says
+that the shifted unit ball still contains 0.
 
-    F'(u) = ( sqrt(lam * F(u)^2 + <v,u>^2) - <v,u> ) / lam,
-    lam   = 1 - F(v)^2,
+Navigation composes, because shifting an indicatrix twice is one shift
+(Bao-Robles-Shen, J. Differential Geom. 66, 2004).  A quadratic norm
+sqrt(y^T A y) is the datum (A, 0), and a Randers norm is the datum
+(A, w0) of ``navigation_from_randers``, so navigating either by v gives
+the Randers norm of (A, w0 + v) in closed form,
 
-with <.,.> the inner product of F.  For a general norm the value is
-recovered by solving F(u - s v) = s for the positive scalar s.
+    F'(u) = ( sqrt(lam * |u|_A^2 + <w,u>_A^2) - <w,u>_A ) / lam,
+    lam   = 1 - |w|_A^2,   w = w0 + v.
+
+For a custom norm the value is recovered by solving F(u - s v) = s for
+the positive scalar s, which also serves the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -19,23 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NoConvergence, WindTooStrong
+from .errors import WindTooStrong
 from .minkowski import NormEvaluator
 from .report import VerificationReport
 
 
 @dataclass
 class NavigationDatum:
-    """A base norm plus a wind vector with F(wind) < 1."""
+    """A base norm plus a wind vector with F(-wind) < 1."""
 
     norm: NormEvaluator
     wind: np.ndarray
 
     def __post_init__(self):
         self.wind = np.asarray(self.wind, dtype=float)
-        if np.any(self.wind) and self.norm(self.wind) >= 1.0:
+        if np.any(self.wind) and self.norm(-self.wind) >= 1.0:
             raise WindTooStrong(
-                f"F(wind) = {self.norm(self.wind):.6f} >= 1")
+                f"F(-wind) = {self.norm(-self.wind):.6f} >= 1")
 
 
 def randers_from_navigation(A: np.ndarray, w: np.ndarray):
@@ -62,62 +68,32 @@ def navigation_from_randers(alpha: np.ndarray, beta: np.ndarray):
     return lam * core, w
 
 
-def navigate(datum: NavigationDatum, y_tilde, method: str = "auto") -> float:
-    """Value of the navigated norm at y_tilde.
+def navigate(datum: NavigationDatum, y_tilde) -> float:
+    """Value of the navigated norm at y_tilde, from its defining property.
 
-    method: "auto" picks the closed Randers formula when the base norm is
-    quadratic and the scalar solve otherwise; "closed" / "solve" force a
-    branch (the two agree to roundoff on quadratic norms).
+    Solves phi(s) = F(y_tilde - s v) - s = 0 by bisection and a secant
+    polish.  By subadditivity phi falls at a rate of at least
+    1 - F(-v) > 0, so [0, F(y_tilde) / (1 - F(-v))] brackets the root.
     """
+    F, v = datum.norm, datum.wind
     y_tilde = np.asarray(y_tilde, dtype=float)
     if not np.any(y_tilde):
         return 0.0
-    if method == "auto":
-        method = "closed" if datum.norm.is_quadratic else "solve"
-    if method == "closed":
-        return _navigate_closed(datum, y_tilde)
-    return _navigate_solve(datum, y_tilde)
-
-
-def _navigate_closed(datum: NavigationDatum, y_tilde: np.ndarray) -> float:
-    A = datum.norm.matrix
-    w = datum.wind
-    lam = 1.0 - float(w @ A @ w)
-    wy = float(w @ A @ y_tilde)
-    f2 = float(y_tilde @ A @ y_tilde)
-    return (np.sqrt(lam * f2 + wy * wy) - wy) / lam
-
-
-def _navigate_solve(datum: NavigationDatum, y_tilde: np.ndarray,
-                    tol: float = 1e-13, max_iter: int = 200) -> float:
-    F, v = datum.norm, datum.wind
 
     def phi(s):
         return F(y_tilde - s * v) - s
 
     lo, flo = 0.0, F(y_tilde)
-    if flo == 0.0:
-        return 0.0
-    # phi is strictly decreasing whenever F(-v) < 1 (the case for every
-    # datum this package produces); grow the bracket geometrically so the
-    # solve stays safe even when F(-v) > F(v).
-    hi = flo / max(1.0 - F(v), 1e-3)
+    hi = flo / (1.0 - F(-v))
     fhi = phi(hi)
-    grow = 0
-    while fhi > 0.0:
-        hi *= 2.0
-        fhi = phi(hi)
-        grow += 1
-        if grow > 60:
-            raise NoConvergence("navigation solve found no bracket")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = phi(mid)
         if fm > 0.0:
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-        if hi - lo < tol * max(1.0, hi):
+        if hi - lo < 1e-13 * max(1.0, hi):
             break
     # secant polish inside the bracket
     s0, s1, f0, f1 = lo, hi, flo, fhi
@@ -134,35 +110,23 @@ def _navigate_solve(datum: NavigationDatum, y_tilde: np.ndarray,
 def navigated_norm(datum: NavigationDatum) -> NormEvaluator:
     """The navigated norm as a NormEvaluator.
 
-    Quadratic base norms give an exact Randers evaluator; anything else
-    gives a custom evaluator backed by the scalar solve.
+    Quadratic and Randers base norms give the exact Randers evaluator of
+    the composed datum; a custom base gives a custom evaluator backed by
+    the scalar solve of ``navigate``.
     """
-    if not np.any(datum.wind):
-        return datum.norm
-    if datum.norm.is_quadratic:
-        alpha, beta = randers_from_navigation(datum.norm.matrix, datum.wind)
-        return NormEvaluator.randers(alpha, beta)
-    return NormEvaluator.custom(datum.norm.dim,
-                                lambda y: navigate(datum, y, method="solve"))
+    F, v = datum.norm, datum.wind
+    if not np.any(v):
+        return F
+    if F.kind == "custom":
+        return NormEvaluator.custom(F.dim, lambda y: navigate(datum, y))
+    A, w0 = (F.matrix, 0.0) if F.is_quadratic \
+        else navigation_from_randers(F.alpha, F.beta)
+    return NormEvaluator.randers(*randers_from_navigation(A, w0 + v))
 
 
 def invert_navigation(randers: NormEvaluator, v) -> NormEvaluator:
-    """Undo navigation: the datum (F', -v) recovers the original norm F.
-
-    For a Randers evaluator whose implied wind matches v the quadratic
-    original is reconstructed exactly; otherwise the generic scalar-solve
-    norm for the datum (randers, -v) is returned.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.any(v):
-        return randers
-    if randers.kind == "randers":
-        A, w = navigation_from_randers(randers.alpha, randers.beta)
-        if np.linalg.norm(w - v) <= 1e-8 * (1.0 + np.linalg.norm(v)):
-            return NormEvaluator.quadratic(A)
-    inverse_datum = NavigationDatum(randers, -v)
-    return NormEvaluator.custom(
-        randers.dim, lambda y: navigate(inverse_datum, y, method="solve"))
+    """Undo navigation: the datum (F', -v) recovers the original norm F."""
+    return navigated_norm(NavigationDatum(randers, -np.asarray(v, float)))
 
 
 def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
@@ -207,8 +171,9 @@ def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
         pairs.append((yv / F(yv), rng.standard_normal(n)))
     devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
     devs_orth = []
-    # special case: base vectors with <v, y>_y^F = 0 give exact equality
-    if np.any(v) and F.is_quadratic:
+    # special case: base vectors with <v, y>_y^F = 0 give exact equality;
+    # skipped where |v|_A^2 underflows and the projection onto v^perp fails
+    if F.is_quadratic and float(v @ F.matrix @ v) > 0.0:
         A = F.matrix
         for _ in range(max(samples // 10, 1)):
             yv = rng.standard_normal(n)

@@ -5,7 +5,10 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslab.cli import ExperimentConfig, batch, main, run
 from finslab.errors import ConfigError, ParseError, UnknownCheck
@@ -175,6 +178,87 @@ def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
     assert error["error"] == "ConfigError"
     if "w_spec" in entry:
         assert "'w_spec'" in error["message"]
+
+
+RANDERS_X = {"kind": "randers", "alpha": [[1.0, 0.0], [0.0, 1.0]],
+             "beta": [0.6, 0.0]}
+
+
+@pytest.mark.parametrize("entry", [
+    {"check": "navigation-lemma", "lambda": 1.5},
+    # F(v) = 0.32 but F(-v) = 1.28: the shifted ball misses 0
+    {"check": "navigation-lemma", "norm": RANDERS_X,
+     "w_spec": {"vector": [-0.8, 0.0]}},
+])
+def test_navigation_wind_too_strong_exits_2(tmp_path, capsys, entry):
+    path = tmp_path / "batt.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["batch", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["error"] == "WindTooStrong"
+
+
+def test_navigation_lemma_over_a_randers_base(capsys):
+    # the benchmark's navigation-general probe, at the default tol
+    norm = {"kind": "randers", "alpha": [[1.2, 0, 0], [0, 1.0, 0],
+                                         [0, 0, 0.8]],
+            "beta": [0.1, -0.2, 0.05]}
+    assert main(["verify", "navigation-lemma", "--norm", json.dumps(norm),
+                 "--w-spec", json.dumps({"vector": [0.2, 0.1, -0.1]}),
+                 "--samples", "8", "--seed", "126"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["max_deviation"] < 1e-12
+    assert rep["config"]["norm"] == "randers"
+    assert main(["verify", "navigation-lemma", "--norm",
+                 json.dumps({"kind": "euclidean-quadratic-form",
+                             "matrix": [[2.0, 0.0], [0.0, 1.0]]}),
+                 "--lambda", "0.3", "--samples", "8"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["norm"] == "euclidean-quadratic-form"
+
+
+_ENTRY = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _matrix(draw):
+    # SPD half the time, else any (possibly ragged or indefinite) lists
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        M = np.array(draw(st.lists(_ENTRY, min_size=k * k, max_size=k * k)))
+        M = M.reshape(k, k)
+        return (M @ M.T + draw(st.floats(0.0, 1.0)) * np.eye(k)).tolist()
+    return draw(st.lists(st.lists(_ENTRY, min_size=1, max_size=4),
+                         min_size=1, max_size=4))
+
+
+_VECTOR = st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4)
+
+
+@st.composite
+def _navigation_entry(draw):
+    entry = {"check": "navigation-lemma", "n": draw(st.integers(1, 4)),
+             "samples": draw(st.integers(1, 4)),
+             "lambda": draw(st.floats(-2.0, 2.0))}
+    norm = draw(st.one_of(
+        st.none(),
+        st.fixed_dictionaries({"kind": st.just("euclidean-quadratic-form"),
+                               "matrix": _matrix()}),
+        st.fixed_dictionaries({"kind": st.just("randers"),
+                               "alpha": _matrix(), "beta": _VECTOR})))
+    if norm is not None:
+        entry["norm"] = norm
+    if draw(st.booleans()):
+        entry["w_spec"] = {"vector": draw(_VECTOR)}
+    return entry
+
+
+@settings(max_examples=150, deadline=None)
+@given(_navigation_entry())
+def test_navigation_lemma_entries_never_crash(tmp_path_factory, entry):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["batch", str(path)]) in (0, 1, 2)
 
 
 def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):

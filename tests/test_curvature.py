@@ -159,6 +159,23 @@ def test_randers_sphere_curvature_where_wind_vanishes():
         assert abs(flag_curvature(met, Flag(np.zeros(2), y, v)) - 1.0) < 1e-4
 
 
+def test_flag_curvature_builds_the_base_norm_once():
+    # a flag builds the model at x (1 + 4n norms) and 4n + 4 models off
+    # x for the x- and mixed derivatives; the norm at x is not built again
+    rng = np.random.default_rng(9)
+    for met, n, count in (
+            (randers_sphere(Chart(rng.standard_normal(4)),
+                            standard_rotation(4, 0.4)), 3, 221),
+            (randers_sphere(Chart([0.6, 0.8, 0.0]),
+                            block_killing(1, [0.5], [1])), 2, 117)):
+        builds = []
+        build = met._builder
+        met._builder = lambda fld, x, b=build: builds.append(1) or b(fld, x)
+        flag_curvature(met, Flag(rng.standard_normal(n) * 0.3,
+                                 *rng.standard_normal((2, n))))
+        assert len(builds) == count == (1 + 4 * n) * (4 * n + 5)
+
+
 def test_flag_projective_invariance():
     rng = np.random.default_rng(7)
     met = randers_sphere(Chart(rng.standard_normal(4)),

@@ -58,10 +58,11 @@ def test_round_trip_random_quadratic_data(seed):
 
 def test_branches_agree_on_quadratic_norms():
     rng = np.random.default_rng(2)
+    Ft = navigated_norm(EUCLID_DATUM)
     for _ in range(50):
         y = rng.standard_normal(2)
-        closed = navigate(EUCLID_DATUM, y, method="closed")
-        solved = navigate(EUCLID_DATUM, y, method="solve")
+        closed = Ft(y)
+        solved = navigate(EUCLID_DATUM, y)
         assert abs(closed - solved) < 1e-10 * max(1.0, closed)
 
 
@@ -75,10 +76,10 @@ def test_indicatrix_shift():
 
 
 def test_general_norm_navigation_round_trip():
-    # base norm itself a (non-reversible) Randers norm: scalar-solve branch
+    # base norm itself a (non-reversible) Randers norm
     F = NormEvaluator.randers(np.eye(2), [0.4, 0.1])
     v = np.array([0.2, -0.3])
-    assert F(v) < 1.0
+    assert F(-v) < 1.0
     datum = NavigationDatum(F, v)
     rng = np.random.default_rng(4)
     for _ in range(30):
@@ -127,6 +128,51 @@ def test_wind_too_strong():
         NavigationDatum(NormEvaluator.euclidean(2), np.array([1.3, 0.4]))
 
 
+def test_wind_is_checked_on_the_side_the_ball_moves():
+    # the navigated unit ball is the base ball shifted by v; it contains 0
+    # iff F(-v) < 1, which differs from F(v) < 1 for a Randers base
+    F = NormEvaluator.randers(np.eye(2), [0.6, 0.0])
+    upwind, v = np.array([-0.8, 0.0]), np.array([0.8, 0.0])
+    assert F(upwind) < 1.0 <= F(-upwind)
+    with pytest.raises(WindTooStrong):
+        NavigationDatum(F, upwind)
+    assert F(-v) < 1.0 <= F(v)
+    datum = NavigationDatum(F, v)
+    Ft = navigated_norm(datum)
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        y = rng.standard_normal(2)
+        shifted = y + F(y) * v
+        assert abs(Ft(shifted) - F(y)) < 1e-12 * F(y)
+        assert abs(navigate(datum, shifted) - F(y)) < 1e-12 * F(y)
+
+
+def _random_randers_datum(rng, n):
+    # a Randers base with |beta|_alpha < 1 and a wind with F(-v) < 1
+    M = rng.standard_normal((n, n))
+    alpha = M @ M.T + 0.5 * np.eye(n)
+    b = rng.standard_normal(n)
+    b *= rng.uniform(0.0, 0.9) / np.sqrt(b @ np.linalg.solve(alpha, b))
+    F = NormEvaluator.randers(alpha, b)
+    v = rng.standard_normal(n)
+    return NavigationDatum(F, rng.uniform(0.05, 0.9) * v / F(-v))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_randers_base_navigates_in_closed_form(n):
+    # oracles: the defining-property scalar solve, and the inverse datum
+    rng = np.random.default_rng(20 + n)
+    for _ in range(20):
+        datum = _random_randers_datum(rng, n)
+        F, v = datum.norm, datum.wind
+        Ft = navigated_norm(datum)
+        assert Ft.kind == "randers"
+        back = invert_navigation(Ft, v)
+        for y in rng.standard_normal((10, n)):
+            assert abs(Ft(y) - navigate(datum, y)) < 1e-12 * Ft(y)
+            assert abs(back(y) - F(y)) < 1e-12 * F(y)
+
+
 def test_lemma_zero_wind_exact():
     datum = NavigationDatum(NormEvaluator.euclidean(3), np.zeros(3))
     rep = check_navigation_lemma(datum, samples=100, seed=0)
@@ -160,3 +206,13 @@ def test_lemma_explicit_pair():
     rep = check_navigation_lemma(datum, y=[0.0, 1.0, 0.0],
                                  u=[0.0, 0.0, 1.0], samples=1, seed=0)
     assert rep.passed
+
+
+def test_lemma_wind_below_underflow_has_finite_levels():
+    # |v|^2 underflows to 0 here; the orthogonal-wind case is skipped
+    # rather than reported as NaN
+    datum = NavigationDatum(NormEvaluator.euclidean(3), [1e-170, 0.0, 0.0])
+    rep = check_navigation_lemma(datum, samples=20, seed=0)
+    assert rep.passed
+    assert all(np.isfinite([e["mean"], e["spread"]]).all()
+               for e in rep.per_level)
