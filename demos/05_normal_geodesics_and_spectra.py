@@ -28,7 +28,7 @@ for fn, label, level in ((f, "n1 (increasing f)", -0.8),
                          (-f, "n2 (decreasing f)", -0.8)):
     start = sample_level_set(fn, level, 1, seed=5)[0]
     met = base.with_center(start.point)
-    field = unit_gradient_field(met, fn, rel_tol=1e-12)
+    field = unit_gradient_field(met, fn)
     path = integrate_flow(field, np.zeros(5), 0.25, steps=50)
     resid = max(geodesic_field_residual(met, field, path[i])
                 for i in range(0, 51, 10))

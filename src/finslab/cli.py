@@ -32,7 +32,7 @@ from .isoparametric import (check_isoparametric, check_tangency,
                             split_quadratic_function)
 from .minkowski import NormEvaluator
 from .navigation import NavigationDatum, check_navigation_lemma
-from .report import VerificationReport
+from .report import VerificationReport, worst_deviation
 from .sphere import (Chart, KillingField, block_killing, killing_norm,
                      randers_sphere, round_metric)
 
@@ -306,8 +306,14 @@ def _run_navigation_lemma(cfg: ExperimentConfig):
     base = _load_norm(cfg)
     wind = np.zeros(base.dim)
     wind[0] = cfg.lam
-    if isinstance(cfg.w_spec, dict) and "vector" in cfg.w_spec:
-        wind = _array("field 'w_spec'", "vector", cfg.w_spec["vector"],
+    spec = cfg.w_spec
+    if isinstance(spec, str):
+        spec = _read_json(spec, "field 'w_spec'")
+    if spec is not None:
+        if not isinstance(spec, dict) or set(spec) != {"vector"}:
+            raise ConfigError("field 'w_spec': navigation-lemma takes only "
+                              "a wind {\"vector\": [...]}")
+        wind = _array("field 'w_spec'", "vector", spec["vector"],
                       (base.dim,))
     rep = check_navigation_lemma(NavigationDatum(base, wind),
                                  samples=cfg.samples, tol=cfg.tol,
@@ -339,9 +345,8 @@ def _run_spectrum(cfg: ExperimentConfig):
     spreads = []
     if spec.consistent:
         for i in range(spec.g):
-            vals = [pt[i][0] for pt in spec.per_point]
-            spreads.append(max(vals) - min(vals))
-    worst = float(max(spreads)) if spreads else float("inf")
+            spreads.append(float(np.ptp([pt[i][0] for pt in spec.per_point])))
+    worst = worst_deviation(spreads) if spreads else float("inf")
     rep = VerificationReport(
         check="spectrum", config={}, n_samples=cfg.per_level,
         max_deviation=worst,

@@ -67,21 +67,15 @@ class _LocalModel:
 
     quad:    A and DA[k] = dA/dx^k
     randers: alpha, beta and their x-derivatives
-    custom:  no closed form; sprays fall back to direct stencils of F^2
-             (reduced accuracy, since the fiber derivatives are FD too)
     """
 
     __slots__ = ("norm", "quad", "A", "DA", "alpha", "beta", "Dalpha",
-                 "Dbeta", "generic")
+                 "Dbeta")
 
     def __init__(self, metric: MetricField, x: np.ndarray):
         n = metric.dim
         norm = self.norm = metric.norm_at(x)
         self.quad = norm.is_quadratic
-        self.generic = None
-        if norm.kind == "custom":
-            self.generic = (metric, x.copy())
-            return
         if self.quad:
             self.A = norm.matrix
             self.DA = central_diff(lambda xv: metric.norm_at(xv).matrix,
@@ -99,8 +93,6 @@ class _LocalModel:
             self.Dbeta = D[:, n]
 
     def spray(self, y: np.ndarray) -> np.ndarray:
-        if self.generic is not None:
-            return _generic_spray(*self.generic, y)
         if self.quad:
             DAy = self.DA @ y                       # (k, l)
             s = DAy @ y                             # y^T dA/dx^k y
@@ -115,19 +107,6 @@ class _LocalModel:
                               + self.Dbeta))
         rhs = y @ mixed - 2.0 * F * dF
         return 0.25 * np.linalg.solve(g, rhs)
-
-
-def _generic_spray(metric: MetricField, x: np.ndarray,
-                   y: np.ndarray) -> np.ndarray:
-    # direct stencils of F^2 for pointwise norms without stored
-    # coefficient fields
-    g = 0.5 * metric.norm_at(x).sq_jet(y).hess
-    yn = np.linalg.norm(y)
-    dgrad = yn * central_diff(
-        lambda xv: metric.norm_at(xv).sq_jet(y).grad,
-        x, _X_STEP, y / yn)[0]
-    dphi = central_diff(lambda xv: metric.norm_at(xv)(y) ** 2, x, _X_STEP)
-    return 0.25 * np.linalg.solve(g, dgrad - dphi)
 
 
 def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:

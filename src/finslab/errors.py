@@ -13,10 +13,6 @@ class NotPositiveDefinite(FinslabError):
     """A matrix expected to be positive definite failed the check."""
 
 
-class NoConvergence(FinslabError):
-    """An iterative solve exhausted its iteration cap."""
-
-
 class WindTooStrong(FinslabError):
     """Navigation wind with F(W) >= 1; the shifted indicatrix no longer encloses 0."""
 

@@ -32,7 +32,7 @@ from .curvature import central_diff
 from .errors import (ClusterAmbiguity, CriticalPoint, EmptyLevel,
                      StencilEscape)
 from .minkowski import legendre_solve
-from .report import VerificationReport
+from .report import VerificationReport, worst_deviation
 from .sphere import Chart, KillingField, MetricField, random_sphere_points
 
 _CRITICAL_EPS = 1e-10
@@ -189,25 +189,24 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
     return out
 
 
-def _dual(metric: MetricField, f: SphereFunction, x,
-          rel_tol: float = 1e-9) -> tuple:
+def _dual(metric: MetricField, f: SphereFunction, x) -> tuple:
     """(norm, grad f) at a regular chart point: one pointwise norm build
     and one Legendre solve of df.  Raises CriticalPoint when |df| < 1e-10."""
     df = f.chart_gradient(metric.chart, x)
     if np.linalg.norm(df) < _CRITICAL_EPS:
         raise CriticalPoint("df vanishes; nonlinear gradient undefined")
     norm = metric.norm_at(x)
-    return norm, legendre_solve(norm, df, rel_tol=rel_tol)
+    return norm, legendre_solve(norm, df)
 
 
-def nonlinear_gradient(metric: MetricField, f: SphereFunction, x,
-                       rel_tol: float = 1e-9) -> np.ndarray:
+def nonlinear_gradient(metric: MetricField, f: SphereFunction,
+                       x) -> np.ndarray:
     """The Legendre dual of df at a regular chart point.
 
     Satisfies <grad f, v>^F_{grad f} = df(v) on a basis and points in the
     increasing direction of f.  Raises CriticalPoint when |df| < 1e-10.
     """
-    return _dual(metric, f, np.asarray(x, dtype=float), rel_tol)[1]
+    return _dual(metric, f, np.asarray(x, dtype=float))[1]
 
 
 def nonlinear_gradient_extended(metric: MetricField, f: SphereFunction,
@@ -225,12 +224,12 @@ def gradient_norm(metric: MetricField, f: SphereFunction, x) -> float:
     return norm(grad)
 
 
-def unit_gradient_field(metric: MetricField, f: SphereFunction,
-                        rel_tol: float = 1e-9) -> Callable[[np.ndarray], np.ndarray]:
+def unit_gradient_field(metric: MetricField, f: SphereFunction
+                        ) -> Callable[[np.ndarray], np.ndarray]:
     """The F-unit normal field of the levels of f, grad f / F(grad f)."""
 
     def field(x: np.ndarray) -> np.ndarray:
-        norm, grad = _dual(metric, f, np.asarray(x, dtype=float), rel_tol)
+        norm, grad = _dual(metric, f, np.asarray(x, dtype=float))
         return grad / norm(grad)
 
     return field
@@ -257,7 +256,6 @@ def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x,
 def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
                     per_level: int, seed: int, quantity) -> tuple[list, float]:
     stats = []
-    worst = 0.0
     for idx, c in enumerate(levels):
         samples = sample_level_set(f, float(c), per_level, seed + 37 * idx)
         vals = []
@@ -268,8 +266,7 @@ def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
         spread = float(vals.max() - vals.min())
         stats.append({"level": float(c), "mean": float(vals.mean()),
                       "spread": spread})
-        worst = max(worst, spread)
-    return stats, worst
+    return stats, worst_deviation(s["spread"] for s in stats)
 
 
 def check_transnormal(metric: MetricField, f: SphereFunction, levels,
@@ -316,7 +313,7 @@ def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
         for entry in stats_r:
             entry["function"] = "-f"
         stats += stats_r
-        worst = max(worst, worst_r)
+        worst = worst_deviation((worst, worst_r))
     return VerificationReport(
         check="isoparametric",
         config={"metric": metric.kind, "function": f.kind,

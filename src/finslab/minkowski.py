@@ -7,12 +7,12 @@ Two closed-form kinds are built in:
 * ``euclidean-quadratic-form``: F(y) = sqrt(y^T A y) for SPD A,
 * ``randers``: F(y) = sqrt(y^T alpha y) + beta . y with |beta|_alpha < 1.
 
-For both closed-form kinds the value, gradient and Hessian of F^2 in the
-fiber variable y are written out in closed form (for Randers norms see
+For both kinds the value, gradient and Hessian of F^2 in the fiber
+variable y are written out in closed form (for Randers norms see
 Bao-Chern-Shen, *An Introduction to Riemann-Finsler Geometry*, Ch. 11),
-so they are exact to roundoff.  A ``custom`` kind wraps an arbitrary
-evaluation rule; its derivatives fall back to central finite differences
-at step 1e-5 (1 + |y|).
+and so is the Legendre dual: the dual norm of a Randers norm is again a
+Randers norm (Bao-Robles-Shen, J. Differential Geom. 66, 2004).  Every
+fiber operation is exact to roundoff and none iterates.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NoConvergence, NotPositiveDefinite, ZeroBaseVector
-
-_FD_STEP = 1e-5
+from .errors import NotPositiveDefinite, ZeroBaseVector
 
 
 class SqJet(NamedTuple):
@@ -61,13 +59,12 @@ class NormEvaluator:
     """A point-independent Minkowski norm with derivative access."""
 
     def __init__(self, dim: int, kind: str, *, matrix=None, alpha=None,
-                 beta=None, func: Optional[Callable] = None):
+                 beta=None):
         self.dim = int(dim)
         self.kind = kind
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
         self.alpha = None if alpha is None else np.asarray(alpha, dtype=float)
         self.beta = None if beta is None else np.asarray(beta, dtype=float)
-        self.func = func
 
     # -- constructors -------------------------------------------------
 
@@ -105,11 +102,6 @@ class NormEvaluator:
         return cls(a.shape[0], "randers", alpha=a, beta=b)
 
     @classmethod
-    def custom(cls, dim: int, func: Callable[[np.ndarray], float]) -> "NormEvaluator":
-        """Wrap an arbitrary norm rule; derivatives use finite differences."""
-        return cls(dim, "custom", func=func)
-
-    @classmethod
     def _randers_unchecked(cls, alpha: np.ndarray, beta: np.ndarray) -> "NormEvaluator":
         # fast path for callers that guarantee validity (hot stencil loops)
         return cls(alpha.shape[0], "randers", alpha=alpha, beta=beta)
@@ -118,64 +110,33 @@ class NormEvaluator:
 
     def __call__(self, y) -> float:
         y = np.asarray(y, dtype=float)
-        if self.kind == "euclidean-quadratic-form":
+        if self.is_quadratic:
             return float(np.sqrt(max(y @ self.matrix @ y, 0.0)))
-        if self.kind == "randers":
-            return float(np.sqrt(max(y @ self.alpha @ y, 0.0)) + self.beta @ y)
-        return float(self.func(y))
+        return float(np.sqrt(max(y @ self.alpha @ y, 0.0)) + self.beta @ y)
 
     @property
     def is_quadratic(self) -> bool:
         return self.kind == "euclidean-quadratic-form"
 
     def sq_jet(self, y) -> SqJet:
-        """Value, gradient and Hessian of F^2 at y (exact for closed forms)."""
+        """Value, gradient and Hessian of F^2 at y, in closed form."""
         y = np.asarray(y, dtype=float)
         if not np.any(y):
             raise ZeroBaseVector("F^2 is not twice differentiable at y = 0")
-        if self.kind == "euclidean-quadratic-form":
+        if self.is_quadratic:
             Ay = self.matrix @ y
             return SqJet(float(y @ Ay), 2.0 * Ay, 2.0 * self.matrix)
-        if self.kind == "randers":
-            _, F, _, m, g = randers_fiber(self.alpha, self.beta, y)
-            return SqJet(F * F, 2.0 * F * m, 2.0 * g)
-        return self._fd_sq_jet(y)
-
-    def _fd_sq_jet(self, y: np.ndarray) -> SqJet:
-        # central differences of F^2; step scales with |y| so the stencil
-        # stays well inside the cone where the rule is smooth
-        h = _FD_STEP * (1.0 + np.linalg.norm(y))
-        n = self.dim
-        E = h * np.eye(n)
-
-        def f2(z):
-            v = self.func(z)
-            return v * v
-
-        val = f2(y)
-        grad = np.zeros(n)
-        hess = np.zeros((n, n))
-        for i in range(n):
-            fp, fm = f2(y + E[i]), f2(y - E[i])
-            grad[i] = (fp - fm) / (2.0 * h)
-            hess[i, i] = (fp - 2.0 * val + fm) / (h * h)
-            for j in range(i):
-                e, em = E[j] + E[i], E[j] - E[i]
-                hess[i, j] = hess[j, i] = (
-                    f2(y + e) - f2(y + em) - f2(y - em) + f2(y - e)
-                ) / (4.0 * h * h)
-        return SqJet(val, grad, hess)
+        _, F, _, m, g = randers_fiber(self.alpha, self.beta, y)
+        return SqJet(F * F, 2.0 * F * m, 2.0 * g)
 
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        if self.kind == "euclidean-quadratic-form":
+        if self.is_quadratic:
             payload = {"kind": self.kind, "matrix": self.matrix.tolist()}
-        elif self.kind == "randers":
+        else:
             payload = {"kind": "randers", "alpha": self.alpha.tolist(),
                        "beta": self.beta.tolist()}
-        else:
-            raise ValueError("custom norms have no serialized form")
         return json.dumps(payload)
 
     @classmethod
@@ -221,52 +182,25 @@ def inner_product(norm: NormEvaluator, y, u, v) -> float:
     return fundamental_tensor(norm, y)(u, v)
 
 
-def legendre_solve(norm: NormEvaluator, xi, *, rel_tol: float = 1e-9,
-                   max_iter: int = 100) -> np.ndarray:
-    """Solve g_ij(y) y^j = xi_i for the unique y dual to the covector xi.
+def legendre_solve(norm: NormEvaluator, xi) -> np.ndarray:
+    """The unique y dual to the covector xi: g_ij(y) y^j = xi_i.
 
-    Damped Newton on r(y) = g(y) y - xi.  Since g(y) y = 1/2 grad F^2(y)
-    by Euler's identity, the Jacobian of the residual is exactly g(y), so
-    every step is an SPD solve.  Initial guess is the Euclidean raise of
-    xi; for a quadratic norm the first step is already exact.
+    Since g(y) y = 1/2 grad F^2(y), y = F*(xi) grad F*(xi) for the dual
+    norm F*.  A quadratic norm gives y = A^{-1} xi.  A Randers norm is the
+    navigation datum (A, w) with C = alpha - beta beta^T, w = -C^{-1} beta
+    and A^{-1} = (1 + beta^T C^{-1} beta) C^{-1}, whose dual norm is
+    F*(xi) = |xi|_{A^{-1}} + xi(w), so
+    y = F*(xi) (A^{-1} xi / |xi|_{A^{-1}} + w).
     """
     xi = np.asarray(xi, dtype=float)
     if not np.any(xi):
         raise ZeroBaseVector("legendre_solve requires xi != 0")
-    xi_norm = np.linalg.norm(xi)
-    y = xi.copy()
-
-    def residual(z):
-        jet = norm.sq_jet(z)
-        return 0.5 * jet.grad - xi, 0.5 * jet.hess
-
-    r, G = residual(y)
-    rn = np.linalg.norm(r)
-    for _ in range(max_iter):
-        if rn < rel_tol * xi_norm:
-            return y
-        try:
-            step = cho_solve(cho_factor(0.5 * (G + G.T)), -r)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("fundamental tensor not SPD along Newton path")
-        t = 1.0
-        for _ in range(40):
-            cand = y + t * step
-            if np.any(cand):
-                rc, Gc = residual(cand)
-                rcn = np.linalg.norm(rc)
-                if rcn < rn:
-                    y, r, G, rn = cand, rc, Gc, rcn
-                    break
-            t *= 0.5
-        else:
-            # damping can only stall at the roundoff floor; accept the
-            # iterate when it already meets the documented contract
-            if rn < 1e-9 * xi_norm:
-                return y
-            raise NoConvergence("Newton damping stalled in legendre_solve")
-    if rn < rel_tol * xi_norm:
-        return y
-    raise NoConvergence(
-        f"legendre_solve did not reach {rel_tol:g} relative residual "
-        f"in {max_iter} iterations")
+    if norm.is_quadratic:
+        return cho_solve(cho_factor(norm.matrix), xi)
+    beta = norm.beta
+    Cb, Cxi = cho_solve(cho_factor(norm.alpha - np.outer(beta, beta)),
+                        np.column_stack((beta, xi))).T
+    w = -Cb
+    Ainv_xi = (1.0 + float(beta @ Cb)) * Cxi
+    r = math.sqrt(float(xi @ Ainv_xi))              # |xi|_{A^{-1}}
+    return (r + float(xi @ w)) * (Ainv_xi / r + w)

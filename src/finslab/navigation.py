@@ -14,8 +14,9 @@ the Randers norm of (A, w0 + v) in closed form,
     F'(u) = ( sqrt(lam * |u|_A^2 + <w,u>_A^2) - <w,u>_A ) / lam,
     lam   = 1 - |w|_A^2,   w = w0 + v.
 
-For a custom norm the value is recovered by solving F(u - s v) = s for
-the positive scalar s, which also serves the tests as an oracle.
+``navigate`` recovers the same value from the defining property alone, by
+solving F(u - s v) = s for the positive scalar s; the tests use it as the
+oracle of the closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import WindTooStrong
 from .minkowski import NormEvaluator
-from .report import VerificationReport
+from .report import VerificationReport, worst_deviation
 
 
 @dataclass
@@ -108,17 +109,10 @@ def navigate(datum: NavigationDatum, y_tilde) -> float:
 
 
 def navigated_norm(datum: NavigationDatum) -> NormEvaluator:
-    """The navigated norm as a NormEvaluator.
-
-    Quadratic and Randers base norms give the exact Randers evaluator of
-    the composed datum; a custom base gives a custom evaluator backed by
-    the scalar solve of ``navigate``.
-    """
+    """The navigated norm: the Randers evaluator of the composed datum."""
     F, v = datum.norm, datum.wind
     if not np.any(v):
         return F
-    if F.kind == "custom":
-        return NormEvaluator.custom(F.dim, lambda y: navigate(datum, y))
     A, w0 = (F.matrix, 0.0) if F.is_quadratic \
         else navigation_from_randers(F.alpha, F.beta)
     return NormEvaluator.randers(*randers_from_navigation(A, w0 + v))
@@ -197,8 +191,7 @@ def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
     if devs_orth:
         levels.append({"level": "orthogonal-wind", "mean": float(np.mean(devs_orth)),
                        "spread": float(np.max(devs_orth))})
-    max_dev = max(float(np.max(devs_main)), float(np.max(devs_cor)),
-                  float(np.max(devs_orth)) if devs_orth else 0.0)
+    max_dev = worst_deviation(np.concatenate((devs_main, devs_cor, devs_orth)))
     return VerificationReport(
         check="navigation-lemma",
         config={"dim": n, "wind": v.tolist(), "samples": samples,

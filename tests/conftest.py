@@ -1,12 +1,14 @@
 """Shared numerical oracles for the test suite.
 
 Everything here is deliberately independent of the code paths it checks:
-finite differences instead of jets, direction scans instead of Legendre
-solves, sampling ascent instead of eigenvalues, coordinate-formula
-Laplacians instead of the divergence form.
+finite differences instead of jets and sprays, direction scans and Newton
+iteration instead of the closed-form Legendre dual, sampling ascent
+instead of eigenvalues, coordinate-formula Laplacians instead of the
+divergence form.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 def fd_gradient(func, y, h=1e-6):
@@ -50,6 +52,71 @@ def direction_scan_legendre(norm, xi, count=1_000_000):
     dual_norm = ratios[idx]
     unit = best[idx] / fvals[idx]
     return dual_norm * unit
+
+
+def newton_legendre(norm, xi, rel_tol=1e-9):
+    """Legendre dual by damped Newton on r(y) = 1/2 grad F^2(y) - xi.
+
+    The Jacobian of r is g(y), so every step is an SPD solve; the start
+    is the Euclidean raise of xi.  Uses only the jets of F^2, never a
+    closed-form dual.
+    """
+    xi = np.asarray(xi, dtype=float)
+    xi_norm = np.linalg.norm(xi)
+    y = xi.copy()
+
+    def residual(z):
+        jet = norm.sq_jet(z)
+        return 0.5 * jet.grad - xi, 0.5 * jet.hess
+
+    r, G = residual(y)
+    rn = np.linalg.norm(r)
+    for _ in range(100):
+        if rn < rel_tol * xi_norm:
+            return y
+        try:
+            step = cho_solve(cho_factor(0.5 * (G + G.T)), -r)
+        except np.linalg.LinAlgError:
+            raise AssertionError("g(y) is not SPD on the Newton path") \
+                from None
+        t = 1.0
+        for _ in range(40):
+            cand = y + t * step
+            if np.any(cand):
+                rc, Gc = residual(cand)
+                rcn = np.linalg.norm(rc)
+                if rcn < rn:
+                    y, r, G, rn = cand, rc, Gc, rcn
+                    break
+            t *= 0.5
+        else:
+            # damping stalls only at the roundoff floor
+            assert rn < 1e-9 * xi_norm, "Newton damping stalled"
+            return y
+    assert rn < rel_tol * xi_norm, "no convergence in 100 steps"
+    return y
+
+
+def fd_spray(metric, x, y, h=1e-4):
+    """Geodesic spray from central differences of pointwise norm values
+    F(x, y) only: G = 1/4 g^{-1} (y^k d_x^k d_y F^2 - d_x F^2) with
+    g = 1/2 Hess_y F^2.  Second-order stencils; good to about 1e-7."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    E = h * np.eye(n)
+    norm = metric.norm_at(x)
+    g = 0.5 * fd_hessian(lambda z: norm(z) ** 2, y, h)
+    mixed = np.zeros((n, n))                # [k, l] = d_x^k d_y^l F^2
+    dx = np.zeros(n)
+    for k in range(n):
+        plus, minus = metric.norm_at(x + E[k]), metric.norm_at(x - E[k])
+        dx[k] = (plus(y) ** 2 - minus(y) ** 2) / (2 * h)
+        for l in range(n):
+            mixed[k, l] = (plus(y + E[l]) ** 2 - plus(y - E[l]) ** 2
+                           - minus(y + E[l]) ** 2
+                           + minus(y - E[l]) ** 2) / (4 * h * h)
+    return 0.25 * np.linalg.solve(g, y @ mixed - dx)
 
 
 def sampled_killing_norm(W, samples, rng, polish_iters=60):

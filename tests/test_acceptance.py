@@ -249,7 +249,7 @@ def test_criterion_7_geodesic_field():
     for fn, level in ((f, -0.8), (f, -0.3), (-f, -0.8), (-f, -0.3)):
         start = sample_level_set(fn, level, 1, seed=107)[0]
         met = base.with_center(start.point)
-        field = unit_gradient_field(met, fn, rel_tol=1e-12)
+        field = unit_gradient_field(met, fn)
         path = integrate_flow(field, np.zeros(5), 0.25, steps=50)
         arc_total += 0.25
         for idx in range(0, 51, 10):

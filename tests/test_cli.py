@@ -3,6 +3,7 @@
 import importlib.util
 import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finslab.cli as cli
 from finslab.cli import ExperimentConfig, batch, main, run
 from finslab.errors import ConfigError, ParseError, UnknownCheck
+from finslab.isoparametric import SpectrumResult
 from finslab.sphere import MetricField
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +27,19 @@ def test_run_flag_curvature_round():
     rep = run(cfg)
     assert rep.passed
     assert rep.max_deviation < 1e-5
+
+
+def test_spectrum_nan_spread_fails(monkeypatch):
+    # a NaN cluster spread after a finite one must reach max_deviation
+    spec = SpectrumResult(level=0.0, g=2, multiplicities=(1, 1),
+                          cluster_means=[0.0, 1.0], consistent=True,
+                          per_point=[[(0.0, 1), (1.0, 1)],
+                                     [(0.0, 1), (math.nan, 1)]])
+    monkeypatch.setattr(cli, "principal_curvature_spectrum",
+                        lambda *args, **kwargs: spec)
+    rep = run(ExperimentConfig.from_dict({"check": "spectrum"}))
+    assert math.isnan(rep.max_deviation)
+    assert not rep.passed
 
 
 def test_run_clifford_audit():
@@ -168,6 +184,7 @@ def test_verify_flags_left_out_keep_config_defaults(capsys):
     {"check": "tangency", "w_spec": {"matrix": "abc"}},
     {"check": "navigation-lemma", "n": 3, "w_spec": {"vector": [0.1, 0.2]}},
     {"check": "navigation-lemma", "n": 3, "w_spec": {"vector": ["a", 0, 0]}},
+    {"check": "navigation-lemma", "w_spec": {"kind": "random-skew", "seed": 3}},
 ])
 def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
     path = tmp_path / "batt.json"

@@ -1,12 +1,16 @@
 """Nonlinear gradient/Laplacian, level sets, transnormality, spectra."""
 
+import json
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finslab.isoparametric as iso
-from conftest import laplace_beltrami_oracle
+from conftest import laplace_beltrami_oracle, newton_legendre
+from finslab import cli
 from finslab.clifford import build_clifford, spin_lift
 from finslab.curvature import Flag, flag_curvature
 from finslab.errors import CriticalPoint, EmptyLevel
@@ -18,6 +22,7 @@ from finslab.isoparametric import (check_isoparametric, check_tangency,
                                    gradient_norm, principal_curvature_spectrum,
                                    sample_level_set, split_quadratic_function,
                                    unit_gradient_field)
+from finslab.minkowski import legendre_solve
 from finslab.sphere import (Chart, KillingField, block_killing, killing_norm,
                             localization_field, randers_sphere, round_metric,
                             standard_rotation)
@@ -224,6 +229,48 @@ def test_isoparametric_randers_otfkm_both_signs():
     assert {e["function"] for e in rep.per_level} == {"f", "-f"}
 
 
+@pytest.mark.parametrize("check, quantity, good_calls", [
+    (check_transnormal, "gradient_norm", 3),            # second level
+    (check_isoparametric, "nonlinear_laplacian", 6),    # reverse pass
+])
+def test_nan_in_a_later_level_fails(monkeypatch, check, quantity, good_calls):
+    # a NaN that is not the first value scanned must still reach
+    # max_deviation and fail the check
+    calls = []
+
+    def fake(fld, f, x):
+        calls.append(1)
+        return 1.0 if len(calls) <= good_calls else math.nan
+
+    monkeypatch.setattr(iso, quantity, fake)
+    met = round_metric(Chart([0.0, 0.0, 1.0]))
+    rep = check(met, height_function(3, axis=0), [-0.5, 0.5], per_level=3)
+    assert math.isnan(rep.max_deviation)
+    assert not rep.passed
+
+
+def test_legendre_matches_newton_at_paper_suite_levels():
+    # the closed-form dual against damped Newton at points of every level
+    # of the paper suite's isoparametric entries, for f and -f
+    suite = Path(__file__).resolve().parents[1] / "demos" / "paper_suite.json"
+    entries = [e for e in json.loads(suite.read_text())["experiments"]
+               if e["check"] == "isoparametric"]
+    assert entries
+    for idx, entry in enumerate(entries):
+        met, f, _ = cli._sphere_setup(cli.ExperimentConfig.from_dict(entry))
+        for c in entry["levels"]:
+            for s in sample_level_set(f, c, 3, seed=idx):
+                fld = met.with_center(s.point)
+                x0 = np.zeros(fld.dim)
+                norm = fld.norm_at(x0)
+                for fn in (f, -f):
+                    df = fn.chart_gradient(fld.chart, x0)
+                    y = legendre_solve(norm, df)
+                    oracle = newton_legendre(norm, df, rel_tol=1e-13)
+                    assert (np.linalg.norm(y - oracle)
+                            < 1e-10 * np.linalg.norm(y))
+
+
 def test_isoparametric_riemannian_cross_check():
     _, f, met_round, _ = s5_setup(wind=None)
     rep = check_isoparametric(met_round, f, [-0.3, 0.3], per_level=10,
@@ -312,7 +359,7 @@ def test_localization_metrics_have_round_curvature():
     rng = np.random.default_rng(13)
     for sign in (+1.0, -1.0):
         fn = f if sign > 0 else -f
-        field = unit_gradient_field(fld, fn, rel_tol=1e-13)
+        field = unit_gradient_field(fld, fn)
         loc = localization_field(fld, field)
         for _ in range(3):
             x = rng.standard_normal(5) * 0.05

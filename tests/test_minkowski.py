@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direction_scan_legendre, fd_gradient, fd_hessian
-from finslab.errors import NoConvergence, NotPositiveDefinite, ZeroBaseVector
+from conftest import (direction_scan_legendre, fd_gradient, fd_hessian,
+                      newton_legendre)
+from finslab.errors import NotPositiveDefinite, ZeroBaseVector
 from finslab.minkowski import (NormEvaluator, fundamental_tensor,
                                inner_product, legendre_solve)
 
@@ -155,6 +156,24 @@ def test_legendre_round_trip():
             assert np.linalg.norm(back - y) < 1e-8 * np.linalg.norm(y)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_legendre_closed_form_matches_newton(dim):
+    # the closed-form Randers dual against damped Newton on the jets, for
+    # winds |beta|_alpha from 0 up to 0.95
+    rng = np.random.default_rng(100 + dim)
+    for strength in np.linspace(0.0, 0.95, 20):
+        M = rng.standard_normal((dim, dim))
+        alpha = M @ M.T / dim + 0.5 * np.eye(dim)
+        beta = rng.standard_normal(dim)
+        beta *= strength / np.sqrt(beta @ np.linalg.solve(alpha, beta))
+        norm = NormEvaluator.randers(alpha, beta)
+        for _ in range(5):
+            xi = rng.standard_normal(dim)
+            y = legendre_solve(norm, xi)
+            oracle = newton_legendre(norm, xi, rel_tol=1e-13)
+            assert np.linalg.norm(y - oracle) < 1e-10 * np.linalg.norm(y)
+
+
 def test_legendre_residual_contract():
     rng = np.random.default_rng(7)
     norm = _sample_norms(rng)[3]
@@ -179,20 +198,12 @@ def test_randers_needs_small_beta():
 
 
 def test_fundamental_tensor_rejects_degenerate_rule():
-    # |y . e1| is 1-homogeneous but its squared Hessian is singular, so
-    # the PD check must flag the invalid norm input
-    bad = NormEvaluator.custom(2, lambda y: abs(y[0]) + 1e-14 * abs(y[1]))
+    # |beta|_alpha = 1.5 slips past the validating constructor; where
+    # F(y) < 0 the Randers g_y is indefinite (det g = (F/a)^3 det alpha),
+    # so the PD check must flag the invalid norm input
+    bad = NormEvaluator._randers_unchecked(np.eye(2), np.array([1.5, 0.0]))
     with pytest.raises(NotPositiveDefinite):
-        fundamental_tensor(bad, np.array([1.0, 0.5]))
-
-
-def test_custom_norm_fd_fallback():
-    target = NormEvaluator.randers(np.eye(2), [0.3, -0.2])
-    wrapped = NormEvaluator.custom(2, lambda y: target(y))
-    y = np.array([0.7, 0.4])
-    G_fd = fundamental_tensor(wrapped, y).matrix
-    G = fundamental_tensor(target, y).matrix
-    assert np.abs(G_fd - G).max() < 1e-5
+        fundamental_tensor(bad, np.array([-1.0, 0.5]))
 
 
 def test_serialization_round_trip():
