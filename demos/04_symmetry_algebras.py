@@ -4,9 +4,10 @@
 Two families of skew matrices generate flows preserving the quartic of a
 Clifford system: products P_i P_j (a copy of so(m+1)) and the centralizer
 of the system (so(k), u(k), sp(k), or a two-block sum, depending on
-m mod 8).  The centralizer dimension is computed by dense linear algebra
-and compared against the representation-type prediction, and every basis
-element is checked to be an eligible wind (tangent, scalable below norm 1).
+m mod 8).  The centralizer is computed as one null space on so(l), in the
+eigenbasis of P_0; its dimension is compared against the representation-type
+prediction, and every basis element is checked to be an eligible wind
+(tangent, scalable below norm 1).
 """
 
 import warnings

@@ -15,10 +15,9 @@ Two families of sphere symmetries preserve f:
 * the spin lift: the span of the products P_i P_j / 2 (i < j), a copy of
   so(m+1) acting on R^{2l};
 * the centralizer c(Sigma): all skew matrices commuting with every P_i.
-
-The centralizer is computed by dense linear algebra on the skew-matrix
-space, intersecting the fixed spaces of the conjugations X -> P_i X P_i
-one generator at a time.
+  Where P_0 = diag(I, -I) and P_1 is the swap, it is {diag(Y, Y)} for
+  the Y in so(l) commuting with the blocks of P_2, ..., P_m: one null
+  space on so(l) (Ferus-Karcher-Muenzner, Math. Z. 177, 1981).
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NotOnFocalSet, RankDeficiency, UnsupportedSplit)
+from .errors import (NotClifford, NotOnFocalSet, RankDeficiency,
+                     UnsupportedSplit)
 
 # 2x2 generators: reflection-free building blocks of the representations
 _R = np.array([[0.0, 1.0], [-1.0, 0.0]])   # rotation, R^2 = -I, skew
@@ -41,17 +41,8 @@ def clifford_delta(m: int) -> int:
     """Dimension delta_m of the irreducible module (so 2l = 2 k delta_m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    q, r = divmod(m, 8)
-    if r == 1:
-        return 2 ** (4 * q)
-    if r == 2:
-        return 2 ** (4 * q + 1)
-    if r == 3 or r == 4:
-        return 2 ** (4 * q + 2)
-    if r in (5, 6, 7):
-        return 2 ** (4 * q + 3)
-    # r == 0, m = 8q with q >= 1
-    return 2 ** (4 * q - 1)
+    q, r = divmod(m, 8)            # r = 0 means m = 8q with q >= 1
+    return 2 ** (4 * q + (-1, 0, 1, 2, 2, 3, 3, 3)[r])
 
 
 def _skew_family(q: int) -> list[np.ndarray]:
@@ -234,53 +225,58 @@ class SkewBasis:
         return np.column_stack([E.ravel() for E in self.elements])
 
 
-def _pair_basis_matrices(Q: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
-    # skew matrices Q (E_ab - E_ba) Q^T / sqrt(2) for a < b within idx
-    out = []
-    for ai in range(len(idx)):
-        for bi in range(ai + 1, len(idx)):
-            u = Q[:, idx[ai]]
-            v = Q[:, idx[bi]]
-            out.append((np.outer(u, v) - np.outer(v, u)) / np.sqrt(2.0))
-    return out
+def _wedge(X, Y, a, b):
+    # Z -> (X Z Y^T + Y Z X^T)/2 on the basis (E_ab - E_ba)/sqrt(2) of so(l)
+    Xa, Xb, Ya, Yb = X[a], X[b], Y[a], Y[b]
+    return 0.5 * (Xa[:, a] * Yb[:, b] + Ya[:, a] * Xb[:, b]
+                  - Xa[:, b] * Yb[:, a] - Ya[:, b] * Xb[:, a])
 
 
 def centralizer(sys_: CliffordSystem, tol: float = 1e-8,
                 ambiguity_band: float = 1e-4) -> SkewBasis:
-    """Basis of c(Sigma): skew X with [X, P] = 0 for every P in Sigma.
+    """Frobenius-orthonormal basis of c(Sigma): skew X with [X, P] = 0 for
+    every P in Sigma.
 
-    Since P_i^2 = I, commuting with P_i is the same as being fixed by the
-    Frobenius-orthogonal involution X -> P_i X P_i.  Starting from the
-    closed-form fixed space of P_0 (block-skew matrices in its
-    eigenbasis), the fixed space of each remaining conjugation is cut out
-    by an eigen-decomposition of its compression to the current subspace;
-    for an orthogonal map, compression eigenvalue 1 is equivalent to being
-    genuinely fixed.  Eigenvalues inside (1 - ambiguity_band, 1 - tol)
-    would make the rank ambiguous and raise RankDeficiency.
+    With Q+ the +1 eigenvectors of P_0 (as eigh returns them) and
+    Q- = P_1 Q+, each P_i (i >= 2) is [[0, C_i], [-C_i, 0]] in the basis
+    [Q+, Q-], with C_i skew, so c(Sigma) = {diag(Y, Y) : Y in so(l),
+    [Y, C_i] = 0}.  The Y are the null space (eigenvalues <= tol) of the
+    Gram matrix of Y -> ([Y, C_i])_i on the pair basis of so(l); an
+    eigenvalue inside (tol, ambiguity_band) raises RankDeficiency.  For
+    m = 1, c(Sigma) is all of so(l), and element p is pair p of
+    (0, 1), (0, 2), ..., (l - 2, l - 1) in lexicographic order.  Matrices
+    that are not symmetric and anticommuting to roundoff raise NotClifford.
     """
-    P0 = sys_.matrices[0]
-    evals, Q = np.linalg.eigh(P0)
-    pos = np.where(evals > 0.0)[0]
-    neg = np.where(evals < 0.0)[0]
-    basis = _pair_basis_matrices(Q, pos) + _pair_basis_matrices(Q, neg)
-    if not basis:
-        return SkewBasis([])
-    stack = np.stack(basis)                       # (N, 2l, 2l)
-
-    for P in sys_.matrices[1:]:
-        conj = np.einsum("ab,nbc,cd->nad", P, stack, P, optimize=True)
-        gram = np.tensordot(stack, conj, axes=([1, 2], [1, 2]))
-        gram = 0.5 * (gram + gram.T)
+    mats = sys_.matrices
+    defect = max([anticommutation_error(sys_)]
+                 + [float(np.abs(P - P.T).max()) for P in mats])
+    if not defect <= 1e-10:                       # beyond roundoff
+        raise NotClifford("the matrices are not a symmetric Clifford system "
+                          f"(defect {defect:.1e})")
+    evals, Q = np.linalg.eigh(mats[0])
+    Qp = Q[:, evals > 0.0]
+    Qm = mats[1] @ Qp
+    l = Qp.shape[1]
+    a, b = np.triu_indices(l, 1)
+    if len(mats) == 2:
+        coeffs = np.eye(len(a))
+    else:
+        # the Gram of Y -> [Y, C] is I(x)CC^T + C^TC(x)I - C(x)C - C^T(x)C^T
+        Cs = [Qp.T @ P @ Qm for P in mats[2:]]
+        gram = _wedge(np.eye(l), sum(C @ C.T + C.T @ C for C in Cs), a, b)
+        for C in Cs:
+            W = _wedge(C, C, a, b)
+            gram -= W + W.T
         mu, V = np.linalg.eigh(gram)
-        if np.any((mu > 1.0 - ambiguity_band) & (mu < 1.0 - tol)):
+        if np.any((mu > tol) & (mu < ambiguity_band)):
             raise RankDeficiency(
-                "fixed-space eigenvalues fall inside the ambiguity band")
-        keep = mu >= 1.0 - tol
-        if not np.any(keep):
-            return SkewBasis([])
-        stack = np.einsum("nk,nab->kab", V[:, keep], stack, optimize=True)
-
-    return SkewBasis([0.5 * (E - E.T) for E in stack])
+                "null-space eigenvalues fall inside the ambiguity band")
+        coeffs = V[:, mu <= tol]
+    Y = np.zeros((coeffs.shape[1], l, l))
+    Y[:, a, b] = 0.5 * coeffs.T
+    Y[:, b, a] = -0.5 * coeffs.T
+    X = Qp @ Y @ Qp.T + Qm @ Y @ Qm.T
+    return SkewBasis(list(0.5 * (X - X.transpose(0, 2, 1))))
 
 
 def predicted_centralizer_dim(m: int, k: int, k1=None, k2=None) -> int:

@@ -61,6 +61,10 @@ class UnsupportedSplit(FinslabError):
     """(k1, k2) multiplicities are only meaningful when m is a multiple of 4."""
 
 
+class NotClifford(FinslabError):
+    """Matrices are not symmetric, or do not anticommute, to roundoff."""
+
+
 class NotOnFocalSet(FinslabError):
     """Point does not lie on the focal manifold f = -1."""
 

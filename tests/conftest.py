@@ -4,7 +4,8 @@ Everything here is deliberately independent of the code paths it checks:
 finite differences instead of jets and sprays, direction scans and Newton
 iteration instead of the closed-form Legendre dual, sampling ascent
 instead of eigenvalues, coordinate-formula Laplacians instead of the
-divergence form.
+divergence form, fixed spaces of conjugations on the full skew-matrix
+space instead of the null space on so(l).
 """
 
 import numpy as np
@@ -179,3 +180,30 @@ def laplace_beltrami_oracle(metric, f, x, h=1e-4):
     gamma = 0.5 * np.einsum("kl,ijl->kij", qinv, E)
     return float(np.einsum("ij,ij->", qinv, hess)
                  - np.einsum("ij,kij,k->", qinv, gamma, grad))
+
+
+def dense_centralizer(matrices, tol=1e-8):
+    """Centralizer of a Clifford system on the full skew-matrix space:
+    start from the skew matrices that commute with P_0 (pair bases of its
+    two eigenspaces), then cut out the fixed space of each conjugation
+    X -> P X P in turn, by an eigen-decomposition of its compression.
+    Returns a Frobenius-orthonormal list of skew matrices."""
+    evals, Q = np.linalg.eigh(matrices[0])
+
+    def pairs(idx):
+        return [(np.outer(Q[:, i], Q[:, j]) - np.outer(Q[:, j], Q[:, i]))
+                / np.sqrt(2.0) for n, i in enumerate(idx) for j in idx[n + 1:]]
+
+    basis = pairs(np.where(evals > 0.0)[0]) + pairs(np.where(evals < 0.0)[0])
+    if not basis:
+        return []
+    stack = np.stack(basis)
+    for P in matrices[1:]:
+        conj = np.einsum("ab,nbc,cd->nad", P, stack, P, optimize=True)
+        gram = np.tensordot(stack, conj, axes=([1, 2], [1, 2]))
+        mu, V = np.linalg.eigh(0.5 * (gram + gram.T))
+        keep = mu >= 1.0 - tol
+        if not np.any(keep):
+            return []
+        stack = np.einsum("nk,nab->kab", V[:, keep], stack, optimize=True)
+    return [0.5 * (E - E.T) for E in stack]

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import sampled_killing_norm
-from finslab.clifford import (anticommutation_error, build_clifford,
-                              centralizer, clifford_delta,
+from finslab.clifford import (SkewBasis, anticommutation_error,
+                              build_clifford, centralizer, clifford_delta,
                               find_clifford_point, lie_closure_residual,
                               otfkm_value, predicted_centralizer_dim,
                               spin_lift, symmetry_basis)
@@ -130,7 +130,7 @@ def test_criterion_3_clifford_audit_grid():
                 if spin.dim != m * (m + 1) // 2:
                     failures.append((m, spec, "spin"))
                     continue
-                basis = symmetry_basis(sys_)
+                basis = SkewBasis(spin.elements + cent.elements)
                 resid = lie_closure_residual(basis, trials=4, seed=count)
                 if resid >= 1e-10:
                     failures.append((m, spec, f"closure {resid:.1e}"))

@@ -291,6 +291,22 @@ def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_non_clifford_matrices_exit_2(tmp_path, capsys):
+    # P_1 = P_0 does not anticommute: an error, not a centralizer dimension
+    D = np.diag([1, 1, -1, -1]).tolist()
+    system = {"m": 1, "l": 2, "k": 2, "matrices": [D, D]}
+    (tmp_path / "sys.json").write_text(json.dumps(system))
+    (tmp_path / "battery.json").write_text(
+        json.dumps([{"check": "clifford-audit", "clifford": system}]))
+    for argv in (["batch", str(tmp_path / "battery.json")],
+                 ["clifford", "audit", str(tmp_path / "sys.json")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert json.loads(line)["error"] == "NotClifford"
+
+
 def test_config_error_names_the_written_key():
     with pytest.raises(ConfigError, match="'lambda'"):
         ExperimentConfig.from_dict({"check": "tangency", "lambda": "0.3"})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import dense_centralizer
 from finslab.clifford import (CliffordSystem, SkewBasis,
                               anticommutation_error, build_clifford,
                               centralizer, clifford_delta,
@@ -14,7 +15,7 @@ from finslab.clifford import (CliffordSystem, SkewBasis,
                               lie_closure_residual, otfkm_gradient,
                               otfkm_value, predicted_centralizer_dim,
                               spin_lift, symmetry_basis)
-from finslab.errors import NotOnFocalSet, UnsupportedSplit
+from finslab.errors import NotClifford, NotOnFocalSet, UnsupportedSplit
 
 
 def build_quiet(m, k):
@@ -115,6 +116,63 @@ def test_centralizer_dimensions():
             assert np.abs(E + E.T).max() < 1e-12
             for P in sys_.matrices:
                 assert np.abs(E @ P - P @ E).max() < 1e-10
+
+
+def test_centralizer_matches_dense_oracle():
+    # every acceptance-grid system with 2l <= 16
+    count = 0
+    for m in range(1, 10):
+        for k in range(1, 16 // (2 * clifford_delta(m)) + 1):
+            specs = [(k, 0), (k - k // 2, k // 2)] if m % 4 == 0 and k > 1 \
+                else ([(k, 0)] if m % 4 == 0 else [k])
+            for spec in specs:
+                sys_ = build_quiet(m, spec)
+                count += 1
+                cent = centralizer(sys_)
+                dense = dense_centralizer(sys_.matrices)
+                assert cent.dim == len(dense) == predicted_centralizer_dim(
+                    sys_.m, sys_.k, sys_.k1, sys_.k2), (m, spec)
+                if not dense:
+                    continue
+                S = cent.span_matrix()
+                D = np.column_stack([E.ravel() for E in dense])
+                assert np.abs(S @ S.T - D @ D.T).max() < 1e-12, (m, spec)
+                for E in cent.elements:
+                    for P in sys_.matrices:
+                        assert np.abs(E @ P - P @ E).max() < 1e-12, (m, spec)
+    assert count == 21
+
+
+def test_centralizer_index_is_lexicographic_pair_for_m1():
+    # for m = 1, element p is pair p of so(l) in the P_0 eigenbasis, taken
+    # to the -1 eigenspace by P_1: Q+^T X Q+ = Q-^T X Q- = (E_ab - E_ba)/2
+    sys_ = build_quiet(1, 4)
+    evals, Q = np.linalg.eigh(sys_.matrices[0])
+    Qp = Q[:, evals > 0.0]
+    Qm = sys_.matrices[1] @ Qp
+    cent = centralizer(sys_)
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    assert cent.dim == len(pairs)
+    for (a, b), X in zip(pairs, cent.elements):
+        Y = np.zeros((4, 4))
+        Y[a, b], Y[b, a] = 0.5, -0.5
+        assert np.abs(Qp.T @ X @ Qp - Y).max() < 1e-15
+        assert np.abs(Qm.T @ X @ Qm - Y).max() < 1e-15
+        assert np.abs(Qp.T @ X @ Qm).max() < 1e-15
+
+
+def test_centralizer_rejects_non_clifford():
+    D = np.diag([1.0, 1.0, -1.0, -1.0])
+    with pytest.raises(NotClifford):   # P_1 = P_0 does not anticommute
+        centralizer(CliffordSystem(m=1, l=2, matrices=[D, D], k=2))
+    # an integer similarity keeps the relations exact but breaks symmetry
+    S, S_inv = np.eye(4), np.eye(4)
+    S[0, 2], S_inv[0, 2] = 1.0, -1.0
+    bent = [S @ P @ S_inv for P in build_quiet(1, 2).matrices]
+    assert anticommutation_error(CliffordSystem(m=1, l=2, matrices=bent,
+                                                k=2)) == 0.0
+    with pytest.raises(NotClifford):
+        centralizer(CliffordSystem(m=1, l=2, matrices=bent, k=2))
 
 
 def test_spin_lift_basics():
