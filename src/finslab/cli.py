@@ -318,7 +318,8 @@ def _run_navigation_lemma(cfg: ExperimentConfig):
     rep = check_navigation_lemma(NavigationDatum(base, wind),
                                  samples=cfg.samples, tol=cfg.tol,
                                  seed=cfg.seed)
-    return rep, {"wind": wind.tolist(),
+    # n echoes the dimension checked, which a given norm fixes
+    return rep, {"n": base.dim, "wind": wind.tolist(),
                  "norm": base.kind if cfg.norm else "euclidean"}
 
 
@@ -377,7 +378,7 @@ def _run_clifford_audit(cfg: ExperimentConfig):
 
 
 # check name -> (default tolerance, runner); a runner returns its report
-# and the entries that run() appends to the config echo
+# and the entries that run() merges into the config echo
 _CHECKS = {
     "flag-curvature": (1e-4, _run_flag_curvature),
     "navigation-lemma": (1e-8, _run_navigation_lemma),

@@ -115,8 +115,11 @@ class CliffordSystem:
         return self.m, self.l - self.m - 1
 
     def to_json(self) -> str:
+        """Integer matrices when every entry is integral, floats otherwise."""
+        integral = all(np.array_equal(P, np.round(P)) for P in self.matrices)
         payload = {"m": self.m, "l": self.l, "k": self.k,
-                   "matrices": [P.astype(int).tolist() for P in self.matrices]}
+                   "matrices": [(P.astype(int) if integral else P).tolist()
+                                for P in self.matrices]}
         if self.k1 is not None:
             payload["k1"] = self.k1
             payload["k2"] = self.k2

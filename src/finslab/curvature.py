@@ -16,6 +16,16 @@ fourth-order finite-difference x-derivatives; y-derivatives are exact.
 Derivatives of G itself use fourth-order stencils at a larger step: G
 carries ~1e-12 of stencil noise, and the outer steps keep the amplified
 noise near 1e-7, well inside the 1e-4 acceptance band for flag curvature.
+
+Every point of a flag's stencils is fixed by (x, y) before anything is
+evaluated, so R_y is computed in array passes.  A flag needs spray models
+at 4n + 5 chart points: x, the 4n points of the x-stencil of G and the
+4 points of the stencil along y.  Their coefficients and coefficient
+derivatives come from one builder call over all (4n + 5)(4n + 1) points
+of the coefficient stencils.  The sprays then go through one batched
+solve for G(x, y) and one for the 40n stencil sprays around it (the
+stencil along G(x, y) needs G(x, y) first).  geodesic_spray and
+riemann_curvature are the one-point cases of the same code.
 """
 
 from __future__ import annotations
@@ -26,9 +36,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ChartBoundary, DegenerateFlag, DifferentiationFailure,
-                     ZeroBaseVector)
-from .minkowski import randers_fiber
-from .sphere import MetricField
+                     NotPositiveDefinite, ZeroBaseVector)
+from .minkowski import _matvec, randers_fiber
+from .sphere import MetricField, pointwise_norm
 
 # 4-point, fourth-order central first-derivative stencil
 _OFFS = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -63,50 +73,64 @@ def _check_stencil(metric: MetricField, x: np.ndarray, reach: float):
 
 
 class _LocalModel:
-    """Closed-form spray data at one chart point.
+    """Closed-form spray data at the chart points X[0], ..., X[M-1].
 
-    quad:    A and DA[k] = dA/dx^k
-    randers: alpha, beta and their x-derivatives
+    quad:    A[m] and DA[m, k] = dA/dx^k at X[m]
+    randers: alpha[m], beta[m] and their x-derivatives
+    norm:    the pointwise norm at X[0]
+
+    One builder call covers X and the x-stencil of every X[m].
     """
 
     __slots__ = ("norm", "quad", "A", "DA", "alpha", "beta", "Dalpha",
                  "Dbeta")
 
-    def __init__(self, metric: MetricField, x: np.ndarray):
-        n = metric.dim
-        norm = self.norm = metric.norm_at(x)
-        self.quad = norm.is_quadratic
+    def __init__(self, metric: MetricField, X: np.ndarray):
+        M, n = X.shape
+        steps = _X_STEP * _OFFS[:, None, None] * np.eye(n)  # [offset, k]
+        offs = np.concatenate((np.zeros((1, n)), steps.reshape(4 * n, n)))
+        alpha, beta = metric.coefficients(X[:, None, :] + offs)
+
+        def split(c):
+            # values at X and the x-derivatives [m, k, ...] from the stencil
+            D = c[:, 1:].reshape((M, 4, n) + c.shape[2:])
+            return c[:, 0], np.einsum("j,mjk...->mk...", _WGTS / _X_STEP, D)
+
+        self.quad = beta is None
         if self.quad:
-            self.A = norm.matrix
-            self.DA = central_diff(lambda xv: metric.norm_at(xv).matrix,
-                                   x, _X_STEP)
+            alpha = 0.5 * (alpha + np.swapaxes(alpha, -1, -2))
+            try:
+                np.linalg.cholesky(alpha)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite("quadratic form matrix is not SPD")
+            self.norm = pointwise_norm(alpha[0, 0], None)
+            self.A, self.DA = split(alpha)
         else:
-            self.alpha = norm.alpha
-            self.beta = norm.beta
+            self.norm = pointwise_norm(alpha[0, 0], beta[0, 0])
+            self.alpha, self.Dalpha = split(alpha)
+            self.beta, self.Dbeta = split(beta)
 
-            def coeffs(xv):
-                nb = metric.norm_at(xv)
-                return np.concatenate((nb.alpha, nb.beta[None]))
-
-            D = central_diff(coeffs, x, _X_STEP)
-            self.Dalpha = D[:, :n]
-            self.Dbeta = D[:, n]
-
-    def spray(self, y: np.ndarray) -> np.ndarray:
+    def spray(self, idx, Y: np.ndarray) -> np.ndarray:
+        """G(X[idx[s]], Y[s]) for each pair s, with one batched solve."""
+        Yk = Y[:, None, :]                              # y against each k
         if self.quad:
-            DAy = self.DA @ y                       # (k, l)
-            s = DAy @ y                             # y^T dA/dx^k y
-            rhs = 2.0 * (y @ DAy) - s
-            return 0.25 * np.linalg.solve(self.A, rhs)
-        a, F, p, m, g = randers_fiber(self.alpha, self.beta, y)
-        Day = self.Dalpha @ y                       # (k, l)
-        s = Day @ y                                 # (k,)
-        dF = s / (2.0 * a) + self.Dbeta @ y         # dF/dx^k
-        mixed = 2.0 * (dF[:, None] * m
-                       + F * (Day / a - s[:, None] * p / (2.0 * a * a)
-                              + self.Dbeta))
-        rhs = y @ mixed - 2.0 * F * dF
-        return 0.25 * np.linalg.solve(g, rhs)
+            DAy = _matvec(self.DA[idx], Yk)             # (s, k, l)
+            s = _matvec(DAy, Y)                         # y^T dA/dx^k y
+            rhs = 2.0 * (Yk @ DAy)[:, 0] - s
+            return 0.25 * np.linalg.solve(self.A[idx], rhs[..., None])[..., 0]
+        a, F, p, m, g = randers_fiber(self.alpha[idx], self.beta[idx], Y)
+        Dbeta = self.Dbeta[idx]
+        a, F = a[:, None], F[:, None]
+        Day = _matvec(self.Dalpha[idx], Yk)             # (s, k, l)
+        s = _matvec(Day, Y)                             # (s, k)
+        dF = s / (2.0 * a) + _matvec(Dbeta, Y)          # dF/dx^k
+        mixed = 2.0 * (dF[..., None] * m[:, None, :]
+                       + F[..., None] * (Day / a[..., None]
+                                         - s[..., None] * p[:, None, :]
+                                         / (2.0 * a * a)[..., None]
+                                         + Dbeta))
+        rhs = (Yk @ mixed)[:, 0] - 2.0 * F * dF
+        return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
 def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
@@ -116,7 +140,18 @@ def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
     if not np.any(y):
         raise ZeroBaseVector("spray undefined at y = 0")
     _check_stencil(metric, x, _X_STEP * 2.0)
-    return _LocalModel(metric, x).spray(y)
+    return _LocalModel(metric, x[None]).spray([0], y[None])[0]
+
+
+def _flag_model(metric: MetricField, x: np.ndarray,
+                y: np.ndarray) -> _LocalModel:
+    # spray models at x (row 0), at the x-stencil of G (rows 1 to 4n,
+    # offset-major) and at the stencil along y (the last 4 rows)
+    n = len(x)
+    steps = _OUT_STEP * _OFFS[:, None, None] * np.eye(n)
+    along = _OUT_STEP * _OFFS[:, None] * (y / np.linalg.norm(y))
+    X = np.concatenate((x[None], (x + steps).reshape(4 * n, n), x + along))
+    return _LocalModel(metric, X)
 
 
 def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
@@ -126,31 +161,40 @@ def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
     if not np.any(y):
         raise ZeroBaseVector("Riemann curvature undefined at y = 0")
     _check_stencil(metric, x, _RIEMANN_REACH)
-    return _riemann(metric, x, y, _LocalModel(metric, x))
+    return _riemann(_flag_model(metric, x, y), y)
 
 
-def _riemann(metric: MetricField, x: np.ndarray, y: np.ndarray,
-             base: _LocalModel) -> np.ndarray:
-    # R(y) from the model at x; the caller has checked the stencil reach
+def _riemann(model: _LocalModel, y: np.ndarray) -> np.ndarray:
+    # R(y) from the models of _flag_model, built for a positive multiple
+    # of y; the caller has checked the stencil reach
+    n = len(y)
     h = _OUT_STEP
-
-    def y_jacobian(model: _LocalModel, yv: np.ndarray) -> np.ndarray:
-        return central_diff(model.spray, yv, h)       # [k, i] = dG^i/dy^k
-
-    G0 = base.spray(y)
-    dGdx = central_diff(lambda xv: _LocalModel(metric, xv).spray(y), x, h).T
-    dGdy = y_jacobian(base, y).T
-    # y^j d^2G/dx^j dy^k: the y-Jacobian differentiated in x along y, so
-    # each of the four off-center models is built once
-    yn = np.linalg.norm(y)
-    mixed = yn * central_diff(
-        lambda xv: y_jacobian(_LocalModel(metric, xv), y), x, h, y / yn)[0].T
-    # G^j d^2G/dy^j dy^k: the y-Jacobian differentiated in y along G
+    steps = h * _OFFS[:, None, None] * np.eye(n)       # [offset, k]
+    G0 = model.spray([0], y[None])[0]
     g0n = np.linalg.norm(G0)
-    second = np.zeros_like(dGdy)
+    Yd = (y + steps).reshape(4 * n, n)                  # y-stencil of G
+    base = np.zeros(4 * n, dtype=int)
+    # dG/dx: y at the x-stencil models; dG/dy: the y-stencil at x;
+    # y^j d^2G/dx^j dy^k: the y-stencil at the four models along y;
+    # G^j d^2G/dy^j dy^k: the y-stencil at x around each point along G0
+    idx = [np.arange(1, 4 * n + 1), base,
+           np.repeat(np.arange(4 * n + 1, 4 * n + 5), 4 * n)]
+    Ys = [np.broadcast_to(y, (4 * n, n)), Yd, np.tile(Yd, (4, 1))]
     if g0n > 1e-14:
-        second = g0n * central_diff(
-            lambda yv: y_jacobian(base, yv), y, h, G0 / g0n)[0].T
+        along = y + h * _OFFS[:, None] * (G0 / g0n)
+        idx.append(np.tile(base, 4))
+        Ys.append((along[:, None, None] + steps).reshape(16 * n, n))
+    G = model.spray(np.concatenate(idx), np.concatenate(Ys))
+    G = G.reshape(-1, 4, n, n)                  # [block, offset, k, i]
+    w = _WGTS / h
+    dGdx = np.einsum("j,jki->ik", w, G[0])
+    dGdy = np.einsum("j,jki->ik", w, G[1])
+    # the stencil along y (or G0) of the y-Jacobians of blocks 2-5 (6-9)
+    jac = np.einsum("j,ajki->aki", w, G[2:])
+    mixed = np.linalg.norm(y) * np.einsum("a,aki->ik", w, jac[:4])
+    second = 0.0
+    if g0n > 1e-14:
+        second = g0n * np.einsum("a,aki->ik", w, jac[4:])
     return 2.0 * dGdx - mixed + 2.0 * second - dGdy @ dGdy
 
 
@@ -179,8 +223,8 @@ def flag_curvature(metric: MetricField, flag: Flag) -> float:
     """
     x, y, v = flag.x, flag.y, flag.v
     _check_stencil(metric, x, _RIEMANN_REACH)
-    base = _LocalModel(metric, x)
-    norm = base.norm
+    model = _flag_model(metric, x, y)
+    norm = model.norm
     Fy = norm(y)
     if Fy <= 0.0:
         raise ZeroBaseVector("flagpole has zero length")
@@ -192,7 +236,7 @@ def flag_curvature(metric: MetricField, flag: Flag) -> float:
     if vv <= 1e-12 * gyy * float(flag.v @ flag.v + 1.0):
         raise DegenerateFlag("flag plane is numerically degenerate")
     v = v / np.sqrt(vv)
-    R = _riemann(metric, x, y, base)
+    R = _riemann(model, y)
     return float((R @ v) @ g @ v)
 
 

@@ -36,22 +36,48 @@ class SqJet(NamedTuple):
     hess: np.ndarray
 
 
+# Stacked products that run, per point, the BLAS kernel of the one-point
+# product, so a batched evaluation reproduces the one-point values bit for
+# bit; one-point operands take the plain product, which is cheaper to call.
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the leading axes."""
+    if u.ndim == v.ndim == 1:
+        return u @ v
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v over the leading axes."""
+    if v.ndim == 1:
+        return M @ v
+    return (M @ v[..., None])[..., 0]
+
+
+def _any(b: np.ndarray) -> bool:
+    """b.any(), skipping the reduction, which is slow on a numpy scalar."""
+    return bool(b.any() if b.ndim else b)
+
+
 def randers_fiber(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray):
     """Fiber data (a, F, p, m, g) of F(y) = sqrt(y^T alpha y) + beta . y.
 
     a = |y|_alpha, F = a + beta . y, p = alpha y / a = grad a,
     m = p + beta = grad F, and the fundamental tensor
     g = 1/2 Hess F^2 = (F / a)(alpha - p p^T) + m m^T.
+
+    Broadcasts over the leading axes of (alpha, beta, y).
     """
-    ay = alpha @ y
-    a2 = float(y @ ay)
-    if a2 <= 0.0:
+    ay = _matvec(alpha, y)
+    a2 = _dot(y, ay)
+    if _any(a2 <= 0.0):
         raise ZeroBaseVector("Randers F^2 is not differentiable at y = 0")
-    a = math.sqrt(a2)
-    F = a + float(beta @ y)
-    p = ay / a
+    a = np.sqrt(a2)
+    F = a + _dot(beta, y)
+    p = ay / a[..., None]
     m = p + beta
-    g = (F / a) * (alpha - p[:, None] * p) + m[:, None] * m
+    g = ((F / a)[..., None, None] * (alpha - p[..., :, None] * p[..., None, :])
+         + m[..., :, None] * m[..., None, :])
     return a, F, p, m, g
 
 
@@ -121,13 +147,13 @@ class NormEvaluator:
     def sq_jet(self, y) -> SqJet:
         """Value, gradient and Hessian of F^2 at y, in closed form."""
         y = np.asarray(y, dtype=float)
-        if not np.any(y):
+        if not y.any():
             raise ZeroBaseVector("F^2 is not twice differentiable at y = 0")
         if self.is_quadratic:
             Ay = self.matrix @ y
             return SqJet(float(y @ Ay), 2.0 * Ay, 2.0 * self.matrix)
         _, F, _, m, g = randers_fiber(self.alpha, self.beta, y)
-        return SqJet(F * F, 2.0 * F * m, 2.0 * g)
+        return SqJet(float(F * F), 2.0 * F * m, 2.0 * g)
 
     # -- serialization -------------------------------------------------
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import WindTooStrong
-from .minkowski import NormEvaluator
+from .minkowski import NormEvaluator, _any, _dot, _matvec
 from .report import VerificationReport, worst_deviation
 
 
@@ -46,15 +46,19 @@ class NavigationDatum:
 
 
 def randers_from_navigation(A: np.ndarray, w: np.ndarray):
-    """Randers data (alpha, beta) of the metric navigated from (sqrt(y^T A y), w)."""
+    """Randers data (alpha, beta) of the metric navigated from (sqrt(y^T A y), w).
+
+    Broadcasts over the leading axes of (A, w).
+    """
     A = np.asarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
-    lam = 1.0 - float(w @ A @ w)
-    if lam <= 0.0:
+    lam = 1.0 - _dot(_matvec(A.swapaxes(-1, -2), w), w)   # w^T A w
+    if _any(lam <= 0.0):
         raise WindTooStrong("quadratic wind has norm >= 1")
-    Aw = A @ w
-    alpha = (lam * A + np.outer(Aw, Aw)) / (lam * lam)
-    beta = -Aw / lam
+    Aw = _matvec(A, w)
+    lam2 = lam[..., None, None]
+    alpha = (lam2 * A + Aw[..., :, None] * Aw[..., None, :]) / (lam2 * lam2)
+    beta = -Aw / lam[..., None]
     return alpha, beta
 
 

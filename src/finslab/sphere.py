@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ChartBoundary, DimensionMismatch, LambdaOutOfRange,
                      NotSkew, WindTooStrong)
-from .minkowski import NormEvaluator
+from .minkowski import NormEvaluator, _any, _dot, _matvec
 from .navigation import randers_from_navigation
 
 
@@ -46,15 +46,20 @@ class Chart:
         self.n = len(c) - 1
         self.radius = float(radius)
 
-    def _check(self, x: np.ndarray):
-        if np.linalg.norm(x) >= self.radius:
-            raise ChartBoundary(f"|x| = {np.linalg.norm(x):.3f} outside chart")
+    def _lift(self, x: np.ndarray) -> tuple:
+        # (1 + |x|^2, center + B x) over the leading axes of x, after the
+        # domain check
+        xx = _dot(x, x)
+        r = np.sqrt(xx)
+        if _any(r >= self.radius):
+            raise ChartBoundary(f"|x| = {np.max(r):.3f} outside chart")
+        return 1.0 + xx, self.center + _matvec(self.basis, x)
 
     def map(self, x) -> np.ndarray:
+        """map(x), over the leading axes of x."""
         x = np.asarray(x, dtype=float)
-        self._check(x)
-        p = self.center + self.basis @ x
-        return p / np.sqrt(1.0 + x @ x)
+        s2, p = self._lift(x)
+        return p / np.sqrt(s2)[..., None]
 
     def coords(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -64,18 +69,17 @@ class Chart:
         return (self.basis.T @ p) / c
 
     def jacobian(self, x) -> np.ndarray:
-        """d map / dx, an (n+1) x n matrix of tangent columns."""
+        """d map / dx, an (n+1) x n matrix of tangent columns per point."""
         x = np.asarray(x, dtype=float)
-        self._check(x)
-        s2 = 1.0 + x @ x
+        s2, p_uns = self._lift(x)
+        s2 = s2[..., None, None]
         s = np.sqrt(s2)
-        p_uns = self.center + self.basis @ x
-        return self.basis / s - np.outer(p_uns, x) / (s * s2)
+        return self.basis / s - p_uns[..., :, None] * x[..., None, :] / (s * s2)
 
     def pullback_round(self, x) -> np.ndarray:
         """Matrix of the round metric in chart coordinates, J^T J."""
         J = self.jacobian(x)
-        return J.T @ J
+        return J.swapaxes(-1, -2) @ J
 
     def pull_tangent(self, x, u_amb) -> np.ndarray:
         """Ambient tangent vector at map(x) to chart coordinates."""
@@ -156,15 +160,19 @@ def standard_rotation(dim: int, lam: float) -> KillingField:
 
 
 class MetricField:
-    """A chart-local Finsler metric: x -> NormEvaluator.
+    """A chart-local Finsler metric: chart points -> pointwise norms.
 
-    kind is one of "round-h", "randers-from-navigation" (carrying the
-    Killing wind) or "localization" (quadratic field frozen along a base
-    vector field).  Every norm_at call builds the pointwise norm afresh.
+    The builder maps chart points X, an array whose last axis is the
+    chart dimension n, to the coefficient arrays of the pointwise norms
+    over the leading axes of X: (A, None) for a quadratic field and
+    (alpha, beta) for a Randers field.  kind is one of "round-h",
+    "randers-from-navigation" (carrying the Killing wind) or
+    "localization" (quadratic field frozen along a base vector field).
+    Every call builds the coefficients afresh.
     """
 
     def __init__(self, chart: Chart, kind: str,
-                 builder: Callable[["MetricField", np.ndarray], NormEvaluator],
+                 builder: Callable[["MetricField", np.ndarray], tuple],
                  wind: Optional[KillingField] = None):
         self.chart = chart
         self.kind = kind
@@ -175,8 +183,13 @@ class MetricField:
     def dim(self) -> int:
         return self.chart.n
 
+    def coefficients(self, X) -> tuple:
+        """(A, None) or (alpha, beta) over the leading axes of X."""
+        return self._builder(self, np.asarray(X, dtype=float))
+
     def norm_at(self, x) -> NormEvaluator:
-        return self._builder(self, np.asarray(x, dtype=float))
+        """The pointwise norm at the single chart point x."""
+        return pointwise_norm(*self.coefficients(x))
 
     def value(self, x, y) -> float:
         """F(x, y) for a chart point x and chart tangent vector y."""
@@ -192,11 +205,20 @@ class MetricField:
         raise ChartBoundary(f"{self.kind} metric cannot be re-centered")
 
 
+def pointwise_norm(alpha: np.ndarray, beta: Optional[np.ndarray]
+                   ) -> NormEvaluator:
+    """The norm of one point's coefficients: quadratic (checked SPD) when
+    beta is None, else Randers (valid by construction of the field)."""
+    if beta is None:
+        return NormEvaluator.quadratic(alpha)
+    return NormEvaluator._randers_unchecked(alpha, beta)
+
+
 def round_metric(chart: Chart) -> MetricField:
     """Pullback of the ambient Euclidean metric: quadratic at every point."""
 
-    def build(field: MetricField, x: np.ndarray) -> NormEvaluator:
-        return NormEvaluator.quadratic(field.chart.pullback_round(x))
+    def build(field: MetricField, X: np.ndarray) -> tuple:
+        return field.chart.pullback_round(X), None
 
     return MetricField(chart, "round-h", build)
 
@@ -214,16 +236,19 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
     if killing_norm(W) >= 1.0:
         raise WindTooStrong(f"killing_norm(W) = {killing_norm(W):.6f} >= 1")
 
-    def build(field: MetricField, x: np.ndarray) -> NormEvaluator:
+    eye = np.eye(chart.n)
+
+    def build(field: MetricField, X: np.ndarray) -> tuple:
         chart_ = field.chart
-        J = chart_.jacobian(x)
-        A = J.T @ J
-        p = chart_.map(x)
+        J = chart_.jacobian(X)
+        Jt = J.swapaxes(-1, -2)
+        A = Jt @ J
+        p = chart_.map(X)
         # gnomonic pullback has the closed-form inverse (1+r^2)(I + x x^T)
-        Ainv = (1.0 + x @ x) * (np.eye(len(x)) + np.outer(x, x))
-        w_chart = Ainv @ (J.T @ (W.matrix @ p))
-        alpha, beta = randers_from_navigation(A, w_chart)
-        return NormEvaluator._randers_unchecked(alpha, beta)
+        Ainv = (1.0 + _dot(X, X))[..., None, None] \
+            * (eye + X[..., :, None] * X[..., None, :])
+        w_chart = _matvec(Ainv, _matvec(Jt, _matvec(W.matrix, p)))
+        return randers_from_navigation(A, w_chart)
 
     return MetricField(chart, "randers-from-navigation", build, wind=W)
 
@@ -233,9 +258,12 @@ def localization_field(base: MetricField,
     """Riemannian field g^F_Y: the fundamental tensor of ``base`` frozen
     along the nonvanishing chart vector field Y."""
 
-    def build(field: MetricField, x: np.ndarray) -> NormEvaluator:
-        G = 0.5 * base.norm_at(x).sq_jet(Y(x)).hess
-        return NormEvaluator.quadratic(0.5 * (G + G.T))
+    def build(field: MetricField, X: np.ndarray) -> tuple:
+        # Y is an arbitrary callable of one point, so evaluate it pointwise
+        pts = X.reshape(-1, X.shape[-1])
+        G = np.array([0.5 * base.norm_at(x).sq_jet(Y(x)).hess for x in pts])
+        G = 0.5 * (G + np.swapaxes(G, -1, -2))
+        return G.reshape(X.shape + X.shape[-1:]), None
 
     return MetricField(base.chart, "localization", build)
 

@@ -5,7 +5,8 @@ finite differences instead of jets and sprays, direction scans and Newton
 iteration instead of the closed-form Legendre dual, sampling ascent
 instead of eigenvalues, coordinate-formula Laplacians instead of the
 divergence form, fixed spaces of conjugations on the full skew-matrix
-space instead of the null space on so(l).
+space instead of the null space on so(l), one spray model per stencil
+point instead of the batched flag stencil.
 """
 
 import numpy as np
@@ -118,6 +119,105 @@ def fd_spray(metric, x, y, h=1e-4):
                            - minus(y + E[l]) ** 2
                            + minus(y - E[l]) ** 2) / (4 * h * h)
     return 0.25 * np.linalg.solve(g, y @ mixed - dx)
+
+
+# fourth-order central stencil of the pointwise curvature oracle, kept
+# apart from curvature.py's
+_OFFS4 = (-2.0, -1.0, 1.0, 2.0)
+_WGTS4 = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+
+
+def _diff4(fn, x, h, direction=None):
+    """Fourth-order central derivatives of fn at x, one point at a time:
+    along the coordinate axes ([k] = d fn / dx^k), or along direction."""
+    x = np.asarray(x, dtype=float)
+    dirs = np.eye(len(x)) if direction is None else [np.asarray(direction)]
+    out = np.array([sum(w * np.asarray(fn(x + o * h * d))
+                        for o, w in zip(_OFFS4, _WGTS4)) / h for d in dirs])
+    return out if direction is None else out[0]
+
+
+class _PointModel:
+    """Closed-form spray at one chart point, from norm_at of the point and
+    of its coordinate stencil: the per-point path the batched curvature
+    replaces."""
+
+    def __init__(self, metric, x, h=1e-4):
+        norm = self.norm = metric.norm_at(x)
+        self.quad = norm.is_quadratic
+        if self.quad:
+            self.A = norm.matrix
+            self.DA = _diff4(lambda xv: metric.norm_at(xv).matrix, x, h)
+        else:
+            self.alpha, self.beta = norm.alpha, norm.beta
+            self.Dalpha = _diff4(lambda xv: metric.norm_at(xv).alpha, x, h)
+            self.Dbeta = _diff4(lambda xv: metric.norm_at(xv).beta, x, h)
+
+    def fiber(self, y):
+        """(a, F, p, m, g) of the Randers norm at y: a = |y|_alpha,
+        F = a + beta.y, p = grad a, m = grad F and the fundamental tensor
+        g = (F/a)(alpha - p p^T) + m m^T."""
+        a = np.sqrt(y @ self.alpha @ y)
+        F = a + self.beta @ y
+        p = self.alpha @ y / a
+        m = p + self.beta
+        return a, F, p, m, (F / a) * (self.alpha - np.outer(p, p)) \
+            + np.outer(m, m)
+
+    def spray(self, y):
+        if self.quad:
+            DAy = self.DA @ y                        # [k, l]
+            s = DAy @ y
+            return 0.25 * np.linalg.solve(self.A, 2.0 * (y @ DAy) - s)
+        a, F, p, m, g = self.fiber(y)
+        Day = self.Dalpha @ y                        # [k, l]
+        s = Day @ y
+        dF = s / (2.0 * a) + self.Dbeta @ y          # dF/dx^k
+        mixed = 2.0 * (np.outer(dF, m)
+                       + F * (Day / a - np.outer(s, p) / (2.0 * a * a)
+                              + self.Dbeta))
+        return 0.25 * np.linalg.solve(g, y @ mixed - 2.0 * F * dF)
+
+
+def pointwise_riemann(metric, x, y, h=5e-3):
+    """R^i_k(y) = 2 dG/dx - y^j d^2G/dx^j dy + 2 G^j d^2G/dy^j dy
+    - dG/dy dG/dy, building one spray model per stencil point and one
+    norm per coefficient-stencil point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    base = _PointModel(metric, x)
+
+    def y_jacobian(model, yv):                       # [i, k] = dG^i/dy^k
+        return _diff4(model.spray, yv, h).T
+
+    G0 = base.spray(y)
+    dGdx = _diff4(lambda xv: _PointModel(metric, xv).spray(y), x, h).T
+    dGdy = y_jacobian(base, y)
+    yn = np.linalg.norm(y)
+    mixed = yn * _diff4(lambda xv: y_jacobian(_PointModel(metric, xv), y),
+                        x, h, y / yn)
+    g0n = np.linalg.norm(G0)
+    second = 0.0
+    if g0n > 1e-14:
+        second = g0n * _diff4(lambda yv: y_jacobian(base, yv), y, h,
+                              G0 / g0n)
+    return 2.0 * dGdx - mixed + 2.0 * second - dGdy @ dGdy
+
+
+def pointwise_flag_curvature(metric, x, y, v):
+    """<R_y v, v>_y / (g(y, y) g(v, v) - g(y, v)^2) at F(y) = 1, from
+    pointwise_riemann and the fundamental tensor of the oracle's model."""
+    model = _PointModel(metric, x)
+    y = np.asarray(y, dtype=float)
+    if model.quad:
+        y = y / np.sqrt(y @ model.A @ y)
+        g = model.A
+    else:
+        y = y / model.fiber(y)[1]
+        g = model.fiber(y)[4]
+    R = pointwise_riemann(metric, x, y)
+    return float((R @ v) @ g @ v / ((y @ g @ y) * (v @ g @ v)
+                                     - (y @ g @ v) ** 2))
 
 
 def sampled_killing_norm(W, samples, rng, polish_iters=60):

@@ -234,6 +234,16 @@ def test_navigation_lemma_over_a_randers_base(capsys):
     assert rep["config"]["norm"] == "euclidean-quadratic-form"
 
 
+def test_navigation_lemma_echoes_the_dimension_of_its_norm(capsys):
+    # a given norm fixes the dimension; n keeps its place in the echo
+    assert main(["verify", "navigation-lemma", "--norm",
+                 json.dumps({"kind": "euclidean-quadratic-form",
+                             "matrix": [[2, 0], [0, 1]]})]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["n"] == 2 and config["wind"] == [0.5, 0.0]
+    assert list(config)[:2] == ["check", "n"]
+
+
 _ENTRY = st.floats(-3.0, 3.0)
 
 

@@ -273,3 +273,19 @@ def test_serialization_round_trip():
         assert np.array_equal(P, Q)
     data = json.loads(sys_.to_json())
     assert set(data) == {"m", "l", "k", "matrices"}
+
+
+def test_serialization_round_trip_of_a_rotated_system():
+    # an orthogonal conjugate is still a symmetric Clifford system, with
+    # non-integer entries that JSON must carry exactly
+    sys_ = build_quiet(1, 3)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
+    rotated = CliffordSystem(m=1, l=3, matrices=[Q @ P @ Q.T
+                                                 for P in sys_.matrices],
+                             k=3, delta_m=sys_.delta_m)
+    clone = CliffordSystem.from_json(rotated.to_json())
+    for P, C in zip(rotated.matrices, clone.matrices):
+        assert np.array_equal(P, C)
+    assert centralizer(clone).dim == centralizer(sys_).dim == 3
+    # built systems keep their integer JSON
+    assert '.' not in json.dumps(json.loads(sys_.to_json())["matrices"])

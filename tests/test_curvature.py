@@ -2,22 +2,24 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from conftest import fd_spray
+from conftest import fd_spray, pointwise_flag_curvature
 from finslab.curvature import (Flag, central_diff, flag_curvature,
                                geodesic_spray, integrate_geodesic,
                                riemann_curvature)
 from finslab.errors import (ChartBoundary, DegenerateFlag,
                             DifferentiationFailure)
-from finslab.minkowski import NormEvaluator
-from finslab.sphere import (Chart, MetricField, block_killing, randers_sphere,
+from finslab.sphere import (Chart, KillingField, MetricField, block_killing,
+                            killing_norm, localization_field, randers_sphere,
                             round_metric, standard_rotation)
 
 
 def flat_metric(n: int) -> MetricField:
     chart = Chart(np.eye(n + 1)[0])
     return MetricField(chart, "localization",
-                       lambda fld, x: NormEvaluator.euclidean(n))
+                       lambda fld, X: (np.broadcast_to(
+                           np.eye(n), X.shape[:-1] + (n, n)), None))
 
 
 def test_central_diff_exact_on_quartics():
@@ -161,20 +163,57 @@ def test_randers_sphere_curvature_where_wind_vanishes():
 
 
 def test_flag_curvature_builds_the_base_norm_once():
-    # a flag builds the model at x (1 + 4n norms) and 4n + 4 models off
-    # x for the x- and mixed derivatives; the norm at x is not built again
+    # a flag needs spray models at x and at 4n + 4 points off x for the
+    # x- and mixed derivatives, each with its 4n-point coefficient
+    # stencil: one builder call sees all (1 + 4n)(4n + 5) points, and the
+    # base point x only once
     rng = np.random.default_rng(9)
     for met, n, count in (
             (randers_sphere(Chart(rng.standard_normal(4)),
                             standard_rotation(4, 0.4)), 3, 221),
             (randers_sphere(Chart([0.6, 0.8, 0.0]),
                             block_killing(1, [0.5], [1])), 2, 117)):
-        builds = []
+        seen = []
         build = met._builder
-        met._builder = lambda fld, x, b=build: builds.append(1) or b(fld, x)
-        flag_curvature(met, Flag(rng.standard_normal(n) * 0.3,
-                                 *rng.standard_normal((2, n))))
-        assert len(builds) == count == (1 + 4 * n) * (4 * n + 5)
+        met._builder = lambda fld, X, b=build: seen.append(X) or b(fld, X)
+        x = rng.standard_normal(n) * 0.3
+        flag_curvature(met, Flag(x, *rng.standard_normal((2, n))))
+        assert len(seen) == 1
+        pts = seen[0].reshape(-1, n)
+        assert len(pts) == count == (1 + 4 * n) * (4 * n + 5)
+        assert np.all(pts == x, axis=1).sum() == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flag_curvature_matches_pointwise_oracle(n):
+    # the batched flag stencil against one spray model per stencil point
+    rng = np.random.default_rng(20 + n)
+    M = rng.standard_normal((n + 1, n + 1))
+    M = M - M.T
+    W = KillingField(0.6 * M / killing_norm(KillingField(M)))
+    met = randers_sphere(Chart(rng.standard_normal(n + 1)), W)
+    for _ in range(3):
+        x = rng.standard_normal(n) * 0.5
+        y, v = rng.standard_normal((2, n))
+        K = flag_curvature(met, Flag(x, y, v))
+        assert abs(K - pointwise_flag_curvature(met, x, y, v)) < 1e-6
+
+
+def test_localization_curvature_matches_pointwise_oracle():
+    # a Randers tensor frozen along a non-geodesic field is a Riemannian
+    # metric with nonconstant curvature, so K = 1 would not pass here
+    met = randers_sphere(Chart([0.3, -0.5, 0.8, 0.1]),
+                         standard_rotation(4, 0.5))
+    loc = localization_field(
+        met, lambda x: np.array([1.0, 0.3, -0.2]) + 0.5 * x)
+    rng = np.random.default_rng(21)
+    Ks = []
+    for _ in range(4):
+        x = rng.standard_normal(3) * 0.3
+        y, v = rng.standard_normal((2, 3))
+        Ks.append(flag_curvature(loc, Flag(x, y, v)))
+        assert abs(Ks[-1] - pointwise_flag_curvature(loc, x, y, v)) < 1e-6
+    assert max(Ks) - min(Ks) > 0.05
 
 
 def test_flag_projective_invariance():
@@ -273,6 +312,27 @@ def test_geodesic_energy_conservation():
     path = integrate_geodesic(met, np.zeros(3), rng.standard_normal(3),
                               np.pi, steps=1000)
     assert np.abs(path.F_values - 1.0).max() < 1e-6
+
+
+@pytest.mark.parametrize("W, seed", [(block_killing(1, [0.5], [1]), 0),
+                                     (standard_rotation(4, 0.5), 1)])
+def test_randers_geodesic_matches_closed_form(W, seed):
+    # an F-geodesic with F-unit initial velocity v at p is the unit great
+    # circle through p with velocity u = v - W p, carried by the flow of
+    # W: gamma(t) = exp(tW)(cos t p + sin t u), over a full turn
+    rng = np.random.default_rng(seed)
+    n = W.ambient_dim - 1
+    chart = Chart(rng.standard_normal(n + 1))
+    met = randers_sphere(chart, W)
+    x0 = rng.standard_normal(n) * 0.3
+    y0 = rng.standard_normal(n)
+    path = integrate_geodesic(met, x0, y0, 2.0 * np.pi, steps=200)
+    p = chart.map(x0)
+    u = chart.jacobian(x0) @ y0 / met.value(x0, y0) - W(p)
+    expect = np.array([expm(t * W.matrix) @ (np.cos(t) * p + np.sin(t) * u)
+                       for t in path.times])
+    assert len(path.recenters) > 0
+    assert np.abs(path.ambient_points - expect).max() < 1e-5
 
 
 def test_geodesic_csv_export(tmp_path):
