@@ -193,24 +193,30 @@ def anticommutation_error(sys_: CliffordSystem) -> float:
     return worst
 
 
+def _stacked_products(sys_: CliffordSystem, x: np.ndarray) -> tuple:
+    # (P_i x, <P_i x, x>) over the leading axes of x, stacked on axes -2
+    # and -1, from one product of x with the stacked rows of the P_i
+    P = np.asarray(sys_.matrices)
+    Px = (x @ P.reshape(-1, P.shape[-1]).T).reshape(x.shape[:-1] + P.shape[:2])
+    return Px, (Px @ x[..., :, None])[..., 0]
+
+
 def otfkm_value(sys_: CliffordSystem, x) -> float:
-    """f(x) = |x|^4 - 2 sum <P_i x, x>^2 on the unit sphere (x renormalized)."""
+    """f(x) = |x|^4 - 2 sum <P_i x, x>^2 on the unit sphere (x renormalized),
+    over the rows of x."""
     x = np.asarray(x, dtype=float)
-    x = x / np.linalg.norm(x)
-    total = 0.0
-    for P in sys_.matrices:
-        total += float(x @ P @ x) ** 2
-    return 1.0 - 2.0 * total
+    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    _, xPx = _stacked_products(sys_, x)
+    return 1.0 - 2.0 * np.sum(xPx * xPx, axis=-1)
 
 
 def otfkm_gradient(sys_: CliffordSystem, x) -> np.ndarray:
-    """Ambient gradient 4 |x|^2 x - 8 sum <P_i x, x> P_i x."""
+    """Ambient gradient 4 |x|^2 x - 8 sum <P_i x, x> P_i x, over the rows
+    of x."""
     x = np.asarray(x, dtype=float)
-    grad = 4.0 * float(x @ x) * x
-    for P in sys_.matrices:
-        Px = P @ x
-        grad -= 8.0 * float(x @ Px) * Px
-    return grad
+    Px, xPx = _stacked_products(sys_, x)
+    xx = (x[..., None, :] @ x[..., :, None])[..., 0]
+    return 4.0 * xx * x - 8.0 * np.sum(xPx[..., None] * Px, axis=-2)
 
 
 @dataclass

@@ -28,10 +28,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from .clifford import CliffordSystem, otfkm_gradient, otfkm_value
-from .curvature import central_diff
+from .curvature import _OFFS, _WGTS
 from .errors import (ClusterAmbiguity, CriticalPoint, EmptyLevel,
                      StencilEscape)
-from .minkowski import legendre_solve
+from .minkowski import _any, _dot, _matvec, legendre_solve, randers_fiber
 from .report import VerificationReport, worst_deviation
 from .sphere import Chart, KillingField, MetricField, random_sphere_points
 
@@ -39,43 +39,47 @@ _CRITICAL_EPS = 1e-10
 
 
 class SphereFunction:
-    """A smooth scalar function on S^n given by an ambient rule."""
+    """A smooth scalar function on S^n given by an ambient rule.
+
+    value maps points (..., n+1) to values (...) and gradient, when given,
+    to ambient gradients (..., n+1): both broadcast over the rows of a
+    stack of points.
+    """
 
     def __init__(self, ambient_dim: int, kind: str,
-                 value: Callable[[np.ndarray], float],
+                 value: Callable[[np.ndarray], np.ndarray],
                  gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.ambient_dim = ambient_dim
         self.kind = kind
         self._value = value
         self._gradient = gradient
 
-    def __call__(self, p) -> float:
-        return float(self._value(np.asarray(p, dtype=float)))
+    def __call__(self, p):
+        """f(p): a float for one point, an array over the rows of a stack."""
+        v = self._value(np.asarray(p, dtype=float))
+        return float(v) if np.ndim(v) == 0 else v
 
     def gradient(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if self._gradient is not None:
             return self._gradient(p)
-        h = 1e-6
-        g = np.zeros(self.ambient_dim)
-        for i in range(self.ambient_dim):
-            e = np.zeros(self.ambient_dim)
-            e[i] = h
-            g[i] = (self._value(p + e) - self._value(p - e)) / (2.0 * h)
-        return g
+        E = 1e-6 * np.eye(self.ambient_dim)
+        q = p[..., None, :]
+        return (self._value(q + E) - self._value(q - E)) / 2e-6
 
     def tangent_gradient(self, p) -> np.ndarray:
         """Ambient gradient projected onto T_p S^n."""
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)
-        return g - (g @ p) * p
+        return g - _dot(g, p)[..., None] * p
 
-    def chart_value(self, chart: Chart, x) -> float:
+    def chart_value(self, chart: Chart, x):
         return self(chart.map(x))
 
     def chart_gradient(self, chart: Chart, x) -> np.ndarray:
         """d(f o map) at x: the chart covector of df."""
-        return chart.jacobian(x).T @ self.gradient(chart.map(x))
+        J = chart.jacobian(x)
+        return _matvec(J.swapaxes(-1, -2), self.gradient(chart.map(x)))
 
     def __neg__(self) -> "SphereFunction":
         grad = None
@@ -94,8 +98,8 @@ def height_function(ambient_dim: int, axis=0) -> SphereFunction:
     else:
         a = np.asarray(axis, dtype=float)
         a = a / np.linalg.norm(a)
-    return SphereFunction(ambient_dim, "height",
-                          lambda p: float(p @ a), lambda p: a.copy())
+    return SphereFunction(ambient_dim, "height", lambda p: _dot(p, a),
+                          lambda p: np.broadcast_to(a, p.shape).copy())
 
 
 def otfkm_function(sys_: CliffordSystem) -> SphereFunction:
@@ -109,16 +113,14 @@ def split_quadratic_function(ambient_dim: int, p_split: int) -> SphereFunction:
     """f(x) = |x_first|^2 - |x_rest|^2; levels are products of spheres."""
     mask = np.ones(ambient_dim)
     mask[p_split:] = -1.0
-
-    def val(p):
-        return float(mask @ (p * p))
-
-    return SphereFunction(ambient_dim, "split-quadratic", val,
+    return SphereFunction(ambient_dim, "split-quadratic",
+                          lambda p: _dot(p * p, mask),
                           lambda p: 2.0 * mask * p)
 
 
 def custom_sphere_function(ambient_dim: int, value,
                            gradient=None) -> SphereFunction:
+    """A SphereFunction from rules that broadcast over rows."""
     return SphereFunction(ambient_dim, "custom", value, gradient)
 
 
@@ -129,58 +131,76 @@ class LevelSetSample:
     point: np.ndarray
     f_value: float
     h_gradient: np.ndarray
-    F_gradient: Optional[np.ndarray] = None
-    weight: float = 1.0
+
+
+def _project(f: SphereFunction, c: float, P: np.ndarray,
+             newton_cap: int) -> tuple:
+    # Newton projection of the rows of P onto {f = c} along the tangential
+    # gradient, each row halving its own step until its residual drops;
+    # returns the projected rows and whether each reached |f - c| < 1e-12
+    P = P.copy()
+    R = f(P) - c
+    ok = np.zeros(len(P), dtype=bool)
+    live = np.arange(len(P))
+    for _ in range(newton_cap):
+        done = np.abs(R[live]) < 1e-12
+        ok[live[done]] = True
+        live = live[~done]
+        t = f.tangent_gradient(P[live])
+        tt = _dot(t, t)
+        go = tt >= 1e-12
+        live, t, tt = live[go], t[go], tt[go]
+        p, r = P[live], R[live]
+        step = (-r / tt)[:, None] * t
+        scale = np.ones(len(live))
+        todo = np.arange(len(live))
+        for _ in range(30):
+            q = p[todo] + scale[todo, None] * step[todo]
+            q = q / np.linalg.norm(q, axis=1, keepdims=True)
+            rq = f(q) - c
+            better = np.abs(rq) < np.abs(r[todo])
+            P[live[todo[better]]] = q[better]
+            R[live[todo[better]]] = rq[better]
+            todo = todo[~better]
+            scale[todo] *= 0.5
+            if not len(todo):
+                break
+        live = np.delete(live, todo)        # the rows whose halving stalled
+        if not len(live):
+            break
+    return P, ok
 
 
 def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
-                     metric: Optional[MetricField] = None,
                      newton_cap: int = 60) -> list[LevelSetSample]:
     """Draw ``count`` points with |f - c| < 1e-10 by Newton projection.
 
     Random sphere points flow along the tangential gradient of f (with
-    step halving when the residual worsens) until the level is hit.
-    Deterministic given the seed; raises EmptyLevel when no seed point
-    converges (e.g. c outside the range of f).
+    step halving when the residual worsens) until the level is hit.  The
+    seeds go through in blocks drawn from one generator stream, so the
+    points and their order are those of a seed-by-seed pass over at most
+    40 count + 200 seeds.  Deterministic given the seed; raises
+    EmptyLevel when no seed point converges (e.g. c outside the range of
+    f).
     """
     rng = np.random.default_rng(seed)
     n = f.ambient_dim - 1
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 40 * count + 200:
-        attempts += 1
-        p = random_sphere_points(n, 1, rng)[0]
-        ok = False
-        for _ in range(newton_cap):
-            r = f(p) - c
-            if abs(r) < 1e-12:
-                ok = True
-                break
-            t = f.tangent_gradient(p)
-            tt = float(t @ t)
-            if tt < 1e-12:
-                break
-            step = -r / tt * t
-            scale = 1.0
-            for _ in range(30):
-                q = p + scale * step
-                q = q / np.linalg.norm(q)
-                if abs(f(q) - c) < abs(r):
-                    p = q
-                    break
-                scale *= 0.5
-            else:
-                break
-        if not ok or abs(f(p) - c) >= 1e-10:
-            continue
-        grad_t = f.tangent_gradient(p)
-        if np.linalg.norm(grad_t) <= 1e-6:
-            continue   # c must be a regular value at the found point
-        sample = LevelSetSample(point=p, f_value=f(p), h_gradient=grad_t)
-        if metric is not None:
-            fld = metric.with_center(p)
-            sample.F_gradient = nonlinear_gradient(fld, f, np.zeros(n))
-        out.append(sample)
+    attempts, cap = 0, 40 * count + 200
+    while len(out) < count and attempts < cap:
+        # as many seeds as points are missing, and at least as many as all
+        # blocks so far, so a level where seeds fail needs few passes
+        block = min(cap - attempts, max(count - len(out), attempts))
+        attempts += block
+        P, ok = _project(f, c, random_sphere_points(n, block, rng),
+                         newton_cap)
+        grad_t = f.tangent_gradient(P)
+        # c must also be a regular value at the found point
+        keep = ok & (np.linalg.norm(grad_t, axis=1) > 1e-6)
+        vals = f(P[keep])
+        out += [LevelSetSample(point=p, f_value=float(v), h_gradient=g)
+                for p, v, g in zip(P[keep], vals, grad_t[keep])]
+    out = out[:count]
     if not out:
         raise EmptyLevel(f"no sample of level {c} converged")
     if len(out) < count:
@@ -189,80 +209,106 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
     return out
 
 
-def _dual(metric: MetricField, f: SphereFunction, x) -> tuple:
-    """(norm, grad f) at a regular chart point: one pointwise norm build
-    and one Legendre solve of df.  Raises CriticalPoint when |df| < 1e-10."""
-    df = f.chart_gradient(metric.chart, x)
-    if np.linalg.norm(df) < _CRITICAL_EPS:
+def _dual(metric: MetricField, f: SphereFunction, X,
+          stencil: bool = False) -> tuple:
+    """(F(grad f), g_{grad f}, grad f) over the leading axes of the chart
+    points X: one builder call and one Legendre solve of df.
+
+    Raises CriticalPoint where |df| < 1e-10.  With stencil=True, X[0]
+    holds the centers and X[1:] their stencil points, and a critical
+    stencil point raises StencilEscape instead.
+    """
+    X = np.asarray(X, dtype=float)
+    df = f.chart_gradient(metric.chart, X)
+    small = np.linalg.norm(df, axis=-1) < _CRITICAL_EPS
+    if _any(small[0] if stencil else small):
         raise CriticalPoint("df vanishes; nonlinear gradient undefined")
-    norm = metric.norm_at(x)
-    return norm, legendre_solve(norm, df)
+    if _any(small):
+        raise StencilEscape("stencil point hit the critical set")
+    alpha, beta = metric.coefficients(X)
+    grad = legendre_solve((alpha, beta), df)
+    if beta is None:
+        return np.sqrt(_dot(grad, _matvec(alpha, grad))), alpha, grad
+    _, F, _, _, g = randers_fiber(alpha, beta, grad)
+    return F, g, grad
+
+
+def _stencil_dual(metric: MetricField, f: SphereFunction, x,
+                  step: float) -> tuple:
+    """_dual at the chart points x (row 0) and at their 4n-point
+    coordinate stencil (rows 1 to 4n, offset-major) in one pass."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    steps = (step * _OFFS[:, None, None] * np.eye(n)).reshape(4 * n, n)
+    offs = np.concatenate((np.zeros((1, n)), steps))
+    return _dual(metric, f, x + offs.reshape((4 * n + 1,) + (1,) * (x.ndim - 1)
+                                             + (n,)), stencil=True)
+
+
+def _diff(vals: np.ndarray, step: float) -> np.ndarray:
+    """[k] = d/dx^k from values at the 4n stencil points of _stencil_dual
+    (its rows 1 to 4n)."""
+    D = vals.reshape((4, len(vals) // 4) + vals.shape[1:])
+    return np.einsum("j,j...->...", _WGTS / step, D)
 
 
 def nonlinear_gradient(metric: MetricField, f: SphereFunction,
                        x) -> np.ndarray:
-    """The Legendre dual of df at a regular chart point.
+    """The Legendre dual of df at a regular chart point (or over the rows
+    of a stack of them).
 
     Satisfies <grad f, v>^F_{grad f} = df(v) on a basis and points in the
     increasing direction of f.  Raises CriticalPoint when |df| < 1e-10.
     """
-    return _dual(metric, f, np.asarray(x, dtype=float))[1]
+    return _dual(metric, f, x)[2]
 
 
 def nonlinear_gradient_extended(metric: MetricField, f: SphereFunction,
                                 x) -> np.ndarray:
-    """Continuous extension of the nonlinear gradient: 0 on the critical set."""
+    """Continuous extension of the nonlinear gradient at one chart point:
+    0 on the critical set."""
     try:
         return nonlinear_gradient(metric, f, x)
     except CriticalPoint:
         return np.zeros(metric.dim)
 
 
-def gradient_norm(metric: MetricField, f: SphereFunction, x) -> float:
-    """F(grad f)(x), the transnormal quantity."""
-    norm, grad = _dual(metric, f, np.asarray(x, dtype=float))
-    return norm(grad)
+def gradient_norm(metric: MetricField, f: SphereFunction, x):
+    """F(grad f)(x), the transnormal quantity, over the rows of x."""
+    return _dual(metric, f, x)[0]
 
 
 def unit_gradient_field(metric: MetricField, f: SphereFunction
                         ) -> Callable[[np.ndarray], np.ndarray]:
-    """The F-unit normal field of the levels of f, grad f / F(grad f)."""
+    """The F-unit normal field of the levels of f, grad f / F(grad f),
+    over the rows of its chart points."""
 
     def field(x: np.ndarray) -> np.ndarray:
-        norm, grad = _dual(metric, f, np.asarray(x, dtype=float))
-        return grad / norm(grad)
+        F, _, grad = _dual(metric, f, x)
+        return grad / F[..., None]
 
     return field
 
 
 def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x,
-                        step: float = 1e-3) -> float:
-    """Laplace-Beltrami of f in the localization metric g^F_{grad f}."""
-    x = np.asarray(x, dtype=float)
-    norm0, grad0 = _dual(metric, f, x)
-
-    def flux(xp: np.ndarray) -> np.ndarray:
-        try:
-            norm, grad = _dual(metric, f, xp)
-        except CriticalPoint:
-            raise StencilEscape("stencil point hit the critical set") from None
-        q = 0.5 * norm.sq_jet(grad).hess
-        return np.sqrt(np.linalg.det(q)) * grad
-
-    q0 = 0.5 * norm0.sq_jet(grad0).hess
-    return np.trace(central_diff(flux, x, step)) / np.sqrt(np.linalg.det(q0))
+                        step: float = 1e-3):
+    """Laplace-Beltrami of f in the localization metric g^F_{grad f}, over
+    the rows of x."""
+    _, q, grad = _stencil_dual(metric, f, x, step)
+    flux = np.sqrt(np.linalg.det(q[1:]))[..., None] * grad[1:]
+    div = np.einsum("k...k->...", _diff(flux, step))
+    return div / np.sqrt(np.linalg.det(q[0]))
 
 
 def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
                     per_level: int, seed: int, quantity) -> tuple[list, float]:
+    # quantity(fld, x) evaluates every sample of a level at once, at the
+    # origins x of the stack of charts centered on the samples
     stats = []
     for idx, c in enumerate(levels):
         samples = sample_level_set(f, float(c), per_level, seed + 37 * idx)
-        vals = []
-        for s in samples:
-            fld = metric.with_center(s.point)
-            vals.append(quantity(fld, np.zeros(metric.dim)))
-        vals = np.asarray(vals)
+        fld = metric.with_center(np.array([s.point for s in samples]))
+        vals = np.asarray(quantity(fld, np.zeros((len(samples), metric.dim))))
         spread = float(vals.max() - vals.min())
         stats.append({"level": float(c), "mean": float(vals.mean()),
                       "spread": spread})
@@ -336,10 +382,9 @@ def check_tangency(f: SphereFunction, W: KillingField, samples: int = 500,
     """
     rng = np.random.default_rng(seed)
     pts = random_sphere_points(f.ambient_dim - 1, samples, rng)
-    resid = np.array([abs(float(f.gradient(p) @ (W.matrix @ p)))
-                      for p in pts])
-    flow = expm(0.1 * W.matrix)
-    flow_dev = max(abs(f(flow @ p) - f(p)) for p in pts[:20])
+    resid = np.abs(_dot(f.gradient(pts), pts @ W.matrix.T))
+    head = pts[:20]
+    flow_dev = float(np.abs(f(head @ expm(0.1 * W.matrix).T) - f(head)).max())
     worst = float(resid.max())
     return VerificationReport(
         check="tangency",
@@ -397,24 +442,17 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     """
     n = metric.dim
     samples = sample_level_set(f, c, points, seed)
+    fld = metric.with_center(np.array([s.point for s in samples]))
+    # every sample's center and coordinate stencil in one pass: q and the
+    # unit normal n1, then their x-derivatives [k] = d_k
+    F, q, grad = _stencil_dual(fld, f, np.zeros((len(samples), n)), step)
+    nu_all = grad / F[..., None]
+    dq_all, Jnu_all = _diff(q[1:], step), _diff(nu_all[1:], step)
     per_point = []
     signatures = set()
-    for s in samples:
-        fld = metric.with_center(s.point)
-        x0 = np.zeros(n)
-
-        def q_and_n1(xp):
-            # q with the unit normal n1 appended as one more column
-            norm, grad = _dual(fld, f, xp)
-            return np.column_stack((0.5 * norm.sq_jet(grad).hess,
-                                    grad / norm(grad)))
-
-        qn = q_and_n1(x0)
-        q0, nu = qn[:, :n], qn[:, n]
-
-        # dq[k] = d_k q and the Jacobian of the unit normal
-        D = central_diff(q_and_n1, x0, step)
-        dq, Jnu = D[:, :, :n], D[:, :, n].T
+    for i in range(len(samples)):
+        q0, nu = q[0, i], nu_all[0, i]
+        dq, Jnu = dq_all[:, i], Jnu_all[:, i].T
 
         qinv = np.linalg.inv(q0)
         # Gamma^k_{ij} = 1/2 q^{kl} (d_i q_{jl} + d_j q_{il} - d_l q_{ij});

@@ -18,7 +18,6 @@ fiber operation is exact to roundoff and none iterates.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -208,25 +207,31 @@ def inner_product(norm: NormEvaluator, y, u, v) -> float:
     return fundamental_tensor(norm, y)(u, v)
 
 
-def legendre_solve(norm: NormEvaluator, xi) -> np.ndarray:
+def legendre_solve(norm, xi) -> np.ndarray:
     """The unique y dual to the covector xi: g_ij(y) y^j = xi_i.
 
-    Since g(y) y = 1/2 grad F^2(y), y = F*(xi) grad F*(xi) for the dual
-    norm F*.  A quadratic norm gives y = A^{-1} xi.  A Randers norm is the
-    navigation datum (A, w) with C = alpha - beta beta^T, w = -C^{-1} beta
-    and A^{-1} = (1 + beta^T C^{-1} beta) C^{-1}, whose dual norm is
+    norm is a NormEvaluator, or the coefficients (A, None) or
+    (alpha, beta) of MetricField.coefficients, over whose leading axes
+    (and those of xi) the closed form broadcasts.  Since g(y) y =
+    1/2 grad F^2(y), y = F*(xi) grad F*(xi) for the dual norm F*.  A
+    quadratic norm gives y = A^{-1} xi.  A Randers norm is the navigation
+    datum (A, w) with C = alpha - beta beta^T, w = -C^{-1} beta and
+    A^{-1} = (1 + beta^T C^{-1} beta) C^{-1}, whose dual norm is
     F*(xi) = |xi|_{A^{-1}} + xi(w), so
     y = F*(xi) (A^{-1} xi / |xi|_{A^{-1}} + w).
     """
+    if isinstance(norm, NormEvaluator):
+        norm = ((norm.matrix, None) if norm.is_quadratic
+                else (norm.alpha, norm.beta))
+    alpha, beta = norm
     xi = np.asarray(xi, dtype=float)
-    if not np.any(xi):
+    if _any(~xi.any(axis=-1)):
         raise ZeroBaseVector("legendre_solve requires xi != 0")
-    if norm.is_quadratic:
-        return cho_solve(cho_factor(norm.matrix), xi)
-    beta = norm.beta
-    Cb, Cxi = cho_solve(cho_factor(norm.alpha - np.outer(beta, beta)),
-                        np.column_stack((beta, xi))).T
-    w = -Cb
-    Ainv_xi = (1.0 + float(beta @ Cb)) * Cxi
-    r = math.sqrt(float(xi @ Ainv_xi))              # |xi|_{A^{-1}}
-    return (r + float(xi @ w)) * (Ainv_xi / r + w)
+    if beta is None:
+        return np.linalg.solve(alpha, xi[..., None])[..., 0]
+    C = alpha - beta[..., :, None] * beta[..., None, :]
+    sol = np.linalg.solve(C, np.stack((beta, xi), axis=-1))
+    w, Cxi = -sol[..., 0], sol[..., 1]
+    Ainv_xi = (1.0 - _dot(beta, w))[..., None] * Cxi
+    r = np.sqrt(_dot(xi, Ainv_xi))                  # |xi|_{A^{-1}}
+    return (r + _dot(xi, w))[..., None] * (Ainv_xi / r[..., None] + w)

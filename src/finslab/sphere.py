@@ -15,18 +15,20 @@ import numpy as np
 
 from .errors import (ChartBoundary, DimensionMismatch, LambdaOutOfRange,
                      NotSkew, WindTooStrong)
-from .minkowski import NormEvaluator, _any, _dot, _matvec
+from .minkowski import NormEvaluator, _any, _dot, _matvec, randers_fiber
 from .navigation import randers_from_navigation
 
 
 def _complete_basis(center: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of center^perp (Householder columns)."""
+    """Deterministic orthonormal basis of center^perp (Householder
+    columns), over the leading axes of center."""
     e = center
     w = e.copy()
-    w[0] += np.copysign(1.0, e[0] if e[0] != 0.0 else 1.0)
-    H = np.eye(len(e)) - 2.0 * np.outer(w, w) / (w @ w)
+    w[..., 0] += np.copysign(1.0, np.where(e[..., 0] != 0.0, e[..., 0], 1.0))
+    H = np.eye(e.shape[-1]) - 2.0 * (w[..., :, None] * w[..., None, :]) \
+        / _dot(w, w)[..., None, None]
     # H maps e to -sign(e0) e_1, so its remaining columns span e^perp
-    return H[:, 1:]
+    return H[..., 1:]
 
 
 class Chart:
@@ -34,16 +36,20 @@ class Chart:
 
     map(x) = (center + B x) / sqrt(1 + |x|^2) with B an orthonormal basis
     of center^perp; valid for |x| < radius.  map(0) = center.
+
+    ``center`` may also be a stack (N, n+1) of centers, with bases
+    (N, n+1, n): a stack of N charts, one per row, whose chart points
+    carry the axes (..., N, n).  coords and pull_tangent take one center.
     """
 
     def __init__(self, center, radius: float = 10.0):
         c = np.asarray(center, dtype=float)
-        nrm = np.linalg.norm(c)
-        if nrm == 0.0:
+        nrm = np.sqrt(_dot(c, c))[..., None]
+        if _any(nrm == 0.0):
             raise ValueError("chart center must be a nonzero vector")
         self.center = c / nrm
         self.basis = _complete_basis(self.center)
-        self.n = len(c) - 1
+        self.n = c.shape[-1] - 1
         self.radius = float(radius)
 
     def _lift(self, x: np.ndarray) -> tuple:
@@ -196,7 +202,8 @@ class MetricField:
         return self.norm_at(x)(y)
 
     def with_center(self, p_ambient) -> "MetricField":
-        """The same geometric metric on a chart centered at p_ambient."""
+        """The same geometric metric on a chart centered at p_ambient, or
+        on a stack of charts for a stack (N, n+1) of centers."""
         chart = Chart(p_ambient, radius=self.chart.radius)
         if self.kind == "round-h":
             return round_metric(chart)
@@ -256,14 +263,15 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
 def localization_field(base: MetricField,
                        Y: Callable[[np.ndarray], np.ndarray]) -> MetricField:
     """Riemannian field g^F_Y: the fundamental tensor of ``base`` frozen
-    along the nonvanishing chart vector field Y."""
+    along the nonvanishing chart vector field Y, which maps chart points
+    (..., n) to vectors (..., n).  A build is one base builder call and
+    one call of Y over all its points."""
 
     def build(field: MetricField, X: np.ndarray) -> tuple:
-        # Y is an arbitrary callable of one point, so evaluate it pointwise
-        pts = X.reshape(-1, X.shape[-1])
-        G = np.array([0.5 * base.norm_at(x).sq_jet(Y(x)).hess for x in pts])
-        G = 0.5 * (G + np.swapaxes(G, -1, -2))
-        return G.reshape(X.shape + X.shape[-1:]), None
+        alpha, beta = base.coefficients(X)
+        Yx = Y(X)       # evaluated for a quadratic base too, which ignores it
+        G = alpha if beta is None else randers_fiber(alpha, beta, Yx)[4]
+        return 0.5 * (G + np.swapaxes(G, -1, -2)), None
 
     return MetricField(base.chart, "localization", build)
 

@@ -6,11 +6,12 @@ iteration instead of the closed-form Legendre dual, sampling ascent
 instead of eigenvalues, coordinate-formula Laplacians instead of the
 divergence form, fixed spaces of conjugations on the full skew-matrix
 space instead of the null space on so(l), one spray model per stencil
-point instead of the batched flag stencil.
+point instead of the batched flag stencil, one seed, one norm and one
+Newton dual at a time instead of the batched level-set layer.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
 
 def fd_gradient(func, y, h=1e-6):
@@ -307,3 +308,111 @@ def dense_centralizer(matrices, tol=1e-8):
             return []
         stack = np.einsum("nk,nab->kab", V[:, keep], stack, optimize=True)
     return [0.5 * (E - E.T) for E in stack]
+
+
+def pointwise_sample_level_set(f, c, count, seed, newton_cap=60):
+    """Level-set points by Newton projection along the tangential
+    gradient, one seed at a time with its own step halving, over at most
+    40 count + 200 seeds; the rows of the result in draw order.  Raises
+    AssertionError when fewer than count seeds converge."""
+    rng = np.random.default_rng(seed)
+
+    def residual(p):
+        return float(f(p)) - c
+
+    def tangent(p):
+        g = np.asarray(f.gradient(p), dtype=float)
+        return g - (g @ p) * p
+
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 40 * count + 200:
+        attempts += 1
+        p = rng.standard_normal(f.ambient_dim)
+        p = p / np.linalg.norm(p)
+        ok = False
+        for _ in range(newton_cap):
+            r = residual(p)
+            if abs(r) < 1e-12:
+                ok = True
+                break
+            t = tangent(p)
+            if t @ t < 1e-12:
+                break
+            step = -r / (t @ t) * t
+            scale = 1.0
+            for _ in range(30):
+                q = p + scale * step
+                q = q / np.linalg.norm(q)
+                if abs(residual(q)) < abs(r):
+                    p = q
+                    break
+                scale *= 0.5
+            else:
+                break
+        if ok and abs(residual(p)) < 1e-10 \
+                and np.linalg.norm(tangent(p)) > 1e-6:
+            out.append(p)
+    assert len(out) == count, f"{len(out)}/{count} seeds converged"
+    return np.array(out)
+
+
+def _pointwise_dual(metric, f, x):
+    # (norm, grad f) at one chart point: one norm_at and the Newton dual
+    chart = metric.chart
+    df = chart.jacobian(x).T @ f.gradient(chart.map(x))
+    norm = metric.norm_at(x)
+    return norm, newton_legendre(norm, df, rel_tol=1e-14)
+
+
+def pointwise_gradient_norm(metric, f, x):
+    """F(grad f)(x) at one chart point, from norm_at and the Newton dual."""
+    norm, grad = _pointwise_dual(metric, f, np.asarray(x, dtype=float))
+    return norm(grad)
+
+
+def pointwise_laplacian(metric, f, x, h=1e-3):
+    """(det q)^{-1/2} d_i (sqrt(det q) (grad f)^i) with q = 1/2 Hess F^2
+    at grad f, from one norm_at and one Newton dual per stencil point."""
+    x = np.asarray(x, dtype=float)
+
+    def q_and_grad(z):
+        norm, grad = _pointwise_dual(metric, f, z)
+        return 0.5 * norm.sq_jet(grad).hess, grad
+
+    def flux(z):
+        q, grad = q_and_grad(z)
+        return np.sqrt(np.linalg.det(q)) * grad
+
+    q0 = q_and_grad(x)[0]
+    return float(np.trace(_diff4(flux, x, h))) / np.sqrt(np.linalg.det(q0))
+
+
+def pointwise_shape_eigenvalues(metric, f, x, h=1e-3):
+    """Principal curvatures at x of the level of f through it, in the
+    localization metric q = g_{grad f}: the generalized eigenvalues of
+    the form B(u, v) = -q(nabla^q_u n1, v) against q on the q-orthogonal
+    complement of n1 = grad f / F(grad f), with q and n1 from one norm_at
+    and one Newton dual per stencil point."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+
+    def q_and_normal(z):
+        norm, grad = _pointwise_dual(metric, f, z)
+        return 0.5 * norm.sq_jet(grad).hess, grad / norm(grad)
+
+    q, nu = q_and_normal(x)
+    dq = _diff4(lambda z: q_and_normal(z)[0], x, h)      # [k] = d_k q
+    dnu = _diff4(lambda z: q_and_normal(z)[1], x, h)     # [k] = d_k n1
+    qinv = np.linalg.inv(q)
+    # nabla_k n1 = d_k n1 + Gamma(e_k, n1), Gamma^m_{kj} from d q
+    cov = dnu.copy()
+    for k in range(n):
+        for j in range(n):
+            for m in range(n):
+                cov[k, m] += 0.5 * nu[j] * sum(
+                    qinv[m, l] * (dq[k, j, l] + dq[j, k, l] - dq[l, k, j])
+                    for l in range(n))
+    T = null_space((q @ nu)[None, :])                    # n x (n - 1)
+    B = -T.T @ cov @ q @ T
+    return eigh(0.5 * (B + B.T), T.T @ q @ T, eigvals_only=True)

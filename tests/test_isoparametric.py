@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import finslab.isoparametric as iso
-from conftest import laplace_beltrami_oracle, newton_legendre
+import finslab.sphere as sphere
+from conftest import (laplace_beltrami_oracle, newton_legendre,
+                      pointwise_gradient_norm, pointwise_laplacian,
+                      pointwise_sample_level_set, pointwise_shape_eigenvalues)
 from finslab import cli
-from finslab.clifford import build_clifford, spin_lift
+from finslab.clifford import build_clifford, centralizer, spin_lift
 from finslab.curvature import Flag, flag_curvature
 from finslab.errors import CriticalPoint, EmptyLevel
 from finslab.isoparametric import (check_isoparametric, check_tangency,
@@ -28,6 +31,13 @@ from finslab.sphere import (Chart, KillingField, block_killing, killing_norm,
                             standard_rotation)
 
 LEVELS = [-0.8, -0.3, 0.0, 0.3, 0.8]
+SUITE = Path(__file__).resolve().parents[1] / "demos" / "paper_suite.json"
+# every level of the paper suite's transnormal, isoparametric and
+# spectrum entries
+SUITE_LEVELS = sorted({float(c)
+                       for e in json.loads(SUITE.read_text())["experiments"]
+                       for c in e.get("levels", [e.get("level")])
+                       if c is not None})
 
 
 def s5_setup(wind="spin", scale=0.5):
@@ -229,22 +239,27 @@ def test_isoparametric_randers_otfkm_both_signs():
     assert {e["function"] for e in rep.per_level} == {"f", "-f"}
 
 
-@pytest.mark.parametrize("check, quantity, good_calls", [
+@pytest.mark.parametrize("check, quantity, good_values", [
     (check_transnormal, "gradient_norm", 3),            # second level
     (check_isoparametric, "nonlinear_laplacian", 6),    # reverse pass
 ])
-def test_nan_in_a_later_level_fails(monkeypatch, check, quantity, good_calls):
+def test_nan_in_a_later_level_fails(monkeypatch, check, quantity,
+                                    good_values):
     # a NaN that is not the first value scanned must still reach
-    # max_deviation and fail the check
-    calls = []
+    # max_deviation and fail the check; the quantity is evaluated once per
+    # level, over an array of its 3 sample points
+    scanned = []
 
     def fake(fld, f, x):
-        calls.append(1)
-        return 1.0 if len(calls) <= good_calls else math.nan
+        assert x.shape == (3, 2)
+        idx = np.arange(len(scanned), len(scanned) + len(x))
+        scanned.extend(idx)
+        return np.where(idx < good_values, 1.0, math.nan)
 
     monkeypatch.setattr(iso, quantity, fake)
     met = round_metric(Chart([0.0, 0.0, 1.0]))
     rep = check(met, height_function(3, axis=0), [-0.5, 0.5], per_level=3)
+    assert len(scanned) > good_values
     assert math.isnan(rep.max_deviation)
     assert not rep.passed
 
@@ -252,8 +267,7 @@ def test_nan_in_a_later_level_fails(monkeypatch, check, quantity, good_calls):
 def test_legendre_matches_newton_at_paper_suite_levels():
     # the closed-form dual against damped Newton at points of every level
     # of the paper suite's isoparametric entries, for f and -f
-    suite = Path(__file__).resolve().parents[1] / "demos" / "paper_suite.json"
-    entries = [e for e in json.loads(suite.read_text())["experiments"]
+    entries = [e for e in json.loads(SUITE.read_text())["experiments"]
                if e["check"] == "isoparametric"]
     assert entries
     for idx, entry in enumerate(entries):
@@ -328,26 +342,104 @@ def test_spectrum_randers_homogeneous_counts():
 
 
 def test_one_norm_build_and_one_solve_per_point(monkeypatch):
+    # every builder call of every field (re-centered ones included), and
+    # the shape of the covectors of every Legendre solve
     solves = []
     solve = iso.legendre_solve
-    monkeypatch.setattr(iso, "legendre_solve",
-                        lambda *a, **k: solves.append(1) or solve(*a, **k))
-    _, f, met, _ = s5_setup()
+    monkeypatch.setattr(
+        iso, "legendre_solve",
+        lambda norm, xi: solves.append(np.shape(xi)) or solve(norm, xi))
     builds = []
-    build = met._builder
-    met._builder = lambda fld, x: builds.append(1) or build(fld, x)
+    coefficients = sphere.MetricField.coefficients
+    monkeypatch.setattr(
+        sphere.MetricField, "coefficients",
+        lambda fld, X: builds.append(1) or coefficients(fld, X))
+    _, f, met, _ = s5_setup()
     x = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
     for evaluate in (lambda: gradient_norm(met, f, x),
                      lambda: unit_gradient_field(met, f)(-x)):
         builds.clear()
         solves.clear()
         evaluate()
-        assert (len(builds), len(solves)) == (1, 1)
-    # the spectrum solves once at each sample point and once at each of
-    # its 4 n stencil points (n = 5 on S^5)
-    solves.clear()
-    principal_curvature_spectrum(met, f, 0.3, points=1, seed=0)
-    assert len(solves) == 1 + 4 * 5
+        assert (len(builds), solves) == (1, [(5,)])
+    # a spectrum of P points makes one builder call and one solve for the
+    # centers and the 4 n stencil points of all of them (n = 5 on S^5)
+    for points in (1, 4):
+        builds.clear()
+        solves.clear()
+        principal_curvature_spectrum(met, f, 0.3, points=points, seed=0)
+        assert (len(builds), solves) == (1, [(1 + 4 * 5, points, 5)])
+
+
+def test_localization_build_is_two_builder_calls(monkeypatch):
+    # one base build for the tensor and one inside the unit normal field,
+    # however many points the build covers
+    builds = []
+    coefficients = sphere.MetricField.coefficients
+    monkeypatch.setattr(
+        sphere.MetricField, "coefficients",
+        lambda fld, X: builds.append(fld.kind) or coefficients(fld, X))
+    _, f, met, _ = s5_setup()
+    s = sample_level_set(f, 0.2, 1, seed=12)[0]
+    fld = met.with_center(s.point)
+    loc = localization_field(fld, unit_gradient_field(fld, f))
+    rng = np.random.default_rng(14)
+    for shape in ((5,), (10, 5), (3, 7, 5)):
+        builds.clear()
+        loc.coefficients(0.05 * rng.standard_normal(shape))
+        assert builds.count("randers-from-navigation") == 2
+
+
+@pytest.mark.parametrize("kind", ["height", "split-quadratic", "otfkm"])
+def test_sampler_matches_pointwise_oracle(kind):
+    # the blocked sampler returns the seed-by-seed oracle's points, in
+    # order, at every paper-suite level, for f and -f
+    f = {"height": lambda: height_function(5, axis=0),
+         "split-quadratic": lambda: split_quadratic_function(4, 2),
+         "otfkm": lambda: otfkm_function(build_clifford(1, 3))}[kind]()
+    for fn in (f, -f):
+        for idx, c in enumerate(SUITE_LEVELS):
+            pts = np.array([s.point for s in sample_level_set(fn, c, 12, idx)])
+            oracle = pointwise_sample_level_set(fn, c, 12, idx)
+            assert pts.shape == oracle.shape
+            assert np.abs(pts - oracle).max() < 1e-12
+    with pytest.raises(EmptyLevel):
+        sample_level_set(f, 1.5, 2, seed=9)
+
+
+@pytest.mark.parametrize("mk, wind", [
+    ((1, 3), None), ((1, 3), "spin"), ((1, 3), "centralizer"),
+    ((1, 4), "spin"), ((1, 4), "centralizer")])
+def test_level_quantities_match_pointwise_oracles(mk, wind):
+    # batched F(grad f), Laplacian and shape-operator spectrum against one
+    # norm_at and one Newton dual per point, for f and -f
+    sys_ = build_clifford(*mk)
+    f = otfkm_function(sys_)
+    chart = Chart(np.eye(sys_.dim)[0])
+    met = round_metric(chart)
+    if wind is not None:
+        X = (spin_lift(sys_) if wind == "spin"
+             else centralizer(sys_)).elements[0]
+        met = randers_sphere(
+            chart, KillingField(0.5 * X / killing_norm(KillingField(X))))
+    n = sys_.dim - 1
+    x0 = np.zeros(n)
+    for fn, c in ((f, 0.3), (-f, 0.5)):
+        pts = np.array([s.point for s in sample_level_set(fn, c, 3, seed=21)])
+        fld = met.with_center(pts)
+        Fg = gradient_norm(fld, fn, np.zeros((3, n)))
+        lap = nonlinear_laplacian(fld, fn, np.zeros((3, n)))
+        spec = principal_curvature_spectrum(met, fn, c, points=3, seed=21)
+        for i, p in enumerate(pts):
+            one = met.with_center(p)
+            assert abs(Fg[i] - pointwise_gradient_norm(one, fn, x0)) < 1e-12
+            oracle = pointwise_laplacian(one, fn, x0)
+            assert abs(lap[i] - oracle) < 1e-8 * max(1.0, abs(oracle))
+            evals = np.sort(pointwise_shape_eigenvalues(one, fn, x0))
+            clusters = spec.per_point[i]
+            groups = np.split(evals, np.cumsum([k for _, k in clusters])[:-1])
+            assert np.allclose([m for m, _ in clusters],
+                               [g.mean() for g in groups], rtol=0, atol=1e-8)
 
 
 def test_localization_metrics_have_round_curvature():
