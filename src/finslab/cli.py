@@ -73,6 +73,11 @@ class ExperimentConfig:
         cfg.validate()
         return cfg
 
+    def __setattr__(self, name, value):
+        # a config changed after validate() is validated again by run()
+        super().__setattr__(name, value)
+        super().__setattr__("_valid", False)
+
     def validate(self):
         for f in fields(self):
             if not _accepts(_FIELD_TYPES[f.name], getattr(self, f.name)):
@@ -97,6 +102,7 @@ class ExperimentConfig:
             if isinstance(value, str) and not Path(value).exists():
                 raise ConfigError(f"field '{name}': file {value!r} "
                                   "does not exist")
+        super().__setattr__("_valid", True)
 
     def echo(self) -> dict:
         out = {"check": self.check, "n": self.n, "metric": self.metric,
@@ -391,9 +397,11 @@ _CHECKS = {
 
 
 def run(config: ExperimentConfig) -> VerificationReport:
-    """Validate, run and time one experiment, set-up included; the
-    report's config is the experiment's echo plus what its runner adds."""
-    config.validate()
+    """Validate (unless unchanged since its last validation), run and
+    time one experiment, set-up included; the report's config is the
+    experiment's echo plus what its runner adds."""
+    if not config._valid:
+        config.validate()
     start = time.perf_counter()
     rep, extras = _CHECKS[config.check][1](config)
     rep.config = config.echo() | extras
@@ -410,9 +418,10 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
     order.
     """
     doc = _read_json(path, "battery file")
-    entries = doc["experiments"] if isinstance(doc, dict) else doc
+    entries = doc.get("experiments") if isinstance(doc, dict) else doc
     if not isinstance(entries, list):
-        raise ParseError("battery must be a JSON array of experiments")
+        raise ParseError('battery must be a JSON array of experiments '
+                         'or an object with an "experiments" array')
     configs = [ExperimentConfig.from_dict(e) for e in entries]
     reports = [run(c) for c in configs]
     ok = all(r.passed != c.expect_fail for r, c in zip(reports, configs))

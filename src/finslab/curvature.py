@@ -49,19 +49,28 @@ _OUT_STEP = 5e-3    # stencils applied to the spray itself
 _RIEMANN_REACH = 2.0 * _OUT_STEP + 2.0 * _X_STEP
 
 
-def central_diff(fn: Callable, x, h: float, directions=None) -> np.ndarray:
-    """Fourth-order central first derivatives of fn at x, step h.
+def stencil_points(x, h: float, directions=None) -> np.ndarray:
+    """The points of the derivative stencils of x (any leading axes, last
+    axis n) at step h, along the coordinate axes or along the rows of
+    ``directions`` (one vector or a stack of d).
 
-    Differentiates along each row of ``directions`` (a single vector, or
-    the coordinate axes by default) and stacks the results on a new first
-    axis, so for array-valued fn, ``out[k]`` is d fn / d direction_k.
-    Exact up to roundoff for polynomials of degree <= 4.
+    The points are stacked offset-major on a new first axis: row
+    j * d + k is x + h * _OFFS[j] * direction_k.
     """
     x = np.asarray(x, dtype=float)
-    dirs = np.eye(len(x)) if directions is None else np.atleast_2d(directions)
-    pts = x + h * _OFFS[:, None, None] * dirs        # [offset, direction]
-    vals = np.array([[fn(p) for p in row] for row in pts])
-    return np.einsum("j,j...->...", _WGTS / h, vals)
+    n = x.shape[-1]
+    dirs = np.eye(n) if directions is None else np.atleast_2d(directions)
+    steps = h * _OFFS[:, None, None] * dirs             # [offset, k]
+    return x + steps.reshape((-1,) + (1,) * (x.ndim - 1) + (n,))
+
+
+def stencil_derivative(values, h: float) -> np.ndarray:
+    """Fourth-order central first derivatives from the values at the rows
+    of stencil_points (first axis 4d): ``out[k]`` is the derivative along
+    direction k.  Exact up to roundoff for polynomials of degree <= 4."""
+    values = np.asarray(values)
+    D = values.reshape((4, len(values) // 4) + values.shape[1:])
+    return np.einsum("j,j...->...", _WGTS / h, D)
 
 
 def _check_stencil(metric: MetricField, x: np.ndarray, reach: float):
@@ -86,15 +95,12 @@ class _LocalModel:
                  "Dbeta")
 
     def __init__(self, metric: MetricField, X: np.ndarray):
-        M, n = X.shape
-        steps = _X_STEP * _OFFS[:, None, None] * np.eye(n)  # [offset, k]
-        offs = np.concatenate((np.zeros((1, n)), steps.reshape(4 * n, n)))
-        alpha, beta = metric.coefficients(X[:, None, :] + offs)
+        P = np.concatenate((X[None], stencil_points(X, _X_STEP)))
+        alpha, beta = metric.coefficients(P)
 
         def split(c):
             # values at X and the x-derivatives [m, k, ...] from the stencil
-            D = c[:, 1:].reshape((M, 4, n) + c.shape[2:])
-            return c[:, 0], np.einsum("j,mjk...->mk...", _WGTS / _X_STEP, D)
+            return c[0], np.moveaxis(stencil_derivative(c[1:], _X_STEP), 0, 1)
 
         self.quad = beta is None
         if self.quad:
@@ -147,11 +153,9 @@ def _flag_model(metric: MetricField, x: np.ndarray,
                 y: np.ndarray) -> _LocalModel:
     # spray models at x (row 0), at the x-stencil of G (rows 1 to 4n,
     # offset-major) and at the stencil along y (the last 4 rows)
-    n = len(x)
-    steps = _OUT_STEP * _OFFS[:, None, None] * np.eye(n)
-    along = _OUT_STEP * _OFFS[:, None] * (y / np.linalg.norm(y))
-    X = np.concatenate((x[None], (x + steps).reshape(4 * n, n), x + along))
-    return _LocalModel(metric, X)
+    return _LocalModel(metric, np.concatenate(
+        (x[None], stencil_points(x, _OUT_STEP),
+         stencil_points(x, _OUT_STEP, y / np.linalg.norm(y)))))
 
 
 def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
@@ -169,32 +173,30 @@ def _riemann(model: _LocalModel, y: np.ndarray) -> np.ndarray:
     # of y; the caller has checked the stencil reach
     n = len(y)
     h = _OUT_STEP
-    steps = h * _OFFS[:, None, None] * np.eye(n)       # [offset, k]
     G0 = model.spray([0], y[None])[0]
     g0n = np.linalg.norm(G0)
-    Yd = (y + steps).reshape(4 * n, n)                  # y-stencil of G
-    base = np.zeros(4 * n, dtype=int)
-    # dG/dx: y at the x-stencil models; dG/dy: the y-stencil at x;
-    # y^j d^2G/dx^j dy^k: the y-stencil at the four models along y;
-    # G^j d^2G/dy^j dy^k: the y-stencil at x around each point along G0
-    idx = [np.arange(1, 4 * n + 1), base,
-           np.repeat(np.arange(4 * n + 1, 4 * n + 5), 4 * n)]
-    Ys = [np.broadcast_to(y, (4 * n, n)), Yd, np.tile(Yd, (4, 1))]
+    # dG/dx: y at the x-stencil models; the y-stencil of G around y at x
+    # (dG/dy) and at the four models along y (for y^j d^2G/dx^j dy^k),
+    # and around each point along G0 at x (for G^j d^2G/dy^j dy^k)
+    centers, models = [y] * 5, [0, *range(4 * n + 1, 4 * n + 5)]
     if g0n > 1e-14:
-        along = y + h * _OFFS[:, None] * (G0 / g0n)
-        idx.append(np.tile(base, 4))
-        Ys.append((along[:, None, None] + steps).reshape(16 * n, n))
-    G = model.spray(np.concatenate(idx), np.concatenate(Ys))
-    G = G.reshape(-1, 4, n, n)                  # [block, offset, k, i]
-    w = _WGTS / h
-    dGdx = np.einsum("j,jki->ik", w, G[0])
-    dGdy = np.einsum("j,jki->ik", w, G[1])
-    # the stencil along y (or G0) of the y-Jacobians of blocks 2-5 (6-9)
-    jac = np.einsum("j,ajki->aki", w, G[2:])
-    mixed = np.linalg.norm(y) * np.einsum("a,aki->ik", w, jac[:4])
+        centers += list(stencil_points(y, h, G0 / g0n))
+        models += [0] * 4
+    Ys = stencil_points(np.array(centers), h)           # [4n, center, n]
+    G = model.spray(
+        np.concatenate((np.arange(1, 4 * n + 1),
+                        np.tile(models, 4 * n))),
+        np.concatenate((np.broadcast_to(y, (4 * n, n)),
+                        Ys.reshape(-1, n))))
+    dGdx = stencil_derivative(G[:4 * n], h).T
+    # [k, center, i]: the y-Jacobian of G at each center
+    jac = stencil_derivative(G[4 * n:].reshape(Ys.shape), h)
+    dGdy = jac[:, 0].T
+    mixed = np.linalg.norm(y) * stencil_derivative(
+        jac[:, 1:5].swapaxes(0, 1), h)[0].T
     second = 0.0
     if g0n > 1e-14:
-        second = g0n * np.einsum("a,aki->ik", w, jac[4:])
+        second = g0n * stencil_derivative(jac[:, 5:].swapaxes(0, 1), h)[0].T
     return 2.0 * dGdx - mixed + 2.0 * second - dGdy @ dGdy
 
 
@@ -346,8 +348,10 @@ def geodesic_field_residual(metric: MetricField,
                             field: Callable[[np.ndarray], np.ndarray],
                             x, step: float = 1e-3) -> float:
     """Residual |J_V(x) V(x) + 2 G(x, V(x))| of the geodesic ODE for the
-    integral curves of the chart vector field V."""
+    integral curves of the chart vector field V, a rule over the rows of
+    a stack of chart points (V is evaluated once over x and its stencil)."""
     x = np.asarray(x, dtype=float)
-    V = field(x)
-    JV = central_diff(field, x, step).T
-    return float(np.linalg.norm(JV @ V + 2.0 * geodesic_spray(metric, x, V)))
+    V = field(np.concatenate((x[None], stencil_points(x, step))))
+    JV = stencil_derivative(V[1:], step).T
+    return float(np.linalg.norm(JV @ V[0]
+                                + 2.0 * geodesic_spray(metric, x, V[0])))

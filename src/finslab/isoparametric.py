@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .clifford import CliffordSystem, otfkm_gradient, otfkm_value
-from .curvature import _OFFS, _WGTS
+from .curvature import stencil_derivative, stencil_points
 from .errors import (ClusterAmbiguity, CriticalPoint, EmptyLevel,
                      StencilEscape)
 from .minkowski import _any, _dot, _matvec, legendre_solve, randers_fiber
@@ -63,9 +63,8 @@ class SphereFunction:
         p = np.asarray(p, dtype=float)
         if self._gradient is not None:
             return self._gradient(p)
-        E = 1e-6 * np.eye(self.ambient_dim)
-        q = p[..., None, :]
-        return (self._value(q + E) - self._value(q - E)) / 2e-6
+        D = stencil_derivative(self._value(stencil_points(p, 1e-3)), 1e-3)
+        return np.moveaxis(D, 0, -1)
 
     def tangent_gradient(self, p) -> np.ndarray:
         """Ambient gradient projected onto T_p S^n."""
@@ -210,18 +209,20 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
 
 
 def _dual(metric: MetricField, f: SphereFunction, X,
-          stencil: bool = False) -> tuple:
+          step: Optional[float] = None) -> tuple:
     """(F(grad f), g_{grad f}, grad f) over the leading axes of the chart
     points X: one builder call and one Legendre solve of df.
 
-    Raises CriticalPoint where |df| < 1e-10.  With stencil=True, X[0]
-    holds the centers and X[1:] their stencil points, and a critical
-    stencil point raises StencilEscape instead.
+    Raises CriticalPoint where |df| < 1e-10.  With a step, the results
+    cover X (row 0) and its coordinate stencil_points (rows 1 to 4n) in
+    the same pass, and a critical stencil point raises StencilEscape.
     """
     X = np.asarray(X, dtype=float)
+    if step is not None:
+        X = np.concatenate((X[None], stencil_points(X, step)))
     df = f.chart_gradient(metric.chart, X)
     small = np.linalg.norm(df, axis=-1) < _CRITICAL_EPS
-    if _any(small[0] if stencil else small):
+    if _any(small if step is None else small[0]):
         raise CriticalPoint("df vanishes; nonlinear gradient undefined")
     if _any(small):
         raise StencilEscape("stencil point hit the critical set")
@@ -231,25 +232,6 @@ def _dual(metric: MetricField, f: SphereFunction, X,
         return np.sqrt(_dot(grad, _matvec(alpha, grad))), alpha, grad
     _, F, _, _, g = randers_fiber(alpha, beta, grad)
     return F, g, grad
-
-
-def _stencil_dual(metric: MetricField, f: SphereFunction, x,
-                  step: float) -> tuple:
-    """_dual at the chart points x (row 0) and at their 4n-point
-    coordinate stencil (rows 1 to 4n, offset-major) in one pass."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    steps = (step * _OFFS[:, None, None] * np.eye(n)).reshape(4 * n, n)
-    offs = np.concatenate((np.zeros((1, n)), steps))
-    return _dual(metric, f, x + offs.reshape((4 * n + 1,) + (1,) * (x.ndim - 1)
-                                             + (n,)), stencil=True)
-
-
-def _diff(vals: np.ndarray, step: float) -> np.ndarray:
-    """[k] = d/dx^k from values at the 4n stencil points of _stencil_dual
-    (its rows 1 to 4n)."""
-    D = vals.reshape((4, len(vals) // 4) + vals.shape[1:])
-    return np.einsum("j,j...->...", _WGTS / step, D)
 
 
 def nonlinear_gradient(metric: MetricField, f: SphereFunction,
@@ -294,9 +276,9 @@ def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x,
                         step: float = 1e-3):
     """Laplace-Beltrami of f in the localization metric g^F_{grad f}, over
     the rows of x."""
-    _, q, grad = _stencil_dual(metric, f, x, step)
+    _, q, grad = _dual(metric, f, x, step)
     flux = np.sqrt(np.linalg.det(q[1:]))[..., None] * grad[1:]
-    div = np.einsum("k...k->...", _diff(flux, step))
+    div = np.einsum("k...k->...", stencil_derivative(flux, step))
     return div / np.sqrt(np.linalg.det(q[0]))
 
 
@@ -445,9 +427,10 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     fld = metric.with_center(np.array([s.point for s in samples]))
     # every sample's center and coordinate stencil in one pass: q and the
     # unit normal n1, then their x-derivatives [k] = d_k
-    F, q, grad = _stencil_dual(fld, f, np.zeros((len(samples), n)), step)
+    F, q, grad = _dual(fld, f, np.zeros((len(samples), n)), step)
     nu_all = grad / F[..., None]
-    dq_all, Jnu_all = _diff(q[1:], step), _diff(nu_all[1:], step)
+    dq_all = stencil_derivative(q[1:], step)
+    Jnu_all = stencil_derivative(nu_all[1:], step)
     per_point = []
     signatures = set()
     for i in range(len(samples)):

@@ -131,6 +131,43 @@ def test_batch_parse_error_line_number(tmp_path):
         batch(str(path))
 
 
+@pytest.mark.parametrize("doc", [{"foo": 1}, {"experiments": {}}, 3])
+def test_battery_without_experiments_array_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "batt.json"
+    path.write_text(json.dumps(doc))
+    assert main(["batch", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["error"] == "ParseError"
+
+
+def test_each_report_is_validated_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    validate = ExperimentConfig.validate
+
+    def counted(self):
+        calls.append(self.check)
+        validate(self)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    entry = {"check": "flag-curvature", "n": 2, "samples": 3}
+    path = tmp_path / "batt.json"
+    path.write_text(json.dumps({"experiments": [entry, entry]}))
+    assert main(["batch", str(path)]) == 0
+    assert main(["verify", "flag-curvature", "--n", "2", "--samples", "3"]) == 0
+    run(ExperimentConfig.from_dict(entry))
+    assert len(calls) == 4
+    # a config built or changed after from_dict is validated before it runs
+    cfg = ExperimentConfig(check="flag-curvature", n=2, samples=3)
+    run(cfg)
+    assert len(calls) == 5 and cfg.tol == 1e-4
+    cfg.n = 0
+    with pytest.raises(ConfigError, match="'n'"):
+        run(cfg)
+    with pytest.raises(UnknownCheck):
+        run(ExperimentConfig(check="nonsense"))
+    capsys.readouterr()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["verify", "flag-curvature", "--n", "2", "--metric", "round",
                  "--samples", "5", "--tol", "1e-5"]) == 0
@@ -375,6 +412,38 @@ def test_shipped_paper_suite_passes(paper_suite):
     assert ok
     expected_failures = [r.check for r in reports if not r.passed]
     assert expected_failures == ["tangency", "transnormal"]
+
+
+# (check, max_deviation, pass) of each paper-suite entry, in suite order,
+# as recorded before the shared finite-difference stencil
+PAPER_SUITE_PINS = [
+    ("flag-curvature", 4.316884516519792e-09, True),
+    ("flag-curvature", 3.828899086677495e-09, True),
+    ("flag-curvature", 1.700260376935603e-08, True),
+    ("navigation-lemma", 3.552713678800501e-15, True),
+    ("transnormal", 3.881339694089547e-12, True),
+    ("isoparametric", 2.389679565339975e-09, True),
+    ("isoparametric", 5.240501366188255e-10, True),
+    ("tangency", 7.244809052713609e-16, True),
+    ("tangency", 1.281725385413494, False),
+    ("spectrum", 1.425703999302641e-10, True),
+    ("spectrum", 5.279456871676302e-10, True),
+    ("spectrum", 3.0020430585864233e-13, True),
+    ("clifford-audit", 5.12596635510839e-17, True),
+    ("clifford-audit", 2.0105220386345435e-16, True),
+    ("clifford-audit", 1.5125090994211418e-16, True),
+    ("transnormal", 1.316970181886381, False),
+]
+
+
+def test_paper_suite_deviations_stay_within_10x_of_pins(paper_suite):
+    # a change may cost accuracy only within a decade of the pinned run,
+    # and must keep every pass flag
+    reports, _ = paper_suite
+    assert len(reports) == len(PAPER_SUITE_PINS)
+    for rep, (check, pinned, passed) in zip(reports, PAPER_SUITE_PINS):
+        assert (rep.check, rep.passed) == (check, passed)
+        assert rep.max_deviation <= 10.0 * pinned, (check, rep.max_deviation)
 
 
 def test_run_stamps_config_and_time(paper_suite):

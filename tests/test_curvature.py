@@ -5,9 +5,9 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import fd_spray, pointwise_flag_curvature
-from finslab.curvature import (Flag, central_diff, flag_curvature,
-                               geodesic_spray, integrate_geodesic,
-                               riemann_curvature)
+from finslab.curvature import (Flag, flag_curvature, geodesic_spray,
+                               integrate_geodesic, riemann_curvature,
+                               stencil_derivative, stencil_points)
 from finslab.errors import (ChartBoundary, DegenerateFlag,
                             DifferentiationFailure)
 from finslab.sphere import (Chart, KillingField, MetricField, block_killing,
@@ -22,7 +22,7 @@ def flat_metric(n: int) -> MetricField:
                            np.eye(n), X.shape[:-1] + (n, n)), None))
 
 
-def test_central_diff_exact_on_quartics():
+def test_stencil_exact_on_quartics():
     # the fourth-order stencil differentiates degree-4 polynomials exactly,
     # even at a coarse step; only roundoff remains
     rng = np.random.default_rng(11)
@@ -30,7 +30,9 @@ def test_central_diff_exact_on_quartics():
     M = rng.standard_normal((3, 3))
 
     def quartic(x):
-        return (a @ x) ** 4 - 2.0 * (b @ x) ** 3 + x @ M @ x + 0.5 * x[0]
+        # broadcasts over the leading axes of x
+        return ((x @ a) ** 4 - 2.0 * (x @ b) ** 3
+                + np.einsum("...i,ij,...j->...", x, M, x) + 0.5 * x[..., 0])
 
     def quartic_grad(x):
         return (4.0 * (a @ x) ** 3 * a - 6.0 * (b @ x) ** 2 * b
@@ -49,19 +51,31 @@ def test_central_diff_exact_on_quartics():
         J[2, 1, 0] = 3.0 * x[0] * x[2] ** 2
         return J
 
+    def diff(fn, x, directions=None):
+        P = stencil_points(x, 0.25, directions)
+        return stencil_derivative([fn(p) for p in P], 0.25)
+
     u = rng.standard_normal(3)
     u /= np.linalg.norm(u)
-    for _ in range(5):
-        x = rng.standard_normal(3)
+    X = rng.standard_normal((5, 3))
+    for x in X:
         g = quartic_grad(x)
         J = field_jac(x)
         scale = max(1.0, np.abs(J).max())
-        assert np.abs(central_diff(quartic, x, 0.25) - g).max() < 1e-11 * scale
-        assert np.abs(central_diff(quartic, x, 0.25, u)
-                      - [g @ u]).max() < 1e-11 * scale
-        assert np.abs(central_diff(field, x, 0.25) - J).max() < 1e-11 * scale
-        assert np.abs(central_diff(field, x, 0.25, u)[0]
+        assert np.abs(diff(quartic, x) - g).max() < 1e-11 * scale
+        assert np.abs(diff(quartic, x, u) - [g @ u]).max() < 1e-11 * scale
+        assert np.abs(diff(field, x) - J).max() < 1e-11 * scale
+        assert np.abs(diff(field, x, u)[0]
                       - np.einsum("k,kij->ij", u, J)).max() < 1e-11 * scale
+    # a stack of points in one pass: offset-major rows, then the stack axes
+    P = stencil_points(X.reshape(5, 1, 3), 0.25, [u, -u])
+    assert P.shape == (8, 5, 1, 3)
+    assert np.array_equal(P[5], X.reshape(5, 1, 3) - 0.25 * u)
+    D = stencil_derivative(quartic(P), 0.25)
+    G = np.array([quartic_grad(x) for x in X])
+    scale = max(1.0, np.abs(G).max())
+    assert D.shape == (2, 5, 1)
+    assert np.abs(D[:, :, 0] - [G @ u, -(G @ u)]).max() < 1e-11 * scale
 
 
 def test_flat_spray_vanishes():

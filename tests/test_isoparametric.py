@@ -14,11 +14,13 @@ from conftest import (laplace_beltrami_oracle, newton_legendre,
                       pointwise_gradient_norm, pointwise_laplacian,
                       pointwise_sample_level_set, pointwise_shape_eigenvalues)
 from finslab import cli
-from finslab.clifford import build_clifford, centralizer, spin_lift
+from finslab.clifford import (build_clifford, centralizer, otfkm_gradient,
+                              otfkm_value, spin_lift)
 from finslab.curvature import Flag, flag_curvature
 from finslab.errors import CriticalPoint, EmptyLevel
 from finslab.isoparametric import (check_isoparametric, check_tangency,
-                                   check_transnormal, height_function,
+                                   check_transnormal, custom_sphere_function,
+                                   height_function,
                                    nonlinear_gradient,
                                    nonlinear_gradient_extended,
                                    nonlinear_laplacian, otfkm_function,
@@ -157,6 +159,29 @@ def test_laplacian_matches_coordinate_oracle():
         lap = nonlinear_laplacian(met, f, x)
         oracle = laplace_beltrami_oracle(met, f, x)
         assert abs(lap - oracle) < 1e-4
+
+
+def test_custom_function_broadcasts_and_falls_back_to_the_stencil():
+    sys_ = build_clifford(1, 3)
+    f = custom_sphere_function(6, lambda p: otfkm_value(sys_, p))
+    P = sphere.random_sphere_points(5, 50, np.random.default_rng(3))
+    assert f.kind == "custom"
+    # the rules broadcast over rows, and one point gives a float
+    vals = f(P)
+    assert vals.shape == (50,)
+    assert isinstance(f(P[0]), float) and f(P[0]) == vals[0]
+    # with no gradient rule, the stencil of the value rule (exact on the
+    # quartic) gives the tangent gradient
+    exact = otfkm_gradient(sys_, P)
+    exact -= np.einsum("ij,ij->i", exact, P)[:, None] * P
+    fd = f.tangent_gradient(P)
+    assert fd.shape == (50, 6)
+    assert np.abs(fd - exact).max() < 2e-10
+    assert np.abs(f.tangent_gradient(P[0]) - fd[0]).max() < 1e-14
+    # a gradient rule, when given, is used as it is
+    g = custom_sphere_function(6, lambda p: otfkm_value(sys_, p),
+                               lambda p: otfkm_gradient(sys_, p))
+    assert np.array_equal(g.gradient(P), otfkm_gradient(sys_, P))
 
 
 def test_sample_level_set_height_equator():
