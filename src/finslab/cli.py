@@ -18,7 +18,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,13 @@ from .sphere import (Chart, KillingField, block_killing, killing_norm,
                      randers_sphere, round_metric)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: check name plus everything needed to run it."""
+    """One experiment: check name plus everything needed to run it.
+
+    Frozen and validated once, when it is built; JSON arrays are kept as
+    tuples, so no field changes after validation (``dataclasses.replace``
+    builds, and validates, a new config)."""
 
     check: str
     n: int = 3
@@ -47,14 +51,14 @@ class ExperimentConfig:
     w_spec: dict | str | None = None
     function: str = "height"
     clifford: dict | str | None = None
-    levels: list[float] = field(default_factory=lambda: [-0.5, 0.0, 0.5])
+    levels: tuple[float, ...] = (-0.5, 0.0, 0.5)
     per_level: int = 20
     samples: int = 200
     tol: float | None = None
     seed: int = 0
     lam: float = 0.5
     level: float = 0.0
-    expect_g: list[int] | None = None
+    expect_g: tuple[int, ...] | None = None
     expect_fail: bool = False
     m: int | None = None
     k: int | None = None
@@ -64,29 +68,29 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict) or "check" not in data:
             raise ConfigError("missing field 'check'")
-        cfg = cls(check=data["check"])
+        kwargs = {}
         for key, value in data.items():
             attr = {"lambda": "lam"}.get(key, key.replace("-", "_"))
             if attr not in cls.__dataclass_fields__:
                 raise ConfigError(f"unknown field '{key}'")
-            setattr(cfg, attr, value)
-        cfg.validate()
-        return cfg
+            kwargs[attr] = value
+        return cls(**kwargs)
 
-    def __setattr__(self, name, value):
-        # a config changed after validate() is validated again by run()
-        super().__setattr__(name, value)
-        super().__setattr__("_valid", False)
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for f in fields(self):
-            if not _accepts(_FIELD_TYPES[f.name], getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if not _accepts(_FIELD_TYPES[f.name], value):
                 key = "lambda" if f.name == "lam" else f.name
                 raise ConfigError(f"field '{key}' must be {f.type}")
+            if isinstance(value, list):
+                object.__setattr__(self, f.name, tuple(value))
         if self.check not in _CHECKS:
             raise UnknownCheck(f"unknown check '{self.check}'")
         if self.tol is None:
-            self.tol = _CHECKS[self.check][0]
+            object.__setattr__(self, "tol", _CHECKS[self.check][0])
         if self.tol <= 0:
             raise ConfigError("field 'tol' must be positive")
         for name, low in (("n", 1), ("samples", 1), ("per_level", 1),
@@ -102,7 +106,6 @@ class ExperimentConfig:
             if isinstance(value, str) and not Path(value).exists():
                 raise ConfigError(f"field '{name}': file {value!r} "
                                   "does not exist")
-        super().__setattr__("_valid", True)
 
     def echo(self) -> dict:
         out = {"check": self.check, "n": self.n, "metric": self.metric,
@@ -123,12 +126,13 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _accepts(hint, value) -> bool:
-    """Whether value has the declared type: bool is never a number, and an
-    int is accepted where a float is declared."""
+    """Whether value has the declared type: bool is never a number, an
+    int is accepted where a float is declared, and a list or a tuple
+    where either is."""
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_accepts(args[0], v)
-                                               for v in value)
+    if typing.get_origin(hint) in (list, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _accepts(args[0], v) for v in value)
     if args:   # a union
         return any(_accepts(h, value) for h in args)
     if isinstance(value, bool):
@@ -397,11 +401,8 @@ _CHECKS = {
 
 
 def run(config: ExperimentConfig) -> VerificationReport:
-    """Validate (unless unchanged since its last validation), run and
-    time one experiment, set-up included; the report's config is the
-    experiment's echo plus what its runner adds."""
-    if not config._valid:
-        config.validate()
+    """Run and time one experiment, set-up included; the report's config
+    is the experiment's echo plus what its runner adds."""
     start = time.perf_counter()
     rep, extras = _CHECKS[config.check][1](config)
     rep.config = config.echo() | extras

@@ -5,9 +5,11 @@ finite differences instead of jets and sprays, direction scans and Newton
 iteration instead of the closed-form Legendre dual, sampling ascent
 instead of eigenvalues, coordinate-formula Laplacians instead of the
 divergence form, fixed spaces of conjugations on the full skew-matrix
-space instead of the null space on so(l), one spray model per stencil
-point instead of the batched flag stencil, one seed, one norm and one
-Newton dual at a time instead of the batched level-set layer.
+space instead of the null space on so(l), a QR projection, one trial at
+a time, instead of the batched projection of the Lie closure check on
+the basis itself, one spray model per stencil point instead of the
+batched flag stencil, one seed, one norm and one Newton dual at a time
+instead of the batched level-set layer.
 """
 
 import numpy as np
@@ -308,6 +310,25 @@ def dense_centralizer(matrices, tol=1e-8):
             return []
         stack = np.einsum("nk,nab->kab", V[:, keep], stack, optimize=True)
     return [0.5 * (E - E.T) for E in stack]
+
+
+def qr_closure_residual(elements, trials, seed):
+    """max over trials of |[X, Y] - Q Q^T [X, Y]| / (|X| |Y|), with Q an
+    orthonormal basis of the span from a QR factorization, one trial at a
+    time: X and Y are the span matrix times coefficients drawn in that
+    order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    S = np.column_stack([E.ravel() for E in elements])
+    Q, _ = np.linalg.qr(S)
+    shape = elements[0].shape
+    worst = 0.0
+    for _ in range(trials):
+        X = (S @ rng.standard_normal(S.shape[1])).reshape(shape)
+        Y = (S @ rng.standard_normal(S.shape[1])).reshape(shape)
+        C = (X @ Y - Y @ X).ravel()
+        worst = max(worst, float(np.linalg.norm(C - Q @ (Q.T @ C))
+                                 / (np.linalg.norm(X) * np.linalg.norm(Y))))
+    return worst
 
 
 def pointwise_sample_level_set(f, c, count, seed, newton_cap=60):

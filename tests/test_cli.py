@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,16 +157,31 @@ def test_each_report_is_validated_once(tmp_path, monkeypatch, capsys):
     assert main(["verify", "flag-curvature", "--n", "2", "--samples", "3"]) == 0
     run(ExperimentConfig.from_dict(entry))
     assert len(calls) == 4
-    # a config built or changed after from_dict is validated before it runs
+    # a config built directly is validated when it is built, not by run;
+    # a changed config is a new one, validated in turn
     cfg = ExperimentConfig(check="flag-curvature", n=2, samples=3)
     run(cfg)
     assert len(calls) == 5 and cfg.tol == 1e-4
-    cfg.n = 0
+    with pytest.raises(FrozenInstanceError):
+        cfg.n = 0
     with pytest.raises(ConfigError, match="'n'"):
-        run(cfg)
+        replace(cfg, n=0)
     with pytest.raises(UnknownCheck):
-        run(ExperimentConfig(check="nonsense"))
+        ExperimentConfig(check="nonsense")
     capsys.readouterr()
+
+
+def test_config_cannot_change_after_validation():
+    # a list field changed in place used to skip validation and crash run
+    cfg = ExperimentConfig.from_dict({"check": "transnormal",
+                                      "levels": [0.3], "per_level": 3})
+    assert cfg.levels == (0.3,)
+    with pytest.raises(AttributeError):
+        cfg.levels.append("a")
+    with pytest.raises(ConfigError, match="'levels'"):
+        replace(cfg, levels=[0.3, "a"])
+    rep = run(cfg)
+    assert json.loads(rep.to_json())["config"]["levels"] == [0.3]
 
 
 def test_main_exit_codes(tmp_path, capsys):

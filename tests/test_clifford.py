@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import dense_centralizer
+from conftest import dense_centralizer, qr_closure_residual
 from finslab.clifford import (CliffordSystem, SkewBasis,
                               anticommutation_error, build_clifford,
                               centralizer, clifford_delta,
@@ -22,6 +22,16 @@ def build_quiet(m, k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_clifford(m, k)
+
+
+def grid_systems(max_dim):
+    """The acceptance-grid systems with 2l <= max_dim, in grid order."""
+    for m in range(1, 10):
+        for k in range(1, max_dim // (2 * clifford_delta(m)) + 1):
+            specs = [(k, 0), (k - k // 2, k // 2)] if m % 4 == 0 and k > 1 \
+                else ([(k, 0)] if m % 4 == 0 else [k])
+            for spec in specs:
+                yield m, spec, build_quiet(m, spec)
 
 
 def test_delta_table():
@@ -121,25 +131,20 @@ def test_centralizer_dimensions():
 def test_centralizer_matches_dense_oracle():
     # every acceptance-grid system with 2l <= 16
     count = 0
-    for m in range(1, 10):
-        for k in range(1, 16 // (2 * clifford_delta(m)) + 1):
-            specs = [(k, 0), (k - k // 2, k // 2)] if m % 4 == 0 and k > 1 \
-                else ([(k, 0)] if m % 4 == 0 else [k])
-            for spec in specs:
-                sys_ = build_quiet(m, spec)
-                count += 1
-                cent = centralizer(sys_)
-                dense = dense_centralizer(sys_.matrices)
-                assert cent.dim == len(dense) == predicted_centralizer_dim(
-                    sys_.m, sys_.k, sys_.k1, sys_.k2), (m, spec)
-                if not dense:
-                    continue
-                S = cent.span_matrix()
-                D = np.column_stack([E.ravel() for E in dense])
-                assert np.abs(S @ S.T - D @ D.T).max() < 1e-12, (m, spec)
-                for E in cent.elements:
-                    for P in sys_.matrices:
-                        assert np.abs(E @ P - P @ E).max() < 1e-12, (m, spec)
+    for m, spec, sys_ in grid_systems(16):
+        count += 1
+        cent = centralizer(sys_)
+        dense = dense_centralizer(sys_.matrices)
+        assert cent.dim == len(dense) == predicted_centralizer_dim(
+            sys_.m, sys_.k, sys_.k1, sys_.k2), (m, spec)
+        if not dense:
+            continue
+        S = cent.span_matrix()
+        D = np.column_stack([E.ravel() for E in dense])
+        assert np.abs(S @ S.T - D @ D.T).max() < 1e-12, (m, spec)
+        for E in cent.elements:
+            for P in sys_.matrices:
+                assert np.abs(E @ P - P @ E).max() < 1e-12, (m, spec)
     assert count == 21
 
 
@@ -234,6 +239,45 @@ def test_symmetry_closure():
     for (m, k) in [(1, 3), (3, 1), (4, (1, 1))]:
         basis = symmetry_basis(build_quiet(m, k))
         assert lie_closure_residual(basis, trials=6) < 1e-10
+
+
+def test_symmetry_basis_is_frobenius_orthogonal():
+    # the precondition under which lie_closure_residual projects exactly
+    count = 0
+    for m, spec, sys_ in grid_systems(32):
+        count += 1
+        S = symmetry_basis(sys_).span_matrix()
+        gram = S.T @ S
+        off = np.abs(gram - np.diag(np.diag(gram))).max()
+        assert off <= 1e-12 * np.diag(gram).max(), (m, spec, off)
+    assert count == 45
+
+
+def test_closure_residual_matches_qr_oracle():
+    count = 0
+    for m, spec, sys_ in grid_systems(32):
+        count += 1
+        basis = symmetry_basis(sys_)
+        fast = lie_closure_residual(basis, trials=4, seed=count)
+        oracle = qr_closure_residual(basis.elements, trials=4, seed=count)
+        assert fast < 1e-10 and oracle < 1e-10, (m, spec, fast, oracle)
+        assert fast >= oracle - 1e-15, (m, spec, fast, oracle)
+    assert count == 45
+    # the (2, 1) spin lift without P_1 P_2 / 2 is not closed: both fail,
+    # and on this orthogonal basis the same seed gives the same residual
+    P0, P1, P2 = build_quiet(2, 1).matrices
+    open_basis = SkewBasis([0.5 * P0 @ P1, 0.5 * P0 @ P2])
+    fast = lie_closure_residual(open_basis, trials=6)
+    oracle = qr_closure_residual(open_basis.elements, 6, 0)
+    assert fast >= 1e-3 and oracle >= 1e-3
+    assert fast == pytest.approx(oracle, rel=1e-12)
+    # a skewed basis of a closed algebra fails the fast check, never the
+    # reverse: its projection is not exact, and its residual is an upper
+    # bound of the distance to the span
+    E = spin_lift(build_quiet(2, 1)).elements
+    skewed = SkewBasis([E[0], E[0] + E[1], E[2]])
+    assert qr_closure_residual(skewed.elements, 6, 0) < 1e-12
+    assert lie_closure_residual(skewed, trials=6) >= 1e-3
 
 
 def test_unsupported_split():
