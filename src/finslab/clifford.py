@@ -96,7 +96,8 @@ def _irreducible_system(m: int) -> list[np.ndarray]:
 
 @dataclass
 class CliffordSystem:
-    """A symmetric Clifford system with its multiplicity bookkeeping."""
+    """A symmetric Clifford system with its multiplicity bookkeeping,
+    checked when built: NotClifford for a defect beyond roundoff."""
 
     m: int
     l: int
@@ -105,6 +106,13 @@ class CliffordSystem:
     k1: int | None = None
     k2: int | None = None
     delta_m: int = 0
+
+    def __post_init__(self):
+        defect = max([anticommutation_error(self)]
+                     + [float(np.abs(P - P.T).max()) for P in self.matrices])
+        if not defect <= 1e-10:                   # beyond roundoff
+            raise NotClifford("the matrices are not a symmetric Clifford "
+                              f"system (defect {defect:.1e})")
 
     @property
     def dim(self) -> int:
@@ -172,9 +180,6 @@ def build_clifford(m: int, k) -> CliffordSystem:
     l = ktot * delta
     sys_ = CliffordSystem(m=m, l=l, matrices=matrices, k=ktot,
                           k1=k1, k2=k2, delta_m=delta)
-    err = anticommutation_error(sys_)
-    if err != 0:
-        raise AssertionError(f"construction broke anticommutation ({err})")
     if l - m - 1 < 1:
         warnings.warn(f"m2 = {l - m - 1} < 1: quartic is not isoparametric "
                       f"for (m={m}, k={ktot})", stacklevel=2)
@@ -257,15 +262,9 @@ def centralizer(sys_: CliffordSystem, tol: float = 1e-8,
     Gram matrix of Y -> ([Y, C_i])_i on the pair basis of so(l); an
     eigenvalue inside (tol, ambiguity_band) raises RankDeficiency.  For
     m = 1, c(Sigma) is all of so(l), and element p is pair p of
-    (0, 1), (0, 2), ..., (l - 2, l - 1) in lexicographic order.  Matrices
-    that are not symmetric and anticommuting to roundoff raise NotClifford.
+    (0, 1), (0, 2), ..., (l - 2, l - 1) in lexicographic order.
     """
     mats = sys_.matrices
-    defect = max([anticommutation_error(sys_)]
-                 + [float(np.abs(P - P.T).max()) for P in mats])
-    if not defect <= 1e-10:                       # beyond roundoff
-        raise NotClifford("the matrices are not a symmetric Clifford system "
-                          f"(defect {defect:.1e})")
     evals, Q = np.linalg.eigh(mats[0])
     Qp = Q[:, evals > 0.0]
     Qm = mats[1] @ Qp

@@ -29,8 +29,8 @@ from scipy.linalg import expm
 
 from .clifford import CliffordSystem, otfkm_gradient, otfkm_value
 from .curvature import stencil_derivative, stencil_points
-from .errors import (ClusterAmbiguity, CriticalPoint, EmptyLevel,
-                     StencilEscape)
+from .errors import (ClusterAmbiguity, CriticalPoint, DimensionMismatch,
+                     EmptyLevel, StencilEscape)
 from .minkowski import _any, _dot, _matvec, legendre_solve, randers_fiber
 from .report import VerificationReport, worst_deviation
 from .sphere import Chart, KillingField, MetricField, random_sphere_points
@@ -421,8 +421,11 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     Eigenvalues are clustered by a relative gap; a clustering that changes
     under halving/doubling the gap raises ClusterAmbiguity.  The result is
     consistent when every sampled point reports the same multiplicities.
+    A level of S^1 is a set of points and raises DimensionMismatch.
     """
     n = metric.dim
+    if n < 2:
+        raise DimensionMismatch("a level of S^1 has no principal curvatures")
     samples = sample_level_set(f, c, points, seed)
     fld = metric.with_center(np.array([s.point for s in samples]))
     # every sample's center and coordinate stencil in one pass: q and the

@@ -28,9 +28,9 @@ from .errors import NotPositiveDefinite, ZeroBaseVector
 
 
 class SqJet(NamedTuple):
-    """Value, gradient and Hessian of F^2 at one y."""
+    """Value, gradient and Hessian of F^2 at y, over the rows of y."""
 
-    val: float
+    val: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
@@ -51,6 +51,13 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.ndim == 1:
         return M @ v
     return (M @ v[..., None])[..., 0]
+
+
+def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v M over the leading axes."""
+    if v.ndim == 1:
+        return v @ M
+    return (v[..., None, :] @ M)[..., 0, :]
 
 
 def _any(b: np.ndarray) -> bool:
@@ -133,26 +140,36 @@ class NormEvaluator:
 
     # -- evaluation ----------------------------------------------------
 
-    def __call__(self, y) -> float:
+    def __call__(self, y):
+        """F(y): a float for one vector, an array over the rows of a stack."""
         y = np.asarray(y, dtype=float)
-        if self.is_quadratic:
-            return float(np.sqrt(max(y @ self.matrix @ y, 0.0)))
-        return float(np.sqrt(max(y @ self.alpha @ y, 0.0)) + self.beta @ y)
+        if y.ndim == 1:
+            if self.is_quadratic:
+                return float(np.sqrt(max(y @ self.matrix @ y, 0.0)))
+            return float(np.sqrt(max(y @ self.alpha @ y, 0.0)) + self.beta @ y)
+        M = self.matrix if self.is_quadratic else self.alpha
+        val = np.sqrt(np.maximum(_dot(_vecmat(y, M), y), 0.0))
+        return val if self.is_quadratic else val + _dot(self.beta, y)
 
     @property
     def is_quadratic(self) -> bool:
         return self.kind == "euclidean-quadratic-form"
 
     def sq_jet(self, y) -> SqJet:
-        """Value, gradient and Hessian of F^2 at y, in closed form."""
+        """Value, gradient and Hessian of F^2 at y, in closed form, over the
+        rows of y; the value is a float for one vector."""
         y = np.asarray(y, dtype=float)
-        if not y.any():
+        if _any(~y.any(axis=-1)):
             raise ZeroBaseVector("F^2 is not twice differentiable at y = 0")
         if self.is_quadratic:
-            Ay = self.matrix @ y
-            return SqJet(float(y @ Ay), 2.0 * Ay, 2.0 * self.matrix)
-        _, F, _, m, g = randers_fiber(self.alpha, self.beta, y)
-        return SqJet(float(F * F), 2.0 * F * m, 2.0 * g)
+            Ay = _matvec(self.matrix, y)
+            val, grad = _dot(y, Ay), 2.0 * Ay
+            hess = np.multiply(2.0, self.matrix,     # 2A on every row
+                               out=np.empty(y.shape + y.shape[-1:]))
+        else:
+            _, F, _, m, g = randers_fiber(self.alpha, self.beta, y)
+            val, grad, hess = F * F, (2.0 * F)[..., None] * m, 2.0 * g
+        return SqJet(float(val) if y.ndim == 1 else val, grad, hess)
 
     # -- serialization -------------------------------------------------
 
@@ -192,8 +209,6 @@ def fundamental_tensor(norm: NormEvaluator, y) -> InnerProductAtY:
     numerical Hessian fails the PD check (an invalid norm input).
     """
     y = np.asarray(y, dtype=float)
-    if not np.any(y):
-        raise ZeroBaseVector("fundamental tensor undefined at y = 0")
     G = 0.5 * norm.sq_jet(y).hess
     G = 0.5 * (G + G.T)
     if np.linalg.eigvalsh(G)[0] <= 0.0:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import WindTooStrong
-from .minkowski import NormEvaluator, _any, _dot, _matvec
+from .minkowski import NormEvaluator, _any, _dot, _matvec, _vecmat
 from .report import VerificationReport, worst_deviation
 
 
@@ -142,65 +142,48 @@ def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
     <u,u>_{y'}^{F'} = <u,u>_y^F / (1 + <y, v>_y^F) and the exact special
     case <u,u>_{y'}^{F'} = <u,u>_y^F when <v, y>_y^F = 0.
     """
-    F = datum.norm
-    v = datum.wind
-    n = F.dim
+    F, v, n = datum.norm, datum.wind, datum.norm.dim
     Ft = navigated_norm(datum)
     rng = np.random.default_rng(seed)
 
-    def both_sides(yv, uv):
-        yv = yv / F(yv)
-        gy = 0.5 * F.sq_jet(yv).hess
-        uv = uv - (uv @ gy @ yv) / (yv @ gy @ yv) * yv   # enforce <u,y>_y = 0
-        yt = yv + F(yv) * v
+    def sides(yu):
+        # <u,u>_y, <u,u>_y', <y',v>_y' and <y,v>_y over the rows (y, u)
+        y = yu[:, 0] / F(yu[:, 0])[:, None]
+        gy = 0.5 * F.sq_jet(y).hess
+        u = yu[:, 1] - (_dot(_vecmat(yu[:, 1], gy), y)
+                        / _dot(_vecmat(y, gy), y))[:, None] * y
+        yt = y + F(y)[:, None] * v
         gt = 0.5 * Ft.sq_jet(yt).hess
-        uu_y = float(uv @ gy @ uv)
-        uu_t = float(uv @ gt @ uv)
-        ytv = float(yt @ gt @ v)
-        yv_v = float(yv @ gy @ v)
-        r_main = abs(uu_y * (1.0 - ytv) - uu_t)
-        r_cor = abs(uu_t * (1.0 + yv_v) - uu_y)
-        return r_main, r_cor
+        return (_dot(_vecmat(u, gy), u), _dot(_vecmat(u, gt), u),
+                _dot(_vecmat(yt, gt), v), _dot(_vecmat(y, gy), v))
 
-    pairs = [(np.asarray(y, float), np.asarray(u, float))] \
-        if y is not None and u is not None else []
-    for _ in range(samples):
-        yv = rng.standard_normal(n)
-        pairs.append((yv / F(yv), rng.standard_normal(n)))
-    devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
-    devs_orth = []
+    # y, then u, per pair; a drawn y is scaled to F(y) = 1 here and in sides
+    yu = rng.standard_normal((samples, 2, n))
+    yu[:, 0] /= F(yu[:, 0])[:, None]
+    if y is not None and u is not None:
+        yu = np.concatenate((np.array([[y, u]], dtype=float), yu))
+    uu_y, uu_t, ytv, yv_v = sides(yu)
+    devs = {"identity": np.abs(uu_y * (1.0 - ytv) - uu_t),
+            "corollary": np.abs(uu_t * (1.0 + yv_v) - uu_y)}
     # special case: base vectors with <v, y>_y^F = 0 give exact equality;
     # skipped where |v|_A^2 underflows and the projection onto v^perp fails
     if F.is_quadratic and float(v @ F.matrix @ v) > 0.0:
         A = F.matrix
-        for _ in range(max(samples // 10, 1)):
-            yv = rng.standard_normal(n)
-            yv = yv - (yv @ A @ v) / (v @ A @ v) * v
-            if np.linalg.norm(yv) < 1e-8:
-                continue
-            yv /= F(yv)
-            uv = rng.standard_normal(n)
-            gy = 0.5 * F.sq_jet(yv).hess
-            uv = uv - (uv @ gy @ yv) / (yv @ gy @ yv) * yv
-            yt = yv + F(yv) * v
-            gt = 0.5 * Ft.sq_jet(yt).hess
-            devs_orth.append(abs(float(uv @ gt @ uv) - float(uv @ gy @ uv)))
-
-    levels = [
-        {"level": "identity", "mean": float(np.mean(devs_main)),
-         "spread": float(np.max(devs_main))},
-        {"level": "corollary", "mean": float(np.mean(devs_cor)),
-         "spread": float(np.max(devs_cor))},
-    ]
-    if devs_orth:
-        levels.append({"level": "orthogonal-wind", "mean": float(np.mean(devs_orth)),
-                       "spread": float(np.max(devs_orth))})
-    max_dev = worst_deviation(np.concatenate((devs_main, devs_cor, devs_orth)))
+        yu = rng.standard_normal((max(samples // 10, 1), 2, n))
+        yu[:, 0] -= (_dot(_vecmat(yu[:, 0], A), v) / (v @ A @ v))[:, None] * v
+        keep = np.linalg.norm(yu[:, 0], axis=-1) >= 1e-8
+        if keep.any():
+            uu_y, uu_t, _, _ = sides(yu[keep])
+            devs["orthogonal-wind"] = np.abs(uu_t - uu_y)
+    levels = [{"level": name, "mean": float(np.mean(d)),
+               "spread": float(np.max(d))} for name, d in devs.items()]
+    every = np.concatenate(list(devs.values()))
+    max_dev = worst_deviation(every)
     return VerificationReport(
         check="navigation-lemma",
         config={"dim": n, "wind": v.tolist(), "samples": samples,
                 "tol": tol, "seed": seed},
-        n_samples=len(devs_main) + len(devs_cor) + len(devs_orth),
+        n_samples=every.size,
         max_deviation=max_dev,
         per_level=levels,
         passed=bool(max_dev < tol),

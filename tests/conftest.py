@@ -9,11 +9,14 @@ space instead of the null space on so(l), a QR projection, one trial at
 a time, instead of the batched projection of the Lie closure check on
 the basis itself, one spray model per stencil point instead of the
 batched flag stencil, one seed, one norm and one Newton dual at a time
-instead of the batched level-set layer.
+instead of the batched level-set layer, one (y, u) pair at a time
+instead of the array pass of the navigation lemma.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, null_space
+
+from finslab.navigation import navigated_norm
 
 
 def fd_gradient(func, y, h=1e-6):
@@ -437,3 +440,55 @@ def pointwise_shape_eigenvalues(metric, f, x, h=1e-3):
     T = null_space((q @ nu)[None, :])                    # n x (n - 1)
     B = -T.T @ cov @ q @ T
     return eigh(0.5 * (B + B.T), T.T @ q @ T, eigvals_only=True)
+
+
+def pointwise_navigation_lemma(datum, y=None, u=None, samples=1000, seed=0):
+    """Deviations of the navigation inner-product identity, its corollary
+    and its orthogonal-wind case, one (y, u) pair at a time, drawn from
+    default_rng(seed) in the order of ``check_navigation_lemma``; a
+    dict of arrays keyed by the report's level names."""
+    F = datum.norm
+    v = datum.wind
+    n = F.dim
+    Ft = navigated_norm(datum)
+    rng = np.random.default_rng(seed)
+
+    def both_sides(yv, uv):
+        yv = yv / F(yv)
+        gy = 0.5 * F.sq_jet(yv).hess
+        uv = uv - (uv @ gy @ yv) / (yv @ gy @ yv) * yv   # enforce <u,y>_y = 0
+        yt = yv + F(yv) * v
+        gt = 0.5 * Ft.sq_jet(yt).hess
+        uu_y = float(uv @ gy @ uv)
+        uu_t = float(uv @ gt @ uv)
+        ytv = float(yt @ gt @ v)
+        yv_v = float(yv @ gy @ v)
+        r_main = abs(uu_y * (1.0 - ytv) - uu_t)
+        r_cor = abs(uu_t * (1.0 + yv_v) - uu_y)
+        return r_main, r_cor
+
+    pairs = [(np.asarray(y, float), np.asarray(u, float))] \
+        if y is not None and u is not None else []
+    for _ in range(samples):
+        yv = rng.standard_normal(n)
+        pairs.append((yv / F(yv), rng.standard_normal(n)))
+    devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
+    devs = {"identity": devs_main, "corollary": devs_cor}
+    devs_orth = []
+    if F.is_quadratic and float(v @ F.matrix @ v) > 0.0:
+        A = F.matrix
+        for _ in range(max(samples // 10, 1)):
+            yv = rng.standard_normal(n)
+            yv = yv - (yv @ A @ v) / (v @ A @ v) * v
+            if np.linalg.norm(yv) < 1e-8:
+                continue
+            yv /= F(yv)
+            uv = rng.standard_normal(n)
+            gy = 0.5 * F.sq_jet(yv).hess
+            uv = uv - (uv @ gy @ yv) / (yv @ gy @ yv) * yv
+            yt = yv + F(yv) * v
+            gt = 0.5 * Ft.sq_jet(yt).hess
+            devs_orth.append(abs(float(uv @ gt @ uv) - float(uv @ gy @ uv)))
+        if devs_orth:
+            devs["orthogonal-wind"] = np.array(devs_orth)
+    return devs

@@ -341,6 +341,32 @@ def test_navigation_lemma_entries_never_crash(tmp_path_factory, entry):
     assert main(["batch", str(path)]) in (0, 1, 2)
 
 
+_SPECTRUM_ENTRY = st.fixed_dictionaries({
+    "check": st.just("spectrum"), "n": st.integers(1, 4),
+    "function": st.sampled_from(["height", "split-quadratic"]),
+    "metric": st.sampled_from(["round", "randers"]),
+    "level": st.floats(-1.2, 1.2), "lambda": st.floats(-2.0, 2.0),
+    "per_level": st.integers(1, 3)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SPECTRUM_ENTRY)
+def test_spectrum_entries_never_crash(tmp_path_factory, entry):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["batch", str(path)]) in (0, 1, 2)
+
+
+def test_spectrum_on_the_circle_exits_2(capsys):
+    # a level of S^1 is a set of points, with no principal curvatures
+    argv = ["verify", "spectrum", "--n", "1", "--level", "0.3",
+            "--per-level", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DimensionMismatch"
+
+
 def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):
     for argv in (["batch", "/no/such.json"],
                  ["clifford", "audit", "/no/such.json"],

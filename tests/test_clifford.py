@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,6 +168,7 @@ def test_centralizer_index_is_lexicographic_pair_for_m1():
 
 
 def test_centralizer_rejects_non_clifford():
+    # both systems raise when they are built, before centralizer runs
     D = np.diag([1.0, 1.0, -1.0, -1.0])
     with pytest.raises(NotClifford):   # P_1 = P_0 does not anticommute
         centralizer(CliffordSystem(m=1, l=2, matrices=[D, D], k=2))
@@ -174,8 +176,9 @@ def test_centralizer_rejects_non_clifford():
     S, S_inv = np.eye(4), np.eye(4)
     S[0, 2], S_inv[0, 2] = 1.0, -1.0
     bent = [S @ P @ S_inv for P in build_quiet(1, 2).matrices]
-    assert anticommutation_error(CliffordSystem(m=1, l=2, matrices=bent,
-                                                k=2)) == 0.0
+    # a bare carrier: a CliffordSystem of these matrices cannot be built
+    assert anticommutation_error(SimpleNamespace(matrices=bent,
+                                                 dim=4)) == 0.0
     with pytest.raises(NotClifford):
         centralizer(CliffordSystem(m=1, l=2, matrices=bent, k=2))
 

@@ -190,6 +190,29 @@ def test_zero_base_vector_errors():
         legendre_solve(RANDERS_2D, np.zeros(2))
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "randers"])
+def test_norm_and_jet_over_rows_match_one_vector(kind):
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((3, 3))
+    spd = M @ M.T + 0.5 * np.eye(3)
+    norm = NormEvaluator.quadratic(spd) if kind == "quadratic" \
+        else NormEvaluator.randers(spd, 0.2 * rng.standard_normal(3))
+    Y = rng.standard_normal((2, 5, 3))
+    vals, jet = norm(Y), norm.sq_jet(Y)
+    assert vals.shape == jet.val.shape == (2, 5)
+    assert jet.grad.shape == (2, 5, 3) and jet.hess.shape == (2, 5, 3, 3)
+    for idx in np.ndindex(2, 5):
+        val, one = norm(Y[idx]), norm.sq_jet(Y[idx])
+        assert type(val) is float and type(one.val) is float
+        assert np.array_equal(vals[idx], val)
+        assert np.array_equal(jet.val[idx], one.val)
+        assert np.array_equal(jet.grad[idx], one.grad)
+        assert np.array_equal(jet.hess[idx], one.hess)
+    Y[1, 2] = 0.0
+    with pytest.raises(ZeroBaseVector):
+        norm.sq_jet(Y)
+
+
 def test_randers_needs_small_beta():
     with pytest.raises(NotPositiveDefinite):
         NormEvaluator.randers(np.eye(2), [1.0, 0.0])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finslab.navigation as navigation
+from conftest import pointwise_navigation_lemma
 from finslab.errors import WindTooStrong
 from finslab.minkowski import NormEvaluator
 from finslab.navigation import (NavigationDatum, check_navigation_lemma,
@@ -216,3 +218,48 @@ def test_lemma_wind_below_underflow_has_finite_levels():
     assert rep.passed
     assert all(np.isfinite([e["mean"], e["spread"]]).all()
                for e in rep.per_level)
+
+
+def _lemma_datum(kind, n, rng, sign=1.0):
+    # a base of the given kind on R^n and a wind with F(-v) = 0.6
+    if kind == "euclidean":
+        F = NormEvaluator.euclidean(n)
+    elif kind == "quadratic":
+        M = rng.standard_normal((n, n))
+        F = NormEvaluator.quadratic(M @ M.T + 0.5 * np.eye(n))
+    else:
+        F = _random_randers_datum(rng, n).norm
+    v = rng.standard_normal(n)
+    return NavigationDatum(F, sign * 0.6 * v / F(-sign * v))
+
+
+_BASES = ("euclidean", "quadratic", "randers")
+_LEMMA_CASES = [(kind, n, {}) for kind in _BASES for n in (1, 2, 3, 4)] + [
+    ("quadratic", 3, {"sign": -1.0}), ("randers", 3, {"sign": -1.0}),
+    ("randers", 2, {"pair": True}), ("euclidean", 3, {"pair": True}),
+    ("underflow", 3, {})]
+
+
+@pytest.mark.parametrize("kind, n, extra", _LEMMA_CASES)
+def test_lemma_array_pass_matches_pointwise_oracle(kind, n, extra,
+                                                   monkeypatch):
+    rng = np.random.default_rng(40 + n)
+    if kind == "underflow":
+        datum = NavigationDatum(NormEvaluator.euclidean(n),
+                                [1e-170] + [0.0] * (n - 1))
+    else:
+        datum = _lemma_datum(kind, n, rng, extra.get("sign", 1.0))
+    pair = {}
+    if extra.get("pair"):
+        pair = {"y": rng.standard_normal(n).tolist(),
+                "u": rng.standard_normal(n).tolist()}
+    seen = []
+    monkeypatch.setattr(navigation, "worst_deviation",
+                        lambda d: seen.append(d) or float(np.max(d)))
+    rep = check_navigation_lemma(datum, samples=40, seed=n, **pair)
+    oracle = pointwise_navigation_lemma(datum, samples=40, seed=n, **pair)
+    assert [e["level"] for e in rep.per_level] == list(oracle)
+    assert np.array_equal(seen[0], np.concatenate(list(oracle.values())))
+    assert np.array_equal([[e["mean"], e["spread"]] for e in rep.per_level],
+                          [[np.mean(d), np.max(d)] for d in oracle.values()])
+    assert rep.n_samples == seen[0].size
