@@ -25,7 +25,8 @@ import numpy as np
 
 from . import clifford as cl
 from .curvature import Flag, flag_curvature
-from .errors import ConfigError, FinslabError, ParseError, UnknownCheck
+from .errors import (ConfigError, FinslabError, NumericalError, ParseError,
+                     UnknownCheck)
 from .isoparametric import (check_isoparametric, check_tangency,
                             check_transnormal, height_function,
                             otfkm_function, principal_curvature_spectrum,
@@ -402,9 +403,17 @@ _CHECKS = {
 
 def run(config: ExperimentConfig) -> VerificationReport:
     """Run and time one experiment, set-up included; the report's config
-    is the experiment's echo plus what its runner adds."""
+    is the experiment's echo plus what its runner adds.  A NumericalError
+    gives a failed report: NaN deviation and one per_level entry
+    {"error": name, "message": text}."""
     start = time.perf_counter()
-    rep, extras = _CHECKS[config.check][1](config)
+    try:
+        rep, extras = _CHECKS[config.check][1](config)
+    except NumericalError as exc:
+        rep, extras = VerificationReport(
+            check=config.check, config={}, n_samples=0,
+            max_deviation=float("nan"),
+            per_level=[{"error": type(exc).__name__, "message": str(exc)}]), {}
     rep.config = config.echo() | extras
     rep.wall_time_ms = int(1000 * (time.perf_counter() - start))
     return rep
@@ -415,8 +424,9 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
     document with an "experiments" array).
 
     Returns (reports, all_ok) where a report counts as ok when pass
-    matches the experiment's expect_fail flag.  Reports keep config
-    order.
+    matches the experiment's expect_fail flag and it holds no error: a
+    numerical failure is not the failure a negative control expects.
+    Reports keep config order.
     """
     doc = _read_json(path, "battery file")
     entries = doc.get("experiments") if isinstance(doc, dict) else doc
@@ -425,7 +435,9 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
                          'or an object with an "experiments" array')
     configs = [ExperimentConfig.from_dict(e) for e in entries]
     reports = [run(c) for c in configs]
-    ok = all(r.passed != c.expect_fail for r, c in zip(reports, configs))
+    ok = all(r.passed != c.expect_fail
+             and not any("error" in e for e in r.per_level)
+             for r, c in zip(reports, configs))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -250,6 +250,30 @@ def _wedge(X, Y, a, b):
                   - Xa[:, b] * Yb[:, a] - Ya[:, b] * Xb[:, a])
 
 
+def _null_coefficients(C, a, b, tol, band):
+    # (pairs, coeffs) of the null vectors of the Gram of Y -> ([Y, C_i])_i,
+    # wedge(I, 2 sum C_i C_i^T) - 2 sum_i wedge(C_i, C_i), per block size
+    R = np.einsum("ipc,ipd->pcd", C[:, a], C[:, b], optimize=True)
+    gram = _wedge(np.eye(C.shape[1]),
+                  2.0 * np.einsum("ipc,iqc->pq", C, C), a, b)
+    gram -= 2.0 * (R[:, a, b] - R[:, b, a])
+    rows, cols = np.nonzero((gram != 0.0) | (gram.T != 0.0))
+    label, old = np.arange(len(a)), None   # ends as a block's least pair
+    while not np.array_equal(label, old):
+        old = label.copy()
+        np.minimum.at(label, rows, label[cols])
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))      # stable: pairs ascend in a block
+    for s in np.flatnonzero(np.bincount(size)):
+        blocks = order[size[order] == s].reshape(-1, s)
+        mu, V = np.linalg.eigh(gram[blocks[:, :, None], blocks[:, None, :]])
+        if np.any((mu > tol) & (mu < band)):
+            raise RankDeficiency(
+                "null-space eigenvalues fall inside the ambiguity band")
+        j, col = np.nonzero(mu <= tol)
+        yield blocks[j], V[j, :, col]
+
+
 def centralizer(sys_: CliffordSystem, tol: float = 1e-8,
                 ambiguity_band: float = 1e-4) -> SkewBasis:
     """Frobenius-orthonormal basis of c(Sigma): skew X with [X, P] = 0 for
@@ -260,9 +284,13 @@ def centralizer(sys_: CliffordSystem, tol: float = 1e-8,
     [Q+, Q-], with C_i skew, so c(Sigma) = {diag(Y, Y) : Y in so(l),
     [Y, C_i] = 0}.  The Y are the null space (eigenvalues <= tol) of the
     Gram matrix of Y -> ([Y, C_i])_i on the pair basis of so(l); an
-    eigenvalue inside (tol, ambiguity_band) raises RankDeficiency.  For
-    m = 1, c(Sigma) is all of so(l), and element p is pair p of
-    (0, 1), (0, 2), ..., (l - 2, l - 1) in lexicographic order.
+    eigenvalue inside (tol, ambiguity_band) raises RankDeficiency.  The
+    Gram splits exactly (no threshold) into the connected blocks of its
+    nonzero pattern, whose spectra make up its own: small blocks when the
+    C_i are signed permutations, as on built systems, one block on a dense
+    (e.g. rotated) system.  Elements are ordered by the size of their
+    block, then by its least pair index; for m = 1 the Gram is 0 and
+    element p is pair p of (0, 1), ..., (l - 2, l - 1), in lexicographic order.
     """
     mats = sys_.matrices
     evals, Q = np.linalg.eigh(mats[0])
@@ -270,23 +298,15 @@ def centralizer(sys_: CliffordSystem, tol: float = 1e-8,
     Qm = mats[1] @ Qp
     l = Qp.shape[1]
     a, b = np.triu_indices(l, 1)
-    if len(mats) == 2:
-        coeffs = np.eye(len(a))
-    else:
-        # the Gram of Y -> [Y, C] is I(x)CC^T + C^TC(x)I - C(x)C - C^T(x)C^T
-        Cs = [Qp.T @ P @ Qm for P in mats[2:]]
-        gram = _wedge(np.eye(l), sum(C @ C.T + C.T @ C for C in Cs), a, b)
-        for C in Cs:
-            W = _wedge(C, C, a, b)
-            gram -= W + W.T
-        mu, V = np.linalg.eigh(gram)
-        if np.any((mu > tol) & (mu < ambiguity_band)):
-            raise RankDeficiency(
-                "null-space eigenvalues fall inside the ambiguity band")
-        coeffs = V[:, mu <= tol]
-    Y = np.zeros((coeffs.shape[1], l, l))
-    Y[:, a, b] = 0.5 * coeffs.T
-    Y[:, b, a] = -0.5 * coeffs.T
+    C = Qp.T @ np.asarray(mats[2:]).reshape(-1, 2 * l, 2 * l) @ Qm
+    found = list(_null_coefficients(C, a, b, tol, ambiguity_band))
+    Y = np.zeros((sum(len(pairs) for pairs, _ in found), l, l))
+    start = 0
+    for pairs, coeffs in found:   # element start + r: coeffs[r] on pairs[r]
+        n = start + np.arange(len(pairs))[:, None]
+        Y[n, a[pairs], b[pairs]] = 0.5 * coeffs
+        Y[n, b[pairs], a[pairs]] = -0.5 * coeffs
+        start += len(pairs)
     X = Qp @ Y @ Qp.T + Qm @ Y @ Qm.T
     return SkewBasis(list(0.5 * (X - X.transpose(0, 2, 1))))
 

@@ -5,6 +5,11 @@ class FinslabError(Exception):
     """Base class for all errors raised by finslab."""
 
 
+class NumericalError(FinslabError):
+    """A valid experiment met a numerical failure; ``cli.run`` turns it
+    into a failed report."""
+
+
 class ZeroBaseVector(FinslabError):
     """A Minkowski-norm operation was asked to evaluate at y = 0."""
 
@@ -41,19 +46,19 @@ class DegenerateFlag(FinslabError):
     """Flagpole and transverse vector are (numerically) linearly dependent."""
 
 
-class CriticalPoint(FinslabError):
+class CriticalPoint(NumericalError):
     """df = 0 at the requested point; the nonlinear gradient is undefined there."""
 
 
-class StencilEscape(FinslabError):
+class StencilEscape(NumericalError):
     """A Laplacian stencil point fell on the critical set of the function."""
 
 
-class EmptyLevel(FinslabError):
+class EmptyLevel(NumericalError):
     """No sample of the requested level set could be produced."""
 
 
-class ClusterAmbiguity(FinslabError):
+class ClusterAmbiguity(NumericalError):
     """Eigenvalue clustering is not stable under the gap threshold."""
 
 
@@ -69,7 +74,7 @@ class NotOnFocalSet(FinslabError):
     """Point does not lie on the focal manifold f = -1."""
 
 
-class RankDeficiency(FinslabError):
+class RankDeficiency(NumericalError):
     """Numerical null-space rank is ambiguous at the configured threshold."""
 
 

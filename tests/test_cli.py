@@ -4,6 +4,9 @@ import importlib.util
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslab.cli as cli
+from finslab import errors
 from finslab.cli import ExperimentConfig, batch, main, run
 from finslab.errors import ConfigError, ParseError, UnknownCheck
 from finslab.isoparametric import SpectrumResult
@@ -365,6 +369,67 @@ def test_spectrum_on_the_circle_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "DimensionMismatch"
+
+
+UNSTABLE_SPECTRUM = {"check": "spectrum", "n": 3, "function": "height",
+                     "metric": "randers", "level": -0.9, "lambda": 0.3,
+                     "per_level": 3}
+
+
+def test_numerical_error_fails_its_entry_and_the_battery_runs_on(
+        tmp_path, capsys):
+    # a valid entry whose clustering is unstable is a failed report, not
+    # a configuration error: the next entry runs and --out is written
+    path = tmp_path / "battery.json"
+    path.write_text(json.dumps([UNSTABLE_SPECTRUM,
+                                {"check": "tangency", "n": 3}]))
+    assert main(["batch", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ""
+    failed, tangency = json.loads(
+        (tmp_path / "out" / "reports.json").read_text())
+    assert tangency["check"] == "tangency" and tangency["n_samples"] == 200
+    assert list(failed) == list(tangency)
+    assert failed["check"] == "spectrum" and failed["pass"] is False
+    assert math.isnan(failed["max_deviation"])
+    [entry] = failed["per_level"]
+    assert entry["error"] == "ClusterAmbiguity"
+    assert "clustering unstable" in entry["message"]
+    # an error is not the failure a negative control expects
+    path.write_text(json.dumps([UNSTABLE_SPECTRUM | {"expect_fail": True}]))
+    assert main(["batch", str(path)]) == 1
+    capsys.readouterr()
+
+
+def test_rank_deficiency_in_an_audit_is_a_failed_report(monkeypatch):
+    real = cli.cl.centralizer
+    monkeypatch.setattr(cli.cl, "centralizer",
+                        lambda sys_: real(sys_, ambiguity_band=5.0))
+    rep = run(ExperimentConfig.from_dict(
+        {"check": "clifford-audit", "clifford": {"m": 3, "k": 2}}))
+    assert not rep.passed and math.isnan(rep.max_deviation)
+    assert rep.per_level[0]["error"] == "RankDeficiency"
+    assert rep.config == {"check": "clifford-audit", "n": 3,
+                          "metric": "round", "function": "height",
+                          "tol": 1e-10, "seed": 0,
+                          "clifford": {"m": 3, "k": 2}}
+
+
+def test_numerical_errors_share_a_base():
+    for name in ("EmptyLevel", "ClusterAmbiguity", "RankDeficiency",
+                 "CriticalPoint", "StencilEscape"):
+        assert issubclass(getattr(errors, name), errors.NumericalError)
+    assert not issubclass(ConfigError, errors.NumericalError)
+
+
+def test_cli_imports_no_scipy_subpackage_but_linalg():
+    # each scipy subpackage costs import time in every run's set-up
+    code = ("import json, sys, finslab.cli, scipy; print(json.dumps("
+            "[n for n in scipy.submodules if 'scipy.' + n in sys.modules]))")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == ["linalg"]
 
 
 def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):

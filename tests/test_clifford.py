@@ -16,7 +16,8 @@ from finslab.clifford import (CliffordSystem, SkewBasis,
                               lie_closure_residual, otfkm_gradient,
                               otfkm_value, predicted_centralizer_dim,
                               spin_lift, symmetry_basis)
-from finslab.errors import NotClifford, NotOnFocalSet, UnsupportedSplit
+from finslab.errors import (NotClifford, NotOnFocalSet, RankDeficiency,
+                            UnsupportedSplit)
 
 
 def build_quiet(m, k):
@@ -129,24 +130,52 @@ def test_centralizer_dimensions():
                 assert np.abs(E @ P - P @ E).max() < 1e-10
 
 
+def assert_matches_dense_oracle(sys_, where):
+    # same span as the oracle's (by projector) and commuting with every P_i
+    cent = centralizer(sys_)
+    dense = dense_centralizer(sys_.matrices)
+    assert cent.dim == len(dense), where
+    if not dense:
+        return cent
+    S = cent.span_matrix()
+    D = np.column_stack([E.ravel() for E in dense])
+    assert np.abs(S @ S.T - D @ D.T).max() < 1e-12, where
+    X = np.asarray(cent.elements)
+    for P in sys_.matrices:
+        assert np.abs(X @ P - P @ X).max() < 1e-12, where
+    return cent
+
+
 def test_centralizer_matches_dense_oracle():
-    # every acceptance-grid system with 2l <= 16
+    # every acceptance-grid system with 2l <= 32: a block-diagonal Gram
     count = 0
-    for m, spec, sys_ in grid_systems(16):
+    for m, spec, sys_ in grid_systems(32):
         count += 1
-        cent = centralizer(sys_)
-        dense = dense_centralizer(sys_.matrices)
-        assert cent.dim == len(dense) == predicted_centralizer_dim(
+        cent = assert_matches_dense_oracle(sys_, (m, spec))
+        assert cent.dim == predicted_centralizer_dim(
             sys_.m, sys_.k, sys_.k1, sys_.k2), (m, spec)
-        if not dense:
-            continue
-        S = cent.span_matrix()
-        D = np.column_stack([E.ravel() for E in dense])
-        assert np.abs(S @ S.T - D @ D.T).max() < 1e-12, (m, spec)
-        for E in cent.elements:
-            for P in sys_.matrices:
-                assert np.abs(E @ P - P @ E).max() < 1e-12, (m, spec)
-    assert count == 21
+    assert count == 45
+
+
+@pytest.mark.parametrize("m,k", [(2, 4), (3, 2), (5, 1), (4, (1, 1))])
+def test_rotated_centralizer_matches_dense_oracle(m, k):
+    # O P_i O^T has a dense Gram, one block: the path of a general system
+    sys_ = build_quiet(m, k)
+    O, _ = np.linalg.qr(np.random.default_rng(11).standard_normal(
+        (sys_.dim, sys_.dim)))
+    rotated = CliffordSystem(m=m, l=sys_.l, k=sys_.k, k1=sys_.k1,
+                             k2=sys_.k2, delta_m=sys_.delta_m,
+                             matrices=[O @ P @ O.T for P in sys_.matrices])
+    cent = assert_matches_dense_oracle(rotated, (m, k))
+    assert cent.dim == centralizer(sys_).dim > 0
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (5, 1)])
+def test_centralizer_checks_the_band_on_every_block(m, k):
+    # the least nonzero Gram eigenvalue is 4 on each, in blocks of size 2
+    # (2, 2), of sizes 2 and 4 (3, 2) and of size 4 (5, 1)
+    with pytest.raises(RankDeficiency):
+        centralizer(build_quiet(m, k), ambiguity_band=5.0)
 
 
 def test_centralizer_index_is_lexicographic_pair_for_m1():
