@@ -43,8 +43,7 @@ for name, met in (("round", round_metric(chart)),
 
 print("\n=== the asymmetry of the nonlinear gradient ===")
 met = randers_sphere(chart, W)
-s = sample_level_set(f, 0.3, 1, seed=3)[0]
-fld = met.with_center(s.point)
+fld = met.with_center(sample_level_set(f, 0.3, 1, seed=3)[0])
 a = nonlinear_gradient(fld, f, np.zeros(5))
 b = nonlinear_gradient(fld, -f, np.zeros(5))
 print(f"|grad(-f) + grad(f)| = {np.linalg.norm(a + b):.4f}  (nonzero)")

@@ -27,7 +27,7 @@ print("=== normal flows through the level family (S^5, spin wind) ===")
 for fn, label, level in ((f, "n1 (increasing f)", -0.8),
                          (-f, "n2 (decreasing f)", -0.8)):
     start = sample_level_set(fn, level, 1, seed=5)[0]
-    met = base.with_center(start.point)
+    met = base.with_center(start)
     field = unit_gradient_field(met, fn)
     path = integrate_flow(field, np.zeros(5), 0.25, steps=50)
     resid = max(geodesic_field_residual(met, field, path[i])

@@ -17,7 +17,7 @@ from .curvature import (Flag, GeodesicPath, flag_curvature,
                         integrate_flow, integrate_geodesic,
                         riemann_curvature)
 from .errors import FinslabError
-from .isoparametric import (LevelSetSample, SphereFunction, SpectrumResult,
+from .isoparametric import (SphereFunction, SpectrumResult,
                             check_isoparametric, check_tangency,
                             check_transnormal, custom_sphere_function,
                             gradient_norm, height_function,

@@ -61,8 +61,6 @@ class ExperimentConfig:
     level: float = 0.0
     expect_g: tuple[int, ...] | None = None
     expect_fail: bool = False
-    m: int | None = None
-    k: int | None = None
     norm: dict | str | None = None
 
     @classmethod
@@ -120,6 +118,9 @@ class ExperimentConfig:
             out["w_spec"] = self.w_spec
         if self.clifford is not None:
             out["clifford"] = self.clifford
+        if self.check == "spectrum":
+            out["level"] = self.level
+            out["expect_g"] = self.expect_g
         return out
 
 
@@ -202,8 +203,6 @@ def _clifford_system(spec, where: str = "field 'clifford'"
 
 def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
     spec = cfg.clifford
-    if spec is None and cfg.m is not None:
-        spec = {"m": cfg.m, "k": 1 if cfg.k is None else cfg.k}
     if spec is None:
         raise ConfigError("field 'clifford': required for otfkm functions")
     if isinstance(spec, str):
@@ -368,7 +367,7 @@ def _run_spectrum(cfg: ExperimentConfig):
                    zip(zip(spec.cluster_means, spec.multiplicities),
                        spreads or [float("nan")] * spec.g)],
         passed=bool(ok and worst < cfg.tol))
-    return rep, {"level": cfg.level, "expect_g": cfg.expect_g}
+    return rep, {}
 
 
 def _run_clifford_audit(cfg: ExperimentConfig):
@@ -555,7 +554,8 @@ def main(argv=None) -> int:
     except FinslabError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 2
+        # a numerical failure reaches here only from `clifford audit`
+        return 1 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ from .errors import (ClusterAmbiguity, CriticalPoint, DimensionMismatch,
                      EmptyLevel, StencilEscape)
 from .minkowski import _any, _dot, _matvec, legendre_solve, randers_fiber
 from .report import VerificationReport, worst_deviation
-from .sphere import Chart, KillingField, MetricField, random_sphere_points
+from .sphere import (Chart, KillingField, MetricField, _complete_basis,
+                     random_sphere_points)
 
 _CRITICAL_EPS = 1e-10
 
@@ -123,15 +124,6 @@ def custom_sphere_function(ambient_dim: int, value,
     return SphereFunction(ambient_dim, "custom", value, gradient)
 
 
-@dataclass
-class LevelSetSample:
-    """One projected point of a level set with its gradient data."""
-
-    point: np.ndarray
-    f_value: float
-    h_gradient: np.ndarray
-
-
 def _project(f: SphereFunction, c: float, P: np.ndarray,
              newton_cap: int) -> tuple:
     # Newton projection of the rows of P onto {f = c} along the tangential
@@ -171,8 +163,9 @@ def _project(f: SphereFunction, c: float, P: np.ndarray,
 
 
 def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
-                     newton_cap: int = 60) -> list[LevelSetSample]:
-    """Draw ``count`` points with |f - c| < 1e-10 by Newton projection.
+                     newton_cap: int = 60) -> np.ndarray:
+    """The rows of a (count, n+1) array of points with |f - c| < 1e-10,
+    found by Newton projection.
 
     Random sphere points flow along the tangential gradient of f (with
     step halving when the residual worsens) until the level is hit.  The
@@ -184,7 +177,7 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     n = f.ambient_dim - 1
-    out = []
+    out = np.empty((0, n + 1))
     attempts, cap = 0, 40 * count + 200
     while len(out) < count and attempts < cap:
         # as many seeds as points are missing, and at least as many as all
@@ -193,14 +186,11 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
         attempts += block
         P, ok = _project(f, c, random_sphere_points(n, block, rng),
                          newton_cap)
-        grad_t = f.tangent_gradient(P)
         # c must also be a regular value at the found point
-        keep = ok & (np.linalg.norm(grad_t, axis=1) > 1e-6)
-        vals = f(P[keep])
-        out += [LevelSetSample(point=p, f_value=float(v), h_gradient=g)
-                for p, v, g in zip(P[keep], vals, grad_t[keep])]
+        keep = ok & (np.linalg.norm(f.tangent_gradient(P), axis=1) > 1e-6)
+        out = np.concatenate((out, P[keep]))
     out = out[:count]
-    if not out:
+    if not len(out):
         raise EmptyLevel(f"no sample of level {c} converged")
     if len(out) < count:
         raise EmptyLevel(
@@ -288,9 +278,9 @@ def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
     # origins x of the stack of charts centered on the samples
     stats = []
     for idx, c in enumerate(levels):
-        samples = sample_level_set(f, float(c), per_level, seed + 37 * idx)
-        fld = metric.with_center(np.array([s.point for s in samples]))
-        vals = np.asarray(quantity(fld, np.zeros((len(samples), metric.dim))))
+        points = sample_level_set(f, float(c), per_level, seed + 37 * idx)
+        fld = metric.with_center(points)
+        vals = np.asarray(quantity(fld, np.zeros((len(points), metric.dim))))
         spread = float(vals.max() - vals.min())
         stats.append({"level": float(c), "mean": float(vals.mean()),
                       "spread": spread})
@@ -426,46 +416,31 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     n = metric.dim
     if n < 2:
         raise DimensionMismatch("a level of S^1 has no principal curvatures")
-    samples = sample_level_set(f, c, points, seed)
-    fld = metric.with_center(np.array([s.point for s in samples]))
+    fld = metric.with_center(sample_level_set(f, c, points, seed))
     # every sample's center and coordinate stencil in one pass: q and the
-    # unit normal n1, then their x-derivatives [k] = d_k
-    F, q, grad = _dual(fld, f, np.zeros((len(samples), n)), step)
-    nu_all = grad / F[..., None]
-    dq_all = stencil_derivative(q[1:], step)
-    Jnu_all = stencil_derivative(nu_all[1:], step)
+    # unit normal nu, then their x-derivatives d_k on the first axis
+    F, q, grad = _dual(fld, f, np.zeros((points, n)), step)
+    nu = grad / F[..., None]
+    q0, nu0 = q[0], nu[0]
+    dq = np.moveaxis(stencil_derivative(q[1:], step), 0, 1)  # [p, k, a, b]
+    # ker df is the q-orthogonal complement of nu, since q nu = df / F;
+    # U holds a Euclidean orthonormal basis of it in its columns
+    w = _matvec(q0, nu0)
+    U = _complete_basis(w / np.sqrt(_dot(w, w))[:, None])
+    Ut = U.swapaxes(1, 2)
+    # E_ijl = d_i q_jl + d_j q_il - d_l q_ij, twice the Christoffel
+    # symbols of the first kind: q(nabla^q_u nu, v) = (d_u nu)^T q v
+    # + 1/2 E(nu, u, v), and II is minus that
+    E = dq + dq.transpose(0, 2, 1, 3) - dq.transpose(0, 2, 3, 1)
+    dnu = np.einsum("kpm,pka->pam", stencil_derivative(nu[1:], step), U)
+    II = -dnu @ q0 @ U - 0.5 * Ut @ np.einsum("pijl,pi->pjl", E, nu0) @ U
+    # principal curvatures: the eigenvalues of L^-1 sym(II) L^-T, with
+    # L L^T = U^T q U the Gram of the basis
+    L = np.linalg.cholesky(Ut @ q0 @ U)
+    LS = np.linalg.solve(L, 0.5 * (II + II.swapaxes(1, 2)))
     per_point = []
     signatures = set()
-    for i in range(len(samples)):
-        q0, nu = q[0, i], nu_all[0, i]
-        dq, Jnu = dq_all[:, i], Jnu_all[:, i].T
-
-        qinv = np.linalg.inv(q0)
-        # Gamma^k_{ij} = 1/2 q^{kl} (d_i q_{jl} + d_j q_{il} - d_l q_{ij});
-        # dq[k, a, b] = d_k q_{ab}
-        E = dq + dq.transpose(1, 0, 2) - dq.transpose(1, 2, 0)
-        gamma = 0.5 * np.einsum("kl,ijl->kij", qinv, E)
-
-        # q-orthonormal basis of the tangent space of the level set
-        basis = []
-        for u in np.eye(n):
-            u = u - (u @ q0 @ nu) * nu   # q(nu, nu) = 1
-            for b in basis:
-                u = u - (u @ q0 @ b) * b
-            norm_u = np.sqrt(max(u @ q0 @ u, 0.0))
-            if norm_u > 1e-8:
-                basis.append(u / norm_u)
-        if len(basis) < n - 1:
-            raise ClusterAmbiguity(
-                "could not span the tangent space of the level set")
-        U = np.array(basis[:n - 1])
-
-        # row a is S(u_a) = -(nabla^q_{u_a} nu), less its nu component
-        cov = U @ Jnu.T + np.einsum("kij,i,aj->ak", gamma, nu, U)
-        cov -= np.outer(cov @ q0 @ nu, nu)
-        mat = -cov @ q0 @ U.T
-        evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-
+    for evals in np.linalg.eigvalsh(np.linalg.solve(L, LS.swapaxes(1, 2))):
         clusters = _cluster(evals, gap)
         lo = _cluster(evals, 0.5 * gap)
         hi = _cluster(evals, 2.0 * gap)

@@ -248,7 +248,7 @@ def test_criterion_7_geodesic_field():
     # arc each (the regular set only allows pi/4 of arc per curve)
     for fn, level in ((f, -0.8), (f, -0.3), (-f, -0.8), (-f, -0.3)):
         start = sample_level_set(fn, level, 1, seed=107)[0]
-        met = base.with_center(start.point)
+        met = base.with_center(start)
         field = unit_gradient_field(met, fn)
         path = integrate_flow(field, np.zeros(5), 0.25, steps=50)
         arc_total += 0.25

@@ -242,6 +242,7 @@ def test_verify_flags_left_out_keep_config_defaults(capsys):
     {"check": "navigation-lemma", "n": 3, "w_spec": {"vector": [0.1, 0.2]}},
     {"check": "navigation-lemma", "n": 3, "w_spec": {"vector": ["a", 0, 0]}},
     {"check": "navigation-lemma", "w_spec": {"kind": "random-skew", "seed": 3}},
+    {"check": "clifford-audit", "m": 3},
 ])
 def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
     path = tmp_path / "batt.json"
@@ -361,6 +362,26 @@ def test_spectrum_entries_never_crash(tmp_path_factory, entry):
     assert main(["batch", str(path)]) in (0, 1, 2)
 
 
+_LEVEL_SCAN_ENTRY = st.fixed_dictionaries({
+    "check": st.sampled_from(["transnormal", "isoparametric"]),
+    "n": st.integers(2, 4),
+    "function": st.sampled_from(["height", "split-quadratic", "otfkm"]),
+    "metric": st.sampled_from(["round", "randers"]),
+    "levels": st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=2),
+    "per_level": st.integers(1, 3), "seed": st.integers(0, 50)})
+
+
+@settings(max_examples=20, deadline=None)
+@given(_LEVEL_SCAN_ENTRY)
+def test_level_scan_entries_never_crash(tmp_path_factory, entry):
+    # levels outside the range of f raise EmptyLevel, a failed report
+    if entry["function"] == "otfkm":
+        entry["clifford"] = {"m": 1, "k": 3}
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["batch", str(path)]) in (0, 1, 2)
+
+
 def test_spectrum_on_the_circle_exits_2(capsys):
     # a level of S^1 is a set of points, with no principal curvatures
     argv = ["verify", "spectrum", "--n", "1", "--level", "0.3",
@@ -390,6 +411,7 @@ def test_numerical_error_fails_its_entry_and_the_battery_runs_on(
     assert tangency["check"] == "tangency" and tangency["n_samples"] == 200
     assert list(failed) == list(tangency)
     assert failed["check"] == "spectrum" and failed["pass"] is False
+    assert failed["config"]["level"] == -0.9
     assert math.isnan(failed["max_deviation"])
     [entry] = failed["per_level"]
     assert entry["error"] == "ClusterAmbiguity"
@@ -412,6 +434,21 @@ def test_rank_deficiency_in_an_audit_is_a_failed_report(monkeypatch):
                           "metric": "round", "function": "height",
                           "tol": 1e-10, "seed": 0,
                           "clifford": {"m": 3, "k": 2}}
+
+
+def test_rank_deficiency_in_clifford_audit_exits_1(tmp_path, monkeypatch,
+                                                   capsys):
+    # a numerical failure, not a configuration error
+    real = cli.cl.centralizer
+    monkeypatch.setattr(cli.cl, "centralizer",
+                        lambda sys_: real(sys_, ambiguity_band=5.0))
+    path = tmp_path / "sys.json"
+    path.write_text(cli.cl.build_clifford(3, 2).to_json())
+    assert main(["clifford", "audit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    assert json.loads(line)["error"] == "RankDeficiency"
 
 
 def test_numerical_errors_share_a_base():

@@ -101,9 +101,8 @@ def test_critical_point_raises_and_extended_is_zero():
 def test_unit_normal_is_h_normal_plus_wind():
     # F-unit normal of a wind-invariant level: n1 = n + W
     _, f, met, W = s5_setup()
-    samples = sample_level_set(f, 0.3, 5, seed=3)
-    for s in samples:
-        fld = met.with_center(s.point)
+    for p in sample_level_set(f, 0.3, 5, seed=3):
+        fld = met.with_center(p)
         x0 = np.zeros(5)
         grad = nonlinear_gradient(fld, f, x0)
         n1 = grad / fld.norm_at(x0)(grad)
@@ -112,7 +111,7 @@ def test_unit_normal_is_h_normal_plus_wind():
         nh = np.linalg.solve(A, df)
         nh /= np.sqrt(nh @ A @ nh)
         wch = np.linalg.solve(A, fld.chart.jacobian(x0).T
-                              @ (W.matrix @ s.point))
+                              @ (W.matrix @ p))
         assert np.linalg.norm(n1 - (nh + wch)) < 1e-6
         # both unit normals have norm one
         assert abs(fld.norm_at(x0)(nh + wch) - 1.0) < 1e-8
@@ -143,8 +142,7 @@ def test_height_laplacian_on_s2():
     met = round_metric(Chart([0.0, 0.0, 1.0]))
     f = height_function(3, axis=2)
     for c in (0.3, -0.6):
-        s = sample_level_set(f, c, 2, seed=5)[0]
-        fld = met.with_center(s.point)
+        fld = met.with_center(sample_level_set(f, c, 2, seed=5)[0])
         lap = nonlinear_laplacian(fld, f, np.zeros(2))
         assert abs(lap + 2.0 * c) < 1e-8
 
@@ -186,20 +184,20 @@ def test_custom_function_broadcasts_and_falls_back_to_the_stencil():
 
 def test_sample_level_set_height_equator():
     f = height_function(3, axis=2)
-    samples = sample_level_set(f, 0.0, 20, seed=7)
-    assert len(samples) == 20
-    for s in samples:
-        assert abs(s.point[2]) < 1e-10
-        assert abs(np.linalg.norm(s.point) - 1.0) < 1e-12
-        assert abs(s.point @ s.h_gradient) < 1e-10
+    P = sample_level_set(f, 0.0, 20, seed=7)
+    assert isinstance(P, np.ndarray) and P.shape == (20, 3)
+    assert np.abs(P[:, 2]).max() < 1e-10
+    assert np.abs(np.linalg.norm(P, axis=1) - 1.0).max() < 1e-12
+    assert np.abs(np.einsum("ij,ij->i", P, f.tangent_gradient(P))).max() \
+        < 1e-10
 
 
 def test_sample_level_set_otfkm():
     sys_ = build_clifford(1, 3)
     f = otfkm_function(sys_)
-    samples = sample_level_set(f, 0.0, 100, seed=8)
-    assert len(samples) == 100
-    assert max(abs(s.f_value) for s in samples) < 1e-10
+    P = sample_level_set(f, 0.0, 100, seed=8)
+    assert P.shape == (100, 6)
+    assert np.abs(f(P)).max() < 1e-10
 
 
 def test_sample_level_set_out_of_range():
@@ -298,8 +296,8 @@ def test_legendre_matches_newton_at_paper_suite_levels():
     for idx, entry in enumerate(entries):
         met, f, _ = cli._sphere_setup(cli.ExperimentConfig.from_dict(entry))
         for c in entry["levels"]:
-            for s in sample_level_set(f, c, 3, seed=idx):
-                fld = met.with_center(s.point)
+            for p in sample_level_set(f, c, 3, seed=idx):
+                fld = met.with_center(p)
                 x0 = np.zeros(fld.dim)
                 norm = fld.norm_at(x0)
                 for fn in (f, -f):
@@ -405,8 +403,7 @@ def test_localization_build_is_two_builder_calls(monkeypatch):
         sphere.MetricField, "coefficients",
         lambda fld, X: builds.append(fld.kind) or coefficients(fld, X))
     _, f, met, _ = s5_setup()
-    s = sample_level_set(f, 0.2, 1, seed=12)[0]
-    fld = met.with_center(s.point)
+    fld = met.with_center(sample_level_set(f, 0.2, 1, seed=12)[0])
     loc = localization_field(fld, unit_gradient_field(fld, f))
     rng = np.random.default_rng(14)
     for shape in ((5,), (10, 5), (3, 7, 5)):
@@ -424,7 +421,7 @@ def test_sampler_matches_pointwise_oracle(kind):
          "otfkm": lambda: otfkm_function(build_clifford(1, 3))}[kind]()
     for fn in (f, -f):
         for idx, c in enumerate(SUITE_LEVELS):
-            pts = np.array([s.point for s in sample_level_set(fn, c, 12, idx)])
+            pts = sample_level_set(fn, c, 12, idx)
             oracle = pointwise_sample_level_set(fn, c, 12, idx)
             assert pts.shape == oracle.shape
             assert np.abs(pts - oracle).max() < 1e-12
@@ -450,7 +447,7 @@ def test_level_quantities_match_pointwise_oracles(mk, wind):
     n = sys_.dim - 1
     x0 = np.zeros(n)
     for fn, c in ((f, 0.3), (-f, 0.5)):
-        pts = np.array([s.point for s in sample_level_set(fn, c, 3, seed=21)])
+        pts = sample_level_set(fn, c, 3, seed=21)
         fld = met.with_center(pts)
         Fg = gradient_norm(fld, fn, np.zeros((3, n)))
         lap = nonlinear_laplacian(fld, fn, np.zeros((3, n)))
@@ -467,12 +464,30 @@ def test_level_quantities_match_pointwise_oracles(mk, wind):
                                [g.mean() for g in groups], rtol=0, atol=1e-8)
 
 
+def test_spectrum_matches_pointwise_oracle_for_a_non_tangent_wind():
+    # the wind rotates the (x0, x1) plane while the height function reads
+    # x0, so F*(df) != |df| and q nu = df / F is not a unit vector: the
+    # tangent basis must come from its direction
+    met = randers_sphere(Chart(np.eye(4)[0]), block_killing(0, [0.5], [2]))
+    f = height_function(4, axis=0)
+    x0 = np.zeros(3)
+    for c in (0.3, -0.5):
+        spec = principal_curvature_spectrum(met, f, c, points=3, seed=4)
+        assert spec.g == 2 and spec.consistent
+        for p, clusters in zip(sample_level_set(f, c, 3, seed=4),
+                               spec.per_point):
+            evals = np.sort(pointwise_shape_eigenvalues(
+                met.with_center(p), f, x0))
+            groups = np.split(evals, np.cumsum([k for _, k in clusters])[:-1])
+            assert np.allclose([m for m, _ in clusters],
+                               [g.mean() for g in groups], rtol=0, atol=1e-8)
+
+
 def test_localization_metrics_have_round_curvature():
     # freezing the Randers tensor along either unit normal of a
     # wind-invariant family gives a constant-curvature-1 metric
     _, f, met, _ = s5_setup()
-    s = sample_level_set(f, 0.2, 1, seed=12)[0]
-    fld = met.with_center(s.point)
+    fld = met.with_center(sample_level_set(f, 0.2, 1, seed=12)[0])
     rng = np.random.default_rng(13)
     for sign in (+1.0, -1.0):
         fn = f if sign > 0 else -f
