@@ -287,7 +287,7 @@ def _sphere_setup(cfg: ExperimentConfig, need_wind: bool = False):
     return met, _build_function(cfg, ambient, sys_), W
 
 
-def _run_flag_curvature(cfg: ExperimentConfig):
+def _run_flag_curvature(cfg: ExperimentConfig, extras: dict):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
     center = rng.standard_normal(n + 1)
@@ -303,16 +303,15 @@ def _run_flag_curvature(cfg: ExperimentConfig):
         v = rng.standard_normal(n)
         devs.append(abs(flag_curvature(met, Flag(x, y, v)) - 1.0))
     worst = float(np.max(devs))
-    rep = VerificationReport(
+    return VerificationReport(
         check="flag-curvature", config={}, n_samples=cfg.samples,
         max_deviation=worst,
         per_level=[{"level": "|K-1|", "mean": float(np.mean(devs)),
                     "spread": worst}],
         passed=bool(worst < cfg.tol))
-    return rep, {}
 
 
-def _run_navigation_lemma(cfg: ExperimentConfig):
+def _run_navigation_lemma(cfg: ExperimentConfig, extras: dict):
     base = _load_norm(cfg)
     wind = np.zeros(base.dim)
     wind[0] = cfg.lam
@@ -325,29 +324,29 @@ def _run_navigation_lemma(cfg: ExperimentConfig):
                               "a wind {\"vector\": [...]}")
         wind = _array("field 'w_spec'", "vector", spec["vector"],
                       (base.dim,))
-    rep = check_navigation_lemma(NavigationDatum(base, wind),
-                                 samples=cfg.samples, tol=cfg.tol,
-                                 seed=cfg.seed)
     # n echoes the dimension checked, which a given norm fixes
-    return rep, {"n": base.dim, "wind": wind.tolist(),
-                 "norm": base.kind if cfg.norm else "euclidean"}
+    extras.update(n=base.dim, wind=wind.tolist(),
+                  norm=base.kind if cfg.norm else "euclidean")
+    return check_navigation_lemma(NavigationDatum(base, wind),
+                                  samples=cfg.samples, tol=cfg.tol,
+                                  seed=cfg.seed)
 
 
-def _run_level_scan(cfg: ExperimentConfig):
+def _run_level_scan(cfg: ExperimentConfig, extras: dict):
     met, f, _ = _sphere_setup(cfg)
     check = check_transnormal if cfg.check == "transnormal" \
         else check_isoparametric
     return check(met, f, cfg.levels, per_level=cfg.per_level, tol=cfg.tol,
-                 seed=cfg.seed), {}
+                 seed=cfg.seed)
 
 
-def _run_tangency(cfg: ExperimentConfig):
+def _run_tangency(cfg: ExperimentConfig, extras: dict):
     _, f, W = _sphere_setup(cfg, need_wind=True)
     return check_tangency(f, W, samples=cfg.samples, tol=cfg.tol,
-                          seed=cfg.seed), {}
+                          seed=cfg.seed)
 
 
-def _run_spectrum(cfg: ExperimentConfig):
+def _run_spectrum(cfg: ExperimentConfig, extras: dict):
     met, f, _ = _sphere_setup(cfg)
     spec = principal_curvature_spectrum(met, f, cfg.level,
                                         points=cfg.per_level, seed=cfg.seed)
@@ -358,7 +357,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         for i in range(spec.g):
             spreads.append(float(np.ptp([pt[i][0] for pt in spec.per_point])))
     worst = worst_deviation(spreads) if spreads else float("inf")
-    rep = VerificationReport(
+    return VerificationReport(
         check="spectrum", config={}, n_samples=cfg.per_level,
         max_deviation=worst,
         per_level=[{"level": mean, "mean": mean, "spread": float(spread),
@@ -367,16 +366,16 @@ def _run_spectrum(cfg: ExperimentConfig):
                    zip(zip(spec.cluster_means, spec.multiplicities),
                        spreads or [float("nan")] * spec.g)],
         passed=bool(ok and worst < cfg.tol))
-    return rep, {}
 
 
-def _run_clifford_audit(cfg: ExperimentConfig):
+def _run_clifford_audit(cfg: ExperimentConfig, extras: dict):
     sys_ = _load_clifford(cfg)
+    extras.update(m=sys_.m, k=sys_.k)
     audit = cl.audit(sys_, seed=cfg.seed)
     per = [{"level": key, "mean": float(val) if np.isscalar(val) else val,
             "spread": 0.0}
            for key, val in audit.items() if key not in ("ok",)]
-    rep = VerificationReport(
+    return VerificationReport(
         check="clifford-audit", config={}, n_samples=len(sys_.matrices),
         max_deviation=float(max(audit["anticommutation_error"],
                                 audit["lie_closure_residual"],
@@ -384,11 +383,10 @@ def _run_clifford_audit(cfg: ExperimentConfig):
                                     - audit["centralizer_dim_predicted"]))),
         per_level=per,
         passed=bool(audit["ok"]))
-    return rep, {"m": sys_.m, "k": sys_.k}
 
 
-# check name -> (default tolerance, runner); a runner returns its report
-# and the entries that run() merges into the config echo
+# check name -> (default tolerance, runner); a runner returns its report,
+# and first puts its additions to the config echo in the dict it is given
 _CHECKS = {
     "flag-curvature": (1e-4, _run_flag_curvature),
     "navigation-lemma": (1e-8, _run_navigation_lemma),
@@ -404,15 +402,17 @@ def run(config: ExperimentConfig) -> VerificationReport:
     """Run and time one experiment, set-up included; the report's config
     is the experiment's echo plus what its runner adds.  A NumericalError
     gives a failed report: NaN deviation and one per_level entry
-    {"error": name, "message": text}."""
+    {"error": name, "message": text}, with the runner's additions made
+    before the error."""
     start = time.perf_counter()
+    extras = {}
     try:
-        rep, extras = _CHECKS[config.check][1](config)
+        rep = _CHECKS[config.check][1](config, extras)
     except NumericalError as exc:
-        rep, extras = VerificationReport(
+        rep = VerificationReport(
             check=config.check, config={}, n_samples=0,
             max_deviation=float("nan"),
-            per_level=[{"error": type(exc).__name__, "message": str(exc)}]), {}
+            per_level=[{"error": type(exc).__name__, "message": str(exc)}])
     rep.config = config.echo() | extras
     rep.wall_time_ms = int(1000 * (time.perf_counter() - start))
     return rep

@@ -36,6 +36,11 @@ _R = np.array([[0.0, 1.0], [-1.0, 0.0]])   # rotation, R^2 = -I, skew
 _D = np.array([[1.0, 0.0], [0.0, -1.0]])   # diagonal involution, symmetric
 _S = np.array([[0.0, 1.0], [1.0, 0.0]])    # swap involution, symmetric
 
+_NULL_TOL = 1e-8          # centralizer Gram eigenvalues at most this are null
+_AMBIGUITY_BAND = 1e-4    # one in (_NULL_TOL, this) raises RankDeficiency
+_FOCAL_TOL = 1e-8         # on |f(y) + 1| and |P y - y| at a focal point
+_CLOSURE_TRIALS = 6       # random pairs in the audit's closure check
+
 
 def clifford_delta(m: int) -> int:
     """Dimension delta_m of the irreducible module (so 2l = 2 k delta_m)."""
@@ -250,7 +255,7 @@ def _wedge(X, Y, a, b):
                   - Xa[:, b] * Yb[:, a] - Ya[:, b] * Xb[:, a])
 
 
-def _null_coefficients(C, a, b, tol, band):
+def _null_coefficients(C, a, b):
     # (pairs, coeffs) of the null vectors of the Gram of Y -> ([Y, C_i])_i,
     # wedge(I, 2 sum C_i C_i^T) - 2 sum_i wedge(C_i, C_i), per block size
     R = np.einsum("ipc,ipd->pcd", C[:, a], C[:, b], optimize=True)
@@ -267,28 +272,27 @@ def _null_coefficients(C, a, b, tol, band):
     for s in np.flatnonzero(np.bincount(size)):
         blocks = order[size[order] == s].reshape(-1, s)
         mu, V = np.linalg.eigh(gram[blocks[:, :, None], blocks[:, None, :]])
-        if np.any((mu > tol) & (mu < band)):
+        if np.any((mu > _NULL_TOL) & (mu < _AMBIGUITY_BAND)):
             raise RankDeficiency(
                 "null-space eigenvalues fall inside the ambiguity band")
-        j, col = np.nonzero(mu <= tol)
+        j, col = np.nonzero(mu <= _NULL_TOL)
         yield blocks[j], V[j, :, col]
 
 
-def centralizer(sys_: CliffordSystem, tol: float = 1e-8,
-                ambiguity_band: float = 1e-4) -> SkewBasis:
+def centralizer(sys_: CliffordSystem) -> SkewBasis:
     """Frobenius-orthonormal basis of c(Sigma): skew X with [X, P] = 0 for
     every P in Sigma.
 
     With Q+ the +1 eigenvectors of P_0 (as eigh returns them) and
     Q- = P_1 Q+, each P_i (i >= 2) is [[0, C_i], [-C_i, 0]] in the basis
     [Q+, Q-], with C_i skew, so c(Sigma) = {diag(Y, Y) : Y in so(l),
-    [Y, C_i] = 0}.  The Y are the null space (eigenvalues <= tol) of the
-    Gram matrix of Y -> ([Y, C_i])_i on the pair basis of so(l); an
-    eigenvalue inside (tol, ambiguity_band) raises RankDeficiency.  The
-    Gram splits exactly (no threshold) into the connected blocks of its
-    nonzero pattern, whose spectra make up its own: small blocks when the
-    C_i are signed permutations, as on built systems, one block on a dense
-    (e.g. rotated) system.  Elements are ordered by the size of their
+    [Y, C_i] = 0}.  The Y are the null space (eigenvalues <= _NULL_TOL)
+    of the Gram matrix of Y -> ([Y, C_i])_i on the pair basis of so(l); an
+    eigenvalue inside (_NULL_TOL, _AMBIGUITY_BAND) raises RankDeficiency.
+    The Gram splits exactly (no threshold) into the connected blocks of
+    its nonzero pattern, whose spectra make up its own: small blocks when
+    the C_i are signed permutations, as on built systems, one block on a
+    dense (e.g. rotated) system.  Elements are ordered by the size of their
     block, then by its least pair index; for m = 1 the Gram is 0 and
     element p is pair p of (0, 1), ..., (l - 2, l - 1), in lexicographic order.
     """
@@ -299,7 +303,7 @@ def centralizer(sys_: CliffordSystem, tol: float = 1e-8,
     l = Qp.shape[1]
     a, b = np.triu_indices(l, 1)
     C = Qp.T @ np.asarray(mats[2:]).reshape(-1, 2 * l, 2 * l) @ Qm
-    found = list(_null_coefficients(C, a, b, tol, ambiguity_band))
+    found = list(_null_coefficients(C, a, b))
     Y = np.zeros((sum(len(pairs) for pairs, _ in found), l, l))
     start = 0
     for pairs, coeffs in found:   # element start + r: coeffs[r] on pairs[r]
@@ -344,7 +348,7 @@ def spin_lift(sys_: CliffordSystem) -> SkewBasis:
     return SkewBasis(out)
 
 
-def find_clifford_point(sys_: CliffordSystem, y, tol: float = 1e-8) -> np.ndarray:
+def find_clifford_point(sys_: CliffordSystem, y) -> np.ndarray:
     """The unique P in Sigma with P y = y, for y on the focal set f = -1.
 
     P = sum a_i P_i with a_i = <P_i y, y>; the coefficients satisfy
@@ -352,11 +356,11 @@ def find_clifford_point(sys_: CliffordSystem, y, tol: float = 1e-8) -> np.ndarra
     """
     y = np.asarray(y, dtype=float)
     y = y / np.linalg.norm(y)
-    if abs(otfkm_value(sys_, y) + 1.0) >= tol:
+    if abs(otfkm_value(sys_, y) + 1.0) >= _FOCAL_TOL:
         raise NotOnFocalSet("otfkm value differs from -1 at the given point")
     coeff = np.array([float(y @ P @ y) for P in sys_.matrices])
     P = sum(a * Pi for a, Pi in zip(coeff, sys_.matrices))
-    if np.linalg.norm(P @ y - y) >= tol:
+    if np.linalg.norm(P @ y - y) >= _FOCAL_TOL:
         raise NotOnFocalSet("recovered element does not fix the point")
     return P
 
@@ -400,8 +404,7 @@ def lie_closure_residual(basis: SkewBasis, trials: int = 10,
                         initial=0.0))
 
 
-def audit(sys_: CliffordSystem, closure_trials: int = 6,
-          seed: int = 0) -> dict:
+def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
     """Full structural audit of one system; returns a dict of findings."""
     acm = anticommutation_error(sys_)
     evals = np.linalg.eigvalsh(sys_.matrices[0])
@@ -411,7 +414,7 @@ def audit(sys_: CliffordSystem, closure_trials: int = 6,
     spin = spin_lift(sys_)
     predicted = predicted_centralizer_dim(sys_.m, sys_.k, sys_.k1, sys_.k2)
     basis = SkewBasis(spin.elements + cent.elements)
-    closure = lie_closure_residual(basis, trials=closure_trials, seed=seed)
+    closure = lie_closure_residual(basis, trials=_CLOSURE_TRIALS, seed=seed)
     return {
         "m": sys_.m,
         "k": sys_.k,

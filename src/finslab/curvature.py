@@ -47,6 +47,7 @@ _WGTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _X_STEP = 1e-4      # stencil for the coefficient-field derivatives
 _OUT_STEP = 5e-3    # stencils applied to the spray itself
 _RIEMANN_REACH = 2.0 * _OUT_STEP + 2.0 * _X_STEP
+_FIELD_STEP = 1e-3  # stencil for the Jacobian of a chart vector field
 
 
 def stencil_points(x, h: float, directions=None) -> np.ndarray:
@@ -346,12 +347,12 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray], x0,
 
 def geodesic_field_residual(metric: MetricField,
                             field: Callable[[np.ndarray], np.ndarray],
-                            x, step: float = 1e-3) -> float:
+                            x) -> float:
     """Residual |J_V(x) V(x) + 2 G(x, V(x))| of the geodesic ODE for the
     integral curves of the chart vector field V, a rule over the rows of
     a stack of chart points (V is evaluated once over x and its stencil)."""
     x = np.asarray(x, dtype=float)
-    V = field(np.concatenate((x[None], stencil_points(x, step))))
-    JV = stencil_derivative(V[1:], step).T
+    V = field(np.concatenate((x[None], stencil_points(x, _FIELD_STEP))))
+    JV = stencil_derivative(V[1:], _FIELD_STEP).T
     return float(np.linalg.norm(JV @ V[0]
                                 + 2.0 * geodesic_spray(metric, x, V[0])))

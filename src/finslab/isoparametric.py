@@ -37,6 +37,9 @@ from .sphere import (Chart, KillingField, MetricField, _complete_basis,
                      random_sphere_points)
 
 _CRITICAL_EPS = 1e-10
+_NEWTON_CAP = 60        # Newton steps of a level-set projection
+_STENCIL_STEP = 1e-3    # chart stencils of the Laplacian and the spectrum
+_GAP = 1e-2             # relative eigenvalue gap between clusters
 
 
 class SphereFunction:
@@ -72,9 +75,6 @@ class SphereFunction:
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)
         return g - _dot(g, p)[..., None] * p
-
-    def chart_value(self, chart: Chart, x):
-        return self(chart.map(x))
 
     def chart_gradient(self, chart: Chart, x) -> np.ndarray:
         """d(f o map) at x: the chart covector of df."""
@@ -124,8 +124,7 @@ def custom_sphere_function(ambient_dim: int, value,
     return SphereFunction(ambient_dim, "custom", value, gradient)
 
 
-def _project(f: SphereFunction, c: float, P: np.ndarray,
-             newton_cap: int) -> tuple:
+def _project(f: SphereFunction, c: float, P: np.ndarray) -> tuple:
     # Newton projection of the rows of P onto {f = c} along the tangential
     # gradient, each row halving its own step until its residual drops;
     # returns the projected rows and whether each reached |f - c| < 1e-12
@@ -133,7 +132,7 @@ def _project(f: SphereFunction, c: float, P: np.ndarray,
     R = f(P) - c
     ok = np.zeros(len(P), dtype=bool)
     live = np.arange(len(P))
-    for _ in range(newton_cap):
+    for _ in range(_NEWTON_CAP):
         done = np.abs(R[live]) < 1e-12
         ok[live[done]] = True
         live = live[~done]
@@ -162,8 +161,8 @@ def _project(f: SphereFunction, c: float, P: np.ndarray,
     return P, ok
 
 
-def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
-                     newton_cap: int = 60) -> np.ndarray:
+def sample_level_set(f: SphereFunction, c: float, count: int,
+                     seed: int) -> np.ndarray:
     """The rows of a (count, n+1) array of points with |f - c| < 1e-10,
     found by Newton projection.
 
@@ -184,8 +183,7 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
         # blocks so far, so a level where seeds fail needs few passes
         block = min(cap - attempts, max(count - len(out), attempts))
         attempts += block
-        P, ok = _project(f, c, random_sphere_points(n, block, rng),
-                         newton_cap)
+        P, ok = _project(f, c, random_sphere_points(n, block, rng))
         # c must also be a regular value at the found point
         keep = ok & (np.linalg.norm(f.tangent_gradient(P), axis=1) > 1e-6)
         out = np.concatenate((out, P[keep]))
@@ -199,20 +197,21 @@ def sample_level_set(f: SphereFunction, c: float, count: int, seed: int,
 
 
 def _dual(metric: MetricField, f: SphereFunction, X,
-          step: Optional[float] = None) -> tuple:
+          stencil: bool = False) -> tuple:
     """(F(grad f), g_{grad f}, grad f) over the leading axes of the chart
     points X: one builder call and one Legendre solve of df.
 
-    Raises CriticalPoint where |df| < 1e-10.  With a step, the results
-    cover X (row 0) and its coordinate stencil_points (rows 1 to 4n) in
-    the same pass, and a critical stencil point raises StencilEscape.
+    Raises CriticalPoint where |df| < 1e-10.  With stencil, the results
+    cover X (row 0) and its coordinate stencil_points at _STENCIL_STEP
+    (rows 1 to 4n) in the same pass, and a critical stencil point raises
+    StencilEscape.
     """
     X = np.asarray(X, dtype=float)
-    if step is not None:
-        X = np.concatenate((X[None], stencil_points(X, step)))
+    if stencil:
+        X = np.concatenate((X[None], stencil_points(X, _STENCIL_STEP)))
     df = f.chart_gradient(metric.chart, X)
     small = np.linalg.norm(df, axis=-1) < _CRITICAL_EPS
-    if _any(small if step is None else small[0]):
+    if _any(small[0] if stencil else small):
         raise CriticalPoint("df vanishes; nonlinear gradient undefined")
     if _any(small):
         raise StencilEscape("stencil point hit the critical set")
@@ -262,25 +261,25 @@ def unit_gradient_field(metric: MetricField, f: SphereFunction
     return field
 
 
-def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x,
-                        step: float = 1e-3):
+def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x):
     """Laplace-Beltrami of f in the localization metric g^F_{grad f}, over
     the rows of x."""
-    _, q, grad = _dual(metric, f, x, step)
+    _, q, grad = _dual(metric, f, x, stencil=True)
     flux = np.sqrt(np.linalg.det(q[1:]))[..., None] * grad[1:]
-    div = np.einsum("k...k->...", stencil_derivative(flux, step))
+    div = np.einsum("k...k->...", stencil_derivative(flux, _STENCIL_STEP))
     return div / np.sqrt(np.linalg.det(q[0]))
 
 
 def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
                     per_level: int, seed: int, quantity) -> tuple[list, float]:
-    # quantity(fld, x) evaluates every sample of a level at once, at the
-    # origins x of the stack of charts centered on the samples
+    # quantity(fld, f, x) evaluates every sample of a level at once, at
+    # the origins x of the stack of charts centered on the samples
     stats = []
     for idx, c in enumerate(levels):
         points = sample_level_set(f, float(c), per_level, seed + 37 * idx)
         fld = metric.with_center(points)
-        vals = np.asarray(quantity(fld, np.zeros((len(points), metric.dim))))
+        x = np.zeros((len(points), metric.dim))
+        vals = np.asarray(quantity(fld, f, x))
         spread = float(vals.max() - vals.min())
         stats.append({"level": float(c), "mean": float(vals.mean()),
                       "spread": spread})
@@ -295,9 +294,8 @@ def check_transnormal(metric: MetricField, f: SphereFunction, levels,
     Passes iff every spread is below tol; the per-level means are the
     fitted profile a(c) of F(grad f) = a(f).
     """
-    stats, worst = _per_level_scan(
-        metric, f, levels, per_level, seed,
-        lambda fld, x: gradient_norm(fld, f, x))
+    stats, worst = _per_level_scan(metric, f, levels, per_level, seed,
+                                   gradient_norm)
     return VerificationReport(
         check="transnormal",
         config={"metric": metric.kind, "function": f.kind,
@@ -311,36 +309,31 @@ def check_transnormal(metric: MetricField, f: SphereFunction, levels,
 
 
 def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
-                        per_level: int = 50, tol: float = 1e-3, seed: int = 0,
-                        include_reverse: bool = True) -> VerificationReport:
+                        per_level: int = 50, tol: float = 1e-3,
+                        seed: int = 0) -> VerificationReport:
     """Spread of the nonlinear Laplacian across each level, for f and -f.
 
     The reverse check matters because gradient and Laplacian are not odd
     in f for a non-reversible metric.
     """
-    stats, worst = _per_level_scan(
-        metric, f, levels, per_level, seed,
-        lambda fld, x: nonlinear_laplacian(fld, f, x))
+    stats, worst = _per_level_scan(metric, f, levels, per_level, seed,
+                                   nonlinear_laplacian)
+    stats_r, worst_r = _per_level_scan(metric, -f, [-c for c in levels],
+                                       per_level, seed + 1,
+                                       nonlinear_laplacian)
     for entry in stats:
         entry["function"] = "f"
-    if include_reverse:
-        neg = -f
-        stats_r, worst_r = _per_level_scan(
-            metric, neg, [-c for c in levels], per_level, seed + 1,
-            lambda fld, x: nonlinear_laplacian(fld, neg, x))
-        for entry in stats_r:
-            entry["function"] = "-f"
-        stats += stats_r
-        worst = worst_deviation((worst, worst_r))
+    for entry in stats_r:
+        entry["function"] = "-f"
+    worst = worst_deviation((worst, worst_r))
     return VerificationReport(
         check="isoparametric",
         config={"metric": metric.kind, "function": f.kind,
                 "levels": [float(c) for c in levels],
-                "per_level": per_level, "tol": tol, "seed": seed,
-                "reverse": include_reverse},
-        n_samples=per_level * len(list(levels)) * (2 if include_reverse else 1),
+                "per_level": per_level, "tol": tol, "seed": seed},
+        n_samples=per_level * len(list(levels)) * 2,
         max_deviation=worst,
-        per_level=stats,
+        per_level=stats + stats_r,
         passed=bool(worst < tol),
     )
 
@@ -399,19 +392,19 @@ def _cluster(evals: np.ndarray, gap: float) -> list[tuple[float, int]]:
 
 
 def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
-                                 c: float, points: int = 20, seed: int = 0,
-                                 gap: float = 1e-2,
-                                 step: float = 1e-3) -> SpectrumResult:
+                                 c: float, points: int = 20,
+                                 seed: int = 0) -> SpectrumResult:
     """Shape-operator eigenvalues of the level {f = c}, clustered.
 
     The shape operator is taken with respect to the localization metric
     q = g^F_{grad f}: S(u) = -(nabla^q_u n1) on the q-orthogonal
     complement of the F-unit normal n1 = grad f / F(grad f), with the
     covariant derivative assembled from finite differences of q.
-    Eigenvalues are clustered by a relative gap; a clustering that changes
-    under halving/doubling the gap raises ClusterAmbiguity.  The result is
-    consistent when every sampled point reports the same multiplicities.
-    A level of S^1 is a set of points and raises DimensionMismatch.
+    Eigenvalues are clustered by the relative gap _GAP; a clustering that
+    changes under halving/doubling the gap raises ClusterAmbiguity.  The
+    result is consistent when every sampled point reports the same
+    multiplicities.  A level of S^1 is a set of points and raises
+    DimensionMismatch.
     """
     n = metric.dim
     if n < 2:
@@ -419,21 +412,23 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     fld = metric.with_center(sample_level_set(f, c, points, seed))
     # every sample's center and coordinate stencil in one pass: q and the
     # unit normal nu, then their x-derivatives d_k on the first axis
-    F, q, grad = _dual(fld, f, np.zeros((points, n)), step)
+    F, q, grad = _dual(fld, f, np.zeros((points, n)), stencil=True)
     nu = grad / F[..., None]
     q0, nu0 = q[0], nu[0]
-    dq = np.moveaxis(stencil_derivative(q[1:], step), 0, 1)  # [p, k, a, b]
     # ker df is the q-orthogonal complement of nu, since q nu = df / F;
     # U holds a Euclidean orthonormal basis of it in its columns
     w = _matvec(q0, nu0)
     U = _complete_basis(w / np.sqrt(_dot(w, w))[:, None])
     Ut = U.swapaxes(1, 2)
-    # E_ijl = d_i q_jl + d_j q_il - d_l q_ij, twice the Christoffel
-    # symbols of the first kind: q(nabla^q_u nu, v) = (d_u nu)^T q v
-    # + 1/2 E(nu, u, v), and II is minus that
-    E = dq + dq.transpose(0, 2, 1, 3) - dq.transpose(0, 2, 3, 1)
-    dnu = np.einsum("kpm,pka->pam", stencil_derivative(nu[1:], step), U)
-    II = -dnu @ q0 @ U - 0.5 * Ut @ np.einsum("pijl,pi->pjl", E, nu0) @ U
+    # q(nabla^q_u nu, v) = (d_u nu)^T q v + 1/2 E(nu, u, v), and II is
+    # minus that, with E_ijl = d_i q_jl + d_j q_il - d_l q_ij twice the
+    # Christoffel symbols of the first kind; the part of E(nu, u, v) that
+    # is antisymmetric in (u, v) drops out of sym(II), leaving (d_nu q)(u, v)
+    dnu = np.einsum("kpm,pka->pam",
+                    stencil_derivative(nu[1:], _STENCIL_STEP), U)
+    dq_nu = np.einsum("kpab,pk->pab",
+                      stencil_derivative(q[1:], _STENCIL_STEP), nu0)
+    II = -dnu @ q0 @ U - 0.5 * Ut @ dq_nu @ U
     # principal curvatures: the eigenvalues of L^-1 sym(II) L^-T, with
     # L L^T = U^T q U the Gram of the basis
     L = np.linalg.cholesky(Ut @ q0 @ U)
@@ -441,9 +436,9 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     per_point = []
     signatures = set()
     for evals in np.linalg.eigvalsh(np.linalg.solve(L, LS.swapaxes(1, 2))):
-        clusters = _cluster(evals, gap)
-        lo = _cluster(evals, 0.5 * gap)
-        hi = _cluster(evals, 2.0 * gap)
+        clusters = _cluster(evals, _GAP)
+        lo = _cluster(evals, 0.5 * _GAP)
+        hi = _cluster(evals, 2.0 * _GAP)
         if len(lo) != len(clusters) or len(hi) != len(clusters):
             raise ClusterAmbiguity(
                 f"clustering unstable at level {c}: "

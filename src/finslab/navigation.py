@@ -157,9 +157,8 @@ def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
         return (_dot(_vecmat(u, gy), u), _dot(_vecmat(u, gt), u),
                 _dot(_vecmat(yt, gt), v), _dot(_vecmat(y, gy), v))
 
-    # y, then u, per pair; a drawn y is scaled to F(y) = 1 here and in sides
+    # y, then u, per pair; sides scales each y to F(y) = 1
     yu = rng.standard_normal((samples, 2, n))
-    yu[:, 0] /= F(yu[:, 0])[:, None]
     if y is not None and u is not None:
         yu = np.concatenate((np.array([[y, u]], dtype=float), yu))
     uu_y, uu_t, ytv, yv_v = sides(yu)

@@ -253,7 +253,7 @@ def laplace_beltrami_oracle(metric, f, x, h=1e-4):
     chart = metric.chart
 
     def fval(z):
-        return f.chart_value(chart, z)
+        return f(chart.map(z))
 
     def qmat(z):
         return metric.norm_at(z).matrix
@@ -470,8 +470,7 @@ def pointwise_navigation_lemma(datum, y=None, u=None, samples=1000, seed=0):
     pairs = [(np.asarray(y, float), np.asarray(u, float))] \
         if y is not None and u is not None else []
     for _ in range(samples):
-        yv = rng.standard_normal(n)
-        pairs.append((yv / F(yv), rng.standard_normal(n)))
+        pairs.append((rng.standard_normal(n), rng.standard_normal(n)))
     devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
     devs = {"identity": devs_main, "corollary": devs_cor}
     devs_orth = []

@@ -146,14 +146,14 @@ def _isoparametric_case(sys_, winds, per_level):
     t = check_transnormal(met, f, LEVELS, per_level=per_level, tol=1e-6,
                           seed=11)
     i = check_isoparametric(met, f, LEVELS, per_level=per_level, tol=1e-3,
-                            seed=11, include_reverse=False)
+                            seed=11)
     results.append(("round", t, i))
     for name, W in winds:
         met = randers_sphere(chart, W)
         t = check_transnormal(met, f, LEVELS, per_level=per_level, tol=1e-6,
                               seed=13)
         i = check_isoparametric(met, f, LEVELS, per_level=per_level,
-                                tol=1e-3, seed=13, include_reverse=True)
+                                tol=1e-3, seed=13)
         tn = check_transnormal(met, -f, [-c for c in LEVELS],
                                per_level=per_level, tol=1e-6, seed=17)
         results.append((name, t, i, tn))

@@ -338,12 +338,16 @@ def _navigation_entry(draw):
     return entry
 
 
+def _batch_exit_code(tmp_path_factory, entry):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps([entry]))
+    return main(["batch", str(path)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_navigation_entry())
 def test_navigation_lemma_entries_never_crash(tmp_path_factory, entry):
-    path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps([entry]))
-    assert main(["batch", str(path)]) in (0, 1, 2)
+    assert _batch_exit_code(tmp_path_factory, entry) in (0, 1, 2)
 
 
 _SPECTRUM_ENTRY = st.fixed_dictionaries({
@@ -357,9 +361,7 @@ _SPECTRUM_ENTRY = st.fixed_dictionaries({
 @settings(max_examples=60, deadline=None)
 @given(_SPECTRUM_ENTRY)
 def test_spectrum_entries_never_crash(tmp_path_factory, entry):
-    path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps([entry]))
-    assert main(["batch", str(path)]) in (0, 1, 2)
+    assert _batch_exit_code(tmp_path_factory, entry) in (0, 1, 2)
 
 
 _LEVEL_SCAN_ENTRY = st.fixed_dictionaries({
@@ -377,9 +379,69 @@ def test_level_scan_entries_never_crash(tmp_path_factory, entry):
     # levels outside the range of f raise EmptyLevel, a failed report
     if entry["function"] == "otfkm":
         entry["clifford"] = {"m": 1, "k": 3}
-    path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps([entry]))
-    assert main(["batch", str(path)]) in (0, 1, 2)
+    assert _batch_exit_code(tmp_path_factory, entry) in (0, 1, 2)
+
+
+# winds of every spec kind, valid or not, and Clifford systems up to
+# 2l = 64, valid or not (m = 0 and k = 0 are configuration errors)
+_WIND = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("random-skew"),
+                           "scale": st.floats(-2.0, 2.0),
+                           "seed": st.integers(-1, 5)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["spin", "centralizer"]),
+                           "index": st.integers(-1, 3)}),
+    st.fixed_dictionaries({"n0": st.integers(0, 2),
+                           "lambdas": st.lists(st.floats(-1.5, 1.5),
+                                               min_size=1, max_size=2),
+                           "sizes": st.lists(st.integers(0, 2),
+                                             min_size=1, max_size=2)}))
+_CLIFFORD = st.fixed_dictionaries({"m": st.integers(0, 9),
+                                   "k": st.integers(0, 2)},
+                                  optional={"k2": st.integers(0, 2)})
+
+_FLAG_ENTRY = st.fixed_dictionaries({
+    "check": st.just("flag-curvature"), "n": st.integers(1, 4),
+    "metric": st.sampled_from(["round", "randers"]),
+    "lambda": st.floats(-1.2, 1.2), "samples": st.integers(1, 3),
+    "seed": st.integers(0, 50)}, optional={"w_spec": _WIND})
+
+
+@st.composite
+def _tangency_entry(draw):
+    entry = draw(st.fixed_dictionaries({
+        "check": st.just("tangency"), "n": st.integers(1, 4),
+        "function": st.sampled_from(["height", "split-quadratic", "otfkm"]),
+        "metric": st.sampled_from(["round", "randers"]),
+        "lambda": st.floats(-1.2, 1.2), "samples": st.integers(1, 30),
+        "seed": st.integers(0, 50)}, optional={"w_spec": _WIND}))
+    if entry["function"] == "otfkm":
+        entry["clifford"] = draw(_CLIFFORD)
+    return entry
+
+
+_AUDIT_ENTRY = st.fixed_dictionaries({
+    "check": st.just("clifford-audit"), "clifford": _CLIFFORD,
+    "seed": st.integers(0, 50)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FLAG_ENTRY)
+def test_flag_curvature_entries_never_crash(tmp_path_factory, entry):
+    assert _batch_exit_code(tmp_path_factory, entry) in (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("ignore:m2 =:UserWarning")   # m2 < 1 systems
+@settings(max_examples=40, deadline=None)
+@given(_tangency_entry())
+def test_tangency_entries_never_crash(tmp_path_factory, entry):
+    assert _batch_exit_code(tmp_path_factory, entry) in (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("ignore:m2 =:UserWarning")
+@settings(max_examples=25, deadline=None)
+@given(_AUDIT_ENTRY)
+def test_clifford_audit_entries_never_crash(tmp_path_factory, entry):
+    assert _batch_exit_code(tmp_path_factory, entry) in (0, 1, 2)
 
 
 def test_spectrum_on_the_circle_exits_2(capsys):
@@ -423,9 +485,8 @@ def test_numerical_error_fails_its_entry_and_the_battery_runs_on(
 
 
 def test_rank_deficiency_in_an_audit_is_a_failed_report(monkeypatch):
-    real = cli.cl.centralizer
-    monkeypatch.setattr(cli.cl, "centralizer",
-                        lambda sys_: real(sys_, ambiguity_band=5.0))
+    # the failed report still echoes the m and k read off the system
+    monkeypatch.setattr(cli.cl, "_AMBIGUITY_BAND", 5.0)
     rep = run(ExperimentConfig.from_dict(
         {"check": "clifford-audit", "clifford": {"m": 3, "k": 2}}))
     assert not rep.passed and math.isnan(rep.max_deviation)
@@ -433,15 +494,13 @@ def test_rank_deficiency_in_an_audit_is_a_failed_report(monkeypatch):
     assert rep.config == {"check": "clifford-audit", "n": 3,
                           "metric": "round", "function": "height",
                           "tol": 1e-10, "seed": 0,
-                          "clifford": {"m": 3, "k": 2}}
+                          "clifford": {"m": 3, "k": 2}, "m": 3, "k": 2}
 
 
 def test_rank_deficiency_in_clifford_audit_exits_1(tmp_path, monkeypatch,
                                                    capsys):
     # a numerical failure, not a configuration error
-    real = cli.cl.centralizer
-    monkeypatch.setattr(cli.cl, "centralizer",
-                        lambda sys_: real(sys_, ambiguity_band=5.0))
+    monkeypatch.setattr(cli.cl, "_AMBIGUITY_BAND", 5.0)
     path = tmp_path / "sys.json"
     path.write_text(cli.cl.build_clifford(3, 2).to_json())
     assert main(["clifford", "audit", str(path)]) == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import finslab.clifford as clifford
 from conftest import dense_centralizer, qr_closure_residual
 from finslab.clifford import (CliffordSystem, SkewBasis,
                               anticommutation_error, build_clifford,
@@ -171,11 +172,12 @@ def test_rotated_centralizer_matches_dense_oracle(m, k):
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (5, 1)])
-def test_centralizer_checks_the_band_on_every_block(m, k):
+def test_centralizer_checks_the_band_on_every_block(m, k, monkeypatch):
     # the least nonzero Gram eigenvalue is 4 on each, in blocks of size 2
     # (2, 2), of sizes 2 and 4 (3, 2) and of size 4 (5, 1)
+    monkeypatch.setattr(clifford, "_AMBIGUITY_BAND", 5.0)
     with pytest.raises(RankDeficiency):
-        centralizer(build_quiet(m, k), ambiguity_band=5.0)
+        centralizer(build_quiet(m, k))
 
 
 def test_centralizer_index_is_lexicographic_pair_for_m1():
