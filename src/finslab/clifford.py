@@ -248,19 +248,28 @@ class SkewBasis:
         return np.asarray(self.elements).reshape(self.dim, -1).T
 
 
-def _wedge(X, Y, a, b):
-    # Z -> (X Z Y^T + Y Z X^T)/2 on the basis (E_ab - E_ba)/sqrt(2) of so(l)
-    Xa, Xb, Ya, Yb = X[a], X[b], Y[a], Y[b]
-    return 0.5 * (Xa[:, a] * Yb[:, b] + Ya[:, a] * Xb[:, b]
-                  - Xa[:, b] * Yb[:, a] - Ya[:, b] * Xb[:, a])
+def _identity_wedge(T, a, b):
+    # Z -> Z T^T + T Z on the basis (E_ab - E_ba)/sqrt(2) of so(l), entry
+    # (ab, cd) is d_ac T_bd + T_ac d_bd - d_ad T_bc - T_ad d_bc, so row ab
+    # holds +-T[b, k] at the pair {a, k} and +-T[a, k] at the pair {k, b}
+    l, L = len(T), len(a)
+    pair = np.zeros((l, l), dtype=int)
+    pair[a, b] = pair[b, a] = np.arange(L)
+    sign = np.sign(np.subtract.outer(np.arange(l), np.arange(l)))
+    others = np.arange(l - 1) + (np.arange(l - 1) >= np.arange(l)[:, None])
+    row, ka, kb = np.arange(L)[:, None], others[a], others[b]   # k != a, b
+    out = np.zeros((L, L))
+    out[row, pair[a[:, None], ka]] = sign[ka, a[:, None]] * T[b[:, None], ka]
+    out[row, pair[kb, b[:, None]]] += sign[b[:, None], kb] * T[a[:, None], kb]
+    return out
 
 
 def _null_coefficients(C, a, b):
     # (pairs, coeffs) of the null vectors of the Gram of Y -> ([Y, C_i])_i,
-    # wedge(I, 2 sum C_i C_i^T) - 2 sum_i wedge(C_i, C_i), per block size
+    # Y -> Y T + T Y - 2 sum_i C_i Y C_i^T with T = sum C_i C_i^T, per
+    # block size
     R = np.einsum("ipc,ipd->pcd", C[:, a], C[:, b], optimize=True)
-    gram = _wedge(np.eye(C.shape[1]),
-                  2.0 * np.einsum("ipc,iqc->pq", C, C), a, b)
+    gram = _identity_wedge(np.einsum("ipc,iqc->pq", C, C), a, b)
     gram -= 2.0 * (R[:, a, b] - R[:, b, a])
     rows, cols = np.nonzero((gram != 0.0) | (gram.T != 0.0))
     label, old = np.arange(len(a)), None   # ends as a block's least pair

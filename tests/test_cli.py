@@ -34,6 +34,22 @@ def test_run_flag_curvature_round():
     assert rep.max_deviation < 1e-5
 
 
+@pytest.mark.parametrize("metric", ["round", "randers"])
+def test_flag_curvature_report_builds_once(monkeypatch, metric):
+    # all the flags of a report are evaluated in one pass: one builder
+    # call over every coefficient-stencil point of its flags
+    calls = []
+    coefficients = MetricField.coefficients
+    monkeypatch.setattr(MetricField, "coefficients",
+                        lambda fld, X: calls.append(np.shape(X))
+                        or coefficients(fld, X))
+    rep = run(ExperimentConfig.from_dict(
+        {"check": "flag-curvature", "n": 3, "metric": metric,
+         "samples": 7}))
+    assert rep.passed and rep.n_samples == 7
+    assert len(calls) == 1 and np.prod(calls[0][:-1]) == 7 * 13 * 17
+
+
 def test_spectrum_nan_spread_fails(monkeypatch):
     # a NaN cluster spread after a finite one must reach max_deviation
     spec = SpectrumResult(level=0.0, g=2, multiplicities=(1, 1),
@@ -348,6 +364,27 @@ def _batch_exit_code(tmp_path_factory, entry):
 @given(_navigation_entry())
 def test_navigation_lemma_entries_never_crash(tmp_path_factory, entry):
     assert _batch_exit_code(tmp_path_factory, entry) in (0, 1, 2)
+
+
+# an entry of _navigation_entry's space whose norm (5e-324) y^2 underflows
+# to F(y) = 0 on the drawn y, so scaling y to F(y) = 1 divides by zero
+_UNDERFLOWING_NORM_ENTRY = {
+    "check": "navigation-lemma", "n": 1, "samples": 1, "lambda": 0.0,
+    "norm": {"kind": "euclidean-quadratic-form", "matrix": [[5e-324]]}}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_navigation_lemma_underflowing_norm_fails_with_nan(tmp_path):
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        rep = run(ExperimentConfig.from_dict(_UNDERFLOWING_NORM_ENTRY))
+    # the pair is kept: both of its deviations are NaN, and so is the worst
+    assert rep.n_samples == 2 and not rep.passed
+    assert math.isnan(rep.max_deviation)
+    assert all(math.isnan(lv["spread"]) for lv in rep.per_level)
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps([_UNDERFLOWING_NORM_ENTRY]))
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        assert main(["batch", str(path)]) == 1
 
 
 _SPECTRUM_ENTRY = st.fixed_dictionaries({

@@ -1,5 +1,7 @@
 """Spray, Riemann curvature, flag curvature, geodesics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,7 +11,7 @@ from finslab.curvature import (Flag, flag_curvature, geodesic_spray,
                                integrate_geodesic, riemann_curvature,
                                stencil_derivative, stencil_points)
 from finslab.errors import (ChartBoundary, DegenerateFlag,
-                            DifferentiationFailure)
+                            DifferentiationFailure, FinslabError)
 from finslab.sphere import (Chart, KillingField, MetricField, block_killing,
                             killing_norm, localization_field, randers_sphere,
                             round_metric, standard_rotation)
@@ -179,23 +181,109 @@ def test_randers_sphere_curvature_where_wind_vanishes():
 def test_flag_curvature_builds_the_base_norm_once():
     # a flag needs spray models at x and at 4n + 4 points off x for the
     # x- and mixed derivatives, each with its 4n-point coefficient
-    # stencil: one builder call sees all (1 + 4n)(4n + 5) points, and the
-    # base point x only once
+    # stencil: one builder call sees all (1 + 4n)(4n + 5) points per flag,
+    # for one flag or a stack of F, and the base point of each flag once
     rng = np.random.default_rng(9)
     for met, n, count in (
             (randers_sphere(Chart(rng.standard_normal(4)),
                             standard_rotation(4, 0.4)), 3, 221),
             (randers_sphere(Chart([0.6, 0.8, 0.0]),
                             block_killing(1, [0.5], [1])), 2, 117)):
-        seen = []
         build = met._builder
-        met._builder = lambda fld, X, b=build: seen.append(X) or b(fld, X)
-        x = rng.standard_normal(n) * 0.3
-        flag_curvature(met, Flag(x, *rng.standard_normal((2, n))))
-        assert len(seen) == 1
-        pts = seen[0].reshape(-1, n)
-        assert len(pts) == count == (1 + 4 * n) * (4 * n + 5)
-        assert np.all(pts == x, axis=1).sum() == 1
+        for F in (None, 1, 5):
+            seen = []
+            met._builder = lambda fld, X, b=build: seen.append(X) or b(fld, X)
+            shape = (n,) if F is None else (F, n)
+            x = rng.standard_normal(shape) * 0.3
+            flag_curvature(met, Flag(x, *rng.standard_normal((2,) + shape)))
+            assert len(seen) == 1
+            pts = seen[0].reshape(-1, n)
+            assert len(pts) == (F or 1) * count == (F or 1) * (1 + 4 * n) \
+                * (4 * n + 5)
+            for row in np.atleast_2d(x):
+                assert np.all(pts == row, axis=1).sum() == 1
+
+
+def _stack_metrics(n, rng):
+    # Randers (random Killing wind), round and a localization field on S^n
+    M = rng.standard_normal((n + 1, n + 1))
+    M = M - M.T
+    W = KillingField(0.6 * M / killing_norm(KillingField(M)))
+    met = randers_sphere(Chart(rng.standard_normal(n + 1)), W)
+    return {"randers": met,
+            "round": round_metric(Chart(rng.standard_normal(n + 1))),
+            "localization": localization_field(
+                met, lambda x: np.arange(1.0, n + 1.0) + 0.5 * x)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["randers", "round", "localization"])
+def test_flag_stack_matches_one_flag_calls_and_the_oracle(n, kind):
+    rng = np.random.default_rng(40 + n)
+    met = _stack_metrics(n, rng)[kind]
+    x, y, v = rng.standard_normal((3, 4, n))
+    x *= 0.4
+    K = flag_curvature(met, Flag(x, y, v))
+    assert K.shape == (4,)
+    one = [flag_curvature(met, Flag(*row)) for row in zip(x, y, v)]
+    assert all(isinstance(k, float) for k in one)
+    assert np.abs(K - one).max() < 1e-9
+    oracle = [pointwise_flag_curvature(met, *row) for row in zip(x, y, v)]
+    assert np.abs(K - oracle).max() < 1e-6
+
+
+def _first_error(call):
+    try:
+        call()
+    except FinslabError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# a row that fails on its own, as (x, y, v) in a chart of radius 0.5
+_BAD_ROWS = {
+    "degenerate-plane": ([0.1, 0.0], [1.0, 0.5], [-2.0, -1.0]),
+    "zero-flagpole": ([0.1, 0.0], [0.0, 0.0], [1.0, 0.0]),
+    "stencil-leaves-chart": ([0.49, 0.0], [1.0, 0.0], [0.0, 1.0]),
+    "outside-chart": ([0.0, 0.6], [1.0, 0.0], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("later", [None, *_BAD_ROWS])
+@pytest.mark.parametrize("first", list(_BAD_ROWS))
+def test_flag_stack_raises_the_error_of_its_first_failing_flag(first, later):
+    # a loop over the flags stops at the first failing one; the stack
+    # raises that flag's error class and message, whatever later rows do
+    rng = np.random.default_rng(12)
+    for met in (round_metric(Chart([0.0, 0.0, 1.0], radius=0.5)),
+                randers_sphere(Chart([0.0, 0.0, 1.0], radius=0.5),
+                               block_killing(1, [0.5], [1]))):
+        rows = [tuple(r) for r in rng.standard_normal((6, 3, 2)) * 0.1]
+        rows[2] = _BAD_ROWS[first]
+        if later is not None:
+            rows[4] = _BAD_ROWS[later]
+        x, y, v = (np.array(a, dtype=float) for a in zip(*rows))
+
+        def loop():
+            for row in rows:
+                flag_curvature(met, Flag(*row))
+
+        expected = _first_error(loop)
+        assert expected == _first_error(
+            lambda: flag_curvature(met, Flag(*rows[2])))
+        with warnings.catch_warnings():     # and no 0/0 on the way there
+            warnings.simplefilter("error")
+            assert _first_error(lambda: flag_curvature(met, Flag(x, y, v))) \
+                == expected
+
+
+def test_one_dimensional_flags_are_degenerate():
+    met = round_metric(Chart([0.0, 1.0]))
+    with pytest.raises(DegenerateFlag):
+        flag_curvature(met, Flag([0.1], [1.0], [2.0]))
+    with pytest.raises(DegenerateFlag):
+        flag_curvature(met, Flag([[0.1], [0.2]], [[1.0], [-1.0]],
+                                 [[2.0], [0.5]]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
