@@ -21,19 +21,18 @@ from .isoparametric import (SphereFunction, SpectrumResult,
                             check_isoparametric, check_tangency,
                             check_transnormal, custom_sphere_function,
                             gradient_norm, height_function,
-                            nonlinear_gradient, nonlinear_gradient_extended,
-                            nonlinear_laplacian, otfkm_function,
-                            principal_curvature_spectrum, sample_level_set,
-                            split_quadratic_function, unit_gradient_field)
+                            nonlinear_gradient, nonlinear_laplacian,
+                            otfkm_function, principal_curvature_spectrum,
+                            sample_level_set, split_quadratic_function,
+                            unit_gradient_field)
 from .minkowski import (InnerProductAtY, NormEvaluator, fundamental_tensor,
-                        inner_product, legendre_solve)
+                        legendre_solve)
 from .navigation import (NavigationDatum, check_navigation_lemma,
                          invert_navigation, navigate, navigated_norm,
                          navigation_from_randers, randers_from_navigation)
 from .report import VerificationReport
 from .sphere import (Chart, KillingField, MetricField, block_killing,
-                     finsler_value_ambient, killing_norm, localization_field,
-                     random_sphere_points, randers_sphere, round_metric,
-                     standard_rotation)
+                     killing_norm, random_sphere_points, randers_sphere,
+                     round_metric, standard_rotation)
 
 __version__ = "0.1.0"

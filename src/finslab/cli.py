@@ -178,10 +178,14 @@ def _array(where: str, name: str, value, shape: tuple) -> np.ndarray:
     return arr.astype(float)
 
 
+_MAX_2L = 128   # largest 2l built from {m, k}: a centralizer Gram of ~32 MB
+
+
 def _clifford_system(spec, where: str = "field 'clifford'"
                      ) -> cl.CliffordSystem:
     """A Clifford system from {m, l, k, matrices} or {m, k} (k1, k2 for a
-    split), with the field types and the matrix shapes checked."""
+    split), with the field types and the matrix shapes checked; {m, k}
+    must give 2l = 2 k delta_m <= _MAX_2L."""
     _check_spec(where, spec, m=int, l=int, k=int, k1=int, k2=int)
     try:
         if "matrices" in spec:
@@ -194,6 +198,12 @@ def _clifford_system(spec, where: str = "field 'clifford'"
             k = spec.get("k", 1)
             if "k2" in spec:
                 k = (spec.get("k1", k), spec["k2"])
+            # delta_m grows with m and delta_16 = 128: the clamp fails a
+            # huge m without computing its huge delta_m
+            ktot = sum(k) if isinstance(k, tuple) else k
+            if 2 * ktot * cl.clifford_delta(min(spec["m"], 16)) > _MAX_2L:
+                raise ConfigError(f"{where}: 2l = 2 k delta_m must be at most "
+                                  f"{_MAX_2L}, not m = {spec['m']}, k = {k}")
             return cl.build_clifford(spec["m"], k)
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid Clifford system: {exc}") \

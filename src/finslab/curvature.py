@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (ChartBoundary, DegenerateFlag, DifferentiationFailure,
                      FinslabError, NotPositiveDefinite, ZeroBaseVector)
 from .minkowski import _any, _dot, _matvec, _vecmat, randers_fiber
-from .sphere import MetricField
+from .sphere import _CHART_RADIUS, MetricField
 
 # 4-point, fourth-order central first-derivative stencil
 _OFFS = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -79,11 +79,11 @@ def stencil_derivative(values, h: float) -> np.ndarray:
     return np.einsum("j,j...->...", _WGTS / h, D)
 
 
-def _check_stencil(metric: MetricField, x: np.ndarray, reach: float):
+def _check_stencil(x: np.ndarray, reach: float):
     r = np.sqrt(_dot(x, x))
-    if _any(r >= metric.chart.radius):
+    if _any(r >= _CHART_RADIUS):
         raise ChartBoundary(f"|x| = {np.max(r):.3f} outside chart domain")
-    if _any(r + 2.0 * reach >= metric.chart.radius):
+    if _any(r + 2.0 * reach >= _CHART_RADIUS):
         raise DifferentiationFailure("stencil would leave the chart domain")
 
 
@@ -163,7 +163,7 @@ def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.any(y):
         raise ZeroBaseVector("spray undefined at y = 0")
-    _check_stencil(metric, x, _X_STEP * 2.0)
+    _check_stencil(x, _X_STEP * 2.0)
     return _LocalModel(metric, x[None]).spray([0], y[None])[0]
 
 
@@ -184,7 +184,7 @@ def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.any(y):
         raise ZeroBaseVector("Riemann curvature undefined at y = 0")
-    _check_stencil(metric, x, _RIEMANN_REACH)
+    _check_stencil(x, _RIEMANN_REACH)
     return _riemann(_flag_model(metric, x[None], y[None]), y[None])[0]
 
 
@@ -279,7 +279,7 @@ def _flag_curvature(metric: MetricField, x: np.ndarray, y: np.ndarray,
     # K over the rows of the stacks x, y and v (F, n)
     if _any(~y.any(axis=-1)):
         raise ZeroBaseVector("flagpole must be nonzero")
-    _check_stencil(metric, x, _RIEMANN_REACH)
+    _check_stencil(x, _RIEMANN_REACH)
     model = _flag_model(metric, x, y)
     at_x = (0, np.arange(len(y)))
     Fy = model.norm(at_x, y)
@@ -329,12 +329,11 @@ def integrate_geodesic(metric: MetricField, x0, y0, T: float,
     """RK4 integration of x'' + 2 G(x, x') = 0 from (x0, y0), F-unit speed.
 
     The chart is re-centered at the current point whenever |x| > 1, so the
-    trajectory may cross the whole sphere; ChartBoundary is raised only if
-    re-centering is impossible for this metric kind.
+    trajectory may cross the whole sphere.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
-    F0 = metric.value(x, y)
+    F0 = metric.norm_at(x)(y)
     if F0 <= 0.0:
         raise ZeroBaseVector("initial velocity must be nonzero")
     y /= F0
@@ -360,7 +359,7 @@ def integrate_geodesic(metric: MetricField, x0, y0, T: float,
         J = metric.chart.jacobian(x)
         apts[i] = metric.chart.map(x)
         avel[i] = J @ y
-        fval[i] = metric.value(x, y)
+        fval[i] = metric.norm_at(x)(y)
 
     record(0, 0.0)
     for i in range(steps):

@@ -29,8 +29,8 @@ from scipy.linalg import expm
 
 from .clifford import CliffordSystem, otfkm_gradient, otfkm_value
 from .curvature import stencil_derivative, stencil_points
-from .errors import (ClusterAmbiguity, CriticalPoint, DimensionMismatch,
-                     EmptyLevel, StencilEscape)
+from .errors import (ClusterAmbiguity, ConfigError, CriticalPoint,
+                     DimensionMismatch, EmptyLevel, StencilEscape)
 from .minkowski import _any, _dot, _matvec, legendre_solve, randers_fiber
 from .report import VerificationReport, worst_deviation
 from .sphere import (Chart, KillingField, MetricField, _complete_basis,
@@ -234,16 +234,6 @@ def nonlinear_gradient(metric: MetricField, f: SphereFunction,
     return _dual(metric, f, x)[2]
 
 
-def nonlinear_gradient_extended(metric: MetricField, f: SphereFunction,
-                                x) -> np.ndarray:
-    """Continuous extension of the nonlinear gradient at one chart point:
-    0 on the critical set."""
-    try:
-        return nonlinear_gradient(metric, f, x)
-    except CriticalPoint:
-        return np.zeros(metric.dim)
-
-
 def gradient_norm(metric: MetricField, f: SphereFunction, x):
     """F(grad f)(x), the transnormal quantity, over the rows of x."""
     return _dual(metric, f, x)[0]
@@ -270,18 +260,26 @@ def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x):
     return div / np.sqrt(np.linalg.det(q[0]))
 
 
-def _per_level_scan(metric: MetricField, f: SphereFunction, levels,
+def _level_list(levels) -> list[float]:
+    # levels are read more than once, so a one-pass iterable becomes a list
+    levels = [float(c) for c in levels]
+    if not levels:
+        raise ConfigError("levels must not be empty")
+    return levels
+
+
+def _per_level_scan(metric: MetricField, f: SphereFunction, levels: list,
                     per_level: int, seed: int, quantity) -> tuple[list, float]:
     # quantity(fld, f, x) evaluates every sample of a level at once, at
     # the origins x of the stack of charts centered on the samples
     stats = []
     for idx, c in enumerate(levels):
-        points = sample_level_set(f, float(c), per_level, seed + 37 * idx)
+        points = sample_level_set(f, c, per_level, seed + 37 * idx)
         fld = metric.with_center(points)
         x = np.zeros((len(points), metric.dim))
         vals = np.asarray(quantity(fld, f, x))
         spread = float(vals.max() - vals.min())
-        stats.append({"level": float(c), "mean": float(vals.mean()),
+        stats.append({"level": c, "mean": float(vals.mean()),
                       "spread": spread})
     return stats, worst_deviation(s["spread"] for s in stats)
 
@@ -292,16 +290,16 @@ def check_transnormal(metric: MetricField, f: SphereFunction, levels,
     """Spread of F(grad f) across each sampled level.
 
     Passes iff every spread is below tol; the per-level means are the
-    fitted profile a(c) of F(grad f) = a(f).
+    fitted profile a(c) of F(grad f) = a(f).  No levels is a ConfigError.
     """
+    levels = _level_list(levels)
     stats, worst = _per_level_scan(metric, f, levels, per_level, seed,
                                    gradient_norm)
     return VerificationReport(
         check="transnormal",
-        config={"metric": metric.kind, "function": f.kind,
-                "levels": [float(c) for c in levels],
+        config={"metric": metric.kind, "function": f.kind, "levels": levels,
                 "per_level": per_level, "tol": tol, "seed": seed},
-        n_samples=per_level * len(list(levels)),
+        n_samples=per_level * len(levels),
         max_deviation=worst,
         per_level=stats,
         passed=bool(worst < tol),
@@ -314,8 +312,9 @@ def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
     """Spread of the nonlinear Laplacian across each level, for f and -f.
 
     The reverse check matters because gradient and Laplacian are not odd
-    in f for a non-reversible metric.
+    in f for a non-reversible metric.  No levels is a ConfigError.
     """
+    levels = _level_list(levels)
     stats, worst = _per_level_scan(metric, f, levels, per_level, seed,
                                    nonlinear_laplacian)
     stats_r, worst_r = _per_level_scan(metric, -f, [-c for c in levels],
@@ -328,10 +327,9 @@ def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
     worst = worst_deviation((worst, worst_r))
     return VerificationReport(
         check="isoparametric",
-        config={"metric": metric.kind, "function": f.kind,
-                "levels": [float(c) for c in levels],
+        config={"metric": metric.kind, "function": f.kind, "levels": levels,
                 "per_level": per_level, "tol": tol, "seed": seed},
-        n_samples=per_level * len(list(levels)) * 2,
+        n_samples=per_level * len(levels) * 2,
         max_deviation=worst,
         per_level=stats + stats_r,
         passed=bool(worst < tol),

@@ -133,23 +133,16 @@ class NormEvaluator:
             raise NotPositiveDefinite("randers norm needs |beta|_alpha < 1")
         return cls(a.shape[0], "randers", alpha=a, beta=b)
 
-    @classmethod
-    def _randers_unchecked(cls, alpha: np.ndarray, beta: np.ndarray) -> "NormEvaluator":
-        # fast path for callers that guarantee validity (hot stencil loops)
-        return cls(alpha.shape[0], "randers", alpha=alpha, beta=beta)
-
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, y):
         """F(y): a float for one vector, an array over the rows of a stack."""
         y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            if self.is_quadratic:
-                return float(np.sqrt(max(y @ self.matrix @ y, 0.0)))
-            return float(np.sqrt(max(y @ self.alpha @ y, 0.0)) + self.beta @ y)
         M = self.matrix if self.is_quadratic else self.alpha
         val = np.sqrt(np.maximum(_dot(_vecmat(y, M), y), 0.0))
-        return val if self.is_quadratic else val + _dot(self.beta, y)
+        if not self.is_quadratic:
+            val = val + _dot(self.beta, y)
+        return float(val) if y.ndim == 1 else val
 
     @property
     def is_quadratic(self) -> bool:
@@ -215,11 +208,6 @@ def fundamental_tensor(norm: NormEvaluator, y) -> InnerProductAtY:
         raise NotPositiveDefinite(
             "Hessian of F^2 is not positive definite; invalid norm input")
     return InnerProductAtY(y=y.copy(), matrix=G)
-
-
-def inner_product(norm: NormEvaluator, y, u, v) -> float:
-    """<u, v>_y^F = g_ij(y) u^i v^j."""
-    return fundamental_tensor(norm, y)(u, v)
 
 
 def legendre_solve(norm, xi) -> np.ndarray:

@@ -9,14 +9,16 @@ re-centered so the chart never degenerates.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import (ChartBoundary, DimensionMismatch, LambdaOutOfRange,
                      NotSkew, WindTooStrong)
-from .minkowski import NormEvaluator, _any, _dot, _matvec, randers_fiber
+from .minkowski import NormEvaluator, _any, _dot, _matvec
 from .navigation import randers_from_navigation
+
+_CHART_RADIUS = 10.0    # charts end at |x| = 10, 84.3 degrees from the center
 
 
 def _complete_basis(center: np.ndarray) -> np.ndarray:
@@ -35,14 +37,14 @@ class Chart:
     """Gnomonic chart around a unit vector ``center``.
 
     map(x) = (center + B x) / sqrt(1 + |x|^2) with B an orthonormal basis
-    of center^perp; valid for |x| < radius.  map(0) = center.
+    of center^perp; valid for |x| < _CHART_RADIUS.  map(0) = center.
 
     ``center`` may also be a stack (N, n+1) of centers, with bases
     (N, n+1, n): a stack of N charts, one per row, whose chart points
     carry the axes (..., N, n).  coords and pull_tangent take one center.
     """
 
-    def __init__(self, center, radius: float = 10.0):
+    def __init__(self, center):
         c = np.asarray(center, dtype=float)
         nrm = np.sqrt(_dot(c, c))[..., None]
         if _any(nrm == 0.0):
@@ -50,14 +52,13 @@ class Chart:
         self.center = c / nrm
         self.basis = _complete_basis(self.center)
         self.n = c.shape[-1] - 1
-        self.radius = float(radius)
 
     def _lift(self, x: np.ndarray) -> tuple:
         # (1 + |x|^2, center + B x) over the leading axes of x, after the
         # domain check
         xx = _dot(x, x)
         r = np.sqrt(xx)
-        if _any(r >= self.radius):
+        if _any(r >= _CHART_RADIUS):
             raise ChartBoundary(f"|x| = {np.max(r):.3f} outside chart")
         return 1.0 + xx, self.center + _matvec(self.basis, x)
 
@@ -70,7 +71,7 @@ class Chart:
     def coords(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         c = float(p @ self.center)
-        if c <= 1.0 / np.sqrt(1.0 + self.radius * self.radius):
+        if c <= 1.0 / np.sqrt(1.0 + _CHART_RADIUS * _CHART_RADIUS):
             raise ChartBoundary("point outside the chart hemisphere")
         return (self.basis.T @ p) / c
 
@@ -166,23 +167,20 @@ def standard_rotation(dim: int, lam: float) -> KillingField:
 
 
 class MetricField:
-    """A chart-local Finsler metric: chart points -> pointwise norms.
+    """A Finsler metric as a gnomonic chart plus a coefficient builder.
 
-    The builder maps chart points X, an array whose last axis is the
-    chart dimension n, to the coefficient arrays of the pointwise norms
-    over the leading axes of X: (A, None) for a quadratic field and
-    (alpha, beta) for a Randers field.  kind is one of "round-h",
-    "randers-from-navigation" (carrying the Killing wind) or
-    "localization" (quadratic field frozen along a base vector field).
-    Every call builds the coefficients afresh.
+    The builder maps the field and chart points X (last axis n) to the
+    coefficients of the pointwise norms over the leading axes of X:
+    (A, None) for a quadratic field, (alpha, beta) for a Randers field.
+    It reads the chart from the field, so re-centering swaps the chart
+    and nothing else.  kind names the metric ("round-h",
+    "randers-from-navigation").  Every call builds afresh.
     """
 
     def __init__(self, chart: Chart, kind: str,
-                 builder: Callable[["MetricField", np.ndarray], tuple],
-                 wind: Optional[KillingField] = None):
+                 builder: Callable[["MetricField", np.ndarray], tuple]):
         self.chart = chart
         self.kind = kind
-        self.wind = wind
         self._builder = builder
 
     @property
@@ -195,30 +193,15 @@ class MetricField:
 
     def norm_at(self, x) -> NormEvaluator:
         """The pointwise norm at the single chart point x."""
-        return pointwise_norm(*self.coefficients(x))
-
-    def value(self, x, y) -> float:
-        """F(x, y) for a chart point x and chart tangent vector y."""
-        return self.norm_at(x)(y)
+        alpha, beta = self.coefficients(x)
+        if beta is None:
+            return NormEvaluator.quadratic(alpha)
+        return NormEvaluator.randers(alpha, beta)
 
     def with_center(self, p_ambient) -> "MetricField":
-        """The same geometric metric on a chart centered at p_ambient, or
-        on a stack of charts for a stack (N, n+1) of centers."""
-        chart = Chart(p_ambient, radius=self.chart.radius)
-        if self.kind == "round-h":
-            return round_metric(chart)
-        if self.kind == "randers-from-navigation":
-            return randers_sphere(chart, self.wind)
-        raise ChartBoundary(f"{self.kind} metric cannot be re-centered")
-
-
-def pointwise_norm(alpha: np.ndarray, beta: Optional[np.ndarray]
-                   ) -> NormEvaluator:
-    """The norm of one point's coefficients: quadratic (checked SPD) when
-    beta is None, else Randers (valid by construction of the field)."""
-    if beta is None:
-        return NormEvaluator.quadratic(alpha)
-    return NormEvaluator._randers_unchecked(alpha, beta)
+        """The same metric on a chart centered at p_ambient, or on a stack
+        of charts for a stack (N, n+1) of centers."""
+        return MetricField(Chart(p_ambient), self.kind, self._builder)
 
 
 def round_metric(chart: Chart) -> MetricField:
@@ -257,33 +240,7 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
         w_chart = _matvec(Ainv, _matvec(Jt, _matvec(W.matrix, p)))
         return randers_from_navigation(A, w_chart)
 
-    return MetricField(chart, "randers-from-navigation", build, wind=W)
-
-
-def localization_field(base: MetricField,
-                       Y: Callable[[np.ndarray], np.ndarray]) -> MetricField:
-    """Riemannian field g^F_Y: the fundamental tensor of ``base`` frozen
-    along the nonvanishing chart vector field Y, which maps chart points
-    (..., n) to vectors (..., n).  A build is one base builder call and
-    one call of Y over all its points."""
-
-    def build(field: MetricField, X: np.ndarray) -> tuple:
-        alpha, beta = base.coefficients(X)
-        Yx = Y(X)       # evaluated for a quadratic base too, which ignores it
-        G = alpha if beta is None else randers_fiber(alpha, beta, Yx)[4]
-        return 0.5 * (G + np.swapaxes(G, -1, -2)), None
-
-    return MetricField(base.chart, "localization", build)
-
-
-def finsler_value_ambient(field: MetricField, p, u) -> float:
-    """F at the ambient point p applied to the ambient tangent vector u."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    u = u - (u @ p) * p
-    fld = field.with_center(p)
-    x0 = np.zeros(fld.dim)
-    return fld.value(x0, fld.chart.basis.T @ u)
+    return MetricField(chart, "randers-from-navigation", build)
 
 
 def random_sphere_points(n: int, count: int, rng) -> np.ndarray:

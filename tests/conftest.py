@@ -11,12 +11,17 @@ the basis itself, one spray model per stencil point instead of the
 batched flag stencil, one seed, one norm and one Newton dual at a time
 instead of the batched level-set layer, one (y, u) pair at a time
 instead of the array pass of the navigation lemma.
+
+The two metric-field helpers at the end, ``localization_field`` and
+``finsler_value_ambient``, are test fixtures, not oracles.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
+from finslab.minkowski import randers_fiber
 from finslab.navigation import navigated_norm
+from finslab.sphere import MetricField
 
 
 def fd_gradient(func, y, h=1e-6):
@@ -491,3 +496,32 @@ def pointwise_navigation_lemma(datum, y=None, u=None, samples=1000, seed=0):
         if devs_orth:
             devs["orthogonal-wind"] = np.array(devs_orth)
     return devs
+
+
+def localization_field(base, Y):
+    """Riemannian field g^F_Y: the fundamental tensor of ``base`` frozen
+    along the nonvanishing chart vector field Y, which maps chart points
+    (..., n) to vectors (..., n).  A build is one base builder call and
+    one call of Y over all its points.
+
+    The field builds in the chart of its base, whatever chart it is
+    given, so it is never re-centered: with_center would swap a chart
+    that its builder does not read."""
+
+    def build(field, X):
+        alpha, beta = base.coefficients(X)
+        Yx = Y(X)       # evaluated for a quadratic base too, which ignores it
+        G = alpha if beta is None else randers_fiber(alpha, beta, Yx)[4]
+        return 0.5 * (G + np.swapaxes(G, -1, -2)), None
+
+    return MetricField(base.chart, "localization", build)
+
+
+def finsler_value_ambient(field, p, u):
+    """F at the ambient point p applied to the ambient tangent vector u,
+    on a chart of ``field`` centered at p."""
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=float)
+    u = u - (u @ p) * p
+    fld = field.with_center(p)
+    return fld.norm_at(np.zeros(fld.dim))(fld.chart.basis.T @ u)

@@ -1,17 +1,41 @@
-"""The public API: keyword parameters with defaults on finslab's exports."""
+"""The public API: finslab's exports and their keyword parameters with
+defaults."""
 
 import inspect
 
 import finslab
+
+# The public names finslab exports, submodules aside (a submodule joins
+# dir(finslab) once anything imports it, so it is not part of the API).
+# Helpers that only tests use live in tests/conftest.py, not here.
+EXPORTS = [
+    "Chart", "CliffordSystem", "FinslabError", "Flag", "GeodesicPath",
+    "InnerProductAtY", "KillingField", "MetricField", "NavigationDatum",
+    "NormEvaluator", "SkewBasis", "SpectrumResult", "SphereFunction",
+    "VerificationReport", "anticommutation_error", "block_killing",
+    "build_clifford", "centralizer", "check_isoparametric",
+    "check_navigation_lemma", "check_tangency", "check_transnormal",
+    "clifford_delta", "custom_sphere_function", "find_clifford_point",
+    "flag_curvature", "full_symmetry_dimension", "fundamental_tensor",
+    "geodesic_field_residual", "geodesic_spray", "gradient_norm",
+    "height_function", "integrate_flow", "integrate_geodesic",
+    "invert_navigation", "killing_norm", "legendre_solve",
+    "lie_closure_residual", "navigate", "navigated_norm",
+    "navigation_from_randers", "nonlinear_gradient", "nonlinear_laplacian",
+    "otfkm_function", "otfkm_gradient", "otfkm_value",
+    "predicted_centralizer_dim", "principal_curvature_spectrum",
+    "randers_from_navigation", "randers_sphere", "random_sphere_points",
+    "riemann_curvature", "round_metric", "sample_level_set", "spin_lift",
+    "split_quadratic_function", "standard_rotation", "symmetry_basis",
+    "unit_gradient_field",
+]
 
 # Every keyword parameter with a default on a callable that finslab
 # exports.  A numerical setting with one value in use is a private module
 # constant, not a parameter, so a new entry here is a reviewed change of
 # the API; "<factory>" marks a dataclass field with a default factory.
 KEYWORD_DEFAULTS = {
-    "Chart": {"radius": 10.0},
     "CliffordSystem": {"k1": None, "k2": None, "delta_m": 0},
-    "MetricField": {"wind": None},
     "NormEvaluator": {"matrix": None, "alpha": None, "beta": None},
     "SkewBasis": {"elements": "<factory>"},
     "SpectrumResult": {"per_point": "<factory>"},
@@ -31,6 +55,12 @@ KEYWORD_DEFAULTS = {
     "predicted_centralizer_dim": {"k1": None, "k2": None},
     "principal_curvature_spectrum": {"points": 20, "seed": 0},
 }
+
+
+def test_exported_names_are_pinned():
+    names = [name for name in dir(finslab) if not name.startswith("_")
+             and not inspect.ismodule(getattr(finslab, name))]
+    assert names == EXPORTS
 
 
 def test_exported_keyword_defaults_are_pinned():

@@ -578,6 +578,43 @@ def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_oversized_clifford_system_exits_2(tmp_path, capsys):
+    # {m: 1, k: 65} asks for 2l = 130 > 128: a ConfigError in every
+    # command that builds from {m, k}, before anything is written
+    spec = {"m": 1, "k": 65}
+    (tmp_path / "sys.json").write_text(json.dumps(spec))
+    (tmp_path / "battery.json").write_text(
+        json.dumps([{"check": "clifford-audit", "clifford": spec}]))
+    for argv in (["verify", "clifford-audit",
+                  "--clifford", str(tmp_path / "sys.json")],
+                 ["batch", str(tmp_path / "battery.json")],
+                 ["clifford", "build", "--m", "1", "--k", "65",
+                  "--out", str(tmp_path / "out.json")],
+                 ["clifford", "audit", str(tmp_path / "sys.json")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ConfigError" and "128" in error["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_oversized_clifford_system_is_never_built(monkeypatch):
+    # the size is checked from {m, k} alone; with 2l = 128 the system
+    # is built
+    def build(m, k):
+        raise AssertionError(f"built m = {m}, k = {k}")
+
+    monkeypatch.setattr(cli.cl, "build_clifford", build)
+    for spec in ({"m": 24, "k": 1}, {"m": 1, "k": 200}, {"m": 10**9},
+                 {"m": 8, "k1": 5, "k2": 4}, {"m": 8, "k": 1, "k2": 8}):
+        with pytest.raises(ConfigError, match="at most 128"):
+            cli._clifford_system(spec)
+    with pytest.raises(AssertionError, match="m = 1, k = 64"):
+        cli._clifford_system({"m": 1, "k": 64})
+
+
 def test_non_clifford_matrices_exit_2(tmp_path, capsys):
     # P_1 = P_0 does not anticommute: an error, not a centralizer dimension
     D = np.diag([1, 1, -1, -1]).tolist()

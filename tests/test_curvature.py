@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import fd_spray, pointwise_flag_curvature
+from conftest import fd_spray, localization_field, pointwise_flag_curvature
 from finslab.curvature import (Flag, flag_curvature, geodesic_spray,
                                integrate_geodesic, riemann_curvature,
                                stencil_derivative, stencil_points)
 from finslab.errors import (ChartBoundary, DegenerateFlag,
                             DifferentiationFailure, FinslabError)
 from finslab.sphere import (Chart, KillingField, MetricField, block_killing,
-                            killing_norm, localization_field, randers_sphere,
-                            round_metric, standard_rotation)
+                            killing_norm, randers_sphere, round_metric,
+                            standard_rotation)
 
 
 def flat_metric(n: int) -> MetricField:
@@ -240,12 +240,12 @@ def _first_error(call):
     return None
 
 
-# a row that fails on its own, as (x, y, v) in a chart of radius 0.5
+# a row that fails on its own, as (x, y, v); charts end at |x| = 10
 _BAD_ROWS = {
     "degenerate-plane": ([0.1, 0.0], [1.0, 0.5], [-2.0, -1.0]),
     "zero-flagpole": ([0.1, 0.0], [0.0, 0.0], [1.0, 0.0]),
-    "stencil-leaves-chart": ([0.49, 0.0], [1.0, 0.0], [0.0, 1.0]),
-    "outside-chart": ([0.0, 0.6], [1.0, 0.0], [0.0, 1.0]),
+    "stencil-leaves-chart": ([9.99, 0.0], [1.0, 0.0], [0.0, 1.0]),
+    "outside-chart": ([0.0, 10.5], [1.0, 0.0], [0.0, 1.0]),
 }
 
 
@@ -255,8 +255,8 @@ def test_flag_stack_raises_the_error_of_its_first_failing_flag(first, later):
     # a loop over the flags stops at the first failing one; the stack
     # raises that flag's error class and message, whatever later rows do
     rng = np.random.default_rng(12)
-    for met in (round_metric(Chart([0.0, 0.0, 1.0], radius=0.5)),
-                randers_sphere(Chart([0.0, 0.0, 1.0], radius=0.5),
+    for met in (round_metric(Chart([0.0, 0.0, 1.0])),
+                randers_sphere(Chart([0.0, 0.0, 1.0]),
                                block_killing(1, [0.5], [1]))):
         rows = [tuple(r) for r in rng.standard_normal((6, 3, 2)) * 0.1]
         rows[2] = _BAD_ROWS[first]
@@ -365,15 +365,15 @@ def test_degenerate_flag_raises():
 
 
 def test_stencil_escape_raises():
-    met = round_metric(Chart([0.0, 0.0, 1.0], radius=0.5))
+    met = round_metric(Chart([0.0, 0.0, 1.0]))
     with pytest.raises(DifferentiationFailure):
-        riemann_curvature(met, np.array([0.49, 0.0]), np.array([1.0, 0.0]))
+        riemann_curvature(met, np.array([9.99, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_spray_outside_chart_raises():
-    met = round_metric(Chart([0.0, 0.0, 1.0], radius=2.0))
+    met = round_metric(Chart([0.0, 0.0, 1.0]))
     with pytest.raises(ChartBoundary):
-        geodesic_spray(met, np.array([2.5, 0.0]), np.array([1.0, 0.0]))
+        geodesic_spray(met, np.array([10.5, 0.0]), np.array([1.0, 0.0]))
 
 
 def test_randers_spray_matches_fd_spray():
@@ -430,7 +430,7 @@ def test_randers_geodesic_matches_closed_form(W, seed):
     y0 = rng.standard_normal(n)
     path = integrate_geodesic(met, x0, y0, 2.0 * np.pi, steps=200)
     p = chart.map(x0)
-    u = chart.jacobian(x0) @ y0 / met.value(x0, y0) - W(p)
+    u = chart.jacobian(x0) @ y0 / met.norm_at(x0)(y0) - W(p)
     expect = np.array([expm(t * W.matrix) @ (np.cos(t) * p + np.sin(t) * u)
                        for t in path.times])
     assert len(path.recenters) > 0

@@ -10,27 +10,25 @@ import pytest
 
 import finslab.isoparametric as iso
 import finslab.sphere as sphere
-from conftest import (laplace_beltrami_oracle, newton_legendre,
-                      pointwise_gradient_norm, pointwise_laplacian,
-                      pointwise_sample_level_set, pointwise_shape_eigenvalues)
+from conftest import (laplace_beltrami_oracle, localization_field,
+                      newton_legendre, pointwise_gradient_norm,
+                      pointwise_laplacian, pointwise_sample_level_set,
+                      pointwise_shape_eigenvalues)
 from finslab import cli
 from finslab.clifford import (build_clifford, centralizer, otfkm_gradient,
                               otfkm_value, spin_lift)
 from finslab.curvature import Flag, flag_curvature
-from finslab.errors import CriticalPoint, EmptyLevel
+from finslab.errors import ConfigError, CriticalPoint, EmptyLevel
 from finslab.isoparametric import (check_isoparametric, check_tangency,
                                    check_transnormal, custom_sphere_function,
-                                   height_function,
-                                   nonlinear_gradient,
-                                   nonlinear_gradient_extended,
+                                   height_function, nonlinear_gradient,
                                    nonlinear_laplacian, otfkm_function,
                                    gradient_norm, principal_curvature_spectrum,
                                    sample_level_set, split_quadratic_function,
                                    unit_gradient_field)
 from finslab.minkowski import legendre_solve
 from finslab.sphere import (Chart, KillingField, block_killing, killing_norm,
-                            localization_field, randers_sphere, round_metric,
-                            standard_rotation)
+                            randers_sphere, round_metric, standard_rotation)
 
 LEVELS = [-0.8, -0.3, 0.0, 0.3, 0.8]
 SUITE = Path(__file__).resolve().parents[1] / "demos" / "paper_suite.json"
@@ -89,13 +87,34 @@ def test_gradient_norm_is_dual_norm_value():
         assert abs(Fg * Fg - float(df @ grad)) < 1e-8 * max(1.0, Fg * Fg)
 
 
-def test_critical_point_raises_and_extended_is_zero():
+def test_critical_point_raises():
     met = round_metric(Chart([1.0, 0.0, 0.0]))
     f = height_function(3, axis=0)   # critical at the chart center
     with pytest.raises(CriticalPoint):
         nonlinear_gradient(met, f, np.zeros(2))
-    assert np.array_equal(nonlinear_gradient_extended(met, f, np.zeros(2)),
-                          np.zeros(2))
+
+
+@pytest.mark.parametrize("check", [check_transnormal, check_isoparametric])
+def test_level_checks_read_a_level_iterator_once(check):
+    # a generator of levels gives the report of the same list: every
+    # level scanned, for f and for -f
+    met = round_metric(Chart(np.eye(4)[0]))
+    f = height_function(4)
+    rep = check(met, f, iter([0.3]), per_level=5)
+    assert rep.to_dict() == check(met, f, [0.3], per_level=5).to_dict()
+    assert rep.config["levels"] == [0.3]
+    assert rep.n_samples == (10 if check is check_isoparametric else 5)
+    if check is check_isoparametric:
+        assert [e["function"] for e in rep.per_level] == ["f", "-f"]
+
+
+@pytest.mark.parametrize("check", [check_transnormal, check_isoparametric])
+def test_level_checks_reject_no_levels(check):
+    # no level would pass vacuously
+    met = round_metric(Chart(np.eye(4)[0]))
+    for levels in ([], iter([])):
+        with pytest.raises(ConfigError, match="levels"):
+            check(met, height_function(4), levels, per_level=5)
 
 
 def test_unit_normal_is_h_normal_plus_wind():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import (direction_scan_legendre, fd_gradient, fd_hessian,
                       newton_legendre)
 from finslab.errors import NotPositiveDefinite, ZeroBaseVector
-from finslab.minkowski import (NormEvaluator, fundamental_tensor,
-                               inner_product, legendre_solve)
+from finslab.minkowski import NormEvaluator, fundamental_tensor, legendre_solve
 
 RANDERS_2D = NormEvaluator.randers(np.eye(2), [0.5, 0.0])
 
@@ -75,7 +74,7 @@ def test_euler_identity():
     for norm in _sample_norms(rng):
         for _ in range(20):
             y = rng.standard_normal(norm.dim)
-            val = inner_product(norm, y, y, y)
+            val = fundamental_tensor(norm, y)(y, y)
             assert abs(val - norm(y) ** 2) < 1e-9 * norm(y) ** 2
 
 
@@ -84,13 +83,13 @@ def test_euclidean_inner_is_dot():
     norm = NormEvaluator.euclidean(3)
     for _ in range(10):
         y, u, v = rng.standard_normal((3, 3))
-        assert abs(inner_product(norm, y, u, v) - u @ v) < 1e-12
+        assert abs(fundamental_tensor(norm, y)(u, v) - u @ v) < 1e-12
 
 
 def test_randers_inner_matches_fd_entry():
     y = np.array([0.0, 1.0])
     oracle = 0.5 * fd_hessian(lambda z: RANDERS_2D(z) ** 2, y)
-    val = inner_product(RANDERS_2D, y, [1.0, 0.0], [1.0, 0.0])
+    val = fundamental_tensor(RANDERS_2D, y)([1.0, 0.0], [1.0, 0.0])
     assert abs(val - oracle[0, 0]) < 1e-6
 
 
@@ -224,7 +223,8 @@ def test_fundamental_tensor_rejects_degenerate_rule():
     # |beta|_alpha = 1.5 slips past the validating constructor; where
     # F(y) < 0 the Randers g_y is indefinite (det g = (F/a)^3 det alpha),
     # so the PD check must flag the invalid norm input
-    bad = NormEvaluator._randers_unchecked(np.eye(2), np.array([1.5, 0.0]))
+    bad = NormEvaluator(2, "randers", alpha=np.eye(2),
+                        beta=np.array([1.5, 0.0]))
     with pytest.raises(NotPositiveDefinite):
         fundamental_tensor(bad, np.array([-1.0, 0.5]))
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import sampled_killing_norm
+from conftest import finsler_value_ambient, sampled_killing_norm
 from finslab.errors import (ChartBoundary, DimensionMismatch,
                             LambdaOutOfRange, NotSkew, WindTooStrong)
-from finslab.sphere import (Chart, KillingField, block_killing,
-                            finsler_value_ambient, killing_norm,
+from finslab.sphere import (Chart, KillingField, block_killing, killing_norm,
                             random_sphere_points, randers_sphere,
                             round_metric, standard_rotation)
 
@@ -32,7 +31,7 @@ def test_chart_coords_round_trip():
 
 
 def test_chart_boundary():
-    chart = Chart([1.0, 0.0, 0.0], radius=10.0)
+    chart = Chart([1.0, 0.0, 0.0])
     with pytest.raises(ChartBoundary):
         chart.map(np.array([11.0, 0.0]))
     with pytest.raises(ChartBoundary):
@@ -124,6 +123,29 @@ def test_block_killing_flow_preserves_height():
             assert abs((flow @ p)[0] - p[0]) < 1e-12
 
 
+@pytest.mark.parametrize("stack", [False, True])
+@pytest.mark.parametrize("kind", ["round", "randers"])
+def test_with_center_swaps_the_chart(kind, stack):
+    # a re-centered field is the field built afresh on the new chart: the
+    # same kind and the same coefficients, bit for bit
+    rng = np.random.default_rng(15)
+    W = standard_rotation(4, 0.4)
+    make = {"round": round_metric,
+            "randers": lambda chart: randers_sphere(chart, W)}[kind]
+    met = make(Chart(rng.standard_normal(4)))
+    p = random_sphere_points(3, 5, rng) if stack \
+        else random_sphere_points(3, 1, rng)[0]
+    moved = met.with_center(p)
+    fresh = make(Chart(p))
+    assert moved.kind == met.kind
+    # chart points of a stack of N charts carry the axes (..., N, n)
+    X = 0.3 * rng.standard_normal((7,) + p.shape[:-1] + (3,))
+    got, want = moved.coefficients(X), fresh.coefficients(X)
+    assert (got[1] is None) == (want[1] is None) == (kind == "round")
+    for a, b in zip(got, want):
+        assert b is None or np.array_equal(a, b)
+
+
 def test_randers_sphere_zero_wind_is_round():
     chart = Chart([1.0, 0.0, 0.0, 0.0])
     met = randers_sphere(chart, KillingField(np.zeros((4, 4))))
@@ -132,7 +154,7 @@ def test_randers_sphere_zero_wind_is_round():
     for _ in range(10):
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        assert abs(met.value(x, y) - metr.value(x, y)) < 1e-12
+        assert abs(met.norm_at(x)(y) - metr.norm_at(x)(y)) < 1e-12
 
 
 def test_rotation_wind_has_constant_length():
