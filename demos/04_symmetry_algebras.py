@@ -29,7 +29,7 @@ for m, k in [(1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (3, 2), (4, (1, 1)),
     cent = centralizer(sys_)
     spin = spin_lift(sys_)
     resid = lie_closure_residual(symmetry_basis(sys_), trials=4)
-    pred = predicted_centralizer_dim(sys_.m, sys_.k, sys_.k1, sys_.k2)
+    pred = predicted_centralizer_dim(sys_)
     mark = "ok" if cent.dim == pred else "MISMATCH"
     print(f"{m:>2} {str(k):>6} {sys_.dim:>4} {cent.dim:>12} {pred:>10} "
           f"{spin.dim:>5} {resid:>9.1e}  {mark}")

@@ -183,16 +183,15 @@ _MAX_2L = 128   # largest 2l built from {m, k}: a centralizer Gram of ~32 MB
 
 def _clifford_system(spec, where: str = "field 'clifford'"
                      ) -> cl.CliffordSystem:
-    """A Clifford system from {m, l, k, matrices} or {m, k} (k1, k2 for a
-    split), with the field types and the matrix shapes checked; {m, k}
-    must give 2l = 2 k delta_m <= _MAX_2L."""
+    """A Clifford system from its matrices (any of m, l, k, k1, k2 given
+    beside them must agree with them) or from {m, k} (k1, k2 for a
+    split), with the field types checked; {m, k} must give
+    2l = 2 k delta_m <= _MAX_2L."""
     _check_spec(where, spec, m=int, l=int, k=int, k1=int, k2=int)
     try:
-        if "matrices" in spec:
-            _check_spec(where, spec, ("m", "l", "k"))
-            size = 2 * spec["l"]
+        if "matrices" in spec:   # numbers; the system checks their shape
             _array(where, "matrices", spec["matrices"],
-                   (spec["m"] + 1, size, size))
+                   np.shape(spec["matrices"]))
             return cl.CliffordSystem.from_json(spec)
         if "m" in spec:
             k = spec.get("k", 1)

@@ -1,9 +1,11 @@
 """Symmetric Clifford systems, their quartic polynomials and symmetries.
 
 A symmetric Clifford system {P_0, ..., P_m} on R^{2l} consists of symmetric
-matrices with P_i P_j + P_j P_i = 2 delta_ij I.  The built-in construction
-produces integer matrices, so anticommutation holds exactly.  On the unit
-sphere the degree-4 polynomial
+matrices with P_i P_j + P_j P_i = 2 delta_ij I.  A system is its matrices:
+m, l, the number k of irreducible summands and, for m = 0 mod 4, their
+split (k1, k2) into the two inequivalent irreducibles are read off them.
+The built-in construction produces integer matrices, so anticommutation
+holds exactly.  On the unit sphere the degree-4 polynomial
 
     f(x) = |x|^4 - 2 sum_i <P_i x, x>^2
 
@@ -99,25 +101,37 @@ def _irreducible_system(m: int) -> list[np.ndarray]:
     return system
 
 
-@dataclass
 class CliffordSystem:
-    """A symmetric Clifford system with its multiplicity bookkeeping,
-    checked when built: NotClifford for a defect beyond roundoff."""
+    """A symmetric Clifford system, given by its matrices alone.
 
-    m: int
-    l: int
-    matrices: list
-    k: int
-    k1: int | None = None
-    k2: int | None = None
-    delta_m: int = 0
+    Everything else is read off the matrices once, when the system is
+    built: m + 1 matrices on R^{2l}, delta_m, k = l / delta_m and, for
+    m = 0 mod 4, the split (k1, k2), k1 >= k2, into inequivalent
+    irreducibles.  The volume element P_0 ... P_m is +-I on each
+    irreducible summand there, so |tr| = 2 delta_m |k1 - k2|.  Fewer
+    than two square matrices of one size raise ValueError, a defect
+    beyond roundoff NotClifford.
+    """
 
-    def __post_init__(self):
-        defect = max([anticommutation_error(self)]
-                     + [float(np.abs(P - P.T).max()) for P in self.matrices])
+    def __init__(self, matrices):
+        P = np.asarray(matrices, dtype=float)
+        if P.ndim != 3 or len(P) < 2 or P.shape[1] != P.shape[2]:
+            raise ValueError("a Clifford system needs at least two square "
+                             "matrices of one size")
+        self.matrices = P
+        defect = max(anticommutation_error(self),
+                     float(np.abs(P - P.transpose(0, 2, 1)).max()))
         if not defect <= 1e-10:                   # beyond roundoff
             raise NotClifford("the matrices are not a symmetric Clifford "
                               f"system (defect {defect:.1e})")
+        self.m, self.l = len(P) - 1, P.shape[1] // 2
+        self.delta_m = clifford_delta(self.m)
+        self.k = self.l // self.delta_m
+        self.k1 = self.k2 = None
+        if self.m % 4 == 0:
+            vol = np.linalg.multi_dot(P)
+            d = round(abs(float(np.trace(vol))) / (2 * self.delta_m))
+            self.k1, self.k2 = (self.k + d) // 2, (self.k - d) // 2
 
     @property
     def dim(self) -> int:
@@ -128,11 +142,12 @@ class CliffordSystem:
         return self.m, self.l - self.m - 1
 
     def to_json(self) -> str:
-        """Integer matrices when every entry is integral, floats otherwise."""
-        integral = all(np.array_equal(P, np.round(P)) for P in self.matrices)
+        """Integer matrices when every entry is integral, floats otherwise;
+        k1 and k2 for m = 0 mod 4."""
+        P = self.matrices
+        integral = np.array_equal(P, np.round(P))
         payload = {"m": self.m, "l": self.l, "k": self.k,
-                   "matrices": [(P.astype(int) if integral else P).tolist()
-                                for P in self.matrices]}
+                   "matrices": (P.astype(int) if integral else P).tolist()}
         if self.k1 is not None:
             payload["k1"] = self.k1
             payload["k2"] = self.k2
@@ -140,54 +155,42 @@ class CliffordSystem:
 
     @classmethod
     def from_json(cls, text) -> "CliffordSystem":
+        """The system of the matrices; a declared m, l, k, k1 or k2 that
+        the matrices do not give raises ValueError."""
         data = json.loads(text) if isinstance(text, str) else text
-        mats = [np.asarray(P, dtype=float) for P in data["matrices"]]
-        m = data["m"]
-        return cls(m=m, l=data["l"], matrices=mats, k=data["k"],
-                   k1=data.get("k1"), k2=data.get("k2"),
-                   delta_m=clifford_delta(m))
+        sys_ = cls(data["matrices"])
+        for name in ("m", "l", "k", "k1", "k2"):
+            if name in data and data[name] != getattr(sys_, name):
+                raise ValueError(f"'{name}' is {data[name]}, but the "
+                                 f"matrices give {getattr(sys_, name)}")
+        return sys_
 
 
 def build_clifford(m: int, k) -> CliffordSystem:
     """Build the system of k copies of the irreducible module.
 
     For m = 0 mod 4 there are two inequivalent irreducibles (they differ
-    by the sign of P_m) and k may be a pair (k1, k2); a plain integer k is
-    read as (k, 0).  Emits a warning when m2 = l - m - 1 < 1, i.e. when
-    the quartic polynomial is not isoparametric.
+    by the sign of P_m) and k may be a pair (k1, k2) of copies of each; a
+    plain integer k is read as (k, 0).  Emits a warning when
+    m2 = l - m - 1 < 1, i.e. when the quartic polynomial is not
+    isoparametric.
     """
     if isinstance(k, (tuple, list)):
         if m % 4 != 0:
             raise UnsupportedSplit(
                 "(k1, k2) splits exist only when m = 0 mod 4")
         k1, k2 = int(k[0]), int(k[1])
-        if k1 < k2:
-            k1, k2 = k2, k1            # congruence normalization k1 >= k2
-        ktot = k1 + k2
     else:
-        ktot = int(k)
-        k1 = k2 = None
-        if m % 4 == 0:
-            k1, k2 = ktot, 0
-    if ktot < 1:
+        k1, k2 = int(k), 0
+    if min(k1, k2) < 0 or k1 + k2 < 1:
         raise ValueError("k must be >= 1")
-
     prime = _irreducible_system(m)
-    delta = clifford_delta(m)
-    eye_k = np.eye(ktot)
-    if m % 4 == 0 and k2 is not None:
-        sign = np.diag([1.0] * k1 + [-1.0] * k2)
-        matrices = [np.kron(P, eye_k) for P in prime[:-1]]
-        matrices.append(np.kron(prime[-1], sign))
-    else:
-        matrices = [np.kron(P, eye_k) for P in prime]
-
-    l = ktot * delta
-    sys_ = CliffordSystem(m=m, l=l, matrices=matrices, k=ktot,
-                          k1=k1, k2=k2, delta_m=delta)
-    if l - m - 1 < 1:
-        warnings.warn(f"m2 = {l - m - 1} < 1: quartic is not isoparametric "
-                      f"for (m={m}, k={ktot})", stacklevel=2)
+    sign = np.diag([1.0] * k1 + [-1.0] * k2)
+    sys_ = CliffordSystem([np.kron(P, np.eye(k1 + k2)) for P in prime[:-1]]
+                          + [np.kron(prime[-1], sign)])
+    if sys_.l - m - 1 < 1:
+        warnings.warn(f"m2 = {sys_.l - m - 1} < 1: quartic is not "
+                      f"isoparametric for (m={m}, k={sys_.k})", stacklevel=2)
     return sys_
 
 
@@ -198,7 +201,7 @@ def anticommutation_error(sys_: CliffordSystem) -> float:
     of all (m+1)^2 pairs is slower at 2l = 64: its temporaries outgrow the
     cache, while these stay below (m+1) n^2 entries."""
     P = np.asarray(sys_.matrices)
-    eye2 = 2.0 * np.eye(sys_.dim)
+    eye2 = 2.0 * np.eye(P.shape[-1])
     worst = 0.0
     for i, Pi in enumerate(P):
         acm = Pi @ P[i:] + P[i:] @ Pi
@@ -324,21 +327,19 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
     return SkewBasis(list(0.5 * (X - X.transpose(0, 2, 1))))
 
 
-def predicted_centralizer_dim(m: int, k: int, k1=None, k2=None) -> int:
+def predicted_centralizer_dim(sys_: CliffordSystem) -> int:
     """Centralizer dimension predicted by the representation type:
 
     so(k) for m = 1, 7 (mod 8); u(k) for m = 2, 6; sp(k) for m = 3, 5;
     sp(k1) + sp(k2) for m = 4 (mod 8); so(k1) + so(k2) for m = 0 (mod 8).
     """
-    r = m % 8
+    r, k, k1, k2 = sys_.m % 8, sys_.k, sys_.k1, sys_.k2
     if r in (1, 7):
         return k * (k - 1) // 2
     if r in (2, 6):
         return k * k
     if r in (3, 5):
         return k * (2 * k + 1)
-    if k1 is None:
-        k1, k2 = k, 0
     if r == 4:
         return k1 * (2 * k1 + 1) + k2 * (2 * k2 + 1)
     return k1 * (k1 - 1) // 2 + k2 * (k2 - 1) // 2
@@ -421,7 +422,7 @@ def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
     mult_minus = int(np.sum(evals < -0.5))
     cent = centralizer(sys_)
     spin = spin_lift(sys_)
-    predicted = predicted_centralizer_dim(sys_.m, sys_.k, sys_.k1, sys_.k2)
+    predicted = predicted_centralizer_dim(sys_)
     basis = SkewBasis(spin.elements + cent.elements)
     closure = lie_closure_residual(basis, trials=_CLOSURE_TRIALS, seed=seed)
     return {

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import (ChartBoundary, DegenerateFlag, DifferentiationFailure,
                      FinslabError, NotPositiveDefinite, ZeroBaseVector)
-from .minkowski import _any, _dot, _matvec, _vecmat, randers_fiber
+from .minkowski import _any, _dot, _matvec, _vecmat, fiber, randers_fiber
 from .sphere import _CHART_RADIUS, MetricField
 
 # 4-point, fourth-order central first-derivative stencil
@@ -89,15 +89,14 @@ def _check_stencil(x: np.ndarray, reach: float):
 
 class _LocalModel:
     """Closed-form spray data at the chart points X (any leading axes, the
-    model axes, and last axis n).
-
-    quad:    A and DA = dA/dx^k, with k on the axis after the model axes
-    randers: alpha, beta and their x-derivatives
+    model axes, and last axis n): the coefficient pair (alpha, beta) of
+    MetricField.coefficients, beta None for a quadratic field, and its
+    x-derivatives Dalpha, Dbeta, with k on the axis after the model axes.
 
     One builder call covers X and the x-stencil of every point of X.
     """
 
-    __slots__ = ("quad", "A", "DA", "alpha", "beta", "Dalpha", "Dbeta")
+    __slots__ = ("alpha", "beta", "Dalpha", "Dbeta")
 
     def __init__(self, metric: MetricField, X: np.ndarray):
         P = np.concatenate((X[None], stencil_points(X, _X_STEP)))
@@ -108,40 +107,27 @@ class _LocalModel:
             return c[0], np.moveaxis(stencil_derivative(c[1:], _X_STEP), 0,
                                      X.ndim - 1)
 
-        self.quad = beta is None
-        if self.quad:
+        if beta is None:
             alpha = 0.5 * (alpha + np.swapaxes(alpha, -1, -2))
             try:
                 np.linalg.cholesky(alpha)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite("quadratic form matrix is not SPD")
-            self.A, self.DA = split(alpha)
+            self.beta = self.Dbeta = None
         else:
-            self.alpha, self.Dalpha = split(alpha)
             self.beta, self.Dbeta = split(beta)
-
-    def norm(self, idx, Y: np.ndarray) -> np.ndarray:
-        """F(X[idx], Y) over the leading axes of Y, which are those of the
-        model points that idx picks."""
-        M = self.A if self.quad else self.alpha
-        F = np.sqrt(np.maximum(_dot(_vecmat(Y, M[idx]), Y), 0.0))
-        return F if self.quad else F + _dot(self.beta[idx], Y)
-
-    def tensor(self, idx, Y: np.ndarray) -> np.ndarray:
-        """The fundamental tensor g_Y at X[idx], likewise."""
-        if self.quad:
-            return self.A[idx]
-        return randers_fiber(self.alpha[idx], self.beta[idx], Y)[4]
+        self.alpha, self.Dalpha = split(alpha)
 
     def spray(self, idx, Y: np.ndarray) -> np.ndarray:
         """G(X[idx], Y) over the leading axes of Y, which are those of the
         model points that idx picks, with one batched solve."""
         Yk = Y[..., None, :]                            # y against each k
-        if self.quad:
-            DAy = _matvec(self.DA[idx], Yk)             # (..., k, l)
+        if self.beta is None:
+            DAy = _matvec(self.Dalpha[idx], Yk)         # (..., k, l)
             s = _matvec(DAy, Y)                         # y^T dA/dx^k y
             rhs = 2.0 * (Yk @ DAy)[..., 0, :] - s
-            return 0.25 * np.linalg.solve(self.A[idx], rhs[..., None])[..., 0]
+            return 0.25 * np.linalg.solve(self.alpha[idx],
+                                          rhs[..., None])[..., 0]
         a, F, p, m, g = randers_fiber(self.alpha[idx], self.beta[idx], Y)
         Dbeta = self.Dbeta[idx]
         a, F = a[..., None], F[..., None]
@@ -282,11 +268,12 @@ def _flag_curvature(metric: MetricField, x: np.ndarray, y: np.ndarray,
     _check_stencil(x, _RIEMANN_REACH)
     model = _flag_model(metric, x, y)
     at_x = (0, np.arange(len(y)))
-    Fy = model.norm(at_x, y)
+    # g_y is 0-homogeneous in y, so the g at y serves the scaled y too
+    Fy, _, g = fiber(model.alpha[at_x], None if model.beta is None
+                     else model.beta[at_x], y)
     if _any(Fy <= 0.0):
         raise ZeroBaseVector("flagpole has zero length")
     y = y / Fy[:, None]
-    g = model.tensor(at_x, y)
     gyy = _dot(_vecmat(y, g), y)
     w = v - (_dot(_vecmat(v, g), y) / gyy)[:, None] * y
     ww = _dot(_vecmat(w, g), w)

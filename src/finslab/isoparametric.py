@@ -31,7 +31,7 @@ from .clifford import CliffordSystem, otfkm_gradient, otfkm_value
 from .curvature import stencil_derivative, stencil_points
 from .errors import (ClusterAmbiguity, ConfigError, CriticalPoint,
                      DimensionMismatch, EmptyLevel, StencilEscape)
-from .minkowski import _any, _dot, _matvec, legendre_solve, randers_fiber
+from .minkowski import _any, _dot, _matvec, fiber, legendre_solve
 from .report import VerificationReport, worst_deviation
 from .sphere import (Chart, KillingField, MetricField, _complete_basis,
                      random_sphere_points)
@@ -217,9 +217,7 @@ def _dual(metric: MetricField, f: SphereFunction, X,
         raise StencilEscape("stencil point hit the critical set")
     alpha, beta = metric.coefficients(X)
     grad = legendre_solve((alpha, beta), df)
-    if beta is None:
-        return np.sqrt(_dot(grad, _matvec(alpha, grad))), alpha, grad
-    _, F, _, _, g = randers_fiber(alpha, beta, grad)
+    F, _, g = fiber(alpha, beta, grad)
     return F, g, grad
 
 

@@ -7,6 +7,10 @@ Two closed-form kinds are built in:
 * ``euclidean-quadratic-form``: F(y) = sqrt(y^T A y) for SPD A,
 * ``randers``: F(y) = sqrt(y^T alpha y) + beta . y with |beta|_alpha < 1.
 
+A norm is its coefficient pair, (A, None) or (alpha, beta), as
+MetricField builders return it; ``fiber`` evaluates a pair, for a
+NormEvaluator and for stacked coefficient arrays alike.
+
 For both kinds the value, gradient and Hessian of F^2 in the fiber
 variable y are written out in closed form (for Randers norms see
 Bao-Chern-Shen, *An Introduction to Riemann-Finsler Geometry*, Ch. 11),
@@ -87,16 +91,37 @@ def randers_fiber(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray):
     return a, F, p, m, g
 
 
-class NormEvaluator:
-    """A point-independent Minkowski norm with derivative access."""
+def fiber(alpha: np.ndarray, beta, y: np.ndarray) -> tuple:
+    """(F, g_y y, g_y) at y of the Minkowski norm of the coefficient pair:
+    F = sqrt(y^T alpha y) and g_y = alpha for beta None, the Randers norm
+    of randers_fiber otherwise.  g_y y = F grad F is half the gradient
+    of F^2.
 
-    def __init__(self, dim: int, kind: str, *, matrix=None, alpha=None,
-                 beta=None):
-        self.dim = int(dim)
-        self.kind = kind
-        self.matrix = None if matrix is None else np.asarray(matrix, dtype=float)
-        self.alpha = None if alpha is None else np.asarray(alpha, dtype=float)
+    Broadcasts over the leading axes of (alpha, beta, y).
+    """
+    if beta is None:
+        ay = _matvec(alpha, y)
+        return np.sqrt(_dot(y, ay)), ay, alpha
+    _, F, _, m, g = randers_fiber(alpha, beta, y)
+    return F, F[..., None] * m, g
+
+
+class NormEvaluator:
+    """A point-independent Minkowski norm with derivative access, given by
+    its coefficient pair: (A, None) for the quadratic norm sqrt(y^T A y),
+    (alpha, beta) for a Randers norm."""
+
+    def __init__(self, alpha, beta=None):
+        self.alpha = np.asarray(alpha, dtype=float)
         self.beta = None if beta is None else np.asarray(beta, dtype=float)
+
+    @property
+    def dim(self) -> int:
+        return self.alpha.shape[-1]
+
+    @property
+    def kind(self) -> str:
+        return "euclidean-quadratic-form" if self.beta is None else "randers"
 
     # -- constructors -------------------------------------------------
 
@@ -109,7 +134,7 @@ class NormEvaluator:
             np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("quadratic form matrix is not SPD")
-        return cls(A.shape[0], "euclidean-quadratic-form", matrix=A)
+        return cls(A)
 
     @classmethod
     def euclidean(cls, dim: int) -> "NormEvaluator":
@@ -131,22 +156,19 @@ class NormEvaluator:
             raise NotPositiveDefinite("randers alpha is not SPD")
         if float(b @ cho_solve(cf, b)) >= 1.0:
             raise NotPositiveDefinite("randers norm needs |beta|_alpha < 1")
-        return cls(a.shape[0], "randers", alpha=a, beta=b)
+        return cls(a, b)
 
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, y):
-        """F(y): a float for one vector, an array over the rows of a stack."""
+        """F(y): a float for one vector, an array over the rows of a stack.
+        A Randers F is |y|_alpha + beta . y, summed as in randers_fiber,
+        with no tensor work."""
         y = np.asarray(y, dtype=float)
-        M = self.matrix if self.is_quadratic else self.alpha
-        val = np.sqrt(np.maximum(_dot(_vecmat(y, M), y), 0.0))
-        if not self.is_quadratic:
+        val = fiber(self.alpha, None, y)[0]
+        if self.beta is not None:
             val = val + _dot(self.beta, y)
         return float(val) if y.ndim == 1 else val
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.kind == "euclidean-quadratic-form"
 
     def sq_jet(self, y) -> SqJet:
         """Value, gradient and Hessian of F^2 at y, in closed form, over the
@@ -154,21 +176,16 @@ class NormEvaluator:
         y = np.asarray(y, dtype=float)
         if _any(~y.any(axis=-1)):
             raise ZeroBaseVector("F^2 is not twice differentiable at y = 0")
-        if self.is_quadratic:
-            Ay = _matvec(self.matrix, y)
-            val, grad = _dot(y, Ay), 2.0 * Ay
-            hess = np.multiply(2.0, self.matrix,     # 2A on every row
-                               out=np.empty(y.shape + y.shape[-1:]))
-        else:
-            _, F, _, m, g = randers_fiber(self.alpha, self.beta, y)
-            val, grad, hess = F * F, (2.0 * F)[..., None] * m, 2.0 * g
-        return SqJet(float(val) if y.ndim == 1 else val, grad, hess)
+        F, gy, g = fiber(self.alpha, self.beta, y)
+        val = F * F
+        return SqJet(float(val) if y.ndim == 1 else val, 2.0 * gy,
+                     2.0 * np.broadcast_to(g, y.shape + y.shape[-1:]))
 
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
-        if self.is_quadratic:
-            payload = {"kind": self.kind, "matrix": self.matrix.tolist()}
+        if self.beta is None:
+            payload = {"kind": self.kind, "matrix": self.alpha.tolist()}
         else:
             payload = {"kind": "randers", "alpha": self.alpha.tolist(),
                        "beta": self.beta.tolist()}
@@ -223,10 +240,8 @@ def legendre_solve(norm, xi) -> np.ndarray:
     F*(xi) = |xi|_{A^{-1}} + xi(w), so
     y = F*(xi) (A^{-1} xi / |xi|_{A^{-1}} + w).
     """
-    if isinstance(norm, NormEvaluator):
-        norm = ((norm.matrix, None) if norm.is_quadratic
-                else (norm.alpha, norm.beta))
-    alpha, beta = norm
+    alpha, beta = (norm.alpha, norm.beta) if isinstance(norm, NormEvaluator) \
+        else norm
     xi = np.asarray(xi, dtype=float)
     if _any(~xi.any(axis=-1)):
         raise ZeroBaseVector("legendre_solve requires xi != 0")

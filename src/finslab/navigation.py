@@ -40,9 +40,8 @@ class NavigationDatum:
 
     def __post_init__(self):
         self.wind = np.asarray(self.wind, dtype=float)
-        if np.any(self.wind) and self.norm(-self.wind) >= 1.0:
-            raise WindTooStrong(
-                f"F(-wind) = {self.norm(-self.wind):.6f} >= 1")
+        if np.any(self.wind) and (strength := self.norm(-self.wind)) >= 1.0:
+            raise WindTooStrong(f"F(-wind) = {strength:.6f} >= 1")
 
 
 def randers_from_navigation(A: np.ndarray, w: np.ndarray):
@@ -117,7 +116,7 @@ def navigated_norm(datum: NavigationDatum) -> NormEvaluator:
     F, v = datum.norm, datum.wind
     if not np.any(v):
         return F
-    A, w0 = (F.matrix, 0.0) if F.is_quadratic \
+    A, w0 = (F.alpha, 0.0) if F.beta is None \
         else navigation_from_randers(F.alpha, F.beta)
     return NormEvaluator.randers(*randers_from_navigation(A, w0 + v))
 
@@ -166,8 +165,8 @@ def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
             "corollary": np.abs(uu_t * (1.0 + yv_v) - uu_y)}
     # special case: base vectors with <v, y>_y^F = 0 give exact equality;
     # skipped where |v|_A^2 underflows and the projection onto v^perp fails
-    if F.is_quadratic and float(v @ F.matrix @ v) > 0.0:
-        A = F.matrix
+    if F.beta is None and float(v @ F.alpha @ v) > 0.0:
+        A = F.alpha
         yu = rng.standard_normal((max(samples // 10, 1), 2, n))
         yu[:, 0] -= (_dot(_vecmat(yu[:, 0], A), v) / (v @ A @ v))[:, None] * v
         keep = np.linalg.norm(yu[:, 0], axis=-1) >= 1e-8

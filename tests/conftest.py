@@ -155,10 +155,10 @@ class _PointModel:
 
     def __init__(self, metric, x, h=1e-4):
         norm = self.norm = metric.norm_at(x)
-        self.quad = norm.is_quadratic
+        self.quad = norm.beta is None
         if self.quad:
-            self.A = norm.matrix
-            self.DA = _diff4(lambda xv: metric.norm_at(xv).matrix, x, h)
+            self.A = norm.alpha
+            self.DA = _diff4(lambda xv: metric.norm_at(xv).alpha, x, h)
         else:
             self.alpha, self.beta = norm.alpha, norm.beta
             self.Dalpha = _diff4(lambda xv: metric.norm_at(xv).alpha, x, h)
@@ -261,7 +261,7 @@ def laplace_beltrami_oracle(metric, f, x, h=1e-4):
         return f(chart.map(z))
 
     def qmat(z):
-        return metric.norm_at(z).matrix
+        return metric.norm_at(z).alpha
 
     q = qmat(x)
     qinv = np.linalg.inv(q)
@@ -479,8 +479,8 @@ def pointwise_navigation_lemma(datum, y=None, u=None, samples=1000, seed=0):
     devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
     devs = {"identity": devs_main, "corollary": devs_cor}
     devs_orth = []
-    if F.is_quadratic and float(v @ F.matrix @ v) > 0.0:
-        A = F.matrix
+    if F.beta is None and float(v @ F.alpha @ v) > 0.0:
+        A = F.alpha
         for _ in range(max(samples // 10, 1)):
             yv = rng.standard_normal(n)
             yv = yv - (yv @ A @ v) / (v @ A @ v) * v

@@ -118,8 +118,7 @@ def test_criterion_3_clifford_audit_grid():
                     failures.append((m, spec, "multiplicities"))
                     continue
                 cent = centralizer(sys_)
-                predicted = predicted_centralizer_dim(sys_.m, sys_.k,
-                                                      sys_.k1, sys_.k2)
+                predicted = predicted_centralizer_dim(sys_)
                 if cent.dim != predicted:
                     failures.append((m, spec, "centralizer"))
                     continue

@@ -35,8 +35,7 @@ EXPORTS = [
 # constant, not a parameter, so a new entry here is a reviewed change of
 # the API; "<factory>" marks a dataclass field with a default factory.
 KEYWORD_DEFAULTS = {
-    "CliffordSystem": {"k1": None, "k2": None, "delta_m": 0},
-    "NormEvaluator": {"matrix": None, "alpha": None, "beta": None},
+    "NormEvaluator": {"beta": None},
     "SkewBasis": {"elements": "<factory>"},
     "SpectrumResult": {"per_point": "<factory>"},
     "SphereFunction": {"gradient": None},
@@ -52,7 +51,6 @@ KEYWORD_DEFAULTS = {
     "integrate_flow": {"steps": 200},
     "integrate_geodesic": {"steps": None},
     "lie_closure_residual": {"trials": 10, "seed": 0},
-    "predicted_centralizer_dim": {"k1": None, "k2": None},
     "principal_curvature_spectrum": {"points": 20, "seed": 0},
 }
 
@@ -77,3 +75,9 @@ def test_exported_keyword_defaults_are_pinned():
         if defaults:
             found[name] = defaults
     assert found == KEYWORD_DEFAULTS
+
+
+def test_clifford_system_is_built_from_its_matrices_alone():
+    # m, l, k, k1, k2 and delta_m are read off the matrices
+    assert list(inspect.signature(finslab.CliffordSystem).parameters) == [
+        "matrices"]

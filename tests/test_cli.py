@@ -631,6 +631,50 @@ def test_non_clifford_matrices_exit_2(tmp_path, capsys):
         assert json.loads(line)["error"] == "NotClifford"
 
 
+def _audit_runs(tmp_path, capsys, system):
+    # (exit code, last stderr line as JSON or None) of `clifford audit
+    # FILE` and of a battery with one clifford-audit entry, for one system
+    (tmp_path / "sys.json").write_text(json.dumps(system))
+    (tmp_path / "battery.json").write_text(
+        json.dumps([{"check": "clifford-audit", "clifford": system}]))
+    runs = []
+    for argv in (["clifford", "audit", str(tmp_path / "sys.json")],
+                 ["batch", str(tmp_path / "battery.json")]):
+        code = main(argv)
+        err = capsys.readouterr().err.strip().splitlines()
+        runs.append((code, json.loads(err[-1]) if err else None))
+    return runs
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_split_system_without_k1_k2_audits_ok(tmp_path, capsys, m):
+    # the (1, 1) split is read off the matrices, not taken to be (2, 0);
+    # so are m, l and k when the file leaves them out too
+    system = json.loads(cli.cl.build_clifford(m, (1, 1)).to_json())
+    for keep in (("m", "l", "k", "matrices"), ("matrices",)):
+        bare = {key: system[key] for key in keep}
+        assert _audit_runs(tmp_path, capsys, bare) == [(0, None), (0, None)]
+
+
+@pytest.mark.parametrize("name,wrong", [("m", 2), ("l", 4), ("k", 99),
+                                        ("k1", 2), ("k2", 0)])
+def test_declared_field_that_disagrees_exits_2(tmp_path, capsys, name,
+                                               wrong):
+    m, k = (4, (1, 1)) if name in ("k1", "k2") else (1, 3)
+    system = json.loads(cli.cl.build_clifford(m, k).to_json())
+    for code, error in _audit_runs(tmp_path, capsys,
+                                   system | {name: wrong}):
+        assert code == 2 and error["error"] == "ConfigError"
+        assert f"'{name}' is {wrong}" in error["message"]
+
+
+def test_fewer_than_two_matrices_exit_2(tmp_path, capsys):
+    P0 = np.diag([1, 1, -1, -1]).tolist()
+    for code, error in _audit_runs(tmp_path, capsys, {"matrices": [P0]}):
+        assert code == 2 and error["error"] == "ConfigError"
+        assert "at least two" in error["message"]
+
+
 def test_config_error_names_the_written_key():
     with pytest.raises(ConfigError, match="'lambda'"):
         ExperimentConfig.from_dict({"check": "tangency", "lambda": "0.3"})

@@ -123,8 +123,7 @@ def test_centralizer_dimensions():
         sys_ = build_quiet(m, k)
         cent = centralizer(sys_)
         assert cent.dim == expect
-        assert cent.dim == predicted_centralizer_dim(sys_.m, sys_.k,
-                                                     sys_.k1, sys_.k2)
+        assert cent.dim == predicted_centralizer_dim(sys_)
         for E in cent.elements:
             assert np.abs(E + E.T).max() < 1e-12
             for P in sys_.matrices:
@@ -153,8 +152,7 @@ def test_centralizer_matches_dense_oracle():
     for m, spec, sys_ in grid_systems(32):
         count += 1
         cent = assert_matches_dense_oracle(sys_, (m, spec))
-        assert cent.dim == predicted_centralizer_dim(
-            sys_.m, sys_.k, sys_.k1, sys_.k2), (m, spec)
+        assert cent.dim == predicted_centralizer_dim(sys_), (m, spec)
     assert count == 45
 
 
@@ -164,9 +162,7 @@ def test_rotated_centralizer_matches_dense_oracle(m, k):
     sys_ = build_quiet(m, k)
     O, _ = np.linalg.qr(np.random.default_rng(11).standard_normal(
         (sys_.dim, sys_.dim)))
-    rotated = CliffordSystem(m=m, l=sys_.l, k=sys_.k, k1=sys_.k1,
-                             k2=sys_.k2, delta_m=sys_.delta_m,
-                             matrices=[O @ P @ O.T for P in sys_.matrices])
+    rotated = CliffordSystem([O @ P @ O.T for P in sys_.matrices])
     cent = assert_matches_dense_oracle(rotated, (m, k))
     assert cent.dim == centralizer(sys_).dim > 0
 
@@ -202,7 +198,7 @@ def test_centralizer_rejects_non_clifford():
     # both systems raise when they are built, before centralizer runs
     D = np.diag([1.0, 1.0, -1.0, -1.0])
     with pytest.raises(NotClifford):   # P_1 = P_0 does not anticommute
-        centralizer(CliffordSystem(m=1, l=2, matrices=[D, D], k=2))
+        centralizer(CliffordSystem([D, D]))
     # an integer similarity keeps the relations exact but breaks symmetry
     S, S_inv = np.eye(4), np.eye(4)
     S[0, 2], S_inv[0, 2] = 1.0, -1.0
@@ -211,7 +207,7 @@ def test_centralizer_rejects_non_clifford():
     assert anticommutation_error(SimpleNamespace(matrices=bent,
                                                  dim=4)) == 0.0
     with pytest.raises(NotClifford):
-        centralizer(CliffordSystem(m=1, l=2, matrices=bent, k=2))
+        centralizer(CliffordSystem(bent))
 
 
 def test_spin_lift_basics():
@@ -320,8 +316,63 @@ def test_unsupported_split():
 
 
 def test_split_congruence_normalization():
-    sys_ = build_quiet(4, (1, 2))
-    assert (sys_.k1, sys_.k2) == (2, 1)
+    # (1, 2) and (2, 1) differ by the sign of P_m: the same system up to
+    # congruence, whose split is read off as k1 >= k2
+    for spec in ((1, 2), (2, 1), (0, 3)):
+        sys_ = build_quiet(4, spec)
+        assert (sys_.k1, sys_.k2) == (max(spec), min(spec))
+
+
+def asked_for(m, spec):
+    # (m, l, k, k1, k2, delta_m) of the system build_clifford(m, spec)
+    # was asked for; the grid's splits have k1 >= k2
+    k1, k2 = spec if isinstance(spec, tuple) else (None, None)
+    k = spec if k1 is None else k1 + k2
+    return m, k * clifford_delta(m), k, k1, k2, clifford_delta(m)
+
+
+def derived(sys_):
+    return sys_.m, sys_.l, sys_.k, sys_.k1, sys_.k2, sys_.delta_m
+
+
+def test_derived_fields_match_the_request_on_the_grid():
+    # every criterion-3 system with 2l <= 64, and a rotated copy O P O^T
+    # of each m = 0 mod 4 one, whose volume-element trace is not an
+    # integer sum but still gives the split
+    rng = np.random.default_rng(17)
+    count = rotated = 0
+    for m, spec, sys_ in grid_systems(64):
+        count += 1
+        assert derived(sys_) == asked_for(m, spec), (m, spec)
+        if m % 4 == 0:
+            O, _ = np.linalg.qr(rng.standard_normal((sys_.dim, sys_.dim)))
+            copy = CliffordSystem([O @ P @ O.T for P in sys_.matrices])
+            assert derived(copy) == asked_for(m, spec), (m, spec)
+            rotated += 1
+    assert (count, rotated) == (92, 22)
+
+
+def test_fewer_than_two_matrices_is_no_system():
+    P0 = build_quiet(1, 1).matrices[0]
+    for matrices in ([P0], [], [np.ones((2, 3))] * 2, [np.eye(2)[0]] * 2):
+        with pytest.raises(ValueError, match="at least two square"):
+            CliffordSystem(matrices)
+
+
+def test_declared_fields_must_agree_with_the_matrices():
+    data = json.loads(build_quiet(4, (1, 1)).to_json())
+    assert (data["k1"], data["k2"]) == (1, 1)
+    for name, wrong in (("m", 3), ("l", 16), ("k", 99), ("k1", 2),
+                        ("k2", 0)):
+        with pytest.raises(ValueError, match=f"'{name}' is {wrong}"):
+            CliffordSystem.from_json(data | {name: wrong})
+    # k1 and k2 may be left out, and are derived
+    bare = {key: data[key] for key in ("m", "l", "k", "matrices")}
+    assert derived(CliffordSystem.from_json(bare)) == (4, 8, 2, 1, 1, 4)
+    # a split declared where m != 0 mod 4 has no system to agree with
+    odd = json.loads(build_quiet(3, 2).to_json())
+    with pytest.raises(ValueError, match="'k1' is 2"):
+        CliffordSystem.from_json(odd | {"k1": 2, "k2": 0})
 
 
 def test_split_copies_inequivalent():
@@ -358,9 +409,7 @@ def test_serialization_round_trip_of_a_rotated_system():
     # non-integer entries that JSON must carry exactly
     sys_ = build_quiet(1, 3)
     Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
-    rotated = CliffordSystem(m=1, l=3, matrices=[Q @ P @ Q.T
-                                                 for P in sys_.matrices],
-                             k=3, delta_m=sys_.delta_m)
+    rotated = CliffordSystem([Q @ P @ Q.T for P in sys_.matrices])
     clone = CliffordSystem.from_json(rotated.to_json())
     for P, C in zip(rotated.matrices, clone.matrices):
         assert np.array_equal(P, C)

@@ -128,7 +128,7 @@ def test_round_jacobi_operator():
         x = rng.standard_normal(3) * 0.5
         y = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        A = met.norm_at(x).matrix
+        A = met.norm_at(x).alpha
         R = riemann_curvature(met, x, y)
         expect = float(y @ A @ y) * v - float(y @ A @ v) * y
         assert np.abs(R @ v - expect).max() < 1e-5

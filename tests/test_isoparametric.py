@@ -59,7 +59,7 @@ def test_riemannian_gradient_is_raised_gradient():
         x = rng.standard_normal(2) * 0.5
         df = f.chart_gradient(met.chart, x)
         grad = nonlinear_gradient(met, f, x)
-        raised = np.linalg.solve(met.norm_at(x).matrix, df)
+        raised = np.linalg.solve(met.norm_at(x).alpha, df)
         assert np.linalg.norm(grad - raised) < 1e-9
 
 

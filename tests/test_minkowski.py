@@ -223,8 +223,7 @@ def test_fundamental_tensor_rejects_degenerate_rule():
     # |beta|_alpha = 1.5 slips past the validating constructor; where
     # F(y) < 0 the Randers g_y is indefinite (det g = (F/a)^3 det alpha),
     # so the PD check must flag the invalid norm input
-    bad = NormEvaluator(2, "randers", alpha=np.eye(2),
-                        beta=np.array([1.5, 0.0]))
+    bad = NormEvaluator(np.eye(2), np.array([1.5, 0.0]))
     with pytest.raises(NotPositiveDefinite):
         fundamental_tensor(bad, np.array([-1.0, 0.5]))
 

@@ -41,7 +41,7 @@ def test_chart_boundary():
 def test_round_metric_center_is_identity():
     chart = Chart([0.0, 1.0, 0.0])
     met = round_metric(chart)
-    assert np.abs(met.norm_at(np.zeros(2)).matrix - np.eye(2)).max() < 1e-14
+    assert np.abs(met.norm_at(np.zeros(2)).alpha - np.eye(2)).max() < 1e-14
 
 
 def test_round_metric_matches_gnomonic_formula():
@@ -53,7 +53,7 @@ def test_round_metric_matches_gnomonic_formula():
         x = rng.standard_normal(3)
         r2 = x @ x
         oracle = ((1.0 + r2) * np.eye(3) - np.outer(x, x)) / (1.0 + r2) ** 2
-        assert np.abs(met.norm_at(x).matrix - oracle).max() < 1e-12
+        assert np.abs(met.norm_at(x).alpha - oracle).max() < 1e-12
 
 
 def test_killing_norm_examples():
