@@ -40,7 +40,7 @@ print(f"  solved = navigate(datum, y)  = {navigate(datum, y):.15f}")
 print("\n=== fundamental tensor and Legendre duality ===")
 G = fundamental_tensor(Ft, np.array([0.0, 1.0]))
 print("g_ij at y = (0, 1):")
-print(np.round(G.matrix, 6))
+print(np.round(G, 6))
 xi = np.array([1.0, 0.25])
 grad = legendre_solve(Ft, xi)
 print(f"legendre_solve({xi}) = {np.round(grad, 6)}")

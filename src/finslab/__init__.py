@@ -9,9 +9,9 @@ algebra dimensions and principal-curvature counts on sampled instances.
 
 from .clifford import (CliffordSystem, SkewBasis, anticommutation_error,
                        build_clifford, centralizer, clifford_delta,
-                       find_clifford_point, full_symmetry_dimension,
-                       lie_closure_residual, otfkm_gradient, otfkm_value,
-                       predicted_centralizer_dim, spin_lift, symmetry_basis)
+                       find_clifford_point, lie_closure_residual,
+                       otfkm_gradient, otfkm_value, predicted_centralizer_dim,
+                       spin_lift, symmetry_basis)
 from .curvature import (Flag, GeodesicPath, flag_curvature,
                         geodesic_field_residual, geodesic_spray,
                         integrate_flow, integrate_geodesic,
@@ -19,14 +19,12 @@ from .curvature import (Flag, GeodesicPath, flag_curvature,
 from .errors import FinslabError
 from .isoparametric import (SphereFunction, SpectrumResult,
                             check_isoparametric, check_tangency,
-                            check_transnormal, custom_sphere_function,
-                            gradient_norm, height_function,
-                            nonlinear_gradient, nonlinear_laplacian,
-                            otfkm_function, principal_curvature_spectrum,
-                            sample_level_set, split_quadratic_function,
-                            unit_gradient_field)
-from .minkowski import (InnerProductAtY, NormEvaluator, fundamental_tensor,
-                        legendre_solve)
+                            check_transnormal, gradient_norm,
+                            height_function, nonlinear_gradient,
+                            nonlinear_laplacian, otfkm_function,
+                            principal_curvature_spectrum, sample_level_set,
+                            split_quadratic_function, unit_gradient_field)
+from .minkowski import NormEvaluator, fundamental_tensor, legendre_solve
 from .navigation import (NavigationDatum, check_navigation_lemma,
                          invert_navigation, navigate, navigated_norm,
                          navigation_from_randers, randers_from_navigation)

@@ -452,9 +452,9 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
             writer = csv.writer(fh)
             writer.writerow(["check", "n", "pass", "max_deviation",
                              "wall_time_ms"])
-            for r, c in zip(reports, configs):
-                writer.writerow([r.check, c.n, r.passed, r.max_deviation,
-                                 r.wall_time_ms])
+            for r in reports:
+                writer.writerow([r.check, r.config["n"], r.passed,
+                                 r.max_deviation, r.wall_time_ms])
     return reports, ok
 
 

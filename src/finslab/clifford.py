@@ -375,18 +375,12 @@ def find_clifford_point(sys_: CliffordSystem, y) -> np.ndarray:
     return P
 
 
-def full_symmetry_dimension(sys_: CliffordSystem) -> int:
-    """dim of the symmetry algebra preserving the quartic polynomial:
-    m(m+1)/2 (spin lift) plus the centralizer dimension."""
-    return sys_.m * (sys_.m + 1) // 2 + centralizer(sys_).dim
-
-
 def symmetry_basis(sys_: CliffordSystem) -> SkewBasis:
     """Spin lift and centralizer stacked into one basis."""
     return SkewBasis(spin_lift(sys_).elements + centralizer(sys_).elements)
 
 
-def lie_closure_residual(basis: SkewBasis, trials: int = 10,
+def lie_closure_residual(basis: SkewBasis, trials: int,
                          seed: int = 0) -> float:
     """max relative residual of projecting [X, Y] back onto the span,
     for random X, Y in the span of ``basis``.

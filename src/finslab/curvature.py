@@ -33,7 +33,7 @@ cases of the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -312,7 +312,7 @@ class GeodesicPath:
 
 
 def integrate_geodesic(metric: MetricField, x0, y0, T: float,
-                       steps: Optional[int] = None) -> GeodesicPath:
+                       steps: int) -> GeodesicPath:
     """RK4 integration of x'' + 2 G(x, x') = 0 from (x0, y0), F-unit speed.
 
     The chart is re-centered at the current point whenever |x| > 1, so the
@@ -324,8 +324,6 @@ def integrate_geodesic(metric: MetricField, x0, y0, T: float,
     if F0 <= 0.0:
         raise ZeroBaseVector("initial velocity must be nonzero")
     y /= F0
-    if steps is None:
-        steps = max(int(np.ceil(1000 * abs(T) / np.pi)), 16)
     dt = T / steps
 
     def rhs(xc, yc):
@@ -369,7 +367,7 @@ def integrate_geodesic(metric: MetricField, x0, y0, T: float,
 
 
 def integrate_flow(field: Callable[[np.ndarray], np.ndarray], x0,
-                   T: float, steps: int = 200) -> np.ndarray:
+                   T: float, steps: int) -> np.ndarray:
     """RK4 flow of a chart vector field; returns the sampled chart points."""
     x = np.asarray(x0, dtype=float).copy()
     dt = T / steps

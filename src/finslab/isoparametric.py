@@ -89,15 +89,11 @@ class SphereFunction:
                               lambda p: -self._value(p), grad)
 
 
-def height_function(ambient_dim: int, axis=0) -> SphereFunction:
-    """f(p) = p . a for a unit axis (index or vector); levels are latitude
-    spheres."""
-    if np.isscalar(axis):
-        a = np.zeros(ambient_dim)
-        a[int(axis)] = 1.0
-    else:
-        a = np.asarray(axis, dtype=float)
-        a = a / np.linalg.norm(a)
+def height_function(ambient_dim: int, axis: int = 0) -> SphereFunction:
+    """f(p) = p . a for the unit vector a of a coordinate axis; levels are
+    latitude spheres."""
+    a = np.zeros(ambient_dim)
+    a[axis] = 1.0
     return SphereFunction(ambient_dim, "height", lambda p: _dot(p, a),
                           lambda p: np.broadcast_to(a, p.shape).copy())
 
@@ -116,12 +112,6 @@ def split_quadratic_function(ambient_dim: int, p_split: int) -> SphereFunction:
     return SphereFunction(ambient_dim, "split-quadratic",
                           lambda p: _dot(p * p, mask),
                           lambda p: 2.0 * mask * p)
-
-
-def custom_sphere_function(ambient_dim: int, value,
-                           gradient=None) -> SphereFunction:
-    """A SphereFunction from rules that broadcast over rows."""
-    return SphereFunction(ambient_dim, "custom", value, gradient)
 
 
 def _project(f: SphereFunction, c: float, P: np.ndarray) -> tuple:
@@ -283,7 +273,7 @@ def _per_level_scan(metric: MetricField, f: SphereFunction, levels: list,
 
 
 def check_transnormal(metric: MetricField, f: SphereFunction, levels,
-                      per_level: int = 50, tol: float = 1e-6,
+                      per_level: int, tol: float = 1e-6,
                       seed: int = 0) -> VerificationReport:
     """Spread of F(grad f) across each sampled level.
 
@@ -305,7 +295,7 @@ def check_transnormal(metric: MetricField, f: SphereFunction, levels,
 
 
 def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
-                        per_level: int = 50, tol: float = 1e-3,
+                        per_level: int, tol: float = 1e-3,
                         seed: int = 0) -> VerificationReport:
     """Spread of the nonlinear Laplacian across each level, for f and -f.
 
@@ -334,7 +324,7 @@ def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
     )
 
 
-def check_tangency(f: SphereFunction, W: KillingField, samples: int = 500,
+def check_tangency(f: SphereFunction, W: KillingField, samples: int,
                    tol: float = 1e-8, seed: int = 0) -> VerificationReport:
     """max |df(W x)| over sampled sphere points.
 
@@ -388,7 +378,7 @@ def _cluster(evals: np.ndarray, gap: float) -> list[tuple[float, int]]:
 
 
 def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
-                                 c: float, points: int = 20,
+                                 c: float, points: int,
                                  seed: int = 0) -> SpectrumResult:
     """Shape-operator eigenvalues of the level {f = c}, clustered.
 

@@ -22,7 +22,6 @@ fiber operation is exact to roundoff and none iterates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -201,30 +200,19 @@ class NormEvaluator:
         raise ValueError(f"unknown norm kind {data['kind']!r}")
 
 
-@dataclass(frozen=True)
-class InnerProductAtY:
-    """The inner product <.,.>_y^F, i.e. half the Hessian of F^2 at y."""
-
-    y: np.ndarray
-    matrix: np.ndarray
-
-    def __call__(self, u, v) -> float:
-        return float(np.asarray(u) @ self.matrix @ np.asarray(v))
-
-
-def fundamental_tensor(norm: NormEvaluator, y) -> InnerProductAtY:
-    """Fundamental tensor g_ij(y) = 1/2 d^2 F^2 / dy_i dy_j at y != 0.
+def fundamental_tensor(norm: NormEvaluator, y) -> np.ndarray:
+    """The matrix g_y of the fundamental tensor, g_ij(y) =
+    1/2 d^2 F^2 / dy_i dy_j at y != 0, so <u, v>_y^F = u @ g_y @ v.
 
     Raises ZeroBaseVector at y = 0 and NotPositiveDefinite when the
     numerical Hessian fails the PD check (an invalid norm input).
     """
-    y = np.asarray(y, dtype=float)
-    G = 0.5 * norm.sq_jet(y).hess
+    G = 0.5 * norm.sq_jet(np.asarray(y, dtype=float)).hess
     G = 0.5 * (G + G.T)
     if np.linalg.eigvalsh(G)[0] <= 0.0:
         raise NotPositiveDefinite(
             "Hessian of F^2 is not positive definite; invalid norm input")
-    return InnerProductAtY(y=y.copy(), matrix=G)
+    return G
 
 
 def legendre_solve(norm, xi) -> np.ndarray:

@@ -126,8 +126,8 @@ def invert_navigation(randers: NormEvaluator, v) -> NormEvaluator:
     return navigated_norm(NavigationDatum(randers, -np.asarray(v, float)))
 
 
-def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
-                           samples: int = 1000, tol: float = 1e-8,
+def check_navigation_lemma(datum: NavigationDatum, samples: int,
+                           tol: float = 1e-8,
                            seed: int = 0) -> VerificationReport:
     """Check the navigation inner-product identity on sampled pairs.
 
@@ -157,10 +157,7 @@ def check_navigation_lemma(datum: NavigationDatum, y=None, u=None,
                 _dot(_vecmat(yt, gt), v), _dot(_vecmat(y, gy), v))
 
     # y, then u, per pair; sides scales each y to F(y) = 1
-    yu = rng.standard_normal((samples, 2, n))
-    if y is not None and u is not None:
-        yu = np.concatenate((np.array([[y, u]], dtype=float), yu))
-    uu_y, uu_t, ytv, yv_v = sides(yu)
+    uu_y, uu_t, ytv, yv_v = sides(rng.standard_normal((samples, 2, n)))
     devs = {"identity": np.abs(uu_y * (1.0 - ytv) - uu_t),
             "corollary": np.abs(uu_t * (1.0 + yv_v) - uu_y)}
     # special case: base vectors with <v, y>_y^F = 0 give exact equality;

@@ -41,7 +41,7 @@ class Chart:
 
     ``center`` may also be a stack (N, n+1) of centers, with bases
     (N, n+1, n): a stack of N charts, one per row, whose chart points
-    carry the axes (..., N, n).  coords and pull_tangent take one center.
+    carry the axes (..., N, n).
     """
 
     def __init__(self, center):
@@ -68,13 +68,6 @@ class Chart:
         s2, p = self._lift(x)
         return p / np.sqrt(s2)[..., None]
 
-    def coords(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        c = float(p @ self.center)
-        if c <= 1.0 / np.sqrt(1.0 + _CHART_RADIUS * _CHART_RADIUS):
-            raise ChartBoundary("point outside the chart hemisphere")
-        return (self.basis.T @ p) / c
-
     def jacobian(self, x) -> np.ndarray:
         """d map / dx, an (n+1) x n matrix of tangent columns per point."""
         x = np.asarray(x, dtype=float)
@@ -87,11 +80,6 @@ class Chart:
         """Matrix of the round metric in chart coordinates, J^T J."""
         J = self.jacobian(x)
         return J.swapaxes(-1, -2) @ J
-
-    def pull_tangent(self, x, u_amb) -> np.ndarray:
-        """Ambient tangent vector at map(x) to chart coordinates."""
-        J = self.jacobian(x)
-        return np.linalg.solve(J.T @ J, J.T @ np.asarray(u_amb, dtype=float))
 
 
 class KillingField:
@@ -108,9 +96,6 @@ class KillingField:
     @property
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __call__(self, p) -> np.ndarray:
-        return self.matrix @ np.asarray(p, dtype=float)
 
     def to_json(self) -> str:
         return json.dumps({"matrix": self.matrix.tolist()})

@@ -12,16 +12,19 @@ batched flag stencil, one seed, one norm and one Newton dual at a time
 instead of the batched level-set layer, one (y, u) pair at a time
 instead of the array pass of the navigation lemma.
 
-The two metric-field helpers at the end, ``localization_field`` and
-``finsler_value_ambient``, are test fixtures, not oracles.
+The helpers at the end are test fixtures, not oracles: the two
+metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
+and the one-center chart helpers ``chart_coords`` and
+``chart_pull_tangent``.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
+from finslab.errors import ChartBoundary
 from finslab.minkowski import randers_fiber
 from finslab.navigation import navigated_norm
-from finslab.sphere import MetricField
+from finslab.sphere import _CHART_RADIUS, MetricField
 
 
 def fd_gradient(func, y, h=1e-6):
@@ -447,7 +450,7 @@ def pointwise_shape_eigenvalues(metric, f, x, h=1e-3):
     return eigh(0.5 * (B + B.T), T.T @ q @ T, eigvals_only=True)
 
 
-def pointwise_navigation_lemma(datum, y=None, u=None, samples=1000, seed=0):
+def pointwise_navigation_lemma(datum, samples=1000, seed=0):
     """Deviations of the navigation inner-product identity, its corollary
     and its orthogonal-wind case, one (y, u) pair at a time, drawn from
     default_rng(seed) in the order of ``check_navigation_lemma``; a
@@ -472,10 +475,8 @@ def pointwise_navigation_lemma(datum, y=None, u=None, samples=1000, seed=0):
         r_cor = abs(uu_t * (1.0 + yv_v) - uu_y)
         return r_main, r_cor
 
-    pairs = [(np.asarray(y, float), np.asarray(u, float))] \
-        if y is not None and u is not None else []
-    for _ in range(samples):
-        pairs.append((rng.standard_normal(n), rng.standard_normal(n)))
+    pairs = [(rng.standard_normal(n), rng.standard_normal(n))
+             for _ in range(samples)]
     devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
     devs = {"identity": devs_main, "corollary": devs_cor}
     devs_orth = []
@@ -525,3 +526,20 @@ def finsler_value_ambient(field, p, u):
     u = u - (u @ p) * p
     fld = field.with_center(p)
     return fld.norm_at(np.zeros(fld.dim))(fld.chart.basis.T @ u)
+
+
+def chart_coords(chart, p):
+    """Chart coordinates of the ambient point p, for a one-center chart;
+    ChartBoundary outside the chart's hemisphere."""
+    p = np.asarray(p, dtype=float)
+    c = float(p @ chart.center)
+    if c <= 1.0 / np.sqrt(1.0 + _CHART_RADIUS * _CHART_RADIUS):
+        raise ChartBoundary("point outside the chart hemisphere")
+    return (chart.basis.T @ p) / c
+
+
+def chart_pull_tangent(chart, x, u_amb):
+    """The ambient tangent vector u_amb at chart.map(x) in chart
+    coordinates, for a one-center chart."""
+    J = chart.jacobian(x)
+    return np.linalg.solve(J.T @ J, J.T @ np.asarray(u_amb, dtype=float))

@@ -318,6 +318,19 @@ def test_navigation_lemma_echoes_the_dimension_of_its_norm(capsys):
     assert list(config)[:2] == ["check", "n"]
 
 
+def test_batch_summary_writes_the_dimension_each_report_echoes(tmp_path):
+    # a 2x2 norm makes a 2-dimensional check, whatever n the entry had
+    path = tmp_path / "batt.json"
+    path.write_text(json.dumps([
+        {"check": "navigation-lemma", "samples": 20,
+         "norm": {"kind": "euclidean-quadratic-form",
+                  "matrix": [[2, 0], [0, 1]]}}]))
+    reports, ok = batch(str(path), out_dir=str(tmp_path / "out"))
+    assert ok and reports[0].config["n"] == 2
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[1].split(",")[:2] == ["navigation-lemma", "2"]
+
+
 _ENTRY = st.floats(-3.0, 3.0)
 
 

@@ -13,10 +13,10 @@ from conftest import dense_centralizer, qr_closure_residual
 from finslab.clifford import (CliffordSystem, SkewBasis,
                               anticommutation_error, build_clifford,
                               centralizer, clifford_delta,
-                              find_clifford_point, full_symmetry_dimension,
-                              lie_closure_residual, otfkm_gradient,
-                              otfkm_value, predicted_centralizer_dim,
-                              spin_lift, symmetry_basis)
+                              find_clifford_point, lie_closure_residual,
+                              otfkm_gradient, otfkm_value,
+                              predicted_centralizer_dim, spin_lift,
+                              symmetry_basis)
 from finslab.errors import (NotClifford, NotOnFocalSet, RankDeficiency,
                             UnsupportedSplit)
 
@@ -260,9 +260,9 @@ def test_find_clifford_point_rejects_off_focal():
 
 
 def test_full_symmetry_dimensions():
-    assert full_symmetry_dimension(build_quiet(1, 3)) == 4
-    assert full_symmetry_dimension(build_quiet(2, 1)) == 4
-    assert full_symmetry_dimension(build_quiet(4, (1, 1))) == 16
+    assert symmetry_basis(build_quiet(1, 3)).dim == 4
+    assert symmetry_basis(build_quiet(2, 1)).dim == 4
+    assert symmetry_basis(build_quiet(4, (1, 1))).dim == 16
 
 
 def test_symmetry_closure():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import fd_spray, localization_field, pointwise_flag_curvature
+from conftest import (chart_coords, chart_pull_tangent, fd_spray,
+                      localization_field, pointwise_flag_curvature)
 from finslab.curvature import (Flag, flag_curvature, geodesic_spray,
                                integrate_geodesic, riemann_curvature,
                                stencil_derivative, stencil_points)
@@ -349,12 +350,12 @@ def test_flag_chart_independence():
         v_amb = rng.standard_normal(4)
         y_amb -= (y_amb @ p) * p
         v_amb -= (v_amb @ p) * p
-        x1 = c1.coords(p)
-        x2 = c2.coords(p)
-        K1 = flag_curvature(m1, Flag(x1, c1.pull_tangent(x1, y_amb),
-                                     c1.pull_tangent(x1, v_amb)))
-        K2 = flag_curvature(m2, Flag(x2, c2.pull_tangent(x2, y_amb),
-                                     c2.pull_tangent(x2, v_amb)))
+        x1 = chart_coords(c1, p)
+        x2 = chart_coords(c2, p)
+        K1 = flag_curvature(m1, Flag(x1, chart_pull_tangent(c1, x1, y_amb),
+                                     chart_pull_tangent(c1, x1, v_amb)))
+        K2 = flag_curvature(m2, Flag(x2, chart_pull_tangent(c2, x2, y_amb),
+                                     chart_pull_tangent(c2, x2, v_amb)))
         assert abs(K1 - K2) < 1e-4
 
 
@@ -430,7 +431,7 @@ def test_randers_geodesic_matches_closed_form(W, seed):
     y0 = rng.standard_normal(n)
     path = integrate_geodesic(met, x0, y0, 2.0 * np.pi, steps=200)
     p = chart.map(x0)
-    u = chart.jacobian(x0) @ y0 / met.norm_at(x0)(y0) - W(p)
+    u = chart.jacobian(x0) @ y0 / met.norm_at(x0)(y0) - W.matrix @ p
     expect = np.array([expm(t * W.matrix) @ (np.cos(t) * p + np.sin(t) * u)
                        for t in path.times])
     assert len(path.recenters) > 0

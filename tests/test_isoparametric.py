@@ -19,8 +19,8 @@ from finslab.clifford import (build_clifford, centralizer, otfkm_gradient,
                               otfkm_value, spin_lift)
 from finslab.curvature import Flag, flag_curvature
 from finslab.errors import ConfigError, CriticalPoint, EmptyLevel
-from finslab.isoparametric import (check_isoparametric, check_tangency,
-                                   check_transnormal, custom_sphere_function,
+from finslab.isoparametric import (SphereFunction, check_isoparametric,
+                                   check_tangency, check_transnormal,
                                    height_function, nonlinear_gradient,
                                    nonlinear_laplacian, otfkm_function,
                                    gradient_norm, principal_curvature_spectrum,
@@ -180,7 +180,7 @@ def test_laplacian_matches_coordinate_oracle():
 
 def test_custom_function_broadcasts_and_falls_back_to_the_stencil():
     sys_ = build_clifford(1, 3)
-    f = custom_sphere_function(6, lambda p: otfkm_value(sys_, p))
+    f = SphereFunction(6, "custom", lambda p: otfkm_value(sys_, p))
     P = sphere.random_sphere_points(5, 50, np.random.default_rng(3))
     assert f.kind == "custom"
     # the rules broadcast over rows, and one point gives a float
@@ -196,8 +196,8 @@ def test_custom_function_broadcasts_and_falls_back_to_the_stencil():
     assert np.abs(fd - exact).max() < 2e-10
     assert np.abs(f.tangent_gradient(P[0]) - fd[0]).max() < 1e-14
     # a gradient rule, when given, is used as it is
-    g = custom_sphere_function(6, lambda p: otfkm_value(sys_, p),
-                               lambda p: otfkm_gradient(sys_, p))
+    g = SphereFunction(6, "custom", lambda p: otfkm_value(sys_, p),
+                       lambda p: otfkm_gradient(sys_, p))
     assert np.array_equal(g.gradient(P), otfkm_gradient(sys_, P))
 
 

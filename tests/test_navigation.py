@@ -202,14 +202,6 @@ def test_lemma_general_quadratic_base():
     assert rep.passed
 
 
-def test_lemma_explicit_pair():
-    datum = NavigationDatum(NormEvaluator.euclidean(3),
-                            np.array([0.3, 0.0, 0.0]))
-    rep = check_navigation_lemma(datum, y=[0.0, 1.0, 0.0],
-                                 u=[0.0, 0.0, 1.0], samples=1, seed=0)
-    assert rep.passed
-
-
 def test_lemma_wind_below_underflow_has_finite_levels():
     # |v|^2 underflows to 0 here; the orthogonal-wind case is skipped
     # rather than reported as NaN
@@ -236,7 +228,6 @@ def _lemma_datum(kind, n, rng, sign=1.0):
 _BASES = ("euclidean", "quadratic", "randers")
 _LEMMA_CASES = [(kind, n, {}) for kind in _BASES for n in (1, 2, 3, 4)] + [
     ("quadratic", 3, {"sign": -1.0}), ("randers", 3, {"sign": -1.0}),
-    ("randers", 2, {"pair": True}), ("euclidean", 3, {"pair": True}),
     ("underflow", 3, {})]
 
 
@@ -249,15 +240,11 @@ def test_lemma_array_pass_matches_pointwise_oracle(kind, n, extra,
                                 [1e-170] + [0.0] * (n - 1))
     else:
         datum = _lemma_datum(kind, n, rng, extra.get("sign", 1.0))
-    pair = {}
-    if extra.get("pair"):
-        pair = {"y": rng.standard_normal(n).tolist(),
-                "u": rng.standard_normal(n).tolist()}
     seen = []
     monkeypatch.setattr(navigation, "worst_deviation",
                         lambda d: seen.append(d) or float(np.max(d)))
-    rep = check_navigation_lemma(datum, samples=40, seed=n, **pair)
-    oracle = pointwise_navigation_lemma(datum, samples=40, seed=n, **pair)
+    rep = check_navigation_lemma(datum, samples=40, seed=n)
+    oracle = pointwise_navigation_lemma(datum, samples=40, seed=n)
     assert [e["level"] for e in rep.per_level] == list(oracle)
     assert np.array_equal(seen[0], np.concatenate(list(oracle.values())))
     assert np.array_equal([[e["mean"], e["spread"]] for e in rep.per_level],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import finsler_value_ambient, sampled_killing_norm
+from conftest import (chart_coords, finsler_value_ambient,
+                      sampled_killing_norm)
 from finslab.errors import (ChartBoundary, DimensionMismatch,
                             LambdaOutOfRange, NotSkew, WindTooStrong)
 from finslab.sphere import (Chart, KillingField, block_killing, killing_norm,
@@ -26,8 +27,8 @@ def test_chart_coords_round_trip():
     chart = Chart(rng.standard_normal(4))
     for _ in range(20):
         x = rng.standard_normal(3)
-        assert np.linalg.norm(chart.coords(chart.map(x)) - x) < 1e-12 * (
-            1.0 + np.linalg.norm(x))
+        back = chart_coords(chart, chart.map(x))
+        assert np.linalg.norm(back - x) < 1e-12 * (1.0 + np.linalg.norm(x))
 
 
 def test_chart_boundary():
@@ -35,7 +36,7 @@ def test_chart_boundary():
     with pytest.raises(ChartBoundary):
         chart.map(np.array([11.0, 0.0]))
     with pytest.raises(ChartBoundary):
-        chart.coords(np.array([-1.0, 0.0, 0.0]))
+        chart_coords(chart, np.array([-1.0, 0.0, 0.0]))
 
 
 def test_round_metric_center_is_identity():
@@ -166,8 +167,8 @@ def test_rotation_wind_has_constant_length():
     met = randers_sphere(chart, W)
     rng = np.random.default_rng(8)
     for p in random_sphere_points(3, 20, rng):
-        assert abs(np.linalg.norm(W(p)) - lam) < 1e-13
-        val = finsler_value_ambient(met, p, W(p))
+        assert abs(np.linalg.norm(W.matrix @ p) - lam) < 1e-13
+        val = finsler_value_ambient(met, p, W.matrix @ p)
         assert abs(val - lam / (1.0 + lam)) < 1e-12
 
 
