@@ -285,10 +285,12 @@ def _build_function(cfg: ExperimentConfig, ambient_dim: int, sys_=None):
     raise ConfigError(f"field 'function': unknown kind '{cfg.function}'")
 
 
-def _sphere_setup(cfg: ExperimentConfig, need_wind: bool = False):
+def _sphere_setup(cfg: ExperimentConfig, extras: dict,
+                  need_wind: bool = False):
     """Metric, function and wind (None if round, unless need_wind)."""
     sys_ = _load_clifford(cfg) if cfg.function == "otfkm" else None
     ambient = sys_.dim if sys_ is not None else cfg.n + 1
+    extras["n"] = ambient - 1   # echo the sphere a Clifford system fixes
     chart = Chart(np.eye(ambient)[0])
     randers = cfg.metric == "randers"
     W = _load_killing(cfg, ambient, sys_) if randers or need_wind else None
@@ -339,7 +341,7 @@ def _run_navigation_lemma(cfg: ExperimentConfig, extras: dict):
 
 
 def _run_level_scan(cfg: ExperimentConfig, extras: dict):
-    met, f, _ = _sphere_setup(cfg)
+    met, f, _ = _sphere_setup(cfg, extras)
     check = check_transnormal if cfg.check == "transnormal" \
         else check_isoparametric
     return check(met, f, cfg.levels, per_level=cfg.per_level, tol=cfg.tol,
@@ -347,13 +349,13 @@ def _run_level_scan(cfg: ExperimentConfig, extras: dict):
 
 
 def _run_tangency(cfg: ExperimentConfig, extras: dict):
-    _, f, W = _sphere_setup(cfg, need_wind=True)
+    _, f, W = _sphere_setup(cfg, extras, need_wind=True)
     return check_tangency(f, W, samples=cfg.samples, tol=cfg.tol,
                           seed=cfg.seed)
 
 
 def _run_spectrum(cfg: ExperimentConfig, extras: dict):
-    met, f, _ = _sphere_setup(cfg)
+    met, f, _ = _sphere_setup(cfg, extras)
     spec = principal_curvature_spectrum(met, f, cfg.level,
                                         points=cfg.per_level, seed=cfg.seed)
     ok = spec.consistent and (cfg.expect_g is None or spec.g in cfg.expect_g)
@@ -376,7 +378,7 @@ def _run_spectrum(cfg: ExperimentConfig, extras: dict):
 
 def _run_clifford_audit(cfg: ExperimentConfig, extras: dict):
     sys_ = _load_clifford(cfg)
-    extras.update(m=sys_.m, k=sys_.k)
+    extras.update(n=sys_.dim - 1, m=sys_.m, k=sys_.k)
     audit = cl.audit(sys_, seed=cfg.seed)
     per = [{"level": key, "mean": float(val) if np.isscalar(val) else val,
             "spread": 0.0}

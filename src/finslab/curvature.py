@@ -38,8 +38,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ChartBoundary, DegenerateFlag, DifferentiationFailure,
-                     FinslabError, NotPositiveDefinite, ZeroBaseVector)
-from .minkowski import _any, _dot, _matvec, _vecmat, fiber, randers_fiber
+                     FinslabError, ZeroBaseVector)
+from .minkowski import (_any, _cholesky, _dot, _matvec, _vecmat, fiber,
+                        randers_fiber)
 from .sphere import _CHART_RADIUS, MetricField
 
 # 4-point, fourth-order central first-derivative stencil
@@ -109,10 +110,7 @@ class _LocalModel:
 
         if beta is None:
             alpha = 0.5 * (alpha + np.swapaxes(alpha, -1, -2))
-            try:
-                np.linalg.cholesky(alpha)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite("quadratic form matrix is not SPD")
+            _cholesky(alpha, "quadratic form matrix is not SPD")
             self.beta = self.Dbeta = None
         else:
             self.beta, self.Dbeta = split(beta)

@@ -25,7 +25,6 @@ import json
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NotPositiveDefinite, ZeroBaseVector
 
@@ -66,6 +65,15 @@ def _vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _any(b: np.ndarray) -> bool:
     """b.any(), skipping the reduction, which is slow on a numpy scalar."""
     return bool(b.any() if b.ndim else b)
+
+
+def _cholesky(A: np.ndarray, message: str) -> np.ndarray:
+    """The Cholesky factor L of the SPD matrix A (or of each matrix of a
+    stack), A = L L^T; raises NotPositiveDefinite(message) otherwise."""
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(message) from None
 
 
 def randers_fiber(alpha: np.ndarray, beta: np.ndarray, y: np.ndarray):
@@ -129,10 +137,7 @@ class NormEvaluator:
         """Riemannian norm sqrt(y^T A y); A must be SPD."""
         A = np.asarray(matrix, dtype=float)
         A = 0.5 * (A + A.T)
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("quadratic form matrix is not SPD")
+        _cholesky(A, "quadratic form matrix is not SPD")
         return cls(A)
 
     @classmethod
@@ -149,11 +154,8 @@ class NormEvaluator:
         a = np.asarray(alpha, dtype=float)
         a = 0.5 * (a + a.T)
         b = np.asarray(beta, dtype=float)
-        try:
-            cf = cho_factor(a)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("randers alpha is not SPD")
-        if float(b @ cho_solve(cf, b)) >= 1.0:
+        z = np.linalg.solve(_cholesky(a, "randers alpha is not SPD"), b)
+        if float(z @ z) >= 1.0:                     # |beta|^2_{alpha^-1}
             raise NotPositiveDefinite("randers norm needs |beta|_alpha < 1")
         return cls(a, b)
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import WindTooStrong
-from .minkowski import NormEvaluator, _any, _dot, _matvec, _vecmat
+from .minkowski import (NormEvaluator, _any, _cholesky, _dot, _matvec,
+                        _vecmat)
 from .report import VerificationReport, worst_deviation
 
 
@@ -66,10 +66,10 @@ def navigation_from_randers(alpha: np.ndarray, beta: np.ndarray):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     core = alpha - np.outer(beta, beta)
-    cf = cho_factor(core)
-    w = -cho_solve(cf, beta)
-    lam = 1.0 / (1.0 + float(beta @ cho_solve(cf, beta)))
-    return lam * core, w
+    L = _cholesky(core, "randers norm needs SPD alpha and |beta|_alpha < 1")
+    z = np.linalg.solve(L, beta)                    # w = -L^-T L^-1 beta
+    lam = 1.0 / (1.0 + float(z @ z))
+    return lam * core, -np.linalg.solve(L.T, z)
 
 
 def navigate(datum: NavigationDatum, y_tilde) -> float:

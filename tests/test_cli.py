@@ -541,7 +541,7 @@ def test_rank_deficiency_in_an_audit_is_a_failed_report(monkeypatch):
         {"check": "clifford-audit", "clifford": {"m": 3, "k": 2}}))
     assert not rep.passed and math.isnan(rep.max_deviation)
     assert rep.per_level[0]["error"] == "RankDeficiency"
-    assert rep.config == {"check": "clifford-audit", "n": 3,
+    assert rep.config == {"check": "clifford-audit", "n": 15,
                           "metric": "round", "function": "height",
                           "tol": 1e-10, "seed": 0,
                           "clifford": {"m": 3, "k": 2}, "m": 3, "k": 2}
@@ -567,15 +567,20 @@ def test_numerical_errors_share_a_base():
     assert not issubclass(ConfigError, errors.NumericalError)
 
 
-def test_cli_imports_no_scipy_subpackage_but_linalg():
-    # each scipy subpackage costs import time in every run's set-up
-    code = ("import json, sys, finslab.cli, scipy; print(json.dumps("
-            "[n for n in scipy.submodules if 'scipy.' + n in sys.modules]))")
+def test_runs_with_scipy_blocked(tmp_path):
+    # numpy is the one runtime dependency: with scipy unimportable, every
+    # finslab module imports and the paper suite exits 0
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import importlib, pkgutil, finslab\n"
+            "for mod in pkgutil.iter_modules(finslab.__path__):\n"
+            "    importlib.import_module('finslab.' + mod.name)\n"
+            "from finslab.cli import main\n"
+            f"sys.exit(main(['batch', {str(SUITE)!r}]))")
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert json.loads(out) == ["linalg"]
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):
@@ -778,6 +783,23 @@ def test_paper_suite_deviations_stay_within_10x_of_pins(paper_suite):
     for rep, (check, pinned, passed) in zip(reports, PAPER_SUITE_PINS):
         assert (rep.check, rep.passed) == (check, passed)
         assert rep.max_deviation <= 10.0 * pinned, (check, rep.max_deviation)
+
+
+# delta_m, the dimension of the irreducible module of the Clifford
+# algebra C_{m-1}, for the m of the paper suite's systems
+_DELTA = {1: 1, 2: 2, 3: 4, 4: 4}
+
+
+def test_clifford_reports_echo_the_sphere_they_check(paper_suite):
+    # an otfkm function or an audit of a system with 2l = 2 k delta_m
+    # checks S^{2l-1}, whatever n the entry had
+    reports, _ = paper_suite
+    checked = [r for r in reports if "clifford" in r.config]
+    assert len(checked) == 11
+    for rep in checked:
+        spec = rep.config["clifford"]
+        k = spec["k"] if "k" in spec else spec["k1"] + spec["k2"]
+        assert rep.config["n"] + 1 == 2 * k * _DELTA[spec["m"]], rep.config
 
 
 def test_run_stamps_config_and_time(paper_suite):

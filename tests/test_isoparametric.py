@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import finslab.isoparametric as iso
 import finslab.sphere as sphere
@@ -313,7 +314,8 @@ def test_legendre_matches_newton_at_paper_suite_levels():
                if e["check"] == "isoparametric"]
     assert entries
     for idx, entry in enumerate(entries):
-        met, f, _ = cli._sphere_setup(cli.ExperimentConfig.from_dict(entry))
+        met, f, _ = cli._sphere_setup(cli.ExperimentConfig.from_dict(entry),
+                                     {})
         for c in entry["levels"]:
             for p in sample_level_set(f, c, 3, seed=idx):
                 fld = met.with_center(p)
@@ -344,6 +346,32 @@ def test_tangency_checks():
     M = rng.standard_normal((6, 6))
     bad = check_tangency(f, KillingField(M - M.T), samples=100, seed=0)
     assert not bad.passed
+
+
+def _random_skew(n, seed):
+    M = np.random.default_rng(seed).standard_normal((n, n))
+    return KillingField(M - M.T)
+
+
+@pytest.mark.parametrize("W", [
+    standard_rotation(6, 0.5),          # eigenvalues +-0.5i, three each
+    block_killing(1, [0.5], [2]),       # a zero block
+    _random_skew(8, 4),
+    KillingField(np.zeros((4, 4))),
+], ids=["lamJ-R6", "zero-block-R5", "random-R8", "zero"])
+def test_tangency_flow_matches_expm_oracle(W):
+    # the flow(0.1) entry against scipy's expm, on a linear f that no
+    # nonzero wind preserves, so a wrong flow moves the entry
+    N = W.ambient_dim
+    c = np.random.default_rng(N).standard_normal(N)
+    f = SphereFunction(N, "linear", lambda p: p @ c,
+                       lambda p: np.broadcast_to(c, p.shape))
+    rep = check_tangency(f, W, samples=50, seed=3)
+    head = sphere.random_sphere_points(N - 1, 50,
+                                       np.random.default_rng(3))[:20]
+    expect = np.abs((head @ expm(0.1 * W.matrix).T - head) @ c).max()
+    [flow] = [e for e in rep.per_level if e["level"] == "flow(0.1)"]
+    assert abs(flow["spread"] - expect) <= 1e-12
 
 
 def test_spectrum_round_equator():

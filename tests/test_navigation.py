@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import finslab.navigation as navigation
 from conftest import pointwise_navigation_lemma
-from finslab.errors import WindTooStrong
+from finslab.errors import NotPositiveDefinite, WindTooStrong
 from finslab.minkowski import NormEvaluator
 from finslab.navigation import (NavigationDatum, check_navigation_lemma,
                                 invert_navigation, navigate, navigated_norm)
@@ -128,6 +128,14 @@ def test_wind_too_strong():
         NavigationDatum(NormEvaluator.euclidean(2), np.array([1.0, 0.0]))
     with pytest.raises(WindTooStrong):
         NavigationDatum(NormEvaluator.euclidean(2), np.array([1.3, 0.4]))
+
+
+def test_invalid_randers_base_is_not_positive_definite():
+    # |beta|_alpha >= 1 past the validating constructor: alpha - beta
+    # beta^T is indefinite, so the base has no navigation datum
+    base = NormEvaluator(np.eye(2), np.array([1.5, 0.0]))
+    with pytest.raises(NotPositiveDefinite):
+        navigated_norm(NavigationDatum(base, np.array([0.1, 0.0])))
 
 
 def test_wind_is_checked_on_the_side_the_ball_moves():
