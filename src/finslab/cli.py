@@ -34,8 +34,8 @@ from .isoparametric import (check_isoparametric, check_tangency,
 from .minkowski import NormEvaluator
 from .navigation import NavigationDatum, check_navigation_lemma
 from .report import VerificationReport, worst_deviation
-from .sphere import (Chart, KillingField, block_killing, killing_norm,
-                     randers_sphere, round_metric)
+from .sphere import (Chart, KillingField, _check_wind, block_killing,
+                     killing_norm, randers_sphere, round_metric)
 
 
 @dataclass(frozen=True)
@@ -287,15 +287,16 @@ def _build_function(cfg: ExperimentConfig, ambient_dim: int, sys_=None):
 
 def _sphere_setup(cfg: ExperimentConfig, extras: dict,
                   need_wind: bool = False):
-    """Metric, function and wind (None if round, unless need_wind)."""
+    """Function and wind (None if round, unless need_wind); a Randers wind
+    is checked as randers_sphere checks it."""
     sys_ = _load_clifford(cfg) if cfg.function == "otfkm" else None
     ambient = sys_.dim if sys_ is not None else cfg.n + 1
     extras["n"] = ambient - 1   # echo the sphere a Clifford system fixes
-    chart = Chart(np.eye(ambient)[0])
     randers = cfg.metric == "randers"
     W = _load_killing(cfg, ambient, sys_) if randers or need_wind else None
-    met = randers_sphere(chart, W) if randers else round_metric(chart)
-    return met, _build_function(cfg, ambient, sys_), W
+    if randers:
+        _check_wind(W, ambient)
+    return _build_function(cfg, ambient, sys_), W
 
 
 def _run_flag_curvature(cfg: ExperimentConfig, extras: dict):
@@ -341,21 +342,23 @@ def _run_navigation_lemma(cfg: ExperimentConfig, extras: dict):
 
 
 def _run_level_scan(cfg: ExperimentConfig, extras: dict):
-    met, f, _ = _sphere_setup(cfg, extras)
+    f, W = _sphere_setup(cfg, extras)
     check = check_transnormal if cfg.check == "transnormal" \
         else check_isoparametric
-    return check(met, f, cfg.levels, per_level=cfg.per_level, tol=cfg.tol,
+    return check(W, f, cfg.levels, per_level=cfg.per_level, tol=cfg.tol,
                  seed=cfg.seed)
 
 
 def _run_tangency(cfg: ExperimentConfig, extras: dict):
-    _, f, W = _sphere_setup(cfg, extras, need_wind=True)
+    f, W = _sphere_setup(cfg, extras, need_wind=True)
     return check_tangency(f, W, samples=cfg.samples, tol=cfg.tol,
                           seed=cfg.seed)
 
 
 def _run_spectrum(cfg: ExperimentConfig, extras: dict):
-    met, f, _ = _sphere_setup(cfg, extras)
+    f, W = _sphere_setup(cfg, extras)
+    chart = Chart(np.eye(f.ambient_dim)[0])
+    met = round_metric(chart) if W is None else randers_sphere(chart, W)
     spec = principal_curvature_spectrum(met, f, cfg.level,
                                         points=cfg.per_level, seed=cfg.seed)
     ok = spec.consistent and (cfg.expect_g is None or spec.g in cfg.expect_g)

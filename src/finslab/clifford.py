@@ -236,6 +236,18 @@ def otfkm_gradient(sys_: CliffordSystem, x) -> np.ndarray:
     return 4.0 * xx * x - 8.0 * np.sum(xPx[..., None] * Px, axis=-2)
 
 
+def otfkm_hessian(sys_: CliffordSystem, x) -> np.ndarray:
+    """Ambient Hessian 4 |x|^2 I + 8 x x^T - 8 sum (2 P_i x (P_i x)^T
+    + <P_i x, x> P_i), over the rows of x."""
+    x = np.asarray(x, dtype=float)
+    Px, xPx = _stacked_products(sys_, x)
+    xx = (x[..., None, :] @ x[..., :, None])[..., 0]
+    return (4.0 * xx[..., None] * np.eye(x.shape[-1])
+            + 8.0 * x[..., :, None] * x[..., None, :]
+            - 16.0 * Px.swapaxes(-1, -2) @ Px
+            - 8.0 * np.tensordot(xPx, np.asarray(sys_.matrices), axes=1))
+
+
 @dataclass
 class SkewBasis:
     """Frobenius-orthogonal basis of a space of skew matrices."""

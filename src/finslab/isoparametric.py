@@ -3,20 +3,25 @@
 For a scalar function f on a Finsler sphere the nonlinear gradient at a
 regular point is the Legendre dual of df:
 
-    < grad f, v >^F_{grad f} = df(v)   for all v,
+    < grad f, v >^F_{grad f} = df(v)   for all v.
 
-and the nonlinear Laplacian is the Laplace-Beltrami operator of the
-localization metric q(x) = g^F(x, grad f(x)).  Since q grad f = df by the
-defining relation, the divergence form collapses to
+The level checks take F from the navigation datum (round h, Killing wind
+W), with W = 0 for the round sphere, and evaluate in ambient coordinates
+with no chart.  The indicatrix of F is the h-indicatrix translated by
+W(p) = Wp, so the dual norm is F*(xi) = |xi|_h + xi(Wp); with nu the
+h-unit normal grad_h f / |grad_h f|,
 
-    (Lap f)(x) = (det q)^{-1/2} d_i ( sqrt(det q) (grad f)^i ),
+    grad f = F(grad f) (nu + Wp),   F(grad f) = F*(df) = |grad_h f| + df(Wp).
 
-with grad f recomputed at every stencil point (the localization is a
-field, not a frozen inner product).
+The Laplacian is taken with the Busemann-Hausdorff (BH) volume, which for
+navigation data is the round volume (the translated indicatrix has the
+volume of the round one), so Lap f = div_h(grad f).
 
 A function is transnormal when F(grad f) is constant on each level and
 isoparametric when Lap f is too; the checks below sample level sets and
-report the per-level spread of those quantities.
+report the per-level spread of those quantities.  The principal-curvature
+spectrum works in charts: its shape operator is taken with respect to the
+localization metric q(x) = g^F(x, grad f(x)).
 """
 
 from __future__ import annotations
@@ -26,36 +31,47 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clifford import CliffordSystem, otfkm_gradient, otfkm_value
+from .clifford import (CliffordSystem, otfkm_gradient, otfkm_hessian,
+                       otfkm_value)
 from .curvature import stencil_derivative, stencil_points
 from .errors import (ClusterAmbiguity, ConfigError, CriticalPoint,
                      DimensionMismatch, EmptyLevel, StencilEscape)
-from .minkowski import _any, _dot, _matvec, fiber, legendre_solve
+from .minkowski import _any, _dot, _matvec, _vecmat, fiber, legendre_solve
 from .report import VerificationReport, worst_deviation
-from .sphere import (Chart, KillingField, MetricField, _complete_basis,
-                     random_sphere_points)
+from .sphere import (Chart, KillingField, MetricField, _check_wind,
+                     _complete_basis, random_sphere_points)
 
 _CRITICAL_EPS = 1e-10
 _NEWTON_CAP = 60        # Newton steps of a level-set projection
-_STENCIL_STEP = 1e-3    # chart stencils of the Laplacian and the spectrum
+_STENCIL_STEP = 1e-3    # chart stencils of the spectrum
 _GAP = 1e-2             # relative eigenvalue gap between clusters
+
+
+def _stencil_jacobian(rule, p: np.ndarray) -> np.ndarray:
+    # derivatives of rule at the points p, on a new last axis
+    D = stencil_derivative(rule(stencil_points(p, 1e-3)), 1e-3)
+    return np.moveaxis(D, 0, -1)
 
 
 class SphereFunction:
     """A smooth scalar function on S^n given by an ambient rule.
 
-    value maps points (..., n+1) to values (...) and gradient, when given,
-    to ambient gradients (..., n+1): both broadcast over the rows of a
-    stack of points.
+    value maps points (..., n+1) to values (...), gradient, when given, to
+    ambient gradients (..., n+1) and hessian, when given, to ambient
+    Hessians (..., n+1, n+1): all broadcast over the rows of a stack of
+    points.  A missing gradient or Hessian rule is replaced by the stencil
+    derivative of the rule below it, at step 1e-3.
     """
 
     def __init__(self, ambient_dim: int, kind: str,
                  value: Callable[[np.ndarray], np.ndarray],
-                 gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+                 gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.ambient_dim = ambient_dim
         self.kind = kind
         self._value = value
         self._gradient = gradient
+        self._hessian = hessian
 
     def __call__(self, p):
         """f(p): a float for one point, an array over the rows of a stack."""
@@ -66,8 +82,13 @@ class SphereFunction:
         p = np.asarray(p, dtype=float)
         if self._gradient is not None:
             return self._gradient(p)
-        D = stencil_derivative(self._value(stencil_points(p, 1e-3)), 1e-3)
-        return np.moveaxis(D, 0, -1)
+        return _stencil_jacobian(self._value, p)
+
+    def hessian(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        if self._hessian is not None:
+            return self._hessian(p)
+        return _stencil_jacobian(self.gradient, p)
 
     def tangent_gradient(self, p) -> np.ndarray:
         """Ambient gradient projected onto T_p S^n."""
@@ -81,11 +102,12 @@ class SphereFunction:
         return _matvec(J.swapaxes(-1, -2), self.gradient(chart.map(x)))
 
     def __neg__(self) -> "SphereFunction":
-        grad = None
-        if self._gradient is not None:
-            grad = lambda p: -self._gradient(p)
+        def negated(rule):
+            return None if rule is None else lambda p: -rule(p)
+
         return SphereFunction(self.ambient_dim, self.kind,
-                              lambda p: -self._value(p), grad)
+                              negated(self._value), negated(self._gradient),
+                              negated(self._hessian))
 
 
 def height_function(ambient_dim: int, axis: int = 0) -> SphereFunction:
@@ -93,49 +115,63 @@ def height_function(ambient_dim: int, axis: int = 0) -> SphereFunction:
     latitude spheres."""
     a = np.zeros(ambient_dim)
     a[axis] = 1.0
-    return SphereFunction(ambient_dim, "height", lambda p: _dot(p, a),
-                          lambda p: np.broadcast_to(a, p.shape).copy())
+    return SphereFunction(
+        ambient_dim, "height", lambda p: _dot(p, a),
+        lambda p: np.broadcast_to(a, p.shape).copy(),
+        lambda p: np.zeros(p.shape + (ambient_dim,)))
 
 
 def otfkm_function(sys_: CliffordSystem) -> SphereFunction:
     """The quartic polynomial of a symmetric Clifford system."""
     return SphereFunction(sys_.dim, "otfkm",
                           lambda p: otfkm_value(sys_, p),
-                          lambda p: otfkm_gradient(sys_, p))
+                          lambda p: otfkm_gradient(sys_, p),
+                          lambda p: otfkm_hessian(sys_, p))
 
 
 def split_quadratic_function(ambient_dim: int, p_split: int) -> SphereFunction:
     """f(x) = |x_first|^2 - |x_rest|^2; levels are products of spheres."""
     mask = np.ones(ambient_dim)
     mask[p_split:] = -1.0
-    return SphereFunction(ambient_dim, "split-quadratic",
-                          lambda p: _dot(p * p, mask),
-                          lambda p: 2.0 * mask * p)
+    return SphereFunction(
+        ambient_dim, "split-quadratic", lambda p: _dot(p * p, mask),
+        lambda p: 2.0 * mask * p,
+        lambda p: np.broadcast_to(np.diag(2.0 * mask),
+                                  p.shape + (ambient_dim,)).copy())
 
 
 def _project(f: SphereFunction, c: float, P: np.ndarray) -> tuple:
-    # Newton projection of the rows of P onto {f = c} along the tangential
-    # gradient, each row halving its own step until its residual drops;
-    # returns the projected rows and whether each reached |f - c| < 1e-12
+    # projection of the rows of P onto {f = c} along the great circle
+    # cos(a) p + sin(a) nu of the unit tangential gradient nu = t / |t|,
+    # each row halving its own angle until its residual drops; returns the
+    # projected rows and whether each reached |f - c| < 1e-12.  The arccos
+    # step lands at once where |t|^2 = g^2 (1 - f^2), as for f = cos(g theta)
     P = P.copy()
     R = f(P) - c
     ok = np.zeros(len(P), dtype=bool)
     live = np.arange(len(P))
+    arc_c = np.arccos(np.clip(c, -1.0, 1.0))
     for _ in range(_NEWTON_CAP):
         done = np.abs(R[live]) < 1e-12
         ok[live[done]] = True
         live = live[~done]
+        if not len(live):
+            break
         t = f.tangent_gradient(P[live])
         tt = _dot(t, t)
         go = tt >= 1e-12
         live, t, tt = live[go], t[go], tt[go]
         p, r = P[live], R[live]
-        step = (-r / tt)[:, None] * t
+        s = np.sqrt(tt)
+        nu = t / s[:, None]
+        fp = np.clip(r + c, -1.0, 1.0)
+        a = np.where((np.abs(r + c) < 1.0) & (abs(c) < 1.0),
+                     (np.arccos(fp) - arc_c) * np.sqrt(1.0 - fp * fp), -r) / s
         scale = np.ones(len(live))
         todo = np.arange(len(live))
         for _ in range(30):
-            q = p[todo] + scale[todo, None] * step[todo]
-            q = q / np.linalg.norm(q, axis=1, keepdims=True)
+            b = (scale[todo] * a[todo])[:, None]
+            q = np.cos(b) * p[todo] + np.sin(b) * nu[todo]
             rq = f(q) - c
             better = np.abs(rq) < np.abs(r[todo])
             P[live[todo[better]]] = q[better]
@@ -145,23 +181,23 @@ def _project(f: SphereFunction, c: float, P: np.ndarray) -> tuple:
             if not len(todo):
                 break
         live = np.delete(live, todo)        # the rows whose halving stalled
-        if not len(live):
-            break
     return P, ok
 
 
 def sample_level_set(f: SphereFunction, c: float, count: int,
                      seed: int) -> np.ndarray:
     """The rows of a (count, n+1) array of points with |f - c| < 1e-10,
-    found by Newton projection.
+    found by projection along great circles.
 
-    Random sphere points flow along the tangential gradient of f (with
-    step halving when the residual worsens) until the level is hit.  The
-    seeds go through in blocks drawn from one generator stream, so the
-    points and their order are those of a seed-by-seed pass over at most
-    40 count + 200 seeds.  Deterministic given the seed; raises
-    EmptyLevel when no seed point converges (e.g. c outside the range of
-    f).
+    Random sphere points move along the great circle of their tangential
+    gradient by a Newton step in arccos f (one step lands on the level
+    when f is Cartan-Muenzner, f = cos(g theta)), or by a Newton step in f
+    where |f| or |c| is not below 1, with step halving when the residual
+    worsens, until the level is hit.  The seeds go through in blocks
+    drawn from one generator stream, so the points and their order are
+    those of a seed-by-seed pass over at most 40 count + 200 seeds.
+    Deterministic given the seed; raises EmptyLevel when no seed point
+    converges (e.g. c outside the range of f).
     """
     rng = np.random.default_rng(seed)
     n = f.ambient_dim - 1
@@ -221,11 +257,6 @@ def nonlinear_gradient(metric: MetricField, f: SphereFunction,
     return _dual(metric, f, x)[2]
 
 
-def gradient_norm(metric: MetricField, f: SphereFunction, x):
-    """F(grad f)(x), the transnormal quantity, over the rows of x."""
-    return _dual(metric, f, x)[0]
-
-
 def unit_gradient_field(metric: MetricField, f: SphereFunction
                         ) -> Callable[[np.ndarray], np.ndarray]:
     """The F-unit normal field of the levels of f, grad f / F(grad f),
@@ -238,13 +269,62 @@ def unit_gradient_field(metric: MetricField, f: SphereFunction
     return field
 
 
-def nonlinear_laplacian(metric: MetricField, f: SphereFunction, x):
-    """Laplace-Beltrami of f in the localization metric g^F_{grad f}, over
-    the rows of x."""
-    _, q, grad = _dual(metric, f, x, stencil=True)
-    flux = np.sqrt(np.linalg.det(q[1:]))[..., None] * grad[1:]
-    div = np.einsum("k...k->...", stencil_derivative(flux, _STENCIL_STEP))
-    return div / np.sqrt(np.linalg.det(q[0]))
+def _ambient_dual(W: Optional[KillingField], f: SphereFunction, P) -> tuple:
+    """(P, W, g, t, |t|, F(grad f)) at the ambient points P (last axis
+    n+1): the wind matrix (0 for None), the ambient gradient g of f, its
+    tangential part t = grad_h f and F(grad f) = |t| + t . Wp.
+
+    Raises WindTooStrong and DimensionMismatch as randers_sphere does, and
+    CriticalPoint where |df| < 1e-10.
+    """
+    P = np.asarray(P, dtype=float)
+    N = f.ambient_dim
+    if P.shape[-1] != N:
+        raise DimensionMismatch("points do not lie in the function's space")
+    if W is None:
+        W = np.zeros((N, N))
+    else:
+        _check_wind(W, N)
+        W = W.matrix
+    g = f.gradient(P)
+    t = g - _dot(g, P)[..., None] * P
+    s = np.sqrt(_dot(t, t))
+    if _any(s < _CRITICAL_EPS):
+        raise CriticalPoint("df vanishes; nonlinear gradient undefined")
+    return P, W, g, t, s, s + _dot(t, _matvec(W, P))
+
+
+def gradient_norm(W: Optional[KillingField], f: SphereFunction, P):
+    """F(grad f) = |grad_h f| + df(Wp), the transnormal quantity, at the
+    ambient points P (over their leading axes) of the navigation datum
+    (round h, W); W None is the round sphere.  Raises WindTooStrong and
+    DimensionMismatch as randers_sphere does."""
+    return _ambient_dual(W, f, P)[-1]
+
+
+def nonlinear_laplacian(W: Optional[KillingField], f: SphereFunction, P):
+    """The Busemann-Hausdorff Laplacian div_h(grad f) at the ambient points
+    P (over their leading axes) of the navigation datum (round h, W); W
+    None is the round sphere.  Raises WindTooStrong and DimensionMismatch
+    as randers_sphere does.
+
+    V = grad f = F (nu + Wp) is extended off the sphere through
+    t(x) = g(x) - (g(x) . x) x, nu = t / |t| and F = |t| + t . Wx, so
+    DV = u (grad F)^T + F ((I - nu nu^T) Dt / |t| + W) with u = nu + Wp,
+    Dt = H - p (Hp + g)^T - (g . p) I and grad F = Dt^T u + W^T t, and
+    the Laplacian is tr DV - p^T DV p.
+    """
+    P, W, g, t, s, F = _ambient_dual(W, f, P)
+    H = f.hessian(P)
+    nu = t / s[..., None]
+    u = nu + _matvec(W, P)
+    Dt = (H - P[..., :, None] * (_matvec(H, P) + g)[..., None, :]
+          - _dot(g, P)[..., None, None] * np.eye(f.ambient_dim))
+    dF = _vecmat(u, Dt) - _matvec(W, t)
+    Dnu = (Dt - nu[..., :, None] * _vecmat(nu, Dt)[..., None, :]) \
+        / s[..., None, None]
+    DV = u[..., :, None] * dF[..., None, :] + F[..., None, None] * (Dnu + W)
+    return np.trace(DV, axis1=-2, axis2=-1) - _dot(P, _matvec(DV, P))
 
 
 def _level_list(levels) -> list[float]:
@@ -255,37 +335,43 @@ def _level_list(levels) -> list[float]:
     return levels
 
 
-def _per_level_scan(metric: MetricField, f: SphereFunction, levels: list,
-                    per_level: int, seed: int, quantity) -> tuple[list, float]:
-    # quantity(fld, f, x) evaluates every sample of a level at once, at
-    # the origins x of the stack of charts centered on the samples
+def _per_level_scan(W: Optional[KillingField], f: SphereFunction,
+                    levels: list, per_level: int, seed: int,
+                    quantity) -> tuple[list, float]:
+    # quantity(W, f, P) evaluates every sample of a level at once, at the
+    # rows P of its ambient points
     stats = []
     for idx, c in enumerate(levels):
         points = sample_level_set(f, c, per_level, seed + 37 * idx)
-        fld = metric.with_center(points)
-        x = np.zeros((len(points), metric.dim))
-        vals = np.asarray(quantity(fld, f, x))
+        vals = np.asarray(quantity(W, f, points))
         spread = float(vals.max() - vals.min())
         stats.append({"level": c, "mean": float(vals.mean()),
                       "spread": spread})
     return stats, worst_deviation(s["spread"] for s in stats)
 
 
-def check_transnormal(metric: MetricField, f: SphereFunction, levels,
+def _metric_kind(W: Optional[KillingField]) -> str:
+    return "round-h" if W is None else "randers-from-navigation"
+
+
+def check_transnormal(W: Optional[KillingField], f: SphereFunction, levels,
                       per_level: int, tol: float = 1e-6,
                       seed: int = 0) -> VerificationReport:
-    """Spread of F(grad f) across each sampled level.
+    """Spread of F(grad f) across each sampled level, for the navigation
+    datum (round h, W); W None is the round sphere.
 
     Passes iff every spread is below tol; the per-level means are the
-    fitted profile a(c) of F(grad f) = a(f).  No levels is a ConfigError.
+    fitted profile a(c) of F(grad f) = a(f).  No levels is a ConfigError;
+    the wind is checked as gradient_norm checks it.
     """
     levels = _level_list(levels)
-    stats, worst = _per_level_scan(metric, f, levels, per_level, seed,
+    stats, worst = _per_level_scan(W, f, levels, per_level, seed,
                                    gradient_norm)
     return VerificationReport(
         check="transnormal",
-        config={"metric": metric.kind, "function": f.kind, "levels": levels,
-                "per_level": per_level, "tol": tol, "seed": seed},
+        config={"metric": _metric_kind(W), "function": f.kind,
+                "levels": levels, "per_level": per_level, "tol": tol,
+                "seed": seed},
         n_samples=per_level * len(levels),
         max_deviation=worst,
         per_level=stats,
@@ -293,18 +379,20 @@ def check_transnormal(metric: MetricField, f: SphereFunction, levels,
     )
 
 
-def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
+def check_isoparametric(W: Optional[KillingField], f: SphereFunction, levels,
                         per_level: int, tol: float = 1e-3,
                         seed: int = 0) -> VerificationReport:
-    """Spread of the nonlinear Laplacian across each level, for f and -f.
+    """Spread of the BH Laplacian across each level, for f and -f, for the
+    navigation datum (round h, W); W None is the round sphere.
 
     The reverse check matters because gradient and Laplacian are not odd
-    in f for a non-reversible metric.  No levels is a ConfigError.
+    in f for a non-reversible metric.  No levels is a ConfigError; the
+    wind is checked as nonlinear_laplacian checks it.
     """
     levels = _level_list(levels)
-    stats, worst = _per_level_scan(metric, f, levels, per_level, seed,
+    stats, worst = _per_level_scan(W, f, levels, per_level, seed,
                                    nonlinear_laplacian)
-    stats_r, worst_r = _per_level_scan(metric, -f, [-c for c in levels],
+    stats_r, worst_r = _per_level_scan(W, -f, [-c for c in levels],
                                        per_level, seed + 1,
                                        nonlinear_laplacian)
     for entry in stats:
@@ -314,8 +402,9 @@ def check_isoparametric(metric: MetricField, f: SphereFunction, levels,
     worst = worst_deviation((worst, worst_r))
     return VerificationReport(
         check="isoparametric",
-        config={"metric": metric.kind, "function": f.kind, "levels": levels,
-                "per_level": per_level, "tol": tol, "seed": seed},
+        config={"metric": _metric_kind(W), "function": f.kind,
+                "levels": levels, "per_level": per_level, "tol": tol,
+                "seed": seed},
         n_samples=per_level * len(levels) * 2,
         max_deviation=worst,
         per_level=stats + stats_r,

@@ -116,11 +116,22 @@ def fiber(alpha: np.ndarray, beta, y: np.ndarray) -> tuple:
 class NormEvaluator:
     """A point-independent Minkowski norm with derivative access, given by
     its coefficient pair: (A, None) for the quadratic norm sqrt(y^T A y),
-    (alpha, beta) for a Randers norm."""
+    (alpha, beta) for a Randers norm.
+
+    The pair is checked on construction: A (or alpha) must be SPD and
+    |beta|_alpha < 1, or NotPositiveDefinite is raised.
+    """
 
     def __init__(self, alpha, beta=None):
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = None if beta is None else np.asarray(beta, dtype=float)
+        if self.beta is None:
+            _cholesky(self.alpha, "quadratic form matrix is not SPD")
+            return
+        L = _cholesky(self.alpha, "randers alpha is not SPD")
+        z = np.linalg.solve(L, self.beta)
+        if float(z @ z) >= 1.0:                     # |beta|^2_{alpha^-1}
+            raise NotPositiveDefinite("randers norm needs |beta|_alpha < 1")
 
     @property
     def dim(self) -> int:
@@ -136,9 +147,7 @@ class NormEvaluator:
     def quadratic(cls, matrix) -> "NormEvaluator":
         """Riemannian norm sqrt(y^T A y); A must be SPD."""
         A = np.asarray(matrix, dtype=float)
-        A = 0.5 * (A + A.T)
-        _cholesky(A, "quadratic form matrix is not SPD")
-        return cls(A)
+        return cls(0.5 * (A + A.T))
 
     @classmethod
     def euclidean(cls, dim: int) -> "NormEvaluator":
@@ -152,12 +161,7 @@ class NormEvaluator:
         square, which avoids cancellation near the indicatrix.
         """
         a = np.asarray(alpha, dtype=float)
-        a = 0.5 * (a + a.T)
-        b = np.asarray(beta, dtype=float)
-        z = np.linalg.solve(_cholesky(a, "randers alpha is not SPD"), b)
-        if float(z @ z) >= 1.0:                     # |beta|^2_{alpha^-1}
-            raise NotPositiveDefinite("randers norm needs |beta|_alpha < 1")
-        return cls(a, b)
+        return cls(0.5 * (a + a.T), beta)
 
     # -- evaluation ----------------------------------------------------
 

@@ -112,6 +112,16 @@ def killing_norm(W: KillingField) -> float:
     return float(np.sqrt(max(evals[-1], 0.0)))
 
 
+def _check_wind(W: KillingField, ambient_dim: int) -> None:
+    # the navigation datum (round h, W) on S^(ambient_dim - 1) needs a wind
+    # on R^ambient_dim that is shorter than 1 everywhere
+    if W.ambient_dim != ambient_dim:
+        raise DimensionMismatch("Killing field dimension does not match "
+                                "the sphere")
+    if (strength := killing_norm(W)) >= 1.0:
+        raise WindTooStrong(f"killing_norm(W) = {strength:.6f} >= 1")
+
+
 def block_killing(n0: int, lambdas, block_sizes) -> KillingField:
     """Block-diagonal normal form diag(0_{n0}, l_1 J_{2n_1}, ..., l_k J_{2n_k}).
 
@@ -203,11 +213,7 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
     navigation problem; where the wind vanishes that is h itself
     (beta = 0).  Requires killing_norm(W) < 1.
     """
-    if W.ambient_dim != chart.n + 1:
-        raise DimensionMismatch("Killing field dimension does not match chart")
-    if (strength := killing_norm(W)) >= 1.0:
-        raise WindTooStrong(f"killing_norm(W) = {strength:.6f} >= 1")
-
+    _check_wind(W, chart.n + 1)
     eye = np.eye(chart.n)
 
     def build(field: MetricField, X: np.ndarray) -> tuple:

@@ -8,23 +8,26 @@ divergence form, fixed spaces of conjugations on the full skew-matrix
 space instead of the null space on so(l), a QR projection, one trial at
 a time, instead of the batched projection of the Lie closure check on
 the basis itself, one spray model per stencil point instead of the
-batched flag stencil, one seed, one norm and one Newton dual at a time
-instead of the batched level-set layer, one (y, u) pair at a time
-instead of the array pass of the navigation lemma.
+batched flag stencil, one seed and one norm and one Newton dual at a
+time instead of the batched level-set layer, charts, the navigated
+Randers coefficients, the Legendre solve and a stencil of the flux
+instead of the ambient closed forms of the level scan, one (y, u) pair
+at a time instead of the array pass of the navigation lemma.
 
 The helpers at the end are test fixtures, not oracles: the two
 metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
-and the one-center chart helpers ``chart_coords`` and
-``chart_pull_tangent``.
+the one-center chart helpers ``chart_coords`` and
+``chart_pull_tangent``, and ``unchecked_norm``, an invalid norm input.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
 from finslab.errors import ChartBoundary
-from finslab.minkowski import randers_fiber
+from finslab.minkowski import NormEvaluator, legendre_solve, randers_fiber
 from finslab.navigation import navigated_norm
-from finslab.sphere import _CHART_RADIUS, MetricField
+from finslab.sphere import (_CHART_RADIUS, Chart, MetricField,
+                            randers_sphere, round_metric)
 
 
 def fd_gradient(func, y, h=1e-6):
@@ -343,10 +346,12 @@ def qr_closure_residual(elements, trials, seed):
 
 
 def pointwise_sample_level_set(f, c, count, seed, newton_cap=60):
-    """Level-set points by Newton projection along the tangential
+    """Level-set points by steps along the great circle of the tangential
     gradient, one seed at a time with its own step halving, over at most
-    40 count + 200 seeds; the rows of the result in draw order.  Raises
-    AssertionError when fewer than count seeds converge."""
+    40 count + 200 seeds; the rows of the result in draw order.  A step
+    turns by the Newton angle of arccos f where |f|, |c| < 1 and of f
+    elsewhere.  Raises AssertionError when fewer than count seeds
+    converge."""
     rng = np.random.default_rng(seed)
 
     def residual(p):
@@ -371,11 +376,18 @@ def pointwise_sample_level_set(f, c, count, seed, newton_cap=60):
             t = tangent(p)
             if t @ t < 1e-12:
                 break
-            step = -r / (t @ t) * t
+            speed = np.sqrt(t @ t)           # df/da along the great circle
+            fp = r + c
+            if abs(fp) < 1.0 and abs(c) < 1.0:
+                # d(arccos f)/da = -speed / sqrt(1 - f^2)
+                angle = (np.arccos(fp) - np.arccos(c)) \
+                    * np.sqrt(1.0 - fp * fp) / speed
+            else:
+                angle = -r / speed
             scale = 1.0
             for _ in range(30):
-                q = p + scale * step
-                q = q / np.linalg.norm(q)
+                a = scale * angle
+                q = np.cos(a) * p + np.sin(a) * t / speed
                 if abs(residual(q)) < abs(r):
                     p = q
                     break
@@ -403,21 +415,26 @@ def pointwise_gradient_norm(metric, f, x):
     return norm(grad)
 
 
-def pointwise_laplacian(metric, f, x, h=1e-3):
-    """(det q)^{-1/2} d_i (sqrt(det q) (grad f)^i) with q = 1/2 Hess F^2
-    at grad f, from one norm_at and one Newton dual per stencil point."""
-    x = np.asarray(x, dtype=float)
-
-    def q_and_grad(z):
-        norm, grad = _pointwise_dual(metric, f, z)
-        return 0.5 * norm.sq_jet(grad).hess, grad
-
-    def flux(z):
-        q, grad = q_and_grad(z)
-        return np.sqrt(np.linalg.det(q)) * grad
-
-    q0 = q_and_grad(x)[0]
-    return float(np.trace(_diff4(flux, x, h))) / np.sqrt(np.linalg.det(q0))
+def chart_laplacian(W, f, P, h=1e-3):
+    """The Busemann-Hausdorff Laplacian sigma^-1 d_i(sigma (grad f)^i),
+    with sigma = sqrt(det) of the round pullback, at the rows of the
+    ambient points P, on gnomonic charts centered at them: the Randers
+    coefficients of the navigation datum (round h, W) from
+    randers_from_navigation (W None: round), the dual of df from
+    legendre_solve, and the divergence from a fourth-order stencil of the
+    flux at step h."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[-1] - 1
+    chart = Chart(P)
+    met = round_metric(chart) if W is None else randers_sphere(chart, W)
+    x0 = np.zeros((len(P), n))
+    # X[o, k] = x0 + h _OFFS4[o] e_k, the stencil of every chart origin
+    X = x0 + h * np.array(_OFFS4)[:, None, None, None] \
+        * np.eye(n)[None, :, None, :]
+    grad = legendre_solve(met.coefficients(X), f.chart_gradient(chart, X))
+    flux = np.sqrt(np.linalg.det(chart.pullback_round(X)))[..., None] * grad
+    div = np.einsum("o,okpk->p", np.array(_WGTS4) / h, flux)
+    return div / np.sqrt(np.linalg.det(chart.pullback_round(x0)))
 
 
 def pointwise_shape_eigenvalues(metric, f, x, h=1e-3):
@@ -543,3 +560,12 @@ def chart_pull_tangent(chart, x, u_amb):
     coordinates, for a one-center chart."""
     J = chart.jacobian(x)
     return np.linalg.solve(J.T @ J, J.T @ np.asarray(u_amb, dtype=float))
+
+
+def unchecked_norm(alpha, beta=None):
+    """A NormEvaluator of the coefficient pair as given, past the checks of
+    its constructor: an invalid norm input for the checks downstream."""
+    norm = object.__new__(NormEvaluator)
+    norm.alpha = np.asarray(alpha, dtype=float)
+    norm.beta = None if beta is None else np.asarray(beta, dtype=float)
+    return norm

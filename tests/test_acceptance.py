@@ -136,21 +136,18 @@ def test_criterion_3_clifford_audit_grid():
 
 def _isoparametric_case(sys_, winds, per_level):
     f = otfkm_function(sys_)
-    chart = Chart(np.eye(sys_.dim)[0])
     results = []
-    met = round_metric(chart)
-    t = check_transnormal(met, f, LEVELS, per_level=per_level, tol=1e-6,
+    t = check_transnormal(None, f, LEVELS, per_level=per_level, tol=1e-6,
                           seed=11)
-    i = check_isoparametric(met, f, LEVELS, per_level=per_level, tol=1e-3,
+    i = check_isoparametric(None, f, LEVELS, per_level=per_level, tol=1e-3,
                             seed=11)
     results.append(("round", t, i))
     for name, W in winds:
-        met = randers_sphere(chart, W)
-        t = check_transnormal(met, f, LEVELS, per_level=per_level, tol=1e-6,
+        t = check_transnormal(W, f, LEVELS, per_level=per_level, tol=1e-6,
                               seed=13)
-        i = check_isoparametric(met, f, LEVELS, per_level=per_level,
+        i = check_isoparametric(W, f, LEVELS, per_level=per_level,
                                 tol=1e-3, seed=13)
-        tn = check_transnormal(met, -f, [-c for c in LEVELS],
+        tn = check_transnormal(W, -f, [-c for c in LEVELS],
                                per_level=per_level, tol=1e-6, seed=17)
         results.append((name, t, i, tn))
     return results
@@ -277,8 +274,7 @@ def test_criterion_9_negative_controls():
 
     M = rng.standard_normal((6, 6))
     W_bad = scaled_wind(M - M.T)
-    met = randers_sphere(Chart(np.eye(6)[0]), W_bad)
-    rep = check_transnormal(met, f, [0.0, 0.3], per_level=10, tol=1e-6,
+    rep = check_transnormal(W_bad, f, [0.0, 0.3], per_level=10, tol=1e-6,
                             seed=109)
     control_a = (not rep.passed) and rep.max_deviation > 1e-6
 

@@ -47,7 +47,7 @@ KEYWORD_DEFAULTS = {
     "NormEvaluator": {"beta": None},
     "SkewBasis": {"elements": "<factory>"},
     "SpectrumResult": {"per_point": "<factory>"},
-    "SphereFunction": {"gradient": None},
+    "SphereFunction": {"gradient": None, "hessian": None},
     "VerificationReport": {"per_level": "<factory>", "passed": False,
                            "wall_time_ms": 0},
     "check_isoparametric": {"tol": 1e-3, "seed": 0},

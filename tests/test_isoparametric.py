@@ -11,15 +11,16 @@ from scipy.linalg import expm
 
 import finslab.isoparametric as iso
 import finslab.sphere as sphere
-from conftest import (laplace_beltrami_oracle, localization_field,
-                      newton_legendre, pointwise_gradient_norm,
-                      pointwise_laplacian, pointwise_sample_level_set,
+from conftest import (chart_laplacian, laplace_beltrami_oracle,
+                      localization_field, newton_legendre,
+                      pointwise_gradient_norm, pointwise_sample_level_set,
                       pointwise_shape_eigenvalues)
 from finslab import cli
 from finslab.clifford import (build_clifford, centralizer, otfkm_gradient,
                               otfkm_value, spin_lift)
 from finslab.curvature import Flag, flag_curvature
-from finslab.errors import ConfigError, CriticalPoint, EmptyLevel
+from finslab.errors import (ConfigError, CriticalPoint, DimensionMismatch,
+                            EmptyLevel, WindTooStrong)
 from finslab.isoparametric import (SphereFunction, check_isoparametric,
                                    check_tangency, check_transnormal,
                                    height_function, nonlinear_gradient,
@@ -99,10 +100,9 @@ def test_critical_point_raises():
 def test_level_checks_read_a_level_iterator_once(check):
     # a generator of levels gives the report of the same list: every
     # level scanned, for f and for -f
-    met = round_metric(Chart(np.eye(4)[0]))
     f = height_function(4)
-    rep = check(met, f, iter([0.3]), per_level=5)
-    assert rep.to_dict() == check(met, f, [0.3], per_level=5).to_dict()
+    rep = check(None, f, iter([0.3]), per_level=5)
+    assert rep.to_dict() == check(None, f, [0.3], per_level=5).to_dict()
     assert rep.config["levels"] == [0.3]
     assert rep.n_samples == (10 if check is check_isoparametric else 5)
     if check is check_isoparametric:
@@ -112,10 +112,9 @@ def test_level_checks_read_a_level_iterator_once(check):
 @pytest.mark.parametrize("check", [check_transnormal, check_isoparametric])
 def test_level_checks_reject_no_levels(check):
     # no level would pass vacuously
-    met = round_metric(Chart(np.eye(4)[0]))
     for levels in ([], iter([])):
         with pytest.raises(ConfigError, match="levels"):
-            check(met, height_function(4), levels, per_level=5)
+            check(None, height_function(4), levels, per_level=5)
 
 
 def test_unit_normal_is_h_normal_plus_wind():
@@ -159,12 +158,10 @@ def test_gradient_asymmetry_witness():
 
 
 def test_height_laplacian_on_s2():
-    met = round_metric(Chart([0.0, 0.0, 1.0]))
     f = height_function(3, axis=2)
     for c in (0.3, -0.6):
-        fld = met.with_center(sample_level_set(f, c, 2, seed=5)[0])
-        lap = nonlinear_laplacian(fld, f, np.zeros(2))
-        assert abs(lap + 2.0 * c) < 1e-8
+        lap = nonlinear_laplacian(None, f, sample_level_set(f, c, 2, seed=5))
+        assert np.abs(lap + 2.0 * c).max() < 1e-8
 
 
 def test_laplacian_matches_coordinate_oracle():
@@ -174,7 +171,7 @@ def test_laplacian_matches_coordinate_oracle():
     rng = np.random.default_rng(6)
     for _ in range(5):
         x = rng.standard_normal(3) * 0.4
-        lap = nonlinear_laplacian(met, f, x)
+        lap = nonlinear_laplacian(None, f, met.chart.map(x))
         oracle = laplace_beltrami_oracle(met, f, x)
         assert abs(lap - oracle) < 1e-4
 
@@ -228,9 +225,8 @@ def test_sample_level_set_out_of_range():
 
 
 def test_transnormal_round_height_profile():
-    met = round_metric(Chart([0.0, 0.0, 1.0]))
     f = height_function(3, axis=2)
-    rep = check_transnormal(met, f, [-0.5, 0.0, 0.5], per_level=20,
+    rep = check_transnormal(None, f, [-0.5, 0.0, 0.5], per_level=20,
                             tol=1e-8, seed=0)
     assert rep.passed
     for entry in rep.per_level:
@@ -239,12 +235,12 @@ def test_transnormal_round_height_profile():
 
 
 def test_transnormal_randers_otfkm():
-    _, f, met, _ = s5_setup()
-    rep = check_transnormal(met, f, LEVELS, per_level=15, tol=1e-6, seed=0)
+    _, f, _, W = s5_setup()
+    rep = check_transnormal(W, f, LEVELS, per_level=15, tol=1e-6, seed=0)
     assert rep.passed
     # F(grad f) equals the h-length of the h-gradient pointwise
-    round_rep = check_transnormal(round_metric(Chart(np.eye(6)[0])), f,
-                                  LEVELS, per_level=15, tol=1e-6, seed=0)
+    round_rep = check_transnormal(None, f, LEVELS, per_level=15, tol=1e-6,
+                                  seed=0)
     for a, b in zip(rep.per_level, round_rep.per_level):
         assert abs(a["mean"] - b["mean"]) < 1e-6
 
@@ -256,17 +252,15 @@ def test_transnormal_fails_for_non_tangent_wind():
     M = rng.standard_normal((6, 6))
     M = M - M.T
     W = KillingField(0.5 * M / killing_norm(KillingField(M)))
-    met = randers_sphere(Chart(np.eye(6)[0]), W)
-    rep = check_transnormal(met, f, [0.0, 0.3], per_level=10, tol=1e-6,
+    rep = check_transnormal(W, f, [0.0, 0.3], per_level=10, tol=1e-6,
                             seed=0)
     assert not rep.passed
     assert rep.max_deviation > 1e-3
 
 
 def test_isoparametric_round_height():
-    met = round_metric(Chart([0.0, 0.0, 1.0]))
     f = height_function(3, axis=2)
-    rep = check_isoparametric(met, f, [-0.5, 0.0, 0.5], per_level=10,
+    rep = check_isoparametric(None, f, [-0.5, 0.0, 0.5], per_level=10,
                               tol=1e-4, seed=0)
     assert rep.passed
     for entry in rep.per_level:
@@ -275,8 +269,8 @@ def test_isoparametric_round_height():
 
 
 def test_isoparametric_randers_otfkm_both_signs():
-    _, f, met, _ = s5_setup()
-    rep = check_isoparametric(met, f, [-0.3, 0.0, 0.3], per_level=10,
+    _, f, _, W = s5_setup()
+    rep = check_isoparametric(W, f, [-0.3, 0.0, 0.3], per_level=10,
                               tol=1e-3, seed=0)
     assert rep.passed
     assert {e["function"] for e in rep.per_level} == {"f", "-f"}
@@ -293,15 +287,14 @@ def test_nan_in_a_later_level_fails(monkeypatch, check, quantity,
     # level, over an array of its 3 sample points
     scanned = []
 
-    def fake(fld, f, x):
-        assert x.shape == (3, 2)
-        idx = np.arange(len(scanned), len(scanned) + len(x))
+    def fake(W, f, P):
+        assert W is None and P.shape == (3, 3)
+        idx = np.arange(len(scanned), len(scanned) + len(P))
         scanned.extend(idx)
         return np.where(idx < good_values, 1.0, math.nan)
 
     monkeypatch.setattr(iso, quantity, fake)
-    met = round_metric(Chart([0.0, 0.0, 1.0]))
-    rep = check(met, height_function(3, axis=0), [-0.5, 0.5], per_level=3)
+    rep = check(None, height_function(3, axis=0), [-0.5, 0.5], per_level=3)
     assert len(scanned) > good_values
     assert math.isnan(rep.max_deviation)
     assert not rep.passed
@@ -314,8 +307,8 @@ def test_legendre_matches_newton_at_paper_suite_levels():
                if e["check"] == "isoparametric"]
     assert entries
     for idx, entry in enumerate(entries):
-        met, f, _ = cli._sphere_setup(cli.ExperimentConfig.from_dict(entry),
-                                     {})
+        f, W = cli._sphere_setup(cli.ExperimentConfig.from_dict(entry), {})
+        met = randers_sphere(Chart(np.eye(f.ambient_dim)[0]), W)
         for c in entry["levels"]:
             for p in sample_level_set(f, c, 3, seed=idx):
                 fld = met.with_center(p)
@@ -330,8 +323,8 @@ def test_legendre_matches_newton_at_paper_suite_levels():
 
 
 def test_isoparametric_riemannian_cross_check():
-    _, f, met_round, _ = s5_setup(wind=None)
-    rep = check_isoparametric(met_round, f, [-0.3, 0.3], per_level=10,
+    _, f, _, _ = s5_setup(wind=None)
+    rep = check_isoparametric(None, f, [-0.3, 0.3], per_level=10,
                               tol=1e-4, seed=0)
     assert rep.passed
 
@@ -351,6 +344,17 @@ def test_tangency_checks():
 def _random_skew(n, seed):
     M = np.random.default_rng(seed).standard_normal((n, n))
     return KillingField(M - M.T)
+
+
+def _scaled_wind(sys_, kind, scale=0.5):
+    # element 0 of the spin lift or of the centralizer, or a random skew
+    # matrix (tangent to no level), at killing_norm = scale
+    if kind == "random-skew":
+        X = _random_skew(sys_.dim, 21).matrix
+    else:
+        X = (spin_lift(sys_) if kind == "spin"
+             else centralizer(sys_)).elements[0]
+    return KillingField(scale * X / killing_norm(KillingField(X)))
 
 
 @pytest.mark.parametrize("W", [
@@ -425,13 +429,8 @@ def test_one_norm_build_and_one_solve_per_point(monkeypatch):
         sphere.MetricField, "coefficients",
         lambda fld, X: builds.append(1) or coefficients(fld, X))
     _, f, met, _ = s5_setup()
-    x = np.array([0.1, -0.2, 0.05, 0.3, -0.1])
-    for evaluate in (lambda: gradient_norm(met, f, x),
-                     lambda: unit_gradient_field(met, f)(-x)):
-        builds.clear()
-        solves.clear()
-        evaluate()
-        assert (len(builds), solves) == (1, [(5,)])
+    unit_gradient_field(met, f)(np.array([-0.1, 0.2, -0.05, -0.3, 0.1]))
+    assert (len(builds), solves) == (1, [(5,)])
     # a spectrum of P points makes one builder call and one solve for the
     # centers and the 4 n stencil points of all of them (n = 5 on S^5)
     for points in (1, 4):
@@ -480,30 +479,23 @@ def test_sampler_matches_pointwise_oracle(kind):
     ((1, 3), None), ((1, 3), "spin"), ((1, 3), "centralizer"),
     ((1, 4), "spin"), ((1, 4), "centralizer")])
 def test_level_quantities_match_pointwise_oracles(mk, wind):
-    # batched F(grad f), Laplacian and shape-operator spectrum against one
-    # norm_at and one Newton dual per point, for f and -f
+    # ambient F(grad f) and the batched shape-operator spectrum against
+    # one norm_at and one Newton dual per point, for f and -f
     sys_ = build_clifford(*mk)
     f = otfkm_function(sys_)
     chart = Chart(np.eye(sys_.dim)[0])
-    met = round_metric(chart)
+    met, W = round_metric(chart), None
     if wind is not None:
-        X = (spin_lift(sys_) if wind == "spin"
-             else centralizer(sys_)).elements[0]
-        met = randers_sphere(
-            chart, KillingField(0.5 * X / killing_norm(KillingField(X))))
-    n = sys_.dim - 1
-    x0 = np.zeros(n)
+        W = _scaled_wind(sys_, wind)
+        met = randers_sphere(chart, W)
+    x0 = np.zeros(sys_.dim - 1)
     for fn, c in ((f, 0.3), (-f, 0.5)):
         pts = sample_level_set(fn, c, 3, seed=21)
-        fld = met.with_center(pts)
-        Fg = gradient_norm(fld, fn, np.zeros((3, n)))
-        lap = nonlinear_laplacian(fld, fn, np.zeros((3, n)))
+        Fg = gradient_norm(W, fn, pts)
         spec = principal_curvature_spectrum(met, fn, c, points=3, seed=21)
         for i, p in enumerate(pts):
             one = met.with_center(p)
             assert abs(Fg[i] - pointwise_gradient_norm(one, fn, x0)) < 1e-12
-            oracle = pointwise_laplacian(one, fn, x0)
-            assert abs(lap[i] - oracle) < 1e-8 * max(1.0, abs(oracle))
             evals = np.sort(pointwise_shape_eigenvalues(one, fn, x0))
             clusters = spec.per_point[i]
             groups = np.split(evals, np.cumsum([k for _, k in clusters])[:-1])
@@ -545,3 +537,182 @@ def test_localization_metrics_have_round_curvature():
             K = flag_curvature(loc, Flag(x, rng.standard_normal(5),
                                          rng.standard_normal(5)))
             assert abs(K - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("mk", [(1, 3), (1, 4)])
+@pytest.mark.parametrize("wind", [None, "spin", "centralizer",
+                                  "random-skew"])
+def test_ambient_level_quantities_match_chart_oracles(mk, wind):
+    # F(grad f) against one norm_at and one Newton dual per point, and the
+    # BH Laplacian against the chart Laplacian, for f and -f; the
+    # random-skew wind is tangent to no level, so df(Wp) != 0 there
+    sys_ = build_clifford(*mk)
+    f = otfkm_function(sys_)
+    W = None if wind is None else _scaled_wind(sys_, wind)
+    chart = Chart(np.eye(sys_.dim)[0])
+    met = round_metric(chart) if W is None else randers_sphere(chart, W)
+    x0 = np.zeros(sys_.dim - 1)
+    for fn, c in ((f, 0.3), (-f, -0.5)):
+        pts = sample_level_set(fn, c, 4, seed=5)
+        Fg = gradient_norm(W, fn, pts)
+        for i, p in enumerate(pts):
+            oracle = pointwise_gradient_norm(met.with_center(p), fn, x0)
+            assert abs(Fg[i] - oracle) < 1e-12
+        lap = nonlinear_laplacian(W, fn, pts)
+        oracle = chart_laplacian(W, fn, pts)
+        assert np.abs(lap - oracle).max() \
+            < 1e-9 * max(1.0, np.abs(oracle).max())
+
+
+def _level_spreads(quantity, W, fn, levels, per_level, seed):
+    # per-level spreads of quantity(W, fn, P) over sampled levels
+    return [float(np.ptp(quantity(W, fn, sample_level_set(fn, c, per_level,
+                                                           seed + i))))
+            for i, c in enumerate(levels)]
+
+
+def _ht_laplacian(W, f, P):
+    # the Holmes-Thompson Laplacian: sigma_HT = sigma_BH lambda^-(n+1)/2
+    # with lambda = 1 - |Wp|^2, so Lap_HT f = Lap_BH f
+    # + (n+1) <grad f, W^T W p> / (1 - |Wp|^2), grad f = F (nu + Wp)
+    n = f.ambient_dim - 1
+    Wp = P @ W.matrix.T
+    t = f.tangent_gradient(P)
+    nu = t / np.linalg.norm(t, axis=1, keepdims=True)
+    grad = gradient_norm(W, f, P)[:, None] * (nu + Wp)
+    WtWp = Wp @ W.matrix
+    return nonlinear_laplacian(W, f, P) + (n + 1) \
+        * np.einsum("ij,ij->i", grad, WtWp) / (1.0 - np.einsum("ij,ij->i",
+                                                               Wp, Wp))
+
+
+def test_holmes_thompson_laplacian_is_not_constant_on_levels():
+    # a measured negative result: under the HT volume, paper-suite entry
+    # 7 ((1, 4), centralizer wind) fails the isoparametric tol 1e-3 by at
+    # least two decades, while with the (1, 3) spin wind W^T W is a
+    # multiple of I, the HT term is constant on levels and entry 6 passes
+    entries = [e for e in json.loads(SUITE.read_text())["experiments"]
+               if e["check"] == "isoparametric"]
+    spreads = []
+    for entry in entries:
+        f, W = cli._sphere_setup(cli.ExperimentConfig.from_dict(entry), {})
+        spreads.append(max(
+            max(_level_spreads(_ht_laplacian, W, fn, levels,
+                               entry["per_level"], entry["seed"]))
+            for fn, levels in ((f, entry["levels"]),
+                               (-f, [-c for c in entry["levels"]]))))
+    spin, centralizer_wind = spreads
+    assert entries[1]["w_spec"]["kind"] == "centralizer"
+    assert spin < entries[0]["tol"]
+    assert centralizer_wind > 100.0 * entries[1]["tol"]
+
+
+@pytest.mark.parametrize("mk", [(1, 3), (1, 4), (2, 2)])
+@pytest.mark.parametrize("wind", ["spin", "centralizer"])
+def test_level_means_follow_the_cartan_muenzner_profile(mk, wind):
+    # for a Killing wind tangent to the levels of f = cos(g theta), g = 4,
+    # Lap f = -g (g + n - 1) c + (m2 - m1) g^2 / 2 and F(grad f) =
+    # g sqrt(1 - c^2) on the level c; -f has the multiplicities swapped
+    sys_ = build_clifford(*mk)
+    f = otfkm_function(sys_)
+    W = _scaled_wind(sys_, wind)
+    g, n = 4, sys_.dim - 1
+    m1, m2 = sys_.multiplicities
+    levels = [-0.8, 0.0, 0.5]
+    lap = check_isoparametric(W, f, levels, per_level=5, seed=3)
+    tn = check_transnormal(W, f, levels, per_level=5, seed=3)
+    scale = g * (g + n - 1)
+    for entry in lap.per_level:
+        c, sign = entry["level"], 1.0 if entry["function"] == "f" else -1.0
+        expect = -scale * c + sign * (m2 - m1) * g * g / 2.0
+        assert abs(entry["mean"] - expect) < 1e-9 * scale
+    for entry in tn.per_level:
+        expect = g * np.sqrt(1.0 - entry["level"] ** 2)
+        assert abs(entry["mean"] - expect) < 1e-9 * g
+
+
+def test_level_checks_build_no_chart_and_solve_no_dual(monkeypatch):
+    # the level scan is chart-free: no chart, no metric field, no Legendre
+    # solve anywhere under check_transnormal and check_isoparametric
+    def refuse(*args, **kwargs):
+        raise AssertionError("the level scan built a chart or solved a dual")
+
+    import finslab.minkowski as minkowski
+    monkeypatch.setattr(sphere.Chart, "__init__", refuse)
+    monkeypatch.setattr(sphere.MetricField, "__init__", refuse)
+    monkeypatch.setattr(minkowski, "legendre_solve", refuse)
+    monkeypatch.setattr(iso, "legendre_solve", refuse)
+    sys_ = build_clifford(1, 3)
+    f = otfkm_function(sys_)
+    for W in (None, _scaled_wind(sys_, "spin")):
+        assert check_transnormal(W, f, [0.3], per_level=5).passed
+        assert check_isoparametric(W, f, [0.3], per_level=5).passed
+
+
+@pytest.mark.parametrize("kind", ["height", "split-quadratic", "otfkm"])
+def test_projection_lands_in_at_most_two_gradient_passes(monkeypatch, kind):
+    # f = cos(g theta) on each kind, so the great-circle step in arccos f
+    # lands on the level in one pass; a second pass mops up roundoff
+    f = {"height": lambda: height_function(5, axis=0),
+         "split-quadratic": lambda: split_quadratic_function(4, 2),
+         "otfkm": lambda: otfkm_function(build_clifford(1, 3))}[kind]()
+    passes = []
+    tangent_gradient = SphereFunction.tangent_gradient
+    monkeypatch.setattr(
+        SphereFunction, "tangent_gradient",
+        lambda fn, p: passes.append(len(p)) or tangent_gradient(fn, p))
+    for fn in (f, -f):
+        for idx, c in enumerate(SUITE_LEVELS):
+            passes.clear()
+            P = sphere.random_sphere_points(f.ambient_dim - 1, 50,
+                                            np.random.default_rng(idx))
+            Q, ok = iso._project(fn, c, P)
+            assert len(passes) <= 2
+            assert np.abs(fn(Q[ok]) - c).max() < 1e-12 and ok.mean() > 0.9
+
+
+def test_projection_converges_for_a_non_isoparametric_cubic():
+    # the arccos step is a Newton step for any f, not one that lands at once
+    a = np.array([1.0, 0.5, -0.3, 0.2])
+
+    def value(p):
+        x = p @ a
+        return 0.3 * x ** 3 + 0.5 * p[..., 1] * p[..., 2] - 0.2 * p[..., 3]
+
+    f = SphereFunction(4, "custom", value)
+    for c in (-0.2, 0.0, 0.15):
+        P = sample_level_set(f, c, 20, seed=2)
+        assert np.abs(f(P) - c).max() < 1e-12
+
+
+def test_level_quantities_check_the_wind():
+    # the wind is checked as randers_sphere checks it
+    sys_ = build_clifford(1, 3)
+    f = otfkm_function(sys_)
+    P = sample_level_set(f, 0.3, 2, seed=1)
+    strong = KillingField(2.0 * spin_lift(sys_).elements[0]
+                          / killing_norm(KillingField(
+                              spin_lift(sys_).elements[0])))
+    small = standard_rotation(4, 0.5)
+    for evaluate in (lambda W: gradient_norm(W, f, P),
+                     lambda W: nonlinear_laplacian(W, f, P),
+                     lambda W: check_transnormal(W, f, [0.3], per_level=2),
+                     lambda W: check_isoparametric(W, f, [0.3], per_level=2)):
+        with pytest.raises(WindTooStrong):
+            evaluate(strong)
+        with pytest.raises(DimensionMismatch):
+            evaluate(small)
+
+
+def test_hessian_rules_match_the_stencil_of_the_gradient():
+    # the closed-form Hessians of the built-in functions against the
+    # stencil fallback, which is exact on quartics; negation flips them
+    P = sphere.random_sphere_points(5, 20, np.random.default_rng(7))
+    for f in (height_function(6, axis=2), split_quadratic_function(6, 2),
+              otfkm_function(build_clifford(1, 3))):
+        for fn in (f, -f):
+            fallback = SphereFunction(6, "custom", fn, fn.gradient)
+            H = fn.hessian(P)
+            assert H.shape == (20, 6, 6)
+            assert np.abs(H - fallback.hessian(P)).max() < 1e-9
+        assert np.array_equal((-f).hessian(P), -f.hessian(P))

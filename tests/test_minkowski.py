@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (direction_scan_legendre, fd_gradient, fd_hessian,
-                      newton_legendre)
+                      newton_legendre, unchecked_norm)
 from finslab.errors import NotPositiveDefinite, ZeroBaseVector
 from finslab.minkowski import NormEvaluator, fundamental_tensor, legendre_solve
 
@@ -220,11 +220,23 @@ def test_randers_needs_small_beta():
         NormEvaluator.quadratic([[1.0, 0.0], [0.0, -1.0]])
 
 
+def test_constructor_checks_the_coefficient_pair():
+    # the exported constructor validates as quadratic and randers do
+    with pytest.raises(NotPositiveDefinite):
+        NormEvaluator(np.eye(2), np.array([1.5, 0.0]))
+    with pytest.raises(NotPositiveDefinite):
+        NormEvaluator(np.eye(2), np.array([1.0, 0.0]))
+    with pytest.raises(NotPositiveDefinite):
+        NormEvaluator(np.diag([1.0, -1.0]))
+    assert NormEvaluator(np.eye(2), np.array([0.5, 0.0]))(
+        np.array([-1.0, 0.0])) == 0.5
+
+
 def test_fundamental_tensor_rejects_degenerate_rule():
-    # |beta|_alpha = 1.5 slips past the validating constructor; where
+    # |beta|_alpha = 1.5 bypasses the validating constructor; where
     # F(y) < 0 the Randers g_y is indefinite (det g = (F/a)^3 det alpha),
     # so the PD check must flag the invalid norm input
-    bad = NormEvaluator(np.eye(2), np.array([1.5, 0.0]))
+    bad = unchecked_norm(np.eye(2), np.array([1.5, 0.0]))
     with pytest.raises(NotPositiveDefinite):
         fundamental_tensor(bad, np.array([-1.0, 0.5]))
 

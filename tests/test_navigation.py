@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslab.navigation as navigation
-from conftest import pointwise_navigation_lemma
+from conftest import pointwise_navigation_lemma, unchecked_norm
 from finslab.errors import NotPositiveDefinite, WindTooStrong
 from finslab.minkowski import NormEvaluator
 from finslab.navigation import (NavigationDatum, check_navigation_lemma,
@@ -133,7 +133,7 @@ def test_wind_too_strong():
 def test_invalid_randers_base_is_not_positive_definite():
     # |beta|_alpha >= 1 past the validating constructor: alpha - beta
     # beta^T is indefinite, so the base has no navigation datum
-    base = NormEvaluator(np.eye(2), np.array([1.5, 0.0]))
+    base = unchecked_norm(np.eye(2), np.array([1.5, 0.0]))
     with pytest.raises(NotPositiveDefinite):
         navigated_norm(NavigationDatum(base, np.array([0.1, 0.0])))
 
