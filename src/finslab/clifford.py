@@ -110,7 +110,8 @@ class CliffordSystem:
     irreducibles.  The volume element P_0 ... P_m is +-I on each
     irreducible summand there, so |tr| = 2 delta_m |k1 - k2|.  Fewer
     than two square matrices of one size raise ValueError, a defect
-    beyond roundoff NotClifford.
+    beyond roundoff NotClifford.  The anticommutation error of that check
+    is kept as ``anticommutation_error``.
     """
 
     def __init__(self, matrices):
@@ -119,7 +120,8 @@ class CliffordSystem:
             raise ValueError("a Clifford system needs at least two square "
                              "matrices of one size")
         self.matrices = P
-        defect = max(anticommutation_error(self),
+        self.anticommutation_error = anticommutation_error(self)
+        defect = max(self.anticommutation_error,
                      float(np.abs(P - P.transpose(0, 2, 1)).max()))
         if not defect <= 1e-10:                   # beyond roundoff
             raise NotClifford("the matrices are not a symmetric Clifford "
@@ -303,6 +305,37 @@ def _null_coefficients(C, a, b):
         yield blocks[j], V[j, :, col]
 
 
+def _eigenframe(sys_: CliffordSystem) -> tuple:
+    # (eigenvalues of P_0, Q+, Q-, K) from one eigh: Q+ the +1 eigenvectors
+    # of P_0 as eigh returns them, Q- = P_1 Q+, and K the (dim, L)
+    # coefficients on the pair basis of so(l) of the Y of c(Sigma), with
+    # orthonormal rows in the order of centralizer's elements
+    mats = sys_.matrices
+    evals, Q = np.linalg.eigh(mats[0])
+    Qp = Q[:, evals > 0.0]
+    Qm = mats[1] @ Qp
+    l = Qp.shape[1]
+    a, b = np.triu_indices(l, 1)
+    C = Qp.T @ mats[2:] @ Qm
+    found = list(_null_coefficients(C, a, b))
+    K = np.zeros((sum(len(pairs) for pairs, _ in found), len(a)))
+    start = 0
+    for pairs, coeffs in found:   # row start + r: coeffs[r] on pairs[r]
+        K[start + np.arange(len(pairs))[:, None], pairs] = coeffs
+        start += len(pairs)
+    return evals, Qp, Qm, K
+
+
+def _pair_skew(w, l: int) -> np.ndarray:
+    # sum_p w_p (E_ab - E_ba) / 2 over the pairs p = (a, b), a < b, of
+    # so(l) in lexicographic order, over the leading axes of w
+    a, b = np.triu_indices(l, 1)
+    Y = np.zeros(w.shape[:-1] + (l, l))
+    Y[..., a, b] = 0.5 * w
+    Y[..., b, a] = -0.5 * w
+    return Y
+
+
 def centralizer(sys_: CliffordSystem) -> SkewBasis:
     """Frobenius-orthonormal basis of c(Sigma): skew X with [X, P] = 0 for
     every P in Sigma.
@@ -320,21 +353,8 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
     block, then by its least pair index; for m = 1 the Gram is 0 and
     element p is pair p of (0, 1), ..., (l - 2, l - 1), in lexicographic order.
     """
-    mats = sys_.matrices
-    evals, Q = np.linalg.eigh(mats[0])
-    Qp = Q[:, evals > 0.0]
-    Qm = mats[1] @ Qp
-    l = Qp.shape[1]
-    a, b = np.triu_indices(l, 1)
-    C = Qp.T @ np.asarray(mats[2:]).reshape(-1, 2 * l, 2 * l) @ Qm
-    found = list(_null_coefficients(C, a, b))
-    Y = np.zeros((sum(len(pairs) for pairs, _ in found), l, l))
-    start = 0
-    for pairs, coeffs in found:   # element start + r: coeffs[r] on pairs[r]
-        n = start + np.arange(len(pairs))[:, None]
-        Y[n, a[pairs], b[pairs]] = 0.5 * coeffs
-        Y[n, b[pairs], a[pairs]] = -0.5 * coeffs
-        start += len(pairs)
+    _, Qp, Qm, K = _eigenframe(sys_)
+    Y = _pair_skew(K, Qp.shape[1])
     X = Qp @ Y @ Qp.T + Qm @ Y @ Qm.T
     return SkewBasis(list(0.5 * (X - X.transpose(0, 2, 1))))
 
@@ -392,6 +412,39 @@ def symmetry_basis(sys_: CliffordSystem) -> SkewBasis:
     return SkewBasis(spin_lift(sys_).elements + centralizer(sys_).elements)
 
 
+def _closure_residual(dense, trials: int, seed: int, K=None) -> float:
+    # lie_closure_residual of the span of the (d, n, n) stack dense and,
+    # when K is given, of the diag(Y_r, Y_r) with Y_r = _pair_skew(K[r]),
+    # drawn after the stack; their part of the projection is K on the pair
+    # vector of the sum of the two diagonal blocks of [X, Y]
+    rng = np.random.default_rng(seed)
+    d, n = len(dense), dense.shape[-1]
+    flat = dense.reshape(d, -1)
+    draw = rng.standard_normal((trials, 2, d + (0 if K is None else len(K))))
+    XY = (draw[..., :d] @ flat).reshape(trials, 2, n, n)
+    l = n // 2
+    if K is not None:
+        block = _pair_skew(draw[..., d:] @ K, l)
+        XY[..., :l, :l] += block
+        XY[..., l:, l:] += block
+    X, Y = XY[:, 0], XY[:, 1]
+    C = (X @ Y - Y @ X).reshape(trials, -1)
+    resid = C - ((C @ flat.T) / np.einsum("ij,ij->i", flat, flat)) @ flat
+    if K is not None:
+        C, R = C.reshape(trials, n, n), resid.reshape(trials, n, n)
+        a, b = np.triu_indices(l, 1)
+        M = C[:, :l, :l] + C[:, l:, l:]
+        pair = 0.5 * (M[:, a, b] - M[:, b, a])
+        Z = _pair_skew(((pair @ K.T) / np.einsum("ij,ij->i", K, K)) @ K, l)
+        R[:, :l, :l] -= Z
+        R[:, l:, l:] -= Z
+    # scale by |X||Y|, not |C|: commuting pairs give C at noise level
+    denom = np.linalg.norm(XY.reshape(trials, 2, -1), axis=-1).prod(axis=1)
+    keep = denom > 0
+    return float(np.max(np.linalg.norm(resid[keep], axis=-1) / denom[keep],
+                        initial=0.0))
+
+
 def lie_closure_residual(basis: SkewBasis, trials: int,
                          seed: int = 0) -> float:
     """max relative residual of projecting [X, Y] back onto the span,
@@ -405,32 +458,30 @@ def lie_closure_residual(basis: SkewBasis, trials: int,
     coefficients of trial t are row (t, 0) for X and (t, 1) for Y of one
     (trials, 2, dim) draw.
     """
-    rng = np.random.default_rng(seed)
-    S = basis.span_matrix()
-    size = basis.elements[0].shape[0]
-    XY = (rng.standard_normal((trials, 2, basis.dim)) @ S.T).reshape(
-        trials, 2, size, size)
-    X, Y = XY[:, 0], XY[:, 1]
-    C = (X @ Y - Y @ X).reshape(trials, -1)
-    resid = C - ((C @ S) / np.einsum("ij,ij->j", S, S)) @ S.T
-    # scale by |X||Y|, not |C|: commuting pairs give C at noise level
-    denom = np.linalg.norm(XY.reshape(trials, 2, -1), axis=-1).prod(axis=1)
-    keep = denom > 0
-    return float(np.max(np.linalg.norm(resid[keep], axis=-1) / denom[keep],
-                        initial=0.0))
+    return _closure_residual(np.asarray(basis.elements), trials, seed)
 
 
 def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
-    """Full structural audit of one system; returns a dict of findings."""
-    acm = anticommutation_error(sys_)
-    evals = np.linalg.eigvalsh(sys_.matrices[0])
+    """Full structural audit of one system; returns a dict of findings.
+
+    It works in the eigenframe U = [Q+ | Q-] of P_0 that centralizer
+    uses, where c(Sigma) is {diag(Y, Y)}: the closure check takes the spin
+    lift as U^T (P_i P_j / 2) U, the products of the U^T P_i U, and the
+    centralizer as its pair coefficients, and forms no dense centralizer
+    element.  The +-1 multiplicities come from the same eigh.  Conjugation by
+    U keeps brackets, norms and orthogonal projections, so the residual is
+    that of symmetry_basis, with the same draw, up to roundoff.
+    """
+    evals, Qp, Qm, K = _eigenframe(sys_)
     mult_plus = int(np.sum(evals > 0.5))
     mult_minus = int(np.sum(evals < -0.5))
-    cent = centralizer(sys_)
-    spin = spin_lift(sys_)
+    U = np.hstack([Qp, Qm])
+    P = U.T @ sys_.matrices @ U
+    i, j = np.triu_indices(sys_.m + 1, 1)
+    spin = 0.5 * (P[i] @ P[j])
+    closure = _closure_residual(spin, _CLOSURE_TRIALS, seed, K)
+    acm = sys_.anticommutation_error
     predicted = predicted_centralizer_dim(sys_)
-    basis = SkewBasis(spin.elements + cent.elements)
-    closure = lie_closure_residual(basis, trials=_CLOSURE_TRIALS, seed=seed)
     return {
         "m": sys_.m,
         "k": sys_.k,
@@ -440,14 +491,14 @@ def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
         "delta_m": sys_.delta_m,
         "anticommutation_error": acm,
         "eigen_multiplicities": [mult_plus, mult_minus],
-        "centralizer_dim": cent.dim,
+        "centralizer_dim": len(K),
         "centralizer_dim_predicted": predicted,
-        "spin_dim": spin.dim,
+        "spin_dim": len(spin),
         "spin_dim_predicted": sys_.m * (sys_.m + 1) // 2,
         "lie_closure_residual": closure,
-        "full_symmetry_dim": spin.dim + cent.dim,
+        "full_symmetry_dim": len(spin) + len(K),
         "ok": bool(acm == 0.0
                    and mult_plus == sys_.l and mult_minus == sys_.l
-                   and cent.dim == predicted
+                   and len(K) == predicted
                    and closure < 1e-10),
     }

@@ -83,7 +83,10 @@ class Chart:
 
 
 class KillingField:
-    """A Killing field of S^n(1), stored as a skew (n+1) x (n+1) matrix."""
+    """A Killing field of S^n(1), stored as a skew (n+1) x (n+1) matrix.
+
+    Its norm, the killing_norm of the field, is read off the matrix once,
+    when the field is built, so each wind check reuses it."""
 
     def __init__(self, matrix):
         W = np.asarray(matrix, dtype=float)
@@ -92,6 +95,8 @@ class KillingField:
         if np.abs(W + W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
             raise NotSkew("matrix is not skew-symmetric")
         self.matrix = 0.5 * (W - W.T)
+        evals = np.linalg.eigvalsh(-self.matrix @ self.matrix)
+        self.norm = float(np.sqrt(max(evals[-1], 0.0)))
 
     @property
     def ambient_dim(self) -> int:
@@ -105,11 +110,10 @@ def killing_norm(W: KillingField) -> float:
     """max over the sphere of |W(x)|_h, i.e. the largest modulus of the
     purely imaginary eigenvalues of the matrix.
 
-    Computed as sqrt(max eig(-W^2)); -W^2 is symmetric PSD, so no complex
-    arithmetic is needed.
+    Computed as sqrt(max eig(-W^2)) when the field is built; -W^2 is
+    symmetric PSD, so no complex arithmetic is needed.
     """
-    evals = np.linalg.eigvalsh(-W.matrix @ W.matrix)
-    return float(np.sqrt(max(evals[-1], 0.0)))
+    return W.norm
 
 
 def _check_wind(W: KillingField, ambient_dim: int) -> None:

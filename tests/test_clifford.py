@@ -416,3 +416,70 @@ def test_serialization_round_trip_of_a_rotated_system():
     assert centralizer(clone).dim == centralizer(sys_).dim == 3
     # built systems keep their integer JSON
     assert '.' not in json.dumps(json.loads(sys_.to_json())["matrices"])
+
+
+def rotated_systems():
+    # the four systems of test_rotated_centralizer_matches_dense_oracle
+    for m, k in [(2, 4), (3, 2), (5, 1), (4, (1, 1))]:
+        sys_ = build_quiet(m, k)
+        O, _ = np.linalg.qr(np.random.default_rng(11).standard_normal(
+            (sys_.dim, sys_.dim)))
+        yield m, k, CliffordSystem([O @ P @ O.T for P in sys_.matrices])
+
+
+def test_audit_closure_matches_the_dense_basis():
+    # the audit's eigenframe residual is that of symmetry_basis with the
+    # same draw, up to roundoff, and the QR oracle stays a lower bound
+    systems = [(m, spec, sys_) for m, spec, sys_ in grid_systems(32)]
+    systems += list(rotated_systems())
+    assert len(systems) == 49
+    for seed, (m, spec, sys_) in enumerate(systems):
+        basis = symmetry_basis(sys_)
+        framed = clifford.audit(sys_, seed=seed)["lie_closure_residual"]
+        dense = lie_closure_residual(basis, 6, seed)
+        oracle = qr_closure_residual(basis.elements, 6, seed)
+        assert abs(framed - dense) <= 1e-15, (m, spec, framed, dense)
+        assert framed >= oracle - 1e-15, (m, spec, framed, oracle)
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (4, (1, 1)), (5, 1)])
+def test_audit_closure_fails_off_the_null_space(m, k, monkeypatch):
+    # row 0 of K turned by 45 degrees towards a pair direction orthogonal
+    # to every row: the dimension still matches, the closure must not
+    original = clifford._null_coefficients
+
+    def tilted(C, a, b):
+        found = list(original(C, a, b))
+        K = np.zeros((sum(len(pairs) for pairs, _ in found), len(a)))
+        start = 0
+        for pairs, coeffs in found:
+            K[start + np.arange(len(pairs))[:, None], pairs] = coeffs
+            start += len(pairs)
+        off = np.eye(len(a)) - K.T @ K        # projector off the null space
+        q = int(np.argmax(np.diag(off)))
+        K[0] = (K[0] + off[q] / np.linalg.norm(off[q])) / np.sqrt(2.0)
+        yield np.broadcast_to(np.arange(len(a)), K.shape), K
+
+    sys_ = build_quiet(m, k)
+    assert clifford.audit(sys_)["ok"]
+    monkeypatch.setattr(clifford, "_null_coefficients", tilted)
+    rep = clifford.audit(sys_)
+    assert rep["centralizer_dim"] == rep["centralizer_dim_predicted"]
+    assert rep["lie_closure_residual"] >= 1e-3
+    assert not rep["ok"]
+
+
+def test_audit_builds_no_dense_symmetry_basis(monkeypatch):
+    # the 2l = 64 row passes with the dense paths patched to raise
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the audit formed a dense basis")
+
+    monkeypatch.setattr(clifford, "centralizer", forbidden)
+    monkeypatch.setattr(clifford, "spin_lift", forbidden)
+    monkeypatch.setattr(SkewBasis, "span_matrix", forbidden)
+    count = 0
+    for m, spec, sys_ in grid_systems(64):
+        if sys_.dim == 64:
+            count += 1
+            assert clifford.audit(sys_, seed=count)["ok"], (m, spec)
+    assert count == 11
