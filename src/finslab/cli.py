@@ -129,8 +129,8 @@ _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 def _accepts(hint, value) -> bool:
     """Whether value has the declared type: bool is never a number, an
-    int is accepted where a float is declared, and a list or a tuple
-    where either is."""
+    int is accepted where a float is declared but NaN and infinities are
+    not, and a list or a tuple where either is."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (list, tuple):
         return isinstance(value, (list, tuple)) and all(
@@ -139,6 +139,8 @@ def _accepts(hint, value) -> bool:
         return any(_accepts(h, value) for h in args)
     if isinstance(value, bool):
         return hint in (bool, object)
+    if hint is float and isinstance(value, float):
+        return bool(np.isfinite(value))
     return isinstance(value, (int, float) if hint is float else hint)
 
 
@@ -167,20 +169,23 @@ def _check_spec(where: str, spec, required=(), **hints):
 
 
 def _array(where: str, name: str, value, shape: tuple) -> np.ndarray:
-    """Entry ``name`` of a nested spec: nested lists of numbers of the given
-    shape."""
+    """Entry ``name`` of a nested spec: nested lists of finite numbers of
+    the given shape."""
     try:
         arr = np.array(value)
     except ValueError:   # ragged lists
         arr = np.array(None)
-    if arr.shape != shape or arr.dtype.kind not in "iuf":
-        raise ConfigError(f"{where}: '{name}' needs numbers of shape {shape}")
+    if (arr.shape != shape or arr.dtype.kind not in "iuf"
+            or not np.isfinite(arr).all()):
+        raise ConfigError(f"{where}: '{name}' needs finite numbers of shape "
+                          f"{shape}")
     return arr.astype(float)
 
 
-# largest 2l built from {m, k}: an audit there, of (1, 64) or (2, 32),
-# takes about 0.3 s on one core and lifts the peak RSS of the process from
-# 32 MB to about 220 MB, all of it while the 32 MB centralizer Gram is built
+# largest 2l built from {m, k}: on one core, an audit of (2, 32) there
+# takes about 0.2 s and lifts the peak RSS of the process from 32 MB to
+# about 195 MB, while its 32 MB centralizer Gram is built from a 66 MB
+# (L, l, l) product; (1, 64) builds no Gram: 0.03 s and 75 MB
 _MAX_2L = 128
 
 

@@ -260,36 +260,23 @@ class SkewBasis:
     def dim(self) -> int:
         return len(self.elements)
 
-    def span_matrix(self) -> np.ndarray:
-        """(dim^2, k) matrix of vectorized basis elements."""
-        return np.asarray(self.elements).reshape(self.dim, -1).T
-
-
-def _identity_wedge(T, a, b):
-    # Z -> Z T^T + T Z on the basis (E_ab - E_ba)/sqrt(2) of so(l), entry
-    # (ab, cd) is d_ac T_bd + T_ac d_bd - d_ad T_bc - T_ad d_bc, so row ab
-    # holds +-T[b, k] at the pair {a, k} and +-T[a, k] at the pair {k, b}
-    l, L = len(T), len(a)
-    pair = np.zeros((l, l), dtype=int)
-    pair[a, b] = pair[b, a] = np.arange(L)
-    sign = np.sign(np.subtract.outer(np.arange(l), np.arange(l)))
-    others = np.arange(l - 1) + (np.arange(l - 1) >= np.arange(l)[:, None])
-    row, ka, kb = np.arange(L)[:, None], others[a], others[b]   # k != a, b
-    out = np.zeros((L, L))
-    out[row, pair[a[:, None], ka]] = sign[ka, a[:, None]] * T[b[:, None], ka]
-    out[row, pair[kb, b[:, None]]] += sign[b[:, None], kb] * T[a[:, None], kb]
-    return out
-
 
 def _null_coefficients(C, a, b):
     # (pairs, coeffs) of the null vectors of the Gram of Y -> ([Y, C_i])_i,
-    # Y -> Y T + T Y - 2 sum_i C_i Y C_i^T with T = sum C_i C_i^T, per
-    # block size
+    # per block size.  Each C_i is skew and orthogonal (P_i^2 = I), so the
+    # Gram is Y -> 2 sum_i (Y - C_i Y C_i^T), 2(m - 1) I less twice the
+    # pair matrix of sum_i Ad C_i; the Ad C_i are commuting involutions,
+    # so its eigenvalues are multiples of 4.  With no C_i (m = 1) there is
+    # no Gram: pair p alone is null vector p
+    L = len(a)
+    if not len(C):
+        yield np.arange(L)[:, None], np.ones((L, 1))
+        return
     R = np.einsum("ipc,ipd->pcd", C[:, a], C[:, b], optimize=True)
-    gram = _identity_wedge(np.einsum("ipc,iqc->pq", C, C), a, b)
-    gram -= 2.0 * (R[:, a, b] - R[:, b, a])
+    gram = 2.0 * (R[:, b, a] - R[:, a, b])
+    gram[np.diag_indices(L)] += 2.0 * len(C)
     rows, cols = np.nonzero((gram != 0.0) | (gram.T != 0.0))
-    label, old = np.arange(len(a)), None   # ends as a block's least pair
+    label, old = np.arange(L), None        # ends as a block's least pair
     while not np.array_equal(label, old):
         old = label.copy()
         np.minimum.at(label, rows, label[cols])
@@ -342,16 +329,19 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
 
     With Q+ the +1 eigenvectors of P_0 (as eigh returns them) and
     Q- = P_1 Q+, each P_i (i >= 2) is [[0, C_i], [-C_i, 0]] in the basis
-    [Q+, Q-], with C_i skew, so c(Sigma) = {diag(Y, Y) : Y in so(l),
-    [Y, C_i] = 0}.  The Y are the null space (eigenvalues <= _NULL_TOL)
-    of the Gram matrix of Y -> ([Y, C_i])_i on the pair basis of so(l); an
+    [Q+, Q-], with C_i skew and orthogonal, so c(Sigma) = {diag(Y, Y) :
+    Y in so(l), [Y, C_i] = 0}.  The Y are the null space (eigenvalues
+    <= _NULL_TOL) of the Gram matrix of Y -> ([Y, C_i])_i on the pair
+    basis of so(l), read off the Clifford relations as
+    2 sum_i (I - Ad C_i), whose eigenvalues are multiples of 4; an
     eigenvalue inside (_NULL_TOL, _AMBIGUITY_BAND) raises RankDeficiency.
     The Gram splits exactly (no threshold) into the connected blocks of
     its nonzero pattern, whose spectra make up its own: small blocks when
     the C_i are signed permutations, as on built systems, one block on a
     dense (e.g. rotated) system.  Elements are ordered by the size of their
-    block, then by its least pair index; for m = 1 the Gram is 0 and
-    element p is pair p of (0, 1), ..., (l - 2, l - 1), in lexicographic order.
+    block, then by its least pair index; for m = 1 there is no C_i and no
+    Gram, and element p is pair p of (0, 1), ..., (l - 2, l - 1), in
+    lexicographic order.
     """
     _, Qp, Qm, K = _eigenframe(sys_)
     Y = _pair_skew(K, Qp.shape[1])
@@ -377,17 +367,19 @@ def predicted_centralizer_dim(sys_: CliffordSystem) -> int:
     return k1 * (k1 - 1) // 2 + k2 * (k2 - 1) // 2
 
 
+def _spin_products(P: np.ndarray) -> np.ndarray:
+    # the stack of P_i P_j / 2 over the pairs i < j, in row-major order
+    i, j = np.triu_indices(len(P), 1)
+    return 0.5 * (P[i] @ P[j])
+
+
 def spin_lift(sys_: CliffordSystem) -> SkewBasis:
     """The m(m+1)/2 products P_i P_j / 2 (i < j): a copy of so(m+1).
 
     Each element is skew and its one-parameter flow rotates Sigma, so it
     preserves the quartic polynomial of the system.
     """
-    out = []
-    for i, Pi in enumerate(sys_.matrices):
-        for Pj in sys_.matrices[i + 1:]:
-            out.append(0.5 * (Pi @ Pj))
-    return SkewBasis(out)
+    return SkewBasis(list(_spin_products(sys_.matrices)))
 
 
 def find_clifford_point(sys_: CliffordSystem, y) -> np.ndarray:
@@ -476,9 +468,7 @@ def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
     mult_plus = int(np.sum(evals > 0.5))
     mult_minus = int(np.sum(evals < -0.5))
     U = np.hstack([Qp, Qm])
-    P = U.T @ sys_.matrices @ U
-    i, j = np.triu_indices(sys_.m + 1, 1)
-    spin = 0.5 * (P[i] @ P[j])
+    spin = _spin_products(U.T @ sys_.matrices @ U)
     closure = _closure_residual(spin, _CLOSURE_TRIALS, seed, K)
     acm = sys_.anticommutation_error
     predicted = predicted_centralizer_dim(sys_)

@@ -118,13 +118,16 @@ class NormEvaluator:
     its coefficient pair: (A, None) for the quadratic norm sqrt(y^T A y),
     (alpha, beta) for a Randers norm.
 
-    The pair is checked on construction: A (or alpha) must be SPD and
-    |beta|_alpha < 1, or NotPositiveDefinite is raised.
+    The pair is checked on construction: its entries must be finite, A
+    (or alpha) SPD and |beta|_alpha < 1, or NotPositiveDefinite is raised.
     """
 
     def __init__(self, alpha, beta=None):
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = None if beta is None else np.asarray(beta, dtype=float)
+        if not all(np.isfinite(c).all() for c in (self.alpha, self.beta)
+                   if c is not None):
+            raise NotPositiveDefinite("norm coefficients must be finite")
         if self.beta is None:
             _cholesky(self.alpha, "quadratic form matrix is not SPD")
             return

@@ -92,8 +92,9 @@ class KillingField:
         W = np.asarray(matrix, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise DimensionMismatch("Killing matrix must be square")
-        if np.abs(W + W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
-            raise NotSkew("matrix is not skew-symmetric")
+        if not (np.isfinite(W).all() and np.abs(W + W.T).max()
+                <= 1e-12 * max(1.0, np.abs(W).max())):
+            raise NotSkew("matrix is not finite and skew-symmetric")
         self.matrix = 0.5 * (W - W.T)
         evals = np.linalg.eigvalsh(-self.matrix @ self.matrix)
         self.norm = float(np.sqrt(max(evals[-1], 0.0)))

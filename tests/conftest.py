@@ -17,7 +17,8 @@ at a time instead of the array pass of the navigation lemma.
 The helpers at the end are test fixtures, not oracles: the two
 metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
 the one-center chart helpers ``chart_coords`` and
-``chart_pull_tangent``, and ``unchecked_norm``, an invalid norm input.
+``chart_pull_tangent``, ``unchecked_norm``, an invalid norm input, and
+``span_matrix``, the vectorized elements of a basis of skew matrices.
 """
 
 import numpy as np
@@ -569,3 +570,9 @@ def unchecked_norm(alpha, beta=None):
     norm.alpha = np.asarray(alpha, dtype=float)
     norm.beta = None if beta is None else np.asarray(beta, dtype=float)
     return norm
+
+
+def span_matrix(basis):
+    """(n^2, dim) matrix whose columns are the vectorized elements of a
+    SkewBasis of n x n matrices."""
+    return np.asarray(basis.elements).reshape(basis.dim, -1).T

@@ -271,6 +271,53 @@ def test_bad_battery_entry_is_config_error(tmp_path, capsys, entry):
         assert "'w_spec'" in error["message"]
 
 
+NAN_PAIR = [[0, math.nan, 0, 0], [math.nan, 0, 0, 0], [0, 0, 0, 0],
+            [0, 0, 0, 0]]
+INF_DIAGONAL = [[math.inf, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0],
+                [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--w-spec", json.dumps({"matrix": NAN_PAIR})], "ConfigError"),
+    (["--w-spec", json.dumps({"matrix": INF_DIAGONAL})], "ConfigError"),
+    (["--w-spec", json.dumps({"kind": "random-skew", "scale": math.nan})],
+     "ConfigError"),
+    (["--w-spec", json.dumps({"n0": 0, "lambdas": [math.inf],
+                              "sizes": [2]})], "ConfigError"),
+    (["--tol", "nan"], "ConfigError"),
+    (["--lambda", "inf"], "ConfigError"),
+])
+def test_non_finite_wind_and_number_exit_2(capsys, argv, error):
+    # NaN and infinities are configuration errors, with no traceback
+    assert main(["verify", "tangency", "--n", "3", "--samples", "4"]
+                + argv) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] \
+        == error
+
+
+@pytest.mark.parametrize("entry,error", [
+    ({"check": "transnormal", "levels": [math.nan]}, "ConfigError"),
+    ({"check": "spectrum", "level": -math.inf}, "ConfigError"),
+    ({"check": "navigation-lemma", "w_spec": {"vector": [math.nan, 0, 0]}},
+     "ConfigError"),
+    ({"check": "clifford-audit",
+      "clifford": {"matrices": [[[1, 0], [0, math.nan]], [[0, 1], [1, 0]]]}},
+     "ConfigError"),
+    ({"check": "navigation-lemma",
+      "norm": {"kind": "randers", "alpha": [[1, math.nan], [math.nan, 1]],
+               "beta": [0.1, 0]}}, "NotPositiveDefinite"),
+    ({"check": "navigation-lemma",
+      "norm": {"kind": "euclidean-quadratic-form",
+               "matrix": [[1, 0], [0, math.inf]]}}, "NotPositiveDefinite"),
+])
+def test_non_finite_battery_entry_exits_2(tmp_path, capsys, entry, error):
+    path = tmp_path / "batt.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["batch", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] \
+        == error
+
+
 RANDERS_X = {"kind": "randers", "alpha": [[1.0, 0.0], [0.0, 1.0]],
              "beta": [0.6, 0.0]}
 

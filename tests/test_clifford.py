@@ -1,6 +1,7 @@
 """Clifford systems: construction, quartic polynomial, symmetry algebras."""
 
 import json
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import finslab.clifford as clifford
-from conftest import dense_centralizer, qr_closure_residual
+from conftest import dense_centralizer, qr_closure_residual, span_matrix
 from finslab.clifford import (CliffordSystem, SkewBasis,
                               anticommutation_error, build_clifford,
                               centralizer, clifford_delta,
@@ -137,7 +138,7 @@ def assert_matches_dense_oracle(sys_, where):
     assert cent.dim == len(dense), where
     if not dense:
         return cent
-    S = cent.span_matrix()
+    S = span_matrix(cent)
     D = np.column_stack([E.ravel() for E in dense])
     assert np.abs(S @ S.T - D @ D.T).max() < 1e-12, where
     X = np.asarray(cent.elements)
@@ -167,6 +168,27 @@ def test_rotated_centralizer_matches_dense_oracle(m, k):
     assert cent.dim == centralizer(sys_).dim > 0
 
 
+@pytest.mark.parametrize("eps", [1e-13, 2e-12])
+@pytest.mark.parametrize("m,k", [(2, 4), (3, 2), (5, 1), (9, 1), (4, (1, 1)),
+                                 (2, 16), (9, 2)])
+def test_gram_holds_at_the_accepted_defect(m, k, eps):
+    # the Gram 2 sum (Y - C_i Y C_i^T) takes C_i C_i^T = I; a rotated
+    # system perturbed up to the defect that CliffordSystem accepts
+    # (1e-10) keeps its centralizer dimension, with no ambiguous eigenvalue
+    sys_ = build_quiet(m, k)
+    rng = np.random.default_rng(7)
+    O, _ = np.linalg.qr(rng.standard_normal((sys_.dim, sys_.dim)))
+    E = rng.standard_normal(sys_.matrices.shape)
+    near = CliffordSystem(O @ sys_.matrices @ O.T
+                          + eps * (E + E.transpose(0, 2, 1)))
+    P = near.matrices
+    defect = max(near.anticommutation_error,
+                 np.abs(P - P.transpose(0, 2, 1)).max())
+    assert 1e-12 <= defect <= 5e-11, defect
+    rep = clifford.audit(near)
+    assert rep["centralizer_dim"] == rep["centralizer_dim_predicted"]
+
+
 @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (5, 1)])
 def test_centralizer_checks_the_band_on_every_block(m, k, monkeypatch):
     # the least nonzero Gram eigenvalue is 4 on each, in blocks of size 2
@@ -192,6 +214,21 @@ def test_centralizer_index_is_lexicographic_pair_for_m1():
         assert np.abs(Qp.T @ X @ Qp - Y).max() < 1e-15
         assert np.abs(Qm.T @ X @ Qm - Y).max() < 1e-15
         assert np.abs(Qp.T @ X @ Qm).max() < 1e-15
+
+
+def test_m1_audit_builds_no_gram():
+    # with no C_i every Y commutes: the audit of (1, 64) allocates its
+    # (2016, 2016) coefficient matrix K, 31 MiB, and no L x L Gram or
+    # (L, l, l) product beside it
+    sys_ = build_quiet(1, 64)
+    tracemalloc.start()
+    try:
+        rep = clifford.audit(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["centralizer_dim"] == 2016 and rep["ok"]
+    assert peak < 64 * 2**20, peak / 2**20
 
 
 def test_centralizer_rejects_non_clifford():
@@ -220,6 +257,18 @@ def test_spin_lift_basics():
     sp2 = spin_lift(sys2)
     assert sp2.dim == 3
     assert lie_closure_residual(sp2, trials=8) < 1e-12
+
+
+def test_spin_lift_is_the_pairwise_products():
+    # the stacked product against one product per pair, in pair order,
+    # bit for bit, on every grid system with 2l <= 32 and four rotated ones
+    systems = [sys_ for _, _, sys_ in grid_systems(32)]
+    systems += [rotated for _, _, rotated in rotated_systems()]
+    for sys_ in systems:
+        P = sys_.matrices
+        loop = [0.5 * (P[i] @ P[j]) for i in range(len(P))
+                for j in range(i + 1, len(P))]
+        assert np.array_equal(spin_lift(sys_).elements, loop)
 
 
 def test_spin_flow_preserves_quartic():
@@ -276,7 +325,7 @@ def test_symmetry_basis_is_frobenius_orthogonal():
     count = 0
     for m, spec, sys_ in grid_systems(32):
         count += 1
-        S = symmetry_basis(sys_).span_matrix()
+        S = span_matrix(symmetry_basis(sys_))
         gram = S.T @ S
         off = np.abs(gram - np.diag(np.diag(gram))).max()
         assert off <= 1e-12 * np.diag(gram).max(), (m, spec, off)
@@ -476,7 +525,6 @@ def test_audit_builds_no_dense_symmetry_basis(monkeypatch):
 
     monkeypatch.setattr(clifford, "centralizer", forbidden)
     monkeypatch.setattr(clifford, "spin_lift", forbidden)
-    monkeypatch.setattr(SkewBasis, "span_matrix", forbidden)
     count = 0
     for m, spec, sys_ in grid_systems(64):
         if sys_.dim == 64:

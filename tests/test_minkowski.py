@@ -232,6 +232,19 @@ def test_constructor_checks_the_coefficient_pair():
         np.array([-1.0, 0.0])) == 0.5
 
 
+@pytest.mark.parametrize("build", [
+    lambda: NormEvaluator.quadratic([[1.0, 0.0], [0.0, np.inf]]),
+    lambda: NormEvaluator.quadratic([[1.0, np.nan], [np.nan, 1.0]]),
+    lambda: NormEvaluator.randers([[1.0, np.nan], [np.nan, 1.0]], [0.1, 0]),
+    lambda: NormEvaluator.randers(np.eye(2), [np.nan, 0.0]),
+    lambda: NormEvaluator(np.diag([np.inf, 1.0]), np.array([0.1, 0.0])),
+])
+def test_norm_rejects_non_finite_coefficients(build):
+    # Cholesky accepts diag(1, inf), and a NaN beta passes |beta|_alpha < 1
+    with pytest.raises(NotPositiveDefinite):
+        build()
+
+
 def test_fundamental_tensor_rejects_degenerate_rule():
     # |beta|_alpha = 1.5 bypasses the validating constructor; where
     # F(y) < 0 the Randers g_y is indefinite (det g = (F/a)^3 det alpha),

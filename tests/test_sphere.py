@@ -76,6 +76,18 @@ def test_killing_field_requires_skew():
         KillingField(np.eye(3))
 
 
+@pytest.mark.parametrize("entry", [(0, 1, np.nan), (0, 0, np.inf),
+                                   (1, 1, -np.inf), (0, 2, np.inf)])
+def test_killing_field_rejects_non_finite_entries(entry):
+    # a NaN pair fails every comparison and an infinite diagonal keeps
+    # |W + W^T| within its infinite scale: neither reads as skew
+    i, j, value = entry
+    W = np.zeros((3, 3))
+    W[i, j], W[j, i] = value, (value if i == j else -value)
+    with pytest.raises(NotSkew):
+        KillingField(W)
+
+
 def test_killing_field_tangency():
     rng = np.random.default_rng(4)
     M = rng.standard_normal((5, 5))
