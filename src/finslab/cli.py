@@ -25,8 +25,8 @@ import numpy as np
 
 from . import clifford as cl
 from .curvature import Flag, flag_curvature
-from .errors import (ConfigError, FinslabError, NumericalError, ParseError,
-                     UnknownCheck)
+from .errors import (ConfigError, FinslabError, NotClifford, NumericalError,
+                     ParseError, UnknownCheck)
 from .isoparametric import (check_isoparametric, check_tangency,
                             check_transnormal, height_function,
                             otfkm_function, principal_curvature_spectrum,
@@ -83,7 +83,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not _accepts(_FIELD_TYPES[f.name], value):
                 key = "lambda" if f.name == "lam" else f.name
-                raise ConfigError(f"field '{key}' must be {f.type}")
+                raise ConfigError(f"field '{key}' must be {f.type}"
+                                  + _finite_note(value))
             if isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
         if self.check not in _CHECKS:
@@ -144,6 +145,14 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _finite_note(value) -> str:
+    # the reason a value of the declared type was refused, if it was one
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, float) and not np.isfinite(v) for v in items):
+        return "; NaN and infinities are refused"
+    return ""
+
+
 def _read_json(path, what: str):
     """The JSON document in the file at path; ``what`` names it in errors."""
     try:
@@ -165,7 +174,8 @@ def _check_spec(where: str, spec, required=(), **hints):
     for name, hint in hints.items():
         if name in spec and not _accepts(hint, spec[name]):
             shown = hint.__name__ if isinstance(hint, type) else hint
-            raise ConfigError(f"{where}: '{name}' must be {shown}")
+            raise ConfigError(f"{where}: '{name}' must be {shown}"
+                              + _finite_note(spec[name]))
 
 
 def _array(where: str, name: str, value, shape: tuple) -> np.ndarray:
@@ -183,9 +193,10 @@ def _array(where: str, name: str, value, shape: tuple) -> np.ndarray:
 
 
 # largest 2l built from {m, k}: on one core, an audit of (2, 32) there
-# takes about 0.2 s and lifts the peak RSS of the process from 32 MB to
-# about 195 MB, while its 32 MB centralizer Gram is built from a 66 MB
-# (L, l, l) product; (1, 64) builds no Gram: 0.03 s and 75 MB
+# takes about 0.03 s and lifts the peak RSS of the process from 32 MB to
+# about 60 MB, its centralizer Gram built from its nonzeros alone; (1, 64)
+# builds no Gram: 0.05 s and 75 MB.  A dense 2l = 128 system (matrices
+# given rotated) has a dense 32 MB Gram: about 1.5-2 s and 200 MB
 _MAX_2L = 128
 
 
@@ -423,28 +434,40 @@ def run(config: ExperimentConfig) -> VerificationReport:
     gives a failed report: NaN deviation and one per_level entry
     {"error": name, "message": text}, with the runner's additions made
     before the error."""
+    return _run(config, NumericalError)[0]
+
+
+def _run(config: ExperimentConfig, caught) -> tuple:
+    # (report, error): run, with an error of the classes in caught made
+    # the failed report that run makes of a NumericalError
     start = time.perf_counter()
-    extras = {}
+    extras, error = {}, None
     try:
         rep = _CHECKS[config.check][1](config, extras)
-    except NumericalError as exc:
+    except caught as exc:
+        error = exc
         rep = VerificationReport(
             check=config.check, config={}, n_samples=0,
             max_deviation=float("nan"),
             per_level=[{"error": type(exc).__name__, "message": str(exc)}])
     rep.config = config.echo() | extras
     rep.wall_time_ms = int(1000 * (time.perf_counter() - start))
-    return rep
+    return rep, error
 
 
-def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
+def batch(path: str, out_dir: str | None = None) -> tuple[list, bool, list]:
     """Run a battery file: a JSON array of experiment objects (or a
     document with an "experiments" array).
 
-    Returns (reports, all_ok) where a report counts as ok when pass
-    matches the experiment's expect_fail flag and it holds no error: a
-    numerical failure is not the failure a negative control expects.
-    Reports keep config order.
+    Returns (reports, all_ok, errors) where a report counts as ok when
+    pass matches the experiment's expect_fail flag and it holds no error:
+    a numerical failure is not the failure a negative control expects.
+    A FinslabError raised while an entry runs gives it the failed report
+    of a NumericalError, and errors lists those that are not numerical
+    (configuration errors, such as a norm that is not positive definite).
+    A ConfigError, ParseError or NotClifford says the entry's fields make
+    no experiment and ends the battery, as an invalid field does before
+    any entry runs.  Reports keep config order.
     """
     doc = _read_json(path, "battery file")
     entries = doc.get("experiments") if isinstance(doc, dict) else doc
@@ -452,10 +475,15 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
         raise ParseError('battery must be a JSON array of experiments '
                          'or an object with an "experiments" array')
     configs = [ExperimentConfig.from_dict(e) for e in entries]
-    reports = [run(c) for c in configs]
-    ok = all(r.passed != c.expect_fail
-             and not any("error" in e for e in r.per_level)
-             for r, c in zip(reports, configs))
+    reports, ok, errors = [], True, []
+    for c in configs:
+        rep, error = _run(c, FinslabError)
+        if isinstance(error, (ConfigError, ParseError, NotClifford)):
+            raise error
+        if error is not None and not isinstance(error, NumericalError):
+            errors.append(error)
+        ok = ok and rep.passed != c.expect_fail and error is None
+        reports.append(rep)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -468,7 +496,7 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool]:
             for r in reports:
                 writer.writerow([r.check, r.config["n"], r.passed,
                                  r.max_deviation, r.wall_time_ms])
-    return reports, ok
+    return reports, ok, errors
 
 
 def _parse_levels(text: str) -> list:
@@ -567,14 +595,20 @@ def main(argv=None) -> int:
             rep = cl.audit(sys_)
             print(json.dumps(rep, indent=2 if args.json else None))
             return 0 if rep["ok"] else 1
-        reports, ok = batch(args.file, out_dir=args.out)   # batch
+        reports, ok, errors = batch(args.file, out_dir=args.out)   # batch
         print(json.dumps([r.to_dict() for r in reports]))
-        return 0 if ok else 1
+        for exc in errors:
+            _print_error(exc)
+        return 2 if errors else 0 if ok else 1
     except FinslabError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        _print_error(exc)
         # a numerical failure reaches here only from `clifford audit`
         return 1 if isinstance(exc, NumericalError) else 2
+
+
+def _print_error(exc: FinslabError):
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -266,25 +266,63 @@ def _null_coefficients(C, a, b):
     # per block size.  Each C_i is skew and orthogonal (P_i^2 = I), so the
     # Gram is Y -> 2 sum_i (Y - C_i Y C_i^T), 2(m - 1) I less twice the
     # pair matrix of sum_i Ad C_i; the Ad C_i are commuting involutions,
-    # so its eigenvalues are multiples of 4.  With no C_i (m = 1) there is
-    # no Gram: pair p alone is null vector p
-    L = len(a)
+    # so its eigenvalues are multiples of 4.  Off 2(m - 1) I, its entry at
+    # p = (a, b), q = (c, d) is 2 sum_i (C_i[a, d] C_i[b, c]
+    # - C_i[a, c] C_i[b, d]), nonzero only when c and d lie in the support
+    # of rows a and b of the C_i.  So row p is read off the antisymmetric
+    # part of R_p = C[:, a, S]^T C[:, b, S], with S that support in
+    # ascending order, padded to a common width by the index l of an
+    # appended zero column (all l columns on a dense system), and only the
+    # nonzero entries and the blocks they connect are built.  With no C_i
+    # (m = 1) there is no Gram: pair p alone is null vector p
+    L, l = len(a), C.shape[-1]
     if not len(C):
         yield np.arange(L)[:, None], np.ones((L, 1))
         return
-    R = np.einsum("ipc,ipd->pcd", C[:, a], C[:, b], optimize=True)
-    gram = 2.0 * (R[:, b, a] - R[:, a, b])
-    gram[np.diag_indices(L)] += 2.0 * len(C)
-    rows, cols = np.nonzero((gram != 0.0) | (gram.T != 0.0))
+    support = np.any(C != 0.0, axis=0)
+    support = support[a] | support[b]
+    width = np.count_nonzero(support, axis=1)
+    rows, cols = np.nonzero(support)
+    S = np.full((L, width.max()), l, dtype=np.int32)
+    S[rows, np.arange(len(rows)) - (np.cumsum(width) - width)[rows]] = cols
+    Cz = np.concatenate([C, np.zeros(C.shape[:-1] + (1,))], axis=-1)
+    Cz = Cz.transpose(1, 2, 0)             # [row, column, i]
+    R = Cz[a[:, None], S] @ Cz[b[:, None], S].transpose(0, 2, 1)
+    u, v = np.triu_indices(S.shape[1], 1)
+    half = R[:, v, u]                      # entry (p, (S[p, u], S[p, v])) / 2
+    half -= R[:, u, v]
+    del R
+    nonzero = half != 0.0
+    pair = np.zeros((l + 1, l + 1), dtype=np.int32)
+    pair[a, b] = np.arange(L)
+    q = pair[S[:, u], S[:, v]][nonzero]
+    p = np.repeat(np.arange(L, dtype=np.int32), np.count_nonzero(nonzero, 1))
+    entry = 2.0 * half[nonzero]
+    del half, nonzero
+    # rows p and q are summed apart, so labels flow both ways along (p, q)
     label, old = np.arange(L), None        # ends as a block's least pair
     while not np.array_equal(label, old):
         old = label.copy()
-        np.minimum.at(label, rows, label[cols])
+        np.minimum.at(label, p, label[q])
+        np.minimum.at(label, q, label[p])
     size = np.bincount(label)[label]
     order = np.lexsort((label, size))      # stable: pairs ascend in a block
+    rank = np.empty_like(order)
+    rank[order] = np.arange(L)
+    # the blocks' Grams, one after another: row p of its block starts at
+    # start[p], and pair q is column rank[q] - rank[label[q]] of its block
+    start = np.empty_like(order)
+    start[order] = np.cumsum(size[order]) - size[order]
+    within = rank - rank[label]
+    grams = np.zeros(size.sum())
+    grams[start[p] + within[q]] = entry
+    del p, q, entry
+    grams[start + within] += 2.0 * len(C)
     for s in np.flatnonzero(np.bincount(size)):
         blocks = order[size[order] == s].reshape(-1, s)
-        mu, V = np.linalg.eigh(gram[blocks[:, :, None], blocks[:, None, :]])
+        first = start[blocks[0, 0]]
+        mu, V = np.linalg.eigh(
+            grams[first:first + blocks.size * s].reshape(-1, s, s))
         if np.any((mu > _NULL_TOL) & (mu < _AMBIGUITY_BAND)):
             raise RankDeficiency(
                 "null-space eigenvalues fall inside the ambiguity band")
@@ -335,13 +373,17 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
     basis of so(l), read off the Clifford relations as
     2 sum_i (I - Ad C_i), whose eigenvalues are multiples of 4; an
     eigenvalue inside (_NULL_TOL, _AMBIGUITY_BAND) raises RankDeficiency.
-    The Gram splits exactly (no threshold) into the connected blocks of
-    its nonzero pattern, whose spectra make up its own: small blocks when
-    the C_i are signed permutations, as on built systems, one block on a
-    dense (e.g. rotated) system.  Elements are ordered by the size of their
-    block, then by its least pair index; for m = 1 there is no C_i and no
-    Gram, and element p is pair p of (0, 1), ..., (l - 2, l - 1), in
-    lexicographic order.
+    Its entries come from the support of the C_i: the entry at the pairs
+    (a, b) and (c, d) can be nonzero only when c and d lie in the support
+    of row a or row b of some C_i, and only those entries are formed, so
+    the cost scales with the Gram's nonzeros, not with L^2 for
+    L = l(l - 1)/2.  The Gram splits exactly (no threshold) into the
+    connected blocks of its nonzero pattern, whose spectra make up its
+    own: small blocks when the C_i are signed permutations, as on built
+    systems, one block on a dense (e.g. rotated) system.  Elements are
+    ordered by the size of their block, then by its least pair index;
+    for m = 1 there is no C_i and no Gram, and element p is pair p of
+    (0, 1), ..., (l - 2, l - 1), in lexicographic order.
     """
     _, Qp, Qm, K = _eigenframe(sys_)
     Y = _pair_skew(K, Qp.shape[1])

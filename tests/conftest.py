@@ -1,18 +1,19 @@
 """Shared numerical oracles for the test suite.
 
 Everything here is deliberately independent of the code paths it checks:
-finite differences instead of jets and sprays, direction scans and Newton
-iteration instead of the closed-form Legendre dual, sampling ascent
-instead of eigenvalues, coordinate-formula Laplacians instead of the
-divergence form, fixed spaces of conjugations on the full skew-matrix
-space instead of the null space on so(l), a QR projection, one trial at
-a time, instead of the batched projection of the Lie closure check on
-the basis itself, one spray model per stencil point instead of the
-batched flag stencil, one seed and one norm and one Newton dual at a
-time instead of the batched level-set layer, charts, the navigated
-Randers coefficients, the Legendre solve and a stencil of the flux
-instead of the ambient closed forms of the level scan, one (y, u) pair
-at a time instead of the array pass of the navigation lemma.
+finite differences instead of jets and sprays, direction scans and
+Newton iteration instead of the closed-form Legendre dual, sampling
+ascent instead of eigenvalues, coordinate-formula Laplacians instead of
+the divergence form, fixed spaces of conjugations on the full
+skew-matrix space instead of the null space on so(l), the dense L x L
+commutator Gram instead of the one built from the support of the C_i, a
+QR projection, one trial at a time, instead of the batched projection of
+the Lie closure check on the basis itself, one spray model per stencil
+point instead of the batched flag stencil, one seed and one norm and one
+Newton dual at a time instead of the batched level-set layer, charts,
+the navigated Randers coefficients, the Legendre solve and a stencil of
+the flux instead of the ambient closed forms of the level scan, one
+(y, u) pair at a time instead of the array pass of the navigation lemma.
 
 The helpers at the end are test fixtures, not oracles: the two
 metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
@@ -325,6 +326,35 @@ def dense_centralizer(matrices, tol=1e-8):
             return []
         stack = np.einsum("nk,nab->kab", V[:, keep], stack, optimize=True)
     return [0.5 * (E - E.T) for E in stack]
+
+
+def dense_gram_null_coefficients(C, a, b, tol=1e-8):
+    """(pairs, coeffs) per block size of the null vectors of the Gram of
+    Y -> ([Y, C_i])_i on the pairs (a, b) of so(l), from the dense
+    construction: the (L, l, l) product R[p, c, d] = sum_i C_i[a_p, c]
+    C_i[b_p, d], the L x L Gram 2 (R[:, b, a] - R[:, a, b]) + 2 len(C) I,
+    the connected blocks of its nonzero pattern by label propagation, and
+    one stacked eigh per block size, eigenvalues at most tol null.  Blocks
+    are ordered by size, then by least pair, pairs ascending in a block.
+    """
+    L = len(a)
+    R = np.einsum("ipc,ipd->pcd", C[:, a], C[:, b], optimize=True)
+    gram = 2.0 * (R[:, b, a] - R[:, a, b])
+    gram[np.diag_indices(L)] += 2.0 * len(C)
+    rows, cols = np.nonzero((gram != 0.0) | (gram.T != 0.0))
+    label, old = np.arange(L), None
+    while not np.array_equal(label, old):
+        old = label.copy()
+        np.minimum.at(label, rows, label[cols])
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))
+    found = []
+    for s in np.flatnonzero(np.bincount(size)):
+        blocks = order[size[order] == s].reshape(-1, s)
+        mu, V = np.linalg.eigh(gram[blocks[:, :, None], blocks[:, None, :]])
+        j, col = np.nonzero(mu <= tol)
+        found.append((blocks[j], V[j, :, col]))
+    return found
 
 
 def qr_closure_residual(elements, trials, seed):

@@ -120,8 +120,8 @@ def test_report_schema_order():
 def test_batch_empty(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("[]")
-    reports, ok = batch(str(path))
-    assert reports == [] and ok
+    reports, ok, errors = batch(str(path))
+    assert reports == [] and ok and errors == []
 
 
 def test_batch_expect_fail_inversion(tmp_path):
@@ -135,8 +135,8 @@ def test_batch_expect_fail_inversion(tmp_path):
     ]
     path = tmp_path / "batt.json"
     path.write_text(json.dumps(battery))
-    reports, ok = batch(str(path), out_dir=str(tmp_path / "out"))
-    assert ok
+    reports, ok, errors = batch(str(path), out_dir=str(tmp_path / "out"))
+    assert ok and errors == []
     assert reports[0].passed and not reports[1].passed
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary[0] == "check,n,pass,max_deviation,wall_time_ms"
@@ -318,6 +318,50 @@ def test_non_finite_battery_entry_exits_2(tmp_path, capsys, entry, error):
         == error
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_message_says_why(capsys, value):
+    # NaN has the declared type float; the message names the refusal
+    assert main(["verify", "tangency", f"--tol={value}"]) == 2
+    message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+    assert message == ("field 'tol' must be float | None; "
+                       "NaN and infinities are refused")
+
+
+def test_configuration_error_of_a_running_entry_keeps_the_battery(
+        tmp_path, capsys):
+    # the norm passes the config checks and fails when the entry runs: the
+    # entry gets a failed report, the first entry keeps its own, --out is
+    # written, and the battery exits 2 with the error on stderr
+    path = tmp_path / "batt.json"
+    path.write_text(json.dumps([
+        {"check": "flag-curvature", "samples": 3},
+        {"check": "navigation-lemma",
+         "norm": {"kind": "euclidean-quadratic-form",
+                  "matrix": [[1, 0], [0, -1]]}}]))
+    out = tmp_path / "out"
+    assert main(["batch", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    first, second = json.loads(captured.out)
+    assert first["pass"] and math.isfinite(first["max_deviation"])
+    assert second["check"] == "navigation-lemma" and not second["pass"]
+    assert math.isnan(second["max_deviation"]) and second["n_samples"] == 0
+    assert [list(e) for e in second["per_level"]] == [["error", "message"]]
+    assert second["per_level"][0]["error"] == "NotPositiveDefinite"
+    assert json.loads(captured.err.splitlines()[-1]) \
+        == second["per_level"][0]
+    saved = json.loads((out / "reports.json").read_text())
+    assert [r["check"] for r in saved] == ["flag-curvature",
+                                          "navigation-lemma"]
+    assert math.isnan(saved[1]["max_deviation"])
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 3 and summary[2].startswith(
+        "navigation-lemma,3,False,nan,")
+    reports, ok, errors = batch(str(path))
+    assert not ok and [type(e).__name__ for e in errors] \
+        == ["NotPositiveDefinite"]
+    assert reports[0].passed
+
+
 RANDERS_X = {"kind": "randers", "alpha": [[1.0, 0.0], [0.0, 1.0]],
              "beta": [0.6, 0.0]}
 
@@ -372,7 +416,7 @@ def test_batch_summary_writes_the_dimension_each_report_echoes(tmp_path):
         {"check": "navigation-lemma", "samples": 20,
          "norm": {"kind": "euclidean-quadratic-form",
                   "matrix": [[2, 0], [0, 1]]}}]))
-    reports, ok = batch(str(path), out_dir=str(tmp_path / "out"))
+    reports, ok, _ = batch(str(path), out_dir=str(tmp_path / "out"))
     assert ok and reports[0].config["n"] == 2
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert summary[1].split(",")[:2] == ["navigation-lemma", "2"]
@@ -794,8 +838,8 @@ def paper_suite():
 
 
 def test_shipped_paper_suite_passes(paper_suite):
-    reports, ok = paper_suite
-    assert ok
+    reports, ok, errors = paper_suite
+    assert ok and errors == []
     expected_failures = [r.check for r in reports if not r.passed]
     assert expected_failures == ["tangency", "transnormal"]
 
@@ -825,7 +869,7 @@ PAPER_SUITE_PINS = [
 def test_paper_suite_deviations_stay_within_10x_of_pins(paper_suite):
     # a change may cost accuracy only within a decade of the pinned run,
     # and must keep every pass flag
-    reports, _ = paper_suite
+    reports, _, _ = paper_suite
     assert len(reports) == len(PAPER_SUITE_PINS)
     for rep, (check, pinned, passed) in zip(reports, PAPER_SUITE_PINS):
         assert (rep.check, rep.passed) == (check, passed)
@@ -840,7 +884,7 @@ _DELTA = {1: 1, 2: 2, 3: 4, 4: 4}
 def test_clifford_reports_echo_the_sphere_they_check(paper_suite):
     # an otfkm function or an audit of a system with 2l = 2 k delta_m
     # checks S^{2l-1}, whatever n the entry had
-    reports, _ = paper_suite
+    reports, _, _ = paper_suite
     checked = [r for r in reports if "clifford" in r.config]
     assert len(checked) == 11
     for rep in checked:
@@ -850,7 +894,7 @@ def test_clifford_reports_echo_the_sphere_they_check(paper_suite):
 
 
 def test_run_stamps_config_and_time(paper_suite):
-    reports, _ = paper_suite
+    reports, _, _ = paper_suite
     entries = json.loads(SUITE.read_text())["experiments"]
     assert len(reports) == len(entries)
     for entry, rep in zip(entries, reports):

@@ -10,7 +10,8 @@ import pytest
 from scipy.linalg import expm
 
 import finslab.clifford as clifford
-from conftest import dense_centralizer, qr_closure_residual, span_matrix
+from conftest import (dense_centralizer, dense_gram_null_coefficients,
+                      qr_closure_residual, span_matrix)
 from finslab.clifford import (CliffordSystem, SkewBasis,
                               anticommutation_error, build_clifford,
                               centralizer, clifford_delta,
@@ -229,6 +230,113 @@ def test_m1_audit_builds_no_gram():
         tracemalloc.stop()
     assert rep["centralizer_dim"] == 2016 and rep["ok"]
     assert peak < 64 * 2**20, peak / 2**20
+
+
+def test_m2_audit_builds_no_dense_gram():
+    # at 2l = 128 the Gram of (2, 32) and (9, 4) has a few nonzeros per
+    # row: no (L, l, l) product (66 MB) or dense L x L Gram (32 MB) is
+    # built beside K; the dense construction peaked at 156 MiB here
+    for m, k in [(2, 32), (9, 4)]:
+        sys_ = build_quiet(m, k)
+        tracemalloc.start()
+        try:
+            rep = clifford.audit(sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["ok"], (m, k)
+        assert peak < 48 * 2**20, (m, k, peak / 2**20)
+
+
+def coefficient_rows(found, L):
+    """The (dim, L) rows of the (pairs, coeffs) groups of
+    _null_coefficients on the pair basis, in the order found."""
+    K = np.zeros((sum(len(pairs) for pairs, _ in found), L))
+    start = 0
+    for pairs, coeffs in found:   # row start + r: coeffs[r] on pairs[r]
+        K[start + np.arange(len(pairs))[:, None], pairs] = coeffs
+        start += len(pairs)
+    return K
+
+
+def frame_blocks(sys_):
+    """(C, a, b): the blocks C_i = Q+^T P_i Q- (i >= 2) in the eigenframe
+    of P_0 that centralizer uses, and the pairs a < b of so(l)."""
+    P = sys_.matrices
+    evals, Q = np.linalg.eigh(P[0])
+    Qp = Q[:, evals > 0.0]
+    a, b = np.triu_indices(Qp.shape[1], 1)
+    return Qp.T @ P[2:] @ (P[1] @ Qp), a, b
+
+
+def assert_matches_dense_gram_oracle(C, a, b, where):
+    # the same (pairs, coeffs) per block size, bit for bit; groups with no
+    # null vector are dropped, as so(1) of (1, 1) has none
+    def nonempty(found):
+        return [(pairs, coeffs) for pairs, coeffs in found if len(pairs)]
+
+    found = nonempty(clifford._null_coefficients(C, a, b))
+    expected = nonempty(dense_gram_null_coefficients(C, a, b))
+    assert len(found) == len(expected), where
+    for (pairs, coeffs), (pairs0, coeffs0) in zip(found, expected):
+        assert np.array_equal(pairs, pairs0), where
+        assert np.array_equal(coeffs, coeffs0), where
+
+
+def test_null_coefficients_match_the_dense_gram_oracle():
+    # the C_i of a built system are integral, so every Gram entry is
+    # exact: the same blocks, in the same order, and the same eigh input
+    count = 0
+    for m, spec, sys_ in grid_systems(64):
+        count += 1
+        assert_matches_dense_gram_oracle(*frame_blocks(sys_), (m, spec))
+    assert count == 92
+
+
+def test_null_coefficients_join_blocks_along_one_sided_entries():
+    # sparse integer C, neither skew nor orthogonal, give a Gram whose
+    # pattern is not symmetric: an entry found in row p only must still
+    # join p and q into one block, as in the symmetrized dense pattern
+    a, b = np.triu_indices(6, 1)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        C = rng.integers(-1, 2, (2, 6, 6)) * (rng.random((2, 6, 6)) < 0.25)
+        assert_matches_dense_gram_oracle(C.astype(float), a, b, seed)
+
+
+def half_rotated_systems():
+    # O random on the first l/2 coordinates of R^{2l}, the identity
+    # elsewhere: P_0 keeps its eigenspaces and C_i becomes H C_i H^T with
+    # H rotating half of them, so the supports of the rows of the C_i
+    # differ in size (rotating all l would make every C_i dense)
+    for m, k in [(2, 4), (3, 2), (4, (1, 1)), (5, 2)]:
+        sys_ = build_quiet(m, k)
+        h = sys_.l // 2
+        O = np.eye(sys_.dim)
+        O[:h, :h] = np.linalg.qr(np.random.default_rng(5).standard_normal(
+            (h, h)))[0]
+        yield m, k, CliffordSystem(O @ sys_.matrices @ O.T)
+
+
+def test_null_coefficients_span_the_oracle_null_space_when_rotated():
+    # roundoff makes the Grams of rotated systems differ in the last bits:
+    # the null spaces agree as projectors on the pair space
+    def projector(found, L):
+        K = coefficient_rows(found, L)
+        return K.T @ K
+
+    padded = 0
+    for m, k, sys_ in list(rotated_systems()) + list(half_rotated_systems()):
+        C, a, b = frame_blocks(sys_)
+        support = np.any(C != 0.0, axis=0)
+        width = np.count_nonzero(support[a] | support[b], axis=1)
+        padded += width.min() < width.max()
+        found = projector(list(clifford._null_coefficients(C, a, b)), len(a))
+        expected = projector(dense_gram_null_coefficients(C, a, b), len(a))
+        assert np.trace(found) == pytest.approx(
+            predicted_centralizer_dim(sys_)), (m, k)
+        assert np.abs(found - expected).max() < 1e-12, (m, k)
+    assert padded == 4
 
 
 def test_centralizer_rejects_non_clifford():
@@ -498,12 +606,7 @@ def test_audit_closure_fails_off_the_null_space(m, k, monkeypatch):
     original = clifford._null_coefficients
 
     def tilted(C, a, b):
-        found = list(original(C, a, b))
-        K = np.zeros((sum(len(pairs) for pairs, _ in found), len(a)))
-        start = 0
-        for pairs, coeffs in found:
-            K[start + np.arange(len(pairs))[:, None], pairs] = coeffs
-            start += len(pairs)
+        K = coefficient_rows(list(original(C, a, b)), len(a))
         off = np.eye(len(a)) - K.T @ K        # projector off the null space
         q = int(np.argmax(np.diag(off)))
         K[0] = (K[0] + off[q] / np.linalg.norm(off[q])) / np.sqrt(2.0)
