@@ -76,11 +76,6 @@ class Chart:
         s = np.sqrt(s2)
         return self.basis / s - p_uns[..., :, None] * x[..., None, :] / (s * s2)
 
-    def pullback_round(self, x) -> np.ndarray:
-        """Matrix of the round metric in chart coordinates, J^T J."""
-        J = self.jacobian(x)
-        return J.swapaxes(-1, -2) @ J
-
 
 class KillingField:
     """A Killing field of S^n(1), stored as a skew (n+1) x (n+1) matrix.
@@ -201,11 +196,19 @@ class MetricField:
         return MetricField(Chart(p_ambient), self.kind, self._builder)
 
 
+def _round_pullback(s2: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # (s^2 I - x x^T) / s^4 over the leading axes of X, s2 = 1 + |x|^2
+    s2 = s2[..., None, None]
+    return (s2 * np.eye(X.shape[-1]) - X[..., :, None] * X[..., None, :]) \
+        / (s2 * s2)
+
+
 def round_metric(chart: Chart) -> MetricField:
-    """Pullback of the ambient Euclidean metric: quadratic at every point."""
+    """Pullback of the ambient Euclidean metric: quadratic at every point,
+    A = J^T J = (s^2 I - x x^T) / s^4, s^2 = 1 + |x|^2, with no Jacobian."""
 
     def build(field: MetricField, X: np.ndarray) -> tuple:
-        return field.chart.pullback_round(X), None
+        return _round_pullback(field.chart._lift(X)[0], X), None
 
     return MetricField(chart, "round-h", build)
 
@@ -216,22 +219,19 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
     At each chart point the wind is W(p) pulled to chart coordinates and
     the pointwise norm is the closed-form Randers solution of the
     navigation problem; where the wind vanishes that is h itself
-    (beta = 0).  Requires killing_norm(W) < 1.
+    (beta = 0).  Requires killing_norm(W) < 1.  With A the round pullback
+    of round_metric and q = c + B x = s p the unscaled lift of x, the chart
+    wind is the closed form A^-1 J^T W p = u + x (x . u), u = B^T W q, with
+    no chart Jacobian J: the x-term of J^T drops because p^T W p = 0 for
+    the skew W that KillingField guarantees.
     """
     _check_wind(W, chart.n + 1)
-    eye = np.eye(chart.n)
 
     def build(field: MetricField, X: np.ndarray) -> tuple:
-        chart_ = field.chart
-        J = chart_.jacobian(X)
-        Jt = J.swapaxes(-1, -2)
-        A = Jt @ J
-        p = chart_.map(X)
-        # gnomonic pullback has the closed-form inverse (1+r^2)(I + x x^T)
-        Ainv = (1.0 + _dot(X, X))[..., None, None] \
-            * (eye + X[..., :, None] * X[..., None, :])
-        w_chart = _matvec(Ainv, _matvec(Jt, _matvec(W.matrix, p)))
-        return randers_from_navigation(A, w_chart)
+        s2, q = field.chart._lift(X)
+        u = _matvec(field.chart.basis.swapaxes(-1, -2) @ W.matrix, q)
+        w = u + X * _dot(X, u)[..., None]
+        return randers_from_navigation(_round_pullback(s2, X), w)
 
     return MetricField(chart, "randers-from-navigation", build)
 

@@ -13,7 +13,9 @@ point instead of the batched flag stencil, one seed and one norm and one
 Newton dual at a time instead of the batched level-set layer, charts,
 the navigated Randers coefficients, the Legendre solve and a stencil of
 the flux instead of the ambient closed forms of the level scan, one
-(y, u) pair at a time instead of the array pass of the navigation lemma.
+(y, u) pair at a time instead of the array pass of the navigation lemma,
+and the chart Jacobian J, J^T J and a linear solve for the wind instead
+of the closed-form round and Randers coefficients of a gnomonic chart.
 
 The helpers at the end are test fixtures, not oracles: the two
 metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
@@ -446,6 +448,41 @@ def pointwise_gradient_norm(metric, f, x):
     return norm(grad)
 
 
+def _chart_jacobian(chart, X):
+    # (p, J) at the chart points X: p = (c + B x) / s and its Jacobian
+    # J = B / s - p x^T / s^2, s = sqrt(1 + |x|^2), written out from the
+    # chart's center and basis
+    X = np.asarray(X, dtype=float)
+    s = np.sqrt(1.0 + np.einsum("...i,...i->...", X, X))[..., None]
+    p = (chart.center + np.einsum("...ij,...j->...i", chart.basis, X)) / s
+    J = chart.basis / s[..., None] \
+        - p[..., :, None] * X[..., None, :] / (s * s)[..., None]
+    return p, J
+
+
+def pullback_round(chart, X):
+    """The round metric in chart coordinates, J^T J, from the chart
+    Jacobian, over the leading axes of X."""
+    J = _chart_jacobian(chart, X)[1]
+    return np.swapaxes(J, -1, -2) @ J
+
+
+def jacobian_randers_coefficients(chart, W, X):
+    """(alpha, beta) of the Randers metric navigated from (round h, W),
+    over the leading axes of X: A = J^T J, the chart wind solved from
+    A w = J^T W p, and the Randers dictionary alpha = (lam A + A w (A w)^T)
+    / lam^2, beta = -A w / lam with lam = 1 - w^T A w, written out."""
+    p, J = _chart_jacobian(chart, X)
+    Jt = np.swapaxes(J, -1, -2)
+    A = Jt @ J
+    w = np.linalg.solve(A, Jt @ (p @ W.matrix.T)[..., None])
+    Aw = (A @ w)[..., 0]
+    lam = (1.0 - np.einsum("...i,...i->...", w[..., 0], Aw))[..., None]
+    alpha = (lam[..., None] * A + Aw[..., :, None] * Aw[..., None, :]) \
+        / (lam * lam)[..., None]
+    return alpha, -Aw / lam
+
+
 def chart_laplacian(W, f, P, h=1e-3):
     """The Busemann-Hausdorff Laplacian sigma^-1 d_i(sigma (grad f)^i),
     with sigma = sqrt(det) of the round pullback, at the rows of the
@@ -463,9 +500,9 @@ def chart_laplacian(W, f, P, h=1e-3):
     X = x0 + h * np.array(_OFFS4)[:, None, None, None] \
         * np.eye(n)[None, :, None, :]
     grad = legendre_solve(met.coefficients(X), f.chart_gradient(chart, X))
-    flux = np.sqrt(np.linalg.det(chart.pullback_round(X)))[..., None] * grad
+    flux = np.sqrt(np.linalg.det(pullback_round(chart, X)))[..., None] * grad
     div = np.einsum("o,okpk->p", np.array(_WGTS4) / h, flux)
-    return div / np.sqrt(np.linalg.det(chart.pullback_round(x0)))
+    return div / np.sqrt(np.linalg.det(pullback_round(chart, x0)))
 
 
 def pointwise_shape_eigenvalues(metric, f, x, h=1e-3):

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import (chart_coords, finsler_value_ambient,
+                      jacobian_randers_coefficients, pullback_round,
                       sampled_killing_norm)
 from finslab.errors import (ChartBoundary, DimensionMismatch,
                             LambdaOutOfRange, NotSkew, WindTooStrong)
@@ -37,6 +38,57 @@ def test_chart_boundary():
         chart.map(np.array([11.0, 0.0]))
     with pytest.raises(ChartBoundary):
         chart_coords(chart, np.array([-1.0, 0.0, 0.0]))
+    # the coefficient builders keep the chart's domain check and message
+    W = block_killing(1, [0.5], [1])
+    for met in (round_metric(chart), randers_sphere(chart, W)):
+        with pytest.raises(ChartBoundary,
+                           match=r"^\|x\| = 11\.000 outside chart$"):
+            met.coefficients(np.array([11.0, 0.0]))
+
+
+def _random_wind(dim, rng):
+    M = rng.standard_normal((dim, dim))
+    W = KillingField(M - M.T)
+    return KillingField(0.7 / killing_norm(W) * W.matrix)
+
+
+_WINDS = {"standard": lambda rng: standard_rotation(6, 0.6),
+          "block": lambda rng: block_killing(1, [0.3, 0.8], [1, 2]),
+          "random-skew": lambda rng: _random_wind(6, rng)}
+
+
+@pytest.mark.parametrize("stack", [False, True])
+@pytest.mark.parametrize("kind,wind", [("round", None),
+                                       ("randers", "standard"),
+                                       ("randers", "block"),
+                                       ("randers", "random-skew")])
+def test_closed_form_coefficients_match_jacobian_oracle(kind, wind, stack):
+    # the closed-form builders against J^T J and the solved chart wind, on
+    # one chart or a stack of five, out to |x| = 9.9 of the radius-10 chart
+    rng = np.random.default_rng(16)
+    W = None if wind is None else _WINDS[wind](rng)
+    dim = 6 if W is None else W.ambient_dim
+    lead = (40, 5) if stack else (40,)
+    centers = random_sphere_points(dim - 1, 5, rng)
+    chart = Chart(centers if stack else centers[0])
+    U = rng.standard_normal(lead + (dim - 1,))
+    U /= np.linalg.norm(U, axis=-1, keepdims=True)
+    X = np.linspace(0.0, 9.9, 40).reshape((40,) + (1,) * len(lead)) * U
+    if W is None:
+        got = round_metric(chart).coefficients(X)
+        want = pullback_round(chart, X), None
+    else:
+        got = randers_sphere(chart, W).coefficients(X)
+        want = jacobian_randers_coefficients(chart, W, X)
+    assert (got[1] is None) == (want[1] is None)
+    for a, b in zip(got, want):
+        if b is None:
+            continue
+        assert a.shape == b.shape
+        # relative to the largest entry at each point
+        axes = tuple(range(len(lead), b.ndim))
+        assert (np.abs(a - b).max(axis=axes)
+                <= 1e-13 * np.abs(b).max(axis=axes)).all()
 
 
 def test_round_metric_center_is_identity():
