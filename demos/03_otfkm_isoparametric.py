@@ -12,8 +12,8 @@ grad(-f) != -grad(f).
 import numpy as np
 
 from finslab import (Chart, KillingField, build_clifford, check_isoparametric,
-                     check_tangency, check_transnormal, killing_norm,
-                     nonlinear_gradient, otfkm_function,
+                     check_tangency, check_transnormal, gradient_norm,
+                     killing_norm, nonlinear_gradient, otfkm_function,
                      principal_curvature_spectrum, randers_sphere,
                      round_metric, sample_level_set, spin_lift)
 
@@ -46,6 +46,10 @@ fld = met.with_center(sample_level_set(f, 0.3, 1, seed=3)[0])
 a = nonlinear_gradient(fld, f, np.zeros(5))
 b = nonlinear_gradient(fld, -f, np.zeros(5))
 print(f"|grad(-f) + grad(f)| = {np.linalg.norm(a + b):.4f}  (nonzero)")
+# yet F(grad(+-f)) = |grad_h f| +- df(Wp), and df(Wp) = 0 for a tangent W
+pts = sample_level_set(f, 0.3, 5, seed=3)
+gap = np.abs(gradient_norm(W, f, pts) - gradient_norm(W, -f, pts)).max()
+print(f"max |F(grad f) - F(grad(-f))| on f = 0.3: {gap:.1e}")
 
 print("\n=== principal curvatures of the level f = 0.3 ===")
 for name, met in (("round", round_metric(chart)),

@@ -178,17 +178,17 @@ def _check_spec(where: str, spec, required=(), **hints):
                               + _finite_note(spec[name]))
 
 
-def _array(where: str, name: str, value, shape: tuple) -> np.ndarray:
+def _array(where: str, name: str, value, shape) -> np.ndarray:
     """Entry ``name`` of a nested spec: nested lists of finite numbers of
-    the given shape."""
+    the given shape (of any shape for None)."""
     try:
         arr = np.array(value)
     except ValueError:   # ragged lists
         arr = np.array(None)
-    if (arr.shape != shape or arr.dtype.kind not in "iuf"
+    if (shape not in (None, arr.shape) or arr.dtype.kind not in "iuf"
             or not np.isfinite(arr).all()):
-        raise ConfigError(f"{where}: '{name}' needs finite numbers of shape "
-                          f"{shape}")
+        raise ConfigError(f"{where}: '{name}' needs finite numbers"
+                          + ("" if shape is None else f" of shape {shape}"))
     return arr.astype(float)
 
 
@@ -209,9 +209,8 @@ def _clifford_system(spec, where: str = "field 'clifford'"
     _check_spec(where, spec, m=int, l=int, k=int, k1=int, k2=int)
     try:
         if "matrices" in spec:   # numbers; the system checks their shape
-            _array(where, "matrices", spec["matrices"],
-                   np.shape(spec["matrices"]))
-            return cl.CliffordSystem.from_json(spec)
+            return cl.CliffordSystem.from_json(spec | {"matrices": _array(
+                where, "matrices", spec["matrices"], None)})
         if "m" in spec:
             k = spec.get("k", 1)
             if "k2" in spec:

@@ -140,48 +140,98 @@ def split_quadratic_function(ambient_dim: int, p_split: int) -> SphereFunction:
                                   p.shape + (ambient_dim,)).copy())
 
 
-def _project(f: SphereFunction, c: float, P: np.ndarray) -> tuple:
-    # projection of the rows of P onto {f = c} along the great circle
-    # cos(a) p + sin(a) nu of the unit tangential gradient nu = t / |t|,
-    # each row halving its own angle until its residual drops; returns the
-    # projected rows and whether each reached |f - c| < 1e-12.  The arccos
-    # step lands at once where |t|^2 = g^2 (1 - f^2), as for f = cos(g theta)
-    P = P.copy()
+def _project(f: SphereFunction, c: np.ndarray, P: np.ndarray) -> tuple:
+    # projection of each row of P onto {f = c}, c one level per row, along
+    # the great circle cos(a) p + sin(a) nu of the unit tangential gradient
+    # nu = t / |t|, each row halving its own angle until its residual drops;
+    # returns the projected rows, the ambient gradient of f there (one
+    # evaluation per pass) and whether each reached |f - c| < 1e-12.  The
+    # arccos step lands at once where |t|^2 = g^2 (1 - f^2), as for
+    # f = cos(g theta).  The rows of P are overwritten
+    G = np.empty_like(P)
     R = f(P) - c
     ok = np.zeros(len(P), dtype=bool)
     live = np.arange(len(P))
-    arc_c = np.arccos(np.clip(c, -1.0, 1.0))
+    arc_c = np.arccos(np.minimum(np.maximum(c, -1.0), 1.0))
     for _ in range(_NEWTON_CAP):
-        done = np.abs(R[live]) < 1e-12
-        ok[live[done]] = True
-        live = live[~done]
-        if not len(live):
-            break
-        t = f.tangent_gradient(P[live])
-        tt = _dot(t, t)
-        go = tt >= 1e-12
-        live, t, tt = live[go], t[go], tt[go]
         p, r = P[live], R[live]
+        g = G[live] = f.gradient(p)
+        done = np.abs(r) < 1e-12
+        if done.all():
+            ok[live] = True
+            break
+        ok[live[done]] = True
+        t = g - _dot(g, p)[:, None] * p
+        tt = _dot(t, t)
+        go = ~done & (tt >= 1e-12)
+        live, p, r, t, tt = live[go], p[go], r[go], t[go], tt[go]
+        cl = c[live]
         s = np.sqrt(tt)
         nu = t / s[:, None]
-        fp = np.clip(r + c, -1.0, 1.0)
-        a = np.where((np.abs(r + c) < 1.0) & (abs(c) < 1.0),
-                     (np.arccos(fp) - arc_c) * np.sqrt(1.0 - fp * fp), -r) / s
-        scale = np.ones(len(live))
-        todo = np.arange(len(live))
+        fp = np.minimum(np.maximum(r + cl, -1.0), 1.0)
+        a = np.where((np.abs(r + cl) < 1.0) & (np.abs(cl) < 1.0),
+                     (np.arccos(fp) - arc_c[live]) * np.sqrt(1.0 - fp * fp),
+                     -r) / s
+        todo = live
         for _ in range(30):
-            b = (scale[todo] * a[todo])[:, None]
-            q = np.cos(b) * p[todo] + np.sin(b) * nu[todo]
-            rq = f(q) - c
-            better = np.abs(rq) < np.abs(r[todo])
-            P[live[todo[better]]] = q[better]
-            R[live[todo[better]]] = rq[better]
-            todo = todo[~better]
-            scale[todo] *= 0.5
-            if not len(todo):
+            q = np.cos(a)[:, None] * p + np.sin(a)[:, None] * nu
+            rq = f(q) - cl
+            better = np.abs(rq) < np.abs(r)
+            if better.all():
+                P[todo], R[todo] = q, rq
                 break
-        live = np.delete(live, todo)        # the rows whose halving stalled
-    return P, ok
+            P[todo[better]], R[todo[better]] = q[better], rq[better]
+            worse = ~better
+            todo, a, p, nu, r, cl = (todo[worse], 0.5 * a[worse], p[worse],
+                                     nu[worse], r[worse], cl[worse])
+        else:
+            live = np.setdiff1d(live, todo)   # the rows whose halving stalled
+    return P, G, ok
+
+
+def _sample_levels(f: SphereFunction, levels: list, count: int,
+                   seeds: list) -> tuple:
+    # count points of {f = c} and the ambient gradient of f there for each
+    # level c, as rows of two arrays, sample after sample; the sample of
+    # levels[j] draws from default_rng(seeds[j]) in its own block schedule,
+    # and one projection takes the blocks of every sample of a round
+    n, k = f.ambient_dim - 1, len(levels)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    targets = np.asarray(levels, dtype=float)
+    cap = 40 * count + 200
+    have, attempts, kept = [0] * k, [0] * k, []
+    while True:
+        # as many seeds as points are missing, and at least as many as all
+        # blocks so far, so a level where seeds fail needs few passes
+        block = [min(cap - a, max(count - h, a)) if h < count else 0
+                 for h, a in zip(have, attempts)]
+        if not any(block):
+            break
+        attempts = [a + b for a, b in zip(attempts, block)]
+        P, G, ok = _project(f, np.repeat(targets, block), np.concatenate(
+            [random_sphere_points(n, b, rng)
+             for b, rng in zip(block, rngs) if b]))
+        # c must also be a regular value at the found point
+        t = G - _dot(G, P)[:, None] * P
+        keep = ok & (_dot(t, t) > 1e-12)
+        sample = np.repeat(np.arange(k), block)[keep]
+        kept.append((sample, P[keep], G[keep]))
+        have = [h + m for h, m in zip(have, np.bincount(
+            sample, minlength=k).tolist())]
+    for c, got in zip(levels, have):
+        if got < max(count, 1):
+            raise EmptyLevel(f"only {got}/{count} samples of level {c} "
+                             "converged" if got else
+                             f"no sample of level {c} converged")
+    (sample, P, G), *later = kept
+    if later or len(P) > k * count:
+        # each sample's rows in draw order, the first count of them
+        sample, P, G = (np.concatenate(x) for x in zip(*kept))
+        start = np.cumsum([0] + have[:-1])
+        rows = np.argsort(sample, kind="stable")[
+            (start[:, None] + np.arange(count)).ravel()]
+        P, G = P[rows], G[rows]
+    return P, G
 
 
 def sample_level_set(f: SphereFunction, c: float, count: int,
@@ -195,30 +245,12 @@ def sample_level_set(f: SphereFunction, c: float, count: int,
     where |f| or |c| is not below 1, with step halving when the residual
     worsens, until the level is hit.  The seeds go through in blocks
     drawn from one generator stream, so the points and their order are
-    those of a seed-by-seed pass over at most 40 count + 200 seeds.
-    Deterministic given the seed; raises EmptyLevel when no seed point
-    converges (e.g. c outside the range of f).
+    those of a seed-by-seed pass over at most 40 count + 200 seeds.  The
+    level checks draw each of their samples so, all in one projection per
+    round of blocks.  Deterministic given the seed; raises EmptyLevel
+    when no seed point converges (e.g. c outside the range of f).
     """
-    rng = np.random.default_rng(seed)
-    n = f.ambient_dim - 1
-    out = np.empty((0, n + 1))
-    attempts, cap = 0, 40 * count + 200
-    while len(out) < count and attempts < cap:
-        # as many seeds as points are missing, and at least as many as all
-        # blocks so far, so a level where seeds fail needs few passes
-        block = min(cap - attempts, max(count - len(out), attempts))
-        attempts += block
-        P, ok = _project(f, c, random_sphere_points(n, block, rng))
-        # c must also be a regular value at the found point
-        keep = ok & (np.linalg.norm(f.tangent_gradient(P), axis=1) > 1e-6)
-        out = np.concatenate((out, P[keep]))
-    out = out[:count]
-    if not len(out):
-        raise EmptyLevel(f"no sample of level {c} converged")
-    if len(out) < count:
-        raise EmptyLevel(
-            f"only {len(out)}/{count} samples of level {c} converged")
-    return out
+    return _sample_levels(f, [c], count, [seed])[0]
 
 
 def _dual(metric: MetricField, f: SphereFunction, X,
@@ -269,29 +301,28 @@ def unit_gradient_field(metric: MetricField, f: SphereFunction
     return field
 
 
-def _ambient_dual(W: Optional[KillingField], f: SphereFunction, P) -> tuple:
-    """(P, W, g, t, |t|, F(grad f)) at the ambient points P (last axis
-    n+1): the wind matrix (0 for None), the ambient gradient g of f, its
-    tangential part t = grad_h f and F(grad f) = |t| + t . Wp.
-
-    Raises WindTooStrong and DimensionMismatch as randers_sphere does, and
-    CriticalPoint where |df| < 1e-10.
-    """
+def _ambient(W: Optional[KillingField], f: SphereFunction, P) -> tuple:
+    # the ambient points P of f as floats and the matrix of W (0 for None),
+    # checked as randers_sphere checks them
     P = np.asarray(P, dtype=float)
     N = f.ambient_dim
     if P.shape[-1] != N:
         raise DimensionMismatch("points do not lie in the function's space")
     if W is None:
-        W = np.zeros((N, N))
-    else:
-        _check_wind(W, N)
-        W = W.matrix
-    g = f.gradient(P)
+        return P, np.zeros((N, N))
+    _check_wind(W, N)
+    return P, W.matrix
+
+
+def _tangent_dual(W: np.ndarray, P: np.ndarray, g: np.ndarray) -> tuple:
+    # (t, |t|, F(grad f)) at the points P from the wind matrix W and the
+    # ambient gradient g of f at P: t = grad_h f is the tangential part of
+    # g and F(grad f) = |t| + t . Wp; CriticalPoint where |df| < 1e-10
     t = g - _dot(g, P)[..., None] * P
     s = np.sqrt(_dot(t, t))
     if _any(s < _CRITICAL_EPS):
         raise CriticalPoint("df vanishes; nonlinear gradient undefined")
-    return P, W, g, t, s, s + _dot(t, _matvec(W, P))
+    return t, s, s + _dot(t, _matvec(W, P))
 
 
 def gradient_norm(W: Optional[KillingField], f: SphereFunction, P):
@@ -299,7 +330,24 @@ def gradient_norm(W: Optional[KillingField], f: SphereFunction, P):
     ambient points P (over their leading axes) of the navigation datum
     (round h, W); W None is the round sphere.  Raises WindTooStrong and
     DimensionMismatch as randers_sphere does."""
-    return _ambient_dual(W, f, P)[-1]
+    P, W = _ambient(W, f, P)
+    return _tangent_dual(W, P, f.gradient(P))[2]
+
+
+def _laplacian(W: np.ndarray, P: np.ndarray, g: np.ndarray,
+               H: np.ndarray) -> np.ndarray:
+    # the BH Laplacian at the points P from the wind matrix W and the
+    # ambient gradient g and Hessian H of f at P; see nonlinear_laplacian
+    t, s, F = _tangent_dual(W, P, g)
+    nu = t / s[..., None]
+    u = nu + _matvec(W, P)
+    Dt = (H - P[..., :, None] * (_matvec(H, P) + g)[..., None, :]
+          - _dot(g, P)[..., None, None] * np.eye(P.shape[-1]))
+    dF = _vecmat(u, Dt) - _matvec(W, t)
+    Dnu = (Dt - nu[..., :, None] * _vecmat(nu, Dt)[..., None, :]) \
+        / s[..., None, None]
+    DV = u[..., :, None] * dF[..., None, :] + F[..., None, None] * (Dnu + W)
+    return np.trace(DV, axis1=-2, axis2=-1) - _dot(P, _matvec(DV, P))
 
 
 def nonlinear_laplacian(W: Optional[KillingField], f: SphereFunction, P):
@@ -314,17 +362,8 @@ def nonlinear_laplacian(W: Optional[KillingField], f: SphereFunction, P):
     Dt = H - p (Hp + g)^T - (g . p) I and grad F = Dt^T u + W^T t, and
     the Laplacian is tr DV - p^T DV p.
     """
-    P, W, g, t, s, F = _ambient_dual(W, f, P)
-    H = f.hessian(P)
-    nu = t / s[..., None]
-    u = nu + _matvec(W, P)
-    Dt = (H - P[..., :, None] * (_matvec(H, P) + g)[..., None, :]
-          - _dot(g, P)[..., None, None] * np.eye(f.ambient_dim))
-    dF = _vecmat(u, Dt) - _matvec(W, t)
-    Dnu = (Dt - nu[..., :, None] * _vecmat(nu, Dt)[..., None, :]) \
-        / s[..., None, None]
-    DV = u[..., :, None] * dF[..., None, :] + F[..., None, None] * (Dnu + W)
-    return np.trace(DV, axis1=-2, axis2=-1) - _dot(P, _matvec(DV, P))
+    P, W = _ambient(W, f, P)
+    return _laplacian(W, P, f.gradient(P), f.hessian(P))
 
 
 def _level_list(levels) -> list[float]:
@@ -335,19 +374,12 @@ def _level_list(levels) -> list[float]:
     return levels
 
 
-def _per_level_scan(W: Optional[KillingField], f: SphereFunction,
-                    levels: list, per_level: int, seed: int,
-                    quantity) -> tuple[list, float]:
-    # quantity(W, f, P) evaluates every sample of a level at once, at the
-    # rows P of its ambient points
-    stats = []
-    for idx, c in enumerate(levels):
-        points = sample_level_set(f, c, per_level, seed + 37 * idx)
-        vals = np.asarray(quantity(W, f, points))
-        spread = float(vals.max() - vals.min())
-        stats.append({"level": c, "mean": float(vals.mean()),
-                      "spread": spread})
-    return stats, worst_deviation(s["spread"] for s in stats)
+def _level_stats(levels: list, values: np.ndarray) -> tuple[list, float]:
+    # the mean and spread of each row of values, the values of one level
+    spread = np.ptp(values, axis=1)
+    stats = [{"level": c, "mean": mean, "spread": s} for c, mean, s
+             in zip(levels, values.mean(axis=1).tolist(), spread.tolist())]
+    return stats, worst_deviation(spread)
 
 
 def _metric_kind(W: Optional[KillingField]) -> str:
@@ -361,12 +393,15 @@ def check_transnormal(W: Optional[KillingField], f: SphereFunction, levels,
     datum (round h, W); W None is the round sphere.
 
     Passes iff every spread is below tol; the per-level means are the
-    fitted profile a(c) of F(grad f) = a(f).  No levels is a ConfigError;
-    the wind is checked as gradient_norm checks it.
+    fitted profile a(c) of F(grad f) = a(f).  The level levels[i] is
+    sampled with seed + 37 i.  No levels is a ConfigError; the wind is
+    checked as gradient_norm checks it.
     """
     levels = _level_list(levels)
-    stats, worst = _per_level_scan(W, f, levels, per_level, seed,
-                                   gradient_norm)
+    P, g = _sample_levels(f, levels, per_level,
+                          [seed + 37 * i for i in range(len(levels))])
+    F = _tangent_dual(_ambient(W, f, P)[1], P, g)[2]
+    stats, worst = _level_stats(levels, F.reshape(len(levels), per_level))
     return VerificationReport(
         check="transnormal",
         config={"metric": _metric_kind(W), "function": f.kind,
@@ -386,20 +421,25 @@ def check_isoparametric(W: Optional[KillingField], f: SphereFunction, levels,
     navigation datum (round h, W); W None is the round sphere.
 
     The reverse check matters because gradient and Laplacian are not odd
-    in f for a non-reversible metric.  No levels is a ConfigError; the
-    wind is checked as nonlinear_laplacian checks it.
+    in f for a non-reversible metric.  The level levels[i] is sampled
+    with seed + 37 i for f and seed + 1 + 37 i for -f, whose level -c is
+    the same set {f = c}: every sample is projected in one pass, and the
+    Laplacian of -f is that of the negated gradient and Hessian of f.  No
+    levels is a ConfigError; the wind is checked as nonlinear_laplacian
+    checks it.
     """
     levels = _level_list(levels)
-    stats, worst = _per_level_scan(W, f, levels, per_level, seed,
-                                   nonlinear_laplacian)
-    stats_r, worst_r = _per_level_scan(W, -f, [-c for c in levels],
-                                       per_level, seed + 1,
-                                       nonlinear_laplacian)
-    for entry in stats:
-        entry["function"] = "f"
-    for entry in stats_r:
-        entry["function"] = "-f"
-    worst = worst_deviation((worst, worst_r))
+    k = len(levels)
+    P, g = _sample_levels(f, levels + levels, per_level,
+                          [seed + 37 * i for i in range(k)]
+                          + [seed + 1 + 37 * i for i in range(k)])
+    sign = np.repeat([1.0, -1.0], k * per_level)
+    lap = _laplacian(_ambient(W, f, P)[1], P, sign[:, None] * g,
+                     sign[:, None, None] * f.hessian(P))
+    stats, worst = _level_stats(levels + [-c for c in levels],
+                                lap.reshape(2 * k, per_level))
+    for i, entry in enumerate(stats):
+        entry["function"] = "f" if i < k else "-f"
     return VerificationReport(
         check="isoparametric",
         config={"metric": _metric_kind(W), "function": f.kind,
@@ -407,7 +447,7 @@ def check_isoparametric(W: Optional[KillingField], f: SphereFunction, levels,
                 "seed": seed},
         n_samples=per_level * len(levels) * 2,
         max_deviation=worst,
-        per_level=stats + stats_r,
+        per_level=stats,
         passed=bool(worst < tol),
     )
 
@@ -454,18 +494,12 @@ class SpectrumResult:
     per_point: list = field(default_factory=list)
 
 
-def _cluster(evals: np.ndarray, gap: float) -> list[tuple[float, int]]:
-    thresh = gap * max(1.0, float(np.abs(evals).max()))
-    clusters = []
-    run = [evals[0]]
-    for lam in evals[1:]:
-        if lam - run[-1] > thresh:
-            clusters.append(run)
-            run = [lam]
-        else:
-            run.append(lam)
-    clusters.append(run)
-    return [(float(np.mean(r)), len(r)) for r in clusters]
+def _cluster(evals: np.ndarray, gap: float) -> np.ndarray:
+    # the cuts between clusters of the ascending rows of evals: after each
+    # eigenvalue whose successor is more than gap max(1, max |evals|) above
+    # (fmax: a NaN in a row leaves its threshold at gap)
+    thresh = gap * np.fmax(1.0, np.abs(evals).max(axis=1, keepdims=True))
+    return np.diff(evals, axis=1) > thresh
 
 
 def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
@@ -510,20 +544,25 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     # L L^T = U^T q U the Gram of the basis
     L = np.linalg.cholesky(Ut @ q0 @ U)
     LS = np.linalg.solve(L, 0.5 * (II + II.swapaxes(1, 2)))
-    per_point = []
-    signatures = set()
-    for evals in np.linalg.eigvalsh(np.linalg.solve(L, LS.swapaxes(1, 2))):
-        clusters = _cluster(evals, _GAP)
-        lo = _cluster(evals, 0.5 * _GAP)
-        hi = _cluster(evals, 2.0 * _GAP)
-        if len(lo) != len(clusters) or len(hi) != len(clusters):
-            raise ClusterAmbiguity(
-                f"clustering unstable at level {c}: "
-                f"{len(lo)}/{len(clusters)}/{len(hi)} clusters")
-        per_point.append(clusters)
-        signatures.add(tuple(mult for _, mult in clusters))
-
-    consistent = len(signatures) == 1
+    evals = np.linalg.eigvalsh(np.linalg.solve(L, LS.swapaxes(1, 2)))
+    cuts = [_cluster(evals, s * _GAP) for s in (0.5, 1.0, 2.0)]
+    lo, mid, hi = (1 + cut.sum(axis=1) for cut in cuts)
+    unstable = np.flatnonzero((lo != mid) | (hi != mid))
+    if len(unstable):
+        i = unstable[0]
+        raise ClusterAmbiguity(f"clustering unstable at level {c}: "
+                               f"{lo[i]}/{mid[i]}/{hi[i]} clusters")
+    # the clusters of every point in one flat pass: one starts at the head
+    # of each row and after each cut
+    head = np.ones(evals.shape, dtype=bool)
+    head[:, 1:] = cuts[1]
+    starts = np.flatnonzero(head)
+    sizes = np.diff(starts, append=evals.size)
+    pairs = list(zip((np.add.reduceat(evals.ravel(), starts) / sizes).tolist(),
+                     sizes.tolist()))
+    ends = np.cumsum(mid).tolist()
+    per_point = [pairs[a:b] for a, b in zip([0] + ends, ends)]
+    consistent = len({tuple(k for _, k in pt) for pt in per_point}) == 1
     first = per_point[0]
     g = len(first)
     mults = tuple(mult for _, mult in first)

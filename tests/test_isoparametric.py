@@ -222,6 +222,11 @@ def test_sample_level_set_out_of_range():
     f = otfkm_function(sys_)
     with pytest.raises(EmptyLevel):
         sample_level_set(f, 2.0, 5, seed=9)
+    with pytest.raises(EmptyLevel):
+        sample_level_set(f, 0.3, 0, seed=9)
+    # a report raises for its first level without enough samples
+    with pytest.raises(EmptyLevel, match="of level 2.0 "):
+        check_isoparametric(None, f, [0.3, 2.0], per_level=3)
 
 
 def test_transnormal_round_height_profile():
@@ -276,26 +281,27 @@ def test_isoparametric_randers_otfkm_both_signs():
     assert {e["function"] for e in rep.per_level} == {"f", "-f"}
 
 
-@pytest.mark.parametrize("check, quantity, good_values", [
-    (check_transnormal, "gradient_norm", 3),            # second level
-    (check_isoparametric, "nonlinear_laplacian", 6),    # reverse pass
+@pytest.mark.parametrize("check, quantity, bad", [
+    (check_transnormal, "_tangent_dual", 4),        # second level
+    (check_isoparametric, "_laplacian", 4),         # second level of f
+    (check_isoparametric, "_laplacian", 10),        # second level of -f
 ])
-def test_nan_in_a_later_level_fails(monkeypatch, check, quantity,
-                                    good_values):
+def test_nan_in_a_later_level_fails(monkeypatch, check, quantity, bad):
     # a NaN that is not the first value scanned must still reach
     # max_deviation and fail the check; the quantity is evaluated once per
-    # level, over an array of its 3 sample points
+    # report, over an array of the 3 sample points of every level and sign
+    real = getattr(iso, quantity)
     scanned = []
 
-    def fake(W, f, P):
-        assert W is None and P.shape == (3, 3)
-        idx = np.arange(len(scanned), len(scanned) + len(P))
-        scanned.extend(idx)
-        return np.where(idx < good_values, 1.0, math.nan)
+    def fake(W, P, *args):
+        scanned.append(P.shape)
+        vals = np.where(np.arange(len(P)) == bad, math.nan, 1.0)
+        out = real(W, P, *args)     # (t, |t|, F) or the Laplacian
+        return out[:2] + (vals,) if isinstance(out, tuple) else vals
 
     monkeypatch.setattr(iso, quantity, fake)
     rep = check(None, height_function(3, axis=0), [-0.5, 0.5], per_level=3)
-    assert len(scanned) > good_values
+    assert scanned == [(12 if check is check_isoparametric else 6, 3)]
     assert math.isnan(rep.max_deviation)
     assert not rep.passed
 
@@ -503,6 +509,41 @@ def test_level_quantities_match_pointwise_oracles(mk, wind):
                                [g.mean() for g in groups], rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("mk", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("wind", ["spin", "centralizer", "random-skew"])
+def test_level_reports_match_the_pointwise_oracles(mk, wind):
+    # the one-pass reports against samples drawn seed by seed for each
+    # level and sign (-f at -c with seed + 1) and quantities taken one
+    # point at a time (F(grad f)) or on charts (the BH Laplacian, at a
+    # step where its stencil error is near 1e-11); the random-skew wind
+    # spreads the values by O(1), so each sample's points must be its own
+    sys_ = build_clifford(*mk)
+    f = otfkm_function(sys_)
+    W = _scaled_wind(sys_, wind)
+    met = randers_sphere(Chart(np.eye(sys_.dim)[0]), W)
+    x0 = np.zeros(sys_.dim - 1)
+    levels, seed = [-0.5, 0.0, 0.3], 11
+    tn = check_transnormal(W, f, levels, per_level=4, seed=seed)
+    lap = check_isoparametric(W, f, levels, per_level=4, seed=seed)
+    expect_tn, expect_lap = [], {"f": [], "-f": []}
+    for i, c in enumerate(levels):
+        P = pointwise_sample_level_set(f, c, 4, seed + 37 * i)
+        expect_tn.append((c, [pointwise_gradient_norm(met.with_center(p),
+                                                      f, x0) for p in P]))
+        for name, fn, level, s in (("f", f, c, seed), ("-f", -f, -c, seed + 1)):
+            P = pointwise_sample_level_set(fn, level, 4, s + 37 * i)
+            expect_lap[name].append((level, chart_laplacian(W, fn, P,
+                                                            h=5e-4)))
+    for rep, expect in ((tn, expect_tn),
+                        (lap, expect_lap["f"] + expect_lap["-f"])):
+        assert [e["level"] for e in rep.per_level] == [c for c, _ in expect]
+        for entry, (_, vals) in zip(rep.per_level, expect):
+            scale = max(1.0, abs(np.mean(vals)))
+            assert abs(entry["mean"] - np.mean(vals)) < 1e-10 * scale
+            assert abs(entry["spread"] - np.ptp(vals)) < 1e-10 * scale
+    assert [e["function"] for e in lap.per_level] == ["f"] * 3 + ["-f"] * 3
+
+
 def test_spectrum_matches_pointwise_oracle_for_a_non_tangent_wind():
     # the wind rotates the (x0, x1) plane while the height function reads
     # x0, so F*(df) != |df| and q nu = df / F is not a unit vector: the
@@ -651,24 +692,27 @@ def test_level_checks_build_no_chart_and_solve_no_dual(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["height", "split-quadratic", "otfkm"])
 def test_projection_lands_in_at_most_two_gradient_passes(monkeypatch, kind):
-    # f = cos(g theta) on each kind, so the great-circle step in arccos f
-    # lands on the level in one pass; a second pass mops up roundoff
+    # f = cos(g theta) on each kind, so every seed of these first blocks
+    # lands on its level in one great-circle step, and a level report makes
+    # two gradient passes, at the seeds and at the landed points (which the
+    # regular-value check and the level quantity reuse), and one Hessian
+    # pass for f and -f together, over one level or all of them
     f = {"height": lambda: height_function(5, axis=0),
          "split-quadratic": lambda: split_quadratic_function(4, 2),
          "otfkm": lambda: otfkm_function(build_clifford(1, 3))}[kind]()
     passes = []
-    tangent_gradient = SphereFunction.tangent_gradient
-    monkeypatch.setattr(
-        SphereFunction, "tangent_gradient",
-        lambda fn, p: passes.append(len(p)) or tangent_gradient(fn, p))
-    for fn in (f, -f):
-        for idx, c in enumerate(SUITE_LEVELS):
+    for name in ("gradient", "hessian"):
+        monkeypatch.setattr(
+            SphereFunction, name,
+            lambda fn, p, name=name, rule=getattr(SphereFunction, name):
+            passes.append(name) or rule(fn, p))
+    for levels in [[c] for c in SUITE_LEVELS] + [SUITE_LEVELS]:
+        for check, expect in ((check_transnormal, ["gradient"] * 2),
+                              (check_isoparametric,
+                               ["gradient"] * 2 + ["hessian"])):
             passes.clear()
-            P = sphere.random_sphere_points(f.ambient_dim - 1, 50,
-                                            np.random.default_rng(idx))
-            Q, ok = iso._project(fn, c, P)
-            assert len(passes) <= 2
-            assert np.abs(fn(Q[ok]) - c).max() < 1e-12 and ok.mean() > 0.9
+            assert check(None, f, levels, per_level=5, seed=3).passed
+            assert passes == expect
 
 
 def test_projection_converges_for_a_non_isoparametric_cubic():
@@ -683,6 +727,39 @@ def test_projection_converges_for_a_non_isoparametric_cubic():
     for c in (-0.2, 0.0, 0.15):
         P = sample_level_set(f, c, 20, seed=2)
         assert np.abs(f(P) - c).max() < 1e-12
+
+
+def test_joint_samples_over_several_rounds_are_the_samples_alone(
+        monkeypatch):
+    # seeds of a cubic that is not isoparametric fail often at these
+    # levels, so the joint sampler takes several rounds of blocks; every
+    # sample must be the one drawn alone, with the gradient of f at its
+    # points.  (Its Newton paths turn on near-ties of the step halving, so
+    # the seed-by-seed oracle agrees only to about 1e-7 here, one sample
+    # alone or not; it pins the one-sample path on Cartan-Muenzner f)
+    a = np.array([1.0, 0.5, -0.3, 0.2])
+
+    def value(p):
+        x = p @ a
+        return 0.3 * x ** 3 + 0.5 * p[..., 1] * p[..., 2] - 0.2 * p[..., 3]
+
+    def gradient(p):
+        return (0.9 * (p @ a)[..., None] ** 2 * a
+                + 0.5 * p[..., [0, 2, 1, 0]] * [0.0, 1.0, 1.0, 0.0]
+                - [0.0, 0.0, 0.0, 0.2])
+
+    f = SphereFunction(4, "custom", value, gradient)
+    rounds = []
+    project = iso._project
+    monkeypatch.setattr(iso, "_project",
+                        lambda *args: rounds.append(1) or project(*args))
+    levels, seeds = [0.38, -0.45, 0.0, 0.4], [5, 4, 2, 3]
+    P, G = iso._sample_levels(f, levels, 6, seeds)
+    assert len(rounds) > 1 and P.shape == G.shape == (24, 4)
+    for j, (c, seed) in enumerate(zip(levels, seeds)):
+        alone = sample_level_set(f, c, 6, seed)
+        assert np.abs(P[6 * j:6 * j + 6] - alone).max() < 1e-12
+    assert np.abs(G - f.gradient(P)).max() < 1e-12
 
 
 def test_level_quantities_check_the_wind():
