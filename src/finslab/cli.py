@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,14 +80,14 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _accepts(_FIELD_TYPES[f.name], value):
-                key = "lambda" if f.name == "lam" else f.name
-                raise ConfigError(f"field '{key}' must be {f.type}"
+        for name, (shown, accepts) in _FIELD_CHECKS.items():
+            value = getattr(self, name)
+            if not accepts(value):
+                key = "lambda" if name == "lam" else name
+                raise ConfigError(f"field '{key}' must be {shown}"
                                   + _finite_note(value))
             if isinstance(value, list):
-                object.__setattr__(self, f.name, tuple(value))
+                object.__setattr__(self, name, tuple(value))
         if self.check not in _CHECKS:
             raise UnknownCheck(f"unknown check '{self.check}'")
         if self.tol is None:
@@ -125,24 +126,34 @@ class ExperimentConfig:
         return out
 
 
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-
-
-def _accepts(hint, value) -> bool:
-    """Whether value has the declared type: bool is never a number, an
-    int is accepted where a float is declared but NaN and infinities are
-    not, and a list or a tuple where either is."""
+def _type_check(hint):
+    """The predicate of a declared type, built once at import: bool is
+    never a number, an int passes where a float is declared but NaN and
+    infinities do not, and a list or a tuple where either is."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (list, tuple):
-        return isinstance(value, (list, tuple)) and all(
-            _accepts(args[0], v) for v in value)
+        item = _type_check(args[0])
+        return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
     if args:   # a union
-        return any(_accepts(h, value) for h in args)
-    if isinstance(value, bool):
-        return hint in (bool, object)
-    if hint is float and isinstance(value, float):
-        return bool(np.isfinite(value))
-    return isinstance(value, (int, float) if hint is float else hint)
+        checks = [_type_check(h) for h in args]
+        return lambda v: any(check(v) for check in checks)
+    if hint is float:
+        return lambda v: math.isfinite(v) if isinstance(v, float) \
+            else isinstance(v, int) and not isinstance(v, bool)
+    return lambda v: isinstance(v, hint) and (hint is bool
+                                              or not isinstance(v, bool))
+
+
+def _type_checks(**hints) -> dict:
+    # name -> (its type as messages show it, its predicate)
+    return {name: (hint.__name__ if isinstance(hint, type) else hint,
+                   _type_check(hint)) for name, hint in hints.items()}
+
+
+_FIELD_CHECKS = _type_checks(**typing.get_type_hints(ExperimentConfig))
+_CLIFFORD_ENTRIES = _type_checks(m=int, l=int, k=int, k1=int, k2=int)
+_WIND_ENTRIES = _type_checks(n0=int, lambdas=list[float], sizes=list[int],
+                             kind=str, scale=float, index=int, seed=int)
 
 
 def _finite_note(value) -> str:
@@ -163,17 +174,16 @@ def _read_json(path, what: str):
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def _check_spec(where: str, spec, required=(), **hints):
+def _check_spec(where: str, spec, checks: dict, required=()):
     """A nested spec: an object with every required entry, whose entries
-    named in hints have their type (with the rules of validate)."""
+    named in checks (from _type_checks) have their type."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     for name in required:
         if name not in spec:
             raise ConfigError(f"{where}: missing '{name}'")
-    for name, hint in hints.items():
-        if name in spec and not _accepts(hint, spec[name]):
-            shown = hint.__name__ if isinstance(hint, type) else hint
+    for name, (shown, accepts) in checks.items():
+        if name in spec and not accepts(spec[name]):
             raise ConfigError(f"{where}: '{name}' must be {shown}"
                               + _finite_note(spec[name]))
 
@@ -206,7 +216,7 @@ def _clifford_system(spec, where: str = "field 'clifford'"
     beside them must agree with them) or from {m, k} (k1, k2 for a
     split), with the field types checked; {m, k} must give
     2l = 2 k delta_m <= _MAX_2L."""
-    _check_spec(where, spec, m=int, l=int, k=int, k1=int, k2=int)
+    _check_spec(where, spec, _CLIFFORD_ENTRIES)
     try:
         if "matrices" in spec:   # numbers; the system checks their shape
             return cl.CliffordSystem.from_json(spec | {"matrices": _array(
@@ -255,13 +265,12 @@ def _load_killing(cfg: ExperimentConfig, ambient_dim: int,
         return block_killing(ambient_dim % 2, [cfg.lam], [ambient_dim // 2])
     if isinstance(spec, str):
         spec = _read_json(spec, "field 'w_spec'")
-    _check_spec("field 'w_spec'", spec, n0=int, lambdas=list[float],
-                sizes=list[int], kind=str, scale=float, index=int, seed=int)
+    _check_spec("field 'w_spec'", spec, _WIND_ENTRIES)
     if "matrix" in spec:
         return KillingField(_array("field 'w_spec'", "matrix", spec["matrix"],
                                    (ambient_dim, ambient_dim)))
     if "n0" in spec:
-        _check_spec("field 'w_spec'", spec, ("lambdas", "sizes"))
+        _check_spec("field 'w_spec'", spec, {}, ("lambdas", "sizes"))
         W = block_killing(spec["n0"], spec["lambdas"], spec["sizes"])
         if W.ambient_dim != ambient_dim:
             raise ConfigError(

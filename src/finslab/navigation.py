@@ -25,21 +25,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindTooStrong
+from .errors import DimensionMismatch, WindTooStrong
 from .minkowski import (NormEvaluator, _any, _cholesky, _dot, _matvec,
-                        _vecmat)
+                        _vecmat, fiber)
 from .report import VerificationReport, worst_deviation
 
 
 @dataclass
 class NavigationDatum:
-    """A base norm plus a wind vector with F(-wind) < 1."""
+    """A base norm and a wind of norm.dim finite entries with F(-wind) < 1."""
 
     norm: NormEvaluator
     wind: np.ndarray
 
     def __post_init__(self):
         self.wind = np.asarray(self.wind, dtype=float)
+        if self.wind.shape != (self.norm.dim,):
+            raise DimensionMismatch(f"wind must have shape ({self.norm.dim},)")
+        if not np.isfinite(self.wind).all():   # no F(-wind) < 1 then
+            raise WindTooStrong("wind entries must be finite")
         if np.any(self.wind) and (strength := self.norm(-self.wind)) >= 1.0:
             raise WindTooStrong(f"F(-wind) = {strength:.6f} >= 1")
 
@@ -148,13 +152,14 @@ def check_navigation_lemma(datum: NavigationDatum, samples: int,
     def sides(yu):
         # <u,u>_y, <u,u>_y', <y',v>_y' and <y,v>_y over the rows (y, u)
         y = yu[:, 0] / F(yu[:, 0])[:, None]
-        gy = 0.5 * F.sq_jet(y).hess
+        Fy, _, gy = fiber(F.alpha, F.beta, y)
+        yg = _vecmat(y, gy)
         u = yu[:, 1] - (_dot(_vecmat(yu[:, 1], gy), y)
-                        / _dot(_vecmat(y, gy), y))[:, None] * y
-        yt = y + F(y)[:, None] * v
-        gt = 0.5 * Ft.sq_jet(yt).hess
+                        / _dot(yg, y))[:, None] * y
+        yt = y + Fy[:, None] * v
+        gt = fiber(Ft.alpha, Ft.beta, yt)[2]
         return (_dot(_vecmat(u, gy), u), _dot(_vecmat(u, gt), u),
-                _dot(_vecmat(yt, gt), v), _dot(_vecmat(y, gy), v))
+                _dot(_vecmat(yt, gt), v), _dot(yg, v))
 
     # y, then u, per pair; sides scales each y to F(y) = 1
     uu_y, uu_t, ytv, yv_v = sides(rng.standard_normal((samples, 2, n)))

@@ -9,10 +9,10 @@ import numpy as np
 
 
 def worst_deviation(deviations) -> float:
-    """The largest of some non-negative deviations (0 if there are none),
-    NaN if any is NaN.  Python's max drops a NaN that does not come first,
-    which would let a broken sample pass."""
-    return float(np.max(np.fromiter(deviations, dtype=float), initial=0.0))
+    """The largest of some non-negative deviations, given as a sequence or
+    an array (0 if there are none), NaN if any is NaN.  Python's max drops
+    a NaN that does not come first, which would let a broken sample pass."""
+    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
 
 
 @dataclass

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from finslab import errors
 from finslab.cli import ExperimentConfig, batch, main, run
 from finslab.errors import ConfigError, ParseError, UnknownCheck
 from finslab.isoparametric import SpectrumResult
+from finslab.report import worst_deviation
 from finslab.sphere import MetricField
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +63,13 @@ def test_spectrum_nan_spread_fails(monkeypatch):
     rep = run(ExperimentConfig.from_dict({"check": "spectrum"}))
     assert math.isnan(rep.max_deviation)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("deviations,worst", [
+    ([], 0.0), ((), 0.0), (np.array([]), 0.0), ([2.0, 0.5], 2.0),
+    ([1e-9, math.nan, 3.0], math.nan), (np.array([0.5, math.nan]), math.nan)])
+def test_worst_deviation_keeps_nan_and_empty_input(deviations, worst):
+    np.testing.assert_equal(worst_deviation(deviations), worst)
 
 
 def test_run_clifford_audit():
@@ -459,9 +468,18 @@ def _navigation_entry(draw):
 
 
 def _batch_exit_code(tmp_path_factory, entry):
+    # the drawn entries include degenerate norms, such as one whose y^T A y
+    # underflows or rounds below 0, which fail with NaN and a numpy
+    # RuntimeWarning by design; such a warning is recorded here rather than
+    # raised, and a battery that raised one must not pass
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps([entry]))
-    return main(["batch", str(path)])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(["batch", str(path)])
+    assert code != 0 or not any(issubclass(w.category, RuntimeWarning)
+                                for w in seen)
+    return code
 
 
 @settings(max_examples=150, deadline=None)
@@ -794,6 +812,80 @@ def test_config_error_names_the_written_key():
     # an int is accepted where a float is declared
     cfg = ExperimentConfig.from_dict({"check": "spectrum", "level": 1})
     assert cfg.level == 1
+
+
+_REFUSED = "; NaN and infinities are refused"
+_RANDERS_FLAG = {"check": "flag-curvature", "metric": "randers"}
+_AUDIT_CLIFFORD = {"check": "clifford-audit"}
+
+
+@pytest.mark.parametrize("entry,message", [
+    # every ExperimentConfig field
+    ({"check": 5}, "field 'check' must be str"),
+    ({"n": True}, "field 'n' must be int"),
+    ({"n": 3.0}, "field 'n' must be int"),
+    ({"metric": 1}, "field 'metric' must be str"),
+    ({"w_spec": 2}, "field 'w_spec' must be dict | str | None"),
+    ({"w_spec": True}, "field 'w_spec' must be dict | str | None"),
+    ({"function": 0}, "field 'function' must be str"),
+    ({"clifford": [1]}, "field 'clifford' must be dict | str | None"),
+    ({"levels": [0.5, math.nan]},
+     "field 'levels' must be tuple[float, ...]" + _REFUSED),
+    ({"levels": [True]}, "field 'levels' must be tuple[float, ...]"),
+    ({"levels": 0.5}, "field 'levels' must be tuple[float, ...]"),
+    ({"per_level": False}, "field 'per_level' must be int"),
+    ({"samples": True}, "field 'samples' must be int"),
+    ({"tol": math.nan}, "field 'tol' must be float | None" + _REFUSED),
+    ({"tol": False}, "field 'tol' must be float | None"),
+    ({"seed": True}, "field 'seed' must be int"),
+    ({"lambda": math.inf}, "field 'lambda' must be float" + _REFUSED),
+    ({"lambda": True}, "field 'lambda' must be float"),
+    ({"level": -math.inf}, "field 'level' must be float" + _REFUSED),
+    ({"expect_g": [2, True]},
+     "field 'expect_g' must be tuple[int, ...] | None"),
+    ({"expect_g": [2.0]}, "field 'expect_g' must be tuple[int, ...] | None"),
+    ({"expect_fail": 1}, "field 'expect_fail' must be bool"),
+    ({"norm": 7}, "field 'norm' must be dict | str | None"),
+    # typed entries of the w_spec and clifford specs
+    (_RANDERS_FLAG | {"w_spec": {"n0": True, "lambdas": [0.5],
+                                 "sizes": [1]}},
+     "field 'w_spec': 'n0' must be int"),
+    (_RANDERS_FLAG | {"w_spec": {"n0": 1, "lambdas": [math.nan],
+                                 "sizes": [1]}},
+     "field 'w_spec': 'lambdas' must be list[float]" + _REFUSED),
+    (_RANDERS_FLAG | {"w_spec": {"n0": 1, "lambdas": [False],
+                                 "sizes": [1]}},
+     "field 'w_spec': 'lambdas' must be list[float]"),
+    (_RANDERS_FLAG | {"w_spec": {"n0": 1, "lambdas": [0.5],
+                                 "sizes": [True]}},
+     "field 'w_spec': 'sizes' must be list[int]"),
+    (_RANDERS_FLAG | {"w_spec": {"kind": 3}},
+     "field 'w_spec': 'kind' must be str"),
+    (_RANDERS_FLAG | {"w_spec": {"kind": "random-skew", "scale": math.inf}},
+     "field 'w_spec': 'scale' must be float" + _REFUSED),
+    (_RANDERS_FLAG | {"w_spec": {"kind": "random-skew", "scale": True}},
+     "field 'w_spec': 'scale' must be float"),
+    (_RANDERS_FLAG | {"w_spec": {"kind": "spin", "index": True}},
+     "field 'w_spec': 'index' must be int"),
+    (_RANDERS_FLAG | {"w_spec": {"kind": "random-skew", "seed": False}},
+     "field 'w_spec': 'seed' must be int"),
+    (_AUDIT_CLIFFORD | {"clifford": {"m": True, "k": 1}},
+     "field 'clifford': 'm' must be int"),
+    (_AUDIT_CLIFFORD | {"clifford": {"m": 1, "l": True}},
+     "field 'clifford': 'l' must be int"),
+    (_AUDIT_CLIFFORD | {"clifford": {"m": 1, "k": 2.0}},
+     "field 'clifford': 'k' must be int"),
+    (_AUDIT_CLIFFORD | {"clifford": {"m": 4, "k1": True, "k2": 1}},
+     "field 'clifford': 'k1' must be int"),
+    (_AUDIT_CLIFFORD | {"clifford": {"m": 4, "k1": 1, "k2": False}},
+     "field 'clifford': 'k2' must be int"),
+])
+def test_wrong_typed_value_messages(entry, message):
+    # the exact ConfigError text, from validation or from the runner that
+    # reads the nested spec
+    with pytest.raises(ConfigError) as exc:
+        run(ExperimentConfig.from_dict({"check": "tangency"} | entry))
+    assert str(exc.value) == message
 
 
 def test_main_clifford_build_and_audit(tmp_path, capsys):

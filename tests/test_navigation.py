@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finslab.minkowski as minkowski
 import finslab.navigation as navigation
 from conftest import pointwise_navigation_lemma, unchecked_norm
-from finslab.errors import NotPositiveDefinite, WindTooStrong
+from finslab.errors import (DimensionMismatch, NotPositiveDefinite,
+                            WindTooStrong)
 from finslab.minkowski import NormEvaluator
 from finslab.navigation import (NavigationDatum, check_navigation_lemma,
                                 invert_navigation, navigate, navigated_norm)
@@ -128,6 +130,25 @@ def test_wind_too_strong():
         NavigationDatum(NormEvaluator.euclidean(2), np.array([1.0, 0.0]))
     with pytest.raises(WindTooStrong):
         NavigationDatum(NormEvaluator.euclidean(2), np.array([1.3, 0.4]))
+
+
+@pytest.mark.parametrize("wind,error", [
+    ([np.nan, 0.0], WindTooStrong),
+    ([0.0, np.inf], WindTooStrong),
+    ([-np.inf, 0.1], WindTooStrong),
+    ([0.1, 0.0, 0.0], DimensionMismatch),
+    ([0.0, 0.0, 0.0], DimensionMismatch),
+    ([[0.1, 0.0]], DimensionMismatch),
+    ([[0.0, 0.0]], DimensionMismatch),
+    (0.0, DimensionMismatch),
+])
+@pytest.mark.parametrize("base", [NormEvaluator.euclidean(2),
+                                  NormEvaluator.randers(np.eye(2),
+                                                        [0.3, 0.0])])
+def test_wind_is_a_finite_vector_of_the_norm_dimension(base, wind, error):
+    # refused when the datum is built, with no numpy warning or error
+    with pytest.raises(error):
+        NavigationDatum(base, wind)
 
 
 def test_invalid_randers_base_is_not_positive_definite():
@@ -258,3 +279,27 @@ def test_lemma_array_pass_matches_pointwise_oracle(kind, n, extra,
     assert np.array_equal([[e["mean"], e["spread"]] for e in rep.per_level],
                           [[np.mean(d), np.max(d)] for d in oracle.values()])
     assert rep.n_samples == seen[0].size
+
+
+@pytest.mark.parametrize("kind, passes", [("euclidean", 2), ("quadratic", 2),
+                                          ("randers", 1)])
+def test_lemma_evaluates_each_fiber_quantity_once_per_pass(kind, passes,
+                                                           monkeypatch):
+    # per pass: F of the drawn y to scale it, one fiber evaluation at the
+    # scaled y for F(y) and g_y, and one at y' for g_y'; no jet of F^2
+    datum = _lemma_datum(kind, 3, np.random.default_rng(5))
+    fibers, jets = [], []
+    fiber, sq_jet = minkowski.fiber, NormEvaluator.sq_jet
+
+    def counted(*args):
+        fibers.append(np.shape(args[-1]))
+        return fiber(*args)
+
+    monkeypatch.setattr(minkowski, "fiber", counted)
+    monkeypatch.setattr(navigation, "fiber", counted, raising=False)
+    monkeypatch.setattr(NormEvaluator, "sq_jet",
+                        lambda norm, y: jets.append(y) or sq_jet(norm, y))
+    rep = check_navigation_lemma(datum, samples=20, seed=1)
+    assert len(rep.per_level) == 1 + passes
+    assert jets == []
+    assert fibers == [(20, 3)] * 3 + [(2, 3)] * 3 * (passes - 1)
