@@ -26,8 +26,8 @@ import numpy as np
 
 from . import clifford as cl
 from .curvature import Flag, flag_curvature
-from .errors import (ConfigError, FinslabError, NotClifford, NumericalError,
-                     ParseError, UnknownCheck)
+from .errors import (ConfigError, FinslabError, NumericalError, ParseError,
+                     UnknownCheck)
 from .isoparametric import (check_isoparametric, check_tangency,
                             check_transnormal, height_function,
                             otfkm_function, principal_curvature_spectrum,
@@ -45,24 +45,26 @@ class ExperimentConfig:
 
     Frozen and validated once, when it is built; JSON arrays are kept as
     tuples, so no field changes after validation (``dataclasses.replace``
-    builds, and validates, a new config)."""
+    builds, and validates, a new config).  The fields are declared in the
+    order a report's config echoes them: the fields its runner read
+    (check, n, tol and seed always), None left out, lam as "lambda"."""
 
     check: str
     n: int = 3
     metric: str = "round"
-    w_spec: dict | str | None = None
     function: str = "height"
-    clifford: dict | str | None = None
+    tol: float | None = None
+    seed: int = 0
     levels: tuple[float, ...] = (-0.5, 0.0, 0.5)
     per_level: int = 20
     samples: int = 200
-    tol: float | None = None
-    seed: int = 0
-    lam: float = 0.5
+    w_spec: dict | str | None = None
+    clifford: dict | str | None = None
     level: float = 0.0
     expect_g: tuple[int, ...] | None = None
-    expect_fail: bool = False
+    lam: float = 0.5
     norm: dict | str | None = None
+    expect_fail: bool = False
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -108,22 +110,17 @@ class ExperimentConfig:
                 raise ConfigError(f"field '{name}': file {value!r} "
                                   "does not exist")
 
-    def echo(self) -> dict:
-        out = {"check": self.check, "n": self.n, "metric": self.metric,
-               "function": self.function, "tol": self.tol, "seed": self.seed}
-        if self.check in ("transnormal", "isoparametric"):
-            out["levels"] = self.levels
-            out["per_level"] = self.per_level
-        if self.check in ("flag-curvature", "navigation-lemma", "tangency"):
-            out["samples"] = self.samples
-        if self.w_spec is not None:
-            out["w_spec"] = self.w_spec
-        if self.clifford is not None:
-            out["clifford"] = self.clifford
-        if self.check == "spectrum":
-            out["level"] = self.level
-            out["expect_g"] = self.expect_g
-        return out
+
+class _Reads:
+    """A config as its runner sees it, adding each field read to read."""
+
+    def __init__(self, config: ExperimentConfig, read: set):
+        self._state = config, read
+
+    def __getattribute__(self, name):
+        config, read = object.__getattribute__(self, "_state")
+        read.add(name)
+        return getattr(config, name)
 
 
 def _type_check(hint):
@@ -349,12 +346,13 @@ def _run_flag_curvature(cfg: ExperimentConfig, extras: dict):
 
 def _run_navigation_lemma(cfg: ExperimentConfig, extras: dict):
     base = _load_norm(cfg)
-    wind = np.zeros(base.dim)
-    wind[0] = cfg.lam
     spec = cfg.w_spec
     if isinstance(spec, str):
         spec = _read_json(spec, "field 'w_spec'")
-    if spec is not None:
+    if spec is None:
+        wind = np.zeros(base.dim)
+        wind[0] = cfg.lam
+    else:
         if not isinstance(spec, dict) or set(spec) != {"vector"}:
             raise ConfigError("field 'w_spec': navigation-lemma takes only "
                               "a wind {\"vector\": [...]}")
@@ -388,7 +386,8 @@ def _run_spectrum(cfg: ExperimentConfig, extras: dict):
     met = round_metric(chart) if W is None else randers_sphere(chart, W)
     spec = principal_curvature_spectrum(met, f, cfg.level,
                                         points=cfg.per_level, seed=cfg.seed)
-    ok = spec.consistent and (cfg.expect_g is None or spec.g in cfg.expect_g)
+    # expect_g is read, and so echoed, whether the spectrum is consistent
+    ok = (cfg.expect_g is None or spec.g in cfg.expect_g) and spec.consistent
     # cluster-mean spread across sampled points, per cluster
     spreads = []
     if spec.consistent:
@@ -413,18 +412,18 @@ def _run_clifford_audit(cfg: ExperimentConfig, extras: dict):
     per = [{"level": key, "mean": float(val) if np.isscalar(val) else val,
             "spread": 0.0}
            for key, val in audit.items() if key not in ("ok",)]
+    worst = float(max(audit["anticommutation_error"],
+                      audit["lie_closure_residual"],
+                      abs(audit["centralizer_dim"]
+                          - audit["centralizer_dim_predicted"])))
     return VerificationReport(
         check="clifford-audit", config={}, n_samples=len(sys_.matrices),
-        max_deviation=float(max(audit["anticommutation_error"],
-                                audit["lie_closure_residual"],
-                                abs(audit["centralizer_dim"]
-                                    - audit["centralizer_dim_predicted"]))),
-        per_level=per,
-        passed=bool(audit["ok"]))
+        max_deviation=worst, per_level=per,
+        passed=bool(audit["ok"] and worst < cfg.tol))
 
 
-# check name -> (default tolerance, runner); a runner returns its report,
-# and first puts its additions to the config echo in the dict it is given
+# check name -> (default tolerance, runner); a runner reads a _Reads of the
+# config, puts its additions to the echo in the dict given, then reports
 _CHECKS = {
     "flag-curvature": (1e-4, _run_flag_curvature),
     "navigation-lemma": (1e-8, _run_navigation_lemma),
@@ -437,11 +436,11 @@ _CHECKS = {
 
 
 def run(config: ExperimentConfig) -> VerificationReport:
-    """Run and time one experiment, set-up included; the report's config
-    is the experiment's echo plus what its runner adds.  A NumericalError
-    gives a failed report: NaN deviation and one per_level entry
-    {"error": name, "message": text}, with the runner's additions made
-    before the error."""
+    """Run and time one experiment, set-up included.  The report's config
+    echoes the fields its runner read, as ExperimentConfig declares them,
+    then what the runner adds (n in place).  A NumericalError gives a
+    failed report: NaN deviation, one per_level entry {"error": name,
+    "message": text}, and what was read and added before the error."""
     return _run(config, NumericalError)[0]
 
 
@@ -449,16 +448,20 @@ def _run(config: ExperimentConfig, caught) -> tuple:
     # (report, error): run, with an error of the classes in caught made
     # the failed report that run makes of a NumericalError
     start = time.perf_counter()
-    extras, error = {}, None
+    read, extras, error = {"check", "n", "tol", "seed"}, {}, None
     try:
-        rep = _CHECKS[config.check][1](config, extras)
+        rep = _CHECKS[config.check][1](_Reads(config, read), extras)
     except caught as exc:
         error = exc
         rep = VerificationReport(
             check=config.check, config={}, n_samples=0,
             max_deviation=float("nan"),
             per_level=[{"error": type(exc).__name__, "message": str(exc)}])
-    rep.config = config.echo() | extras
+    # vars(config) holds the fields in declared order
+    rep.config = {"lambda" if name == "lam" else name: value
+                  for name, value in vars(config).items()
+                  if name in read and value is not None
+                  and (name == "n" or name not in extras)} | extras
     rep.wall_time_ms = int(1000 * (time.perf_counter() - start))
     return rep, error
 
@@ -470,12 +473,11 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool, list]:
     Returns (reports, all_ok, errors) where a report counts as ok when
     pass matches the experiment's expect_fail flag and it holds no error:
     a numerical failure is not the failure a negative control expects.
-    A FinslabError raised while an entry runs gives it the failed report
-    of a NumericalError, and errors lists those that are not numerical
-    (configuration errors, such as a norm that is not positive definite).
-    A ConfigError, ParseError or NotClifford says the entry's fields make
-    no experiment and ends the battery, as an invalid field does before
-    any entry runs.  Reports keep config order.
+    Every entry gives one report, in config order: a FinslabError raised
+    while it runs gives it the failed report of a NumericalError, and
+    errors lists those that are not numerical.  A file that does not
+    parse, or an entry with an invalid field, raises before any entry
+    runs.
     """
     doc = _read_json(path, "battery file")
     entries = doc.get("experiments") if isinstance(doc, dict) else doc
@@ -486,8 +488,6 @@ def batch(path: str, out_dir: str | None = None) -> tuple[list, bool, list]:
     reports, ok, errors = [], True, []
     for c in configs:
         rep, error = _run(c, FinslabError)
-        if isinstance(error, (ConfigError, ParseError, NotClifford)):
-            raise error
         if error is not None and not isinstance(error, NumericalError):
             errors.append(error)
         ok = ok and rep.passed != c.expect_fail and error is None

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, ZeroBaseVector
+from .errors import DimensionMismatch, NotPositiveDefinite, ZeroBaseVector
 
 
 class SqJet(NamedTuple):
@@ -118,13 +118,21 @@ class NormEvaluator:
     its coefficient pair: (A, None) for the quadratic norm sqrt(y^T A y),
     (alpha, beta) for a Randers norm.
 
-    The pair is checked on construction: its entries must be finite, A
-    (or alpha) SPD and |beta|_alpha < 1, or NotPositiveDefinite is raised.
+    The pair is checked on construction: A (or alpha) must be (n, n) and
+    beta (n,), or DimensionMismatch is raised; then A is symmetrized, and
+    its entries must be finite, A SPD and |beta|_alpha < 1, or
+    NotPositiveDefinite is raised.
     """
 
     def __init__(self, alpha, beta=None):
-        self.alpha = np.asarray(alpha, dtype=float)
+        A = np.asarray(alpha, dtype=float)
         self.beta = None if beta is None else np.asarray(beta, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or (
+                self.beta is not None and self.beta.shape != A.shape[:1]):
+            raise DimensionMismatch(
+                f"norm needs an (n, n) matrix and an (n,) beta, not shapes "
+                f"{A.shape} and {None if beta is None else self.beta.shape}")
+        self.alpha = 0.5 * (A + A.T)
         if not all(np.isfinite(c).all() for c in (self.alpha, self.beta)
                    if c is not None):
             raise NotPositiveDefinite("norm coefficients must be finite")
@@ -149,8 +157,7 @@ class NormEvaluator:
     @classmethod
     def quadratic(cls, matrix) -> "NormEvaluator":
         """Riemannian norm sqrt(y^T A y); A must be SPD."""
-        A = np.asarray(matrix, dtype=float)
-        return cls(0.5 * (A + A.T))
+        return cls(matrix)
 
     @classmethod
     def euclidean(cls, dim: int) -> "NormEvaluator":
@@ -163,8 +170,7 @@ class NormEvaluator:
         alpha and beta are stored exactly; evaluation never expands the
         square, which avoids cancellation near the indicatrix.
         """
-        a = np.asarray(alpha, dtype=float)
-        return cls(0.5 * (a + a.T), beta)
+        return cls(alpha, beta)
 
     # -- evaluation ----------------------------------------------------
 

@@ -1,11 +1,12 @@
-"""The public API: finslab's exports and their keyword parameters with
-defaults."""
+"""The public API: finslab's exports, their keyword parameters with
+defaults, and the field order of an experiment config."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import finslab
+from finslab.cli import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,6 +107,14 @@ def test_exported_keyword_defaults_are_pinned():
         if defaults:
             found[name] = defaults
     assert found == KEYWORD_DEFAULTS
+
+
+def test_experiment_config_field_order_is_pinned():
+    # the order in which a report's config echoes the fields it read
+    assert list(ExperimentConfig.__dataclass_fields__) == [
+        "check", "n", "metric", "function", "tol", "seed", "levels",
+        "per_level", "samples", "w_spec", "clifford", "level", "expect_g",
+        "lam", "norm", "expect_fail"]
 
 
 def test_clifford_system_is_built_from_its_matrices_alone():

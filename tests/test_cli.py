@@ -81,6 +81,14 @@ def test_run_clifford_audit():
     assert dims["centralizer_dim"] == 3
 
 
+def test_clifford_audit_reads_its_tol():
+    # the built (1, 3) audit deviates by about 4e-17 from exact
+    entry = {"check": "clifford-audit", "clifford": {"m": 1, "k": 3}}
+    rep = run(ExperimentConfig.from_dict(entry | {"tol": 1e-20}))
+    assert 0.0 < rep.max_deviation < 1e-10 and not rep.passed
+    assert run(ExperimentConfig.from_dict(entry)).passed
+
+
 def test_run_negative_control_fails():
     cfg = ExperimentConfig.from_dict(
         {"check": "transnormal", "function": "height", "n": 3,
@@ -238,7 +246,64 @@ def test_verify_flags_left_out_keep_config_defaults(capsys):
     out = json.loads(capsys.readouterr().out)
     cfg = ExperimentConfig.from_dict({"check": "flag-curvature",
                                       "samples": 3})
-    assert out["config"] == cfg.echo()
+    assert out["config"] == run(cfg).config == {
+        "check": "flag-curvature", "n": 3, "metric": "round", "tol": 1e-4,
+        "seed": 0, "samples": 3}
+
+
+_SPIN = {"kind": "spin", "scale": 0.5}
+_SYS = {"m": 1, "k": 3}
+_ROUND = ["check", "n", "metric", "function", "tol", "seed"]
+
+
+@pytest.mark.parametrize("entry,keys", [
+    ({"check": "flag-curvature", "n": 2},
+     ["check", "n", "metric", "tol", "seed", "samples"]),
+    ({"check": "flag-curvature", "n": 2, "metric": "randers", "lambda": 0.4},
+     ["check", "n", "metric", "tol", "seed", "samples", "lambda"]),
+    ({"check": "flag-curvature", "n": 2, "metric": "randers",
+      "w_spec": {"n0": 1, "lambdas": [0.5], "sizes": [1]}},
+     ["check", "n", "metric", "tol", "seed", "samples", "w_spec"]),
+    # a round metric reads no wind, flag curvature no function, and no
+    # check reads expect_fail
+    ({"check": "flag-curvature", "n": 2, "function": "otfkm",
+      "w_spec": _SPIN, "lambda": 0.4, "expect_fail": True},
+     ["check", "n", "metric", "tol", "seed", "samples"]),
+    ({"check": "navigation-lemma", "metric": "randers"},
+     ["check", "n", "tol", "seed", "samples", "lambda", "wind", "norm"]),
+    ({"check": "navigation-lemma", "w_spec": {"vector": [0.1, 0, 0]},
+      "lambda": 0.4},
+     ["check", "n", "tol", "seed", "samples", "w_spec", "wind", "norm"]),
+    ({"check": "navigation-lemma",
+      "norm": {"kind": "euclidean-quadratic-form", "matrix": [[2]]}},
+     ["check", "n", "tol", "seed", "samples", "lambda", "wind", "norm"]),
+    ({"check": "transnormal", "levels": [0.3], "per_level": 2},
+     _ROUND + ["levels", "per_level"]),
+    ({"check": "isoparametric", "metric": "randers", "levels": [0.3],
+      "per_level": 2, "clifford": _SYS},
+     _ROUND + ["levels", "per_level", "lambda"]),
+    ({"check": "transnormal", "function": "otfkm", "clifford": _SYS,
+      "metric": "randers", "w_spec": _SPIN, "levels": [0.3], "per_level": 2},
+     _ROUND + ["levels", "per_level", "w_spec", "clifford"]),
+    ({"check": "tangency", "samples": 2},
+     _ROUND + ["samples", "lambda"]),
+    ({"check": "tangency", "function": "otfkm", "clifford": _SYS,
+      "w_spec": _SPIN, "samples": 2},
+     _ROUND + ["samples", "w_spec", "clifford"]),
+    ({"check": "spectrum", "level": 0.3, "per_level": 2},
+     _ROUND + ["per_level", "level"]),
+    ({"check": "spectrum", "function": "otfkm", "clifford": _SYS,
+      "metric": "randers", "w_spec": _SPIN, "level": 0.3, "per_level": 2,
+      "expect_g": [1, 2, 4]},
+     _ROUND + ["per_level", "w_spec", "clifford", "level", "expect_g"]),
+    ({"check": "clifford-audit", "clifford": _SYS, "metric": "randers",
+      "function": "otfkm", "samples": 5},
+     ["check", "n", "tol", "seed", "clifford", "m", "k"]),
+])
+def test_report_echoes_the_fields_its_check_read(entry, keys):
+    rep = run(ExperimentConfig.from_dict(entry))
+    assert "error" not in rep.per_level[0]
+    assert list(rep.config) == keys
 
 
 @pytest.mark.parametrize("entry", [
@@ -369,6 +434,77 @@ def test_configuration_error_of_a_running_entry_keeps_the_battery(
     assert not ok and [type(e).__name__ for e in errors] \
         == ["NotPositiveDefinite"]
     assert reports[0].passed
+
+
+def _failed_battery_report(captured) -> dict:
+    # the one report of a one-entry battery whose entry raised: a failed
+    # report holding the error that stderr prints
+    [report] = json.loads(captured.out)
+    [line] = captured.err.strip().splitlines()
+    assert not report["pass"] and math.isnan(report["max_deviation"])
+    assert report["per_level"] == [json.loads(line)]
+    return report["per_level"][0]
+
+
+# a 2 x 1 matrix that A + A^T broadcast to a singular 2 x 2 form, whose
+# Cholesky factorisation passes in rounding
+_COLUMN_NORM = {"kind": "euclidean-quadratic-form",
+                "matrix": [[2.5824623856365605], [2.5824623856365605]]}
+
+
+def test_one_report_per_battery_entry(tmp_path, capsys):
+    # whatever an entry raises while it runs, it gets one failed report,
+    # in its place, and the other entries run
+    (tmp_path / "wind.json").write_text("{not json")
+    D = np.diag([1, 1, -1, -1]).tolist()
+    failing = [
+        ({"check": "clifford-audit", "clifford": {"m": 1, "k": 65}},
+         "ConfigError"),
+        ({"check": "clifford-audit", "clifford": {"matrices": [D, D]}},
+         "NotClifford"),
+        ({"check": "tangency", "w_spec": str(tmp_path / "wind.json")},
+         "ParseError"),
+        ({"check": "transnormal", "function": "cubic"}, "ConfigError"),
+        ({"check": "tangency", "function": "otfkm", "clifford": {"m": 1,
+                                                               "k": 3},
+          "w_spec": {"kind": "spin", "index": 99}}, "ConfigError"),
+        ({"check": "navigation-lemma", "norm": _COLUMN_NORM},
+         "DimensionMismatch"),
+    ]
+    good = {"check": "flag-curvature", "n": 2, "samples": 3}
+    entries = [e for e, _ in failing[:3]] + [good] \
+        + [e for e, _ in failing[3:]]
+    path = tmp_path / "battery.json"
+    path.write_text(json.dumps(entries))
+    out = tmp_path / "out"
+    assert main(["batch", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)
+    assert [r["check"] for r in reports] == [e["check"] for e in entries]
+    assert reports.pop(3)["pass"]
+    for rep, (_, error) in zip(reports, failing):
+        assert not rep["pass"] and math.isnan(rep["max_deviation"])
+        assert rep["n_samples"] == 0 and rep["per_level"][0]["error"] == error
+    assert [json.loads(line) for line in captured.err.splitlines()] \
+        == [rep["per_level"][0] for rep in reports]
+    assert len(json.loads((out / "reports.json").read_text())) == 7
+    assert len((out / "summary.csv").read_text().splitlines()) == 8
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_non_square_norm_matrix_exits_2(tmp_path, capsys, seed):
+    # the seeds on which the broadcast norm used to exit 1 or 2
+    path = tmp_path / "battery.json"
+    path.write_text(json.dumps([{"check": "navigation-lemma", "seed": seed,
+                                 "norm": _COLUMN_NORM}]))
+    assert main(["batch", str(path)]) == 2
+    assert _failed_battery_report(capsys.readouterr())["error"] \
+        == "DimensionMismatch"
+    assert main(["verify", "navigation-lemma", "--seed", str(seed),
+                 "--norm", json.dumps(_COLUMN_NORM)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "DimensionMismatch"
 
 
 RANDERS_X = {"kind": "randers", "alpha": [[1.0, 0.0], [0.0, 1.0]],
@@ -650,10 +786,9 @@ def test_rank_deficiency_in_an_audit_is_a_failed_report(monkeypatch):
         {"check": "clifford-audit", "clifford": {"m": 3, "k": 2}}))
     assert not rep.passed and math.isnan(rep.max_deviation)
     assert rep.per_level[0]["error"] == "RankDeficiency"
-    assert rep.config == {"check": "clifford-audit", "n": 15,
-                          "metric": "round", "function": "height",
-                          "tol": 1e-10, "seed": 0,
-                          "clifford": {"m": 3, "k": 2}, "m": 3, "k": 2}
+    assert rep.config == {"check": "clifford-audit", "n": 15, "tol": 1e-10,
+                          "seed": 0, "clifford": {"m": 3, "k": 2},
+                          "m": 3, "k": 2}
 
 
 def test_rank_deficiency_in_clifford_audit_exits_1(tmp_path, monkeypatch,
@@ -707,7 +842,8 @@ def test_missing_file_and_bad_build_exit_2(tmp_path, capsys):
 
 def test_oversized_clifford_system_exits_2(tmp_path, capsys):
     # {m: 1, k: 65} asks for 2l = 130 > 128: a ConfigError in every
-    # command that builds from {m, k}, before anything is written
+    # command that builds from {m, k}, before anything is written; in a
+    # battery the entry's report holds it
     spec = {"m": 1, "k": 65}
     (tmp_path / "sys.json").write_text(json.dumps(spec))
     (tmp_path / "battery.json").write_text(
@@ -720,9 +856,12 @@ def test_oversized_clifford_system_exits_2(tmp_path, capsys):
                  ["clifford", "audit", str(tmp_path / "sys.json")]):
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.strip().splitlines()
-        error = json.loads(line)
+        if argv[0] == "batch":
+            error = _failed_battery_report(captured)
+        else:
+            assert captured.out == ""
+            [line] = captured.err.strip().splitlines()
+            error = json.loads(line)
         assert error["error"] == "ConfigError" and "128" in error["message"]
     assert not (tmp_path / "out.json").exists()
 
@@ -749,13 +888,14 @@ def test_non_clifford_matrices_exit_2(tmp_path, capsys):
     (tmp_path / "sys.json").write_text(json.dumps(system))
     (tmp_path / "battery.json").write_text(
         json.dumps([{"check": "clifford-audit", "clifford": system}]))
-    for argv in (["batch", str(tmp_path / "battery.json")],
-                 ["clifford", "audit", str(tmp_path / "sys.json")]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.strip().splitlines()
-        assert json.loads(line)["error"] == "NotClifford"
+    assert main(["batch", str(tmp_path / "battery.json")]) == 2
+    assert _failed_battery_report(capsys.readouterr())["error"] \
+        == "NotClifford"
+    assert main(["clifford", "audit", str(tmp_path / "sys.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    assert json.loads(line)["error"] == "NotClifford"
 
 
 def _audit_runs(tmp_path, capsys, system):
@@ -986,13 +1126,22 @@ def test_clifford_reports_echo_the_sphere_they_check(paper_suite):
 
 
 def test_run_stamps_config_and_time(paper_suite):
+    # the echoed fields come in declared order with the entry's values
+    # (n and a navigation norm are what the runner puts in their place)
     reports, _, _ = paper_suite
     entries = json.loads(SUITE.read_text())["experiments"]
     assert len(reports) == len(entries)
+    declared = ["lambda" if name == "lam" else name
+                for name in ExperimentConfig.__dataclass_fields__]
     for entry, rep in zip(entries, reports):
         cfg = ExperimentConfig.from_dict(entry)
-        echo = list(cfg.echo())
-        assert list(rep.config)[:len(echo)] == echo
+        echoed = [key for key in rep.config if key in declared]
+        assert echoed[:2] == ["check", "n"] and "seed" in echoed
+        assert echoed == sorted(echoed, key=declared.index)
+        for key in echoed:
+            if key not in ("n", "norm"):
+                attr = {"lambda": "lam"}.get(key, key)
+                assert rep.config[key] == getattr(cfg, attr), key
         assert rep.config["tol"] == cfg.tol
         assert isinstance(rep.wall_time_ms, int) and rep.wall_time_ms >= 0
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (direction_scan_legendre, fd_gradient, fd_hessian,
                       newton_legendre, unchecked_norm)
-from finslab.errors import NotPositiveDefinite, ZeroBaseVector
+from finslab.errors import (DimensionMismatch, NotPositiveDefinite,
+                            ZeroBaseVector)
 from finslab.minkowski import NormEvaluator, fundamental_tensor, legendre_solve
 
 RANDERS_2D = NormEvaluator.randers(np.eye(2), [0.5, 0.0])
@@ -242,6 +243,20 @@ def test_constructor_checks_the_coefficient_pair():
 def test_norm_rejects_non_finite_coefficients(build):
     # Cholesky accepts diag(1, inf), and a NaN beta passes |beta|_alpha < 1
     with pytest.raises(NotPositiveDefinite):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    # A + A^T would broadcast a column to a singular square form
+    lambda: NormEvaluator.quadratic([[2.5824623856365605],
+                                     [2.5824623856365605]]),
+    lambda: NormEvaluator.quadratic([1.0, 2.0]),
+    lambda: NormEvaluator.randers(np.eye(2), [0.1, 0.0, 0.0]),
+    lambda: NormEvaluator.randers(np.eye(2), [[0.1, 0.0]]),
+    lambda: NormEvaluator(np.ones((2, 3)), np.zeros(2)),
+])
+def test_norm_rejects_wrong_shapes(build):
+    with pytest.raises(DimensionMismatch):
         build()
 
 
