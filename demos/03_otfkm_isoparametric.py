@@ -15,7 +15,7 @@ from finslab import (Chart, KillingField, build_clifford, check_isoparametric,
                      check_tangency, check_transnormal, gradient_norm,
                      killing_norm, nonlinear_gradient, otfkm_function,
                      principal_curvature_spectrum, randers_sphere,
-                     round_metric, sample_level_set, spin_lift)
+                     sample_level_set, spin_lift)
 
 sys_ = build_clifford(1, 3)
 print(f"Clifford system m={sys_.m}, k={sys_.k} on R^{sys_.dim}: "
@@ -40,9 +40,7 @@ for name, wind in (("round", None), ("randers", W)):
     print(f"isoparametric spread {i.max_deviation:.2e} (f and -f)")
 
 print("\n=== the asymmetry of the nonlinear gradient ===")
-chart = Chart(np.eye(6)[0])
-met = randers_sphere(chart, W)
-fld = met.with_center(sample_level_set(f, 0.3, 1, seed=3)[0])
+fld = randers_sphere(Chart(sample_level_set(f, 0.3, 1, seed=3)[0]), W)
 a = nonlinear_gradient(fld, f, np.zeros(5))
 b = nonlinear_gradient(fld, -f, np.zeros(5))
 print(f"|grad(-f) + grad(f)| = {np.linalg.norm(a + b):.4f}  (nonzero)")
@@ -52,8 +50,7 @@ gap = np.abs(gradient_norm(W, f, pts) - gradient_norm(W, -f, pts)).max()
 print(f"max |F(grad f) - F(grad(-f))| on f = 0.3: {gap:.1e}")
 
 print("\n=== principal curvatures of the level f = 0.3 ===")
-for name, met in (("round", round_metric(chart)),
-                  ("randers", randers_sphere(chart, W))):
-    spec = principal_curvature_spectrum(met, f, 0.3, points=6)
+for name, wind in (("round", None), ("randers", W)):
+    spec = principal_curvature_spectrum(wind, f, 0.3, points=6)
     print(f"  {name:8s} g = {spec.g}, multiplicities {spec.multiplicities}, "
           f"values {np.round(spec.cluster_means, 4)}")

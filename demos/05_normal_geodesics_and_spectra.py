@@ -40,16 +40,14 @@ for fn, label, level in ((f, "n1 (increasing f)", -0.8),
 print("\n=== principal-curvature counts of homogeneous families ===")
 cases = [
     ("latitude spheres of S^4, wind diag(0, 0.5 J)",
-     randers_sphere(Chart(np.eye(5)[0]), block_killing(1, [0.5], [2])),
-     height_function(5, axis=0), 0.4),
+     block_killing(1, [0.5], [2]), height_function(5, axis=0), 0.4),
     ("S^1 x S^1 levels in S^3, wind diag(0.3 J, 0.6 J)",
-     randers_sphere(Chart(np.eye(4)[0]),
-                    block_killing(0, [0.3, 0.6], [1, 1])),
-     split_quadratic_function(4, 2), 0.4),
-    ("otfkm levels in S^5, spin wind", base, f, 0.3),
+     block_killing(0, [0.3, 0.6], [1, 1]), split_quadratic_function(4, 2),
+     0.4),
+    ("otfkm levels in S^5, spin wind", W, f, 0.3),
 ]
-for name, met, fn, level in cases:
-    spec = principal_curvature_spectrum(met, fn, level, points=6)
+for name, wind, fn, level in cases:
+    spec = principal_curvature_spectrum(wind, fn, level, points=6)
     print(f"  {name}")
     print(f"    g = {spec.g}, multiplicities {spec.multiplicities}, "
           f"curvatures {np.round(spec.cluster_means, 4)}")

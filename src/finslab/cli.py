@@ -209,10 +209,12 @@ _MAX_2L = 128
 
 def _clifford_system(spec, where: str = "field 'clifford'"
                      ) -> cl.CliffordSystem:
-    """A Clifford system from its matrices (any of m, l, k, k1, k2 given
-    beside them must agree with them) or from {m, k} (k1, k2 for a
-    split), with the field types checked; {m, k} must give
-    2l = 2 k delta_m <= _MAX_2L."""
+    """A Clifford system from its matrices, or from {m, k} or the split
+    {m, k1, k2} ({m, k, k2} reads k as k1), with the field types checked.
+    No key given is dropped: beside the matrices each must agree with
+    them, beside k1 and k2 k must be their sum, l must be the built
+    system's, and k1 needs k2.  {m, k} must give 2l = 2 k delta_m <=
+    _MAX_2L."""
     _check_spec(where, spec, _CLIFFORD_ENTRIES)
     try:
         if "matrices" in spec:   # numbers; the system checks their shape
@@ -222,13 +224,22 @@ def _clifford_system(spec, where: str = "field 'clifford'"
             k = spec.get("k", 1)
             if "k2" in spec:
                 k = (spec.get("k1", k), spec["k2"])
+                if "k1" in spec and spec.get("k", sum(k)) != sum(k):
+                    raise ConfigError(f"{where}: 'k' is {spec['k']}, but "
+                                      f"'k1' + 'k2' is {sum(k)}")
+            elif "k1" in spec:
+                raise ConfigError(f"{where}: 'k1' is used only with 'k2'")
             # delta_m grows with m and delta_16 = 128: the clamp fails a
             # huge m without computing its huge delta_m
             ktot = sum(k) if isinstance(k, tuple) else k
             if 2 * ktot * cl.clifford_delta(min(spec["m"], 16)) > _MAX_2L:
                 raise ConfigError(f"{where}: 2l = 2 k delta_m must be at most "
                                   f"{_MAX_2L}, not m = {spec['m']}, k = {k}")
-            return cl.build_clifford(spec["m"], k)
+            sys_ = cl.build_clifford(spec["m"], k)
+            if spec.get("l", sys_.l) != sys_.l:
+                raise ConfigError(f"{where}: 'l' is {spec['l']}, but m and "
+                                  f"k give {sys_.l}")
+            return sys_
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid Clifford system: {exc}") \
             from None
@@ -382,9 +393,7 @@ def _run_tangency(cfg: ExperimentConfig, extras: dict):
 
 def _run_spectrum(cfg: ExperimentConfig, extras: dict):
     f, W = _sphere_setup(cfg, extras)
-    chart = Chart(np.eye(f.ambient_dim)[0])
-    met = round_metric(chart) if W is None else randers_sphere(chart, W)
-    spec = principal_curvature_spectrum(met, f, cfg.level,
+    spec = principal_curvature_spectrum(W, f, cfg.level,
                                         points=cfg.per_level, seed=cfg.seed)
     # expect_g is read, and so echoed, whether the spectrum is consistent
     ok = (cfg.expect_g is None or spec.g in cfg.expect_g) and spec.consistent
@@ -518,7 +527,8 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--w-spec", dest="w_spec",
                    help="wind: JSON file or inline JSON")
     p.add_argument("--norm", help="base norm: JSON file or inline JSON")
-    p.add_argument("--clifford", help="Clifford system JSON file")
+    p.add_argument("--clifford",
+                   help="Clifford system: JSON file or inline JSON")
     p.add_argument("--function")
     p.add_argument("--levels", type=_parse_levels)
     p.add_argument("--per-level", dest="per_level", type=int)
@@ -535,7 +545,7 @@ def _add_common_flags(p: argparse.ArgumentParser):
 def _config_from_args(args) -> ExperimentConfig:
     data = {key: value for key, value in vars(args).items()
             if value is not None and key not in ("command", "json", "out")}
-    for key in ("w_spec", "norm"):
+    for key in ("w_spec", "norm", "clifford"):
         text = data.get(key)
         if text is not None and text.lstrip().startswith("{"):
             try:

@@ -20,8 +20,9 @@ volume of the round one), so Lap f = div_h(grad f).
 A function is transnormal when F(grad f) is constant on each level and
 isoparametric when Lap f is too; the checks below sample level sets and
 report the per-level spread of those quantities.  The principal-curvature
-spectrum works in charts: its shape operator is taken with respect to the
-localization metric q(x) = g^F(x, grad f(x)).
+spectrum takes the same datum and works in charts centered at its sample
+points: its shape operator is taken with respect to the localization
+metric q(x) = g^F(x, grad f(x)).
 """
 
 from __future__ import annotations
@@ -39,34 +40,32 @@ from .errors import (ClusterAmbiguity, ConfigError, CriticalPoint,
 from .minkowski import _any, _dot, _matvec, _vecmat, fiber, legendre_solve
 from .report import VerificationReport, worst_deviation
 from .sphere import (Chart, KillingField, MetricField, _check_wind,
-                     _complete_basis, random_sphere_points)
+                     _complete_basis, random_sphere_points, randers_sphere,
+                     round_metric)
 
 _CRITICAL_EPS = 1e-10
 _NEWTON_CAP = 60        # Newton steps of a level-set projection
 _STENCIL_STEP = 1e-3    # chart stencils of the spectrum
 _GAP = 1e-2             # relative eigenvalue gap between clusters
-
-
-def _stencil_jacobian(rule, p: np.ndarray) -> np.ndarray:
-    # derivatives of rule at the points p, on a new last axis
-    D = stencil_derivative(rule(stencil_points(p, 1e-3)), 1e-3)
-    return np.moveaxis(D, 0, -1)
+# a sample is regular where |grad_h f|^2 > _REGULAR.  By the eikonal
+# identity |grad_h f|^2 = g^2 (1 - f^2) of f = cos(g theta), g <= 6, a point
+# within 1e-12 of a focal level f = +-1 has |grad_h f|^2 <= 2 g^2 1e-12 <
+# 1e-10, two decades below; a level c with g^2 (1 - c^2) > 1e-8 passes
+_REGULAR = 1e-8
 
 
 class SphereFunction:
-    """A smooth scalar function on S^n given by an ambient rule.
+    """A smooth scalar function on S^n given by three ambient rules.
 
-    value maps points (..., n+1) to values (...), gradient, when given, to
-    ambient gradients (..., n+1) and hessian, when given, to ambient
-    Hessians (..., n+1, n+1): all broadcast over the rows of a stack of
-    points.  A missing gradient or Hessian rule is replaced by the stencil
-    derivative of the rule below it, at step 1e-3.
+    value maps points (..., n+1) to values (...), gradient to ambient
+    gradients (..., n+1) and hessian to ambient Hessians (..., n+1, n+1):
+    all broadcast over the rows of a stack of points.
     """
 
     def __init__(self, ambient_dim: int, kind: str,
                  value: Callable[[np.ndarray], np.ndarray],
-                 gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+                 gradient: Callable[[np.ndarray], np.ndarray],
+                 hessian: Callable[[np.ndarray], np.ndarray]):
         self.ambient_dim = ambient_dim
         self.kind = kind
         self._value = value
@@ -79,35 +78,16 @@ class SphereFunction:
         return float(v) if np.ndim(v) == 0 else v
 
     def gradient(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self._gradient is not None:
-            return self._gradient(p)
-        return _stencil_jacobian(self._value, p)
+        return self._gradient(np.asarray(p, dtype=float))
 
     def hessian(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self._hessian is not None:
-            return self._hessian(p)
-        return _stencil_jacobian(self.gradient, p)
-
-    def tangent_gradient(self, p) -> np.ndarray:
-        """Ambient gradient projected onto T_p S^n."""
-        p = np.asarray(p, dtype=float)
-        g = self.gradient(p)
-        return g - _dot(g, p)[..., None] * p
-
-    def chart_gradient(self, chart: Chart, x) -> np.ndarray:
-        """d(f o map) at x: the chart covector of df."""
-        J = chart.jacobian(x)
-        return _matvec(J.swapaxes(-1, -2), self.gradient(chart.map(x)))
+        return self._hessian(np.asarray(p, dtype=float))
 
     def __neg__(self) -> "SphereFunction":
-        def negated(rule):
-            return None if rule is None else lambda p: -rule(p)
-
+        value, gradient, hessian = self._value, self._gradient, self._hessian
         return SphereFunction(self.ambient_dim, self.kind,
-                              negated(self._value), negated(self._gradient),
-                              negated(self._hessian))
+                              lambda p: -value(p), lambda p: -gradient(p),
+                              lambda p: -hessian(p))
 
 
 def height_function(ambient_dim: int, axis: int = 0) -> SphereFunction:
@@ -213,7 +193,7 @@ def _sample_levels(f: SphereFunction, levels: list, count: int,
              for b, rng in zip(block, rngs) if b]))
         # c must also be a regular value at the found point
         t = G - _dot(G, P)[:, None] * P
-        keep = ok & (_dot(t, t) > 1e-12)
+        keep = ok & (_dot(t, t) > _REGULAR)
         sample = np.repeat(np.arange(k), block)[keep]
         kept.append((sample, P[keep], G[keep]))
         have = [h + m for h, m in zip(have, np.bincount(
@@ -221,8 +201,8 @@ def _sample_levels(f: SphereFunction, levels: list, count: int,
     for c, got in zip(levels, have):
         if got < max(count, 1):
             raise EmptyLevel(f"only {got}/{count} samples of level {c} "
-                             "converged" if got else
-                             f"no sample of level {c} converged")
+                             "converged to a regular point" if got else
+                             f"no regular point of level {c} found")
     (sample, P, G), *later = kept
     if later or len(P) > k * count:
         # each sample's rows in draw order, the first count of them
@@ -248,7 +228,8 @@ def sample_level_set(f: SphereFunction, c: float, count: int,
     those of a seed-by-seed pass over at most 40 count + 200 seeds.  The
     level checks draw each of their samples so, all in one projection per
     round of blocks.  Deterministic given the seed; raises EmptyLevel
-    when no seed point converges (e.g. c outside the range of f).
+    when no seed point converges to a regular point of the level (e.g. c
+    outside the range of f, or a focal level such as c = +-1).
     """
     return _sample_levels(f, [c], count, [seed])[0]
 
@@ -266,7 +247,8 @@ def _dual(metric: MetricField, f: SphereFunction, X,
     X = np.asarray(X, dtype=float)
     if stencil:
         X = np.concatenate((X[None], stencil_points(X, _STENCIL_STEP)))
-    df = f.chart_gradient(metric.chart, X)
+    J = metric.chart.jacobian(X)
+    df = _matvec(J.swapaxes(-1, -2), f.gradient(metric.chart.map(X)))
     small = np.linalg.norm(df, axis=-1) < _CRITICAL_EPS
     if _any(small[0] if stencil else small):
         raise CriticalPoint("df vanishes; nonlinear gradient undefined")
@@ -457,8 +439,10 @@ def check_tangency(f: SphereFunction, W: KillingField, samples: int,
     """max |df(W x)| over sampled sphere points.
 
     Small residuals mean the flow of W preserves f; the flow exp(0.1 W)
-    is cross-checked on a few points.
+    is cross-checked on a few points.  A wind of another dimension raises
+    DimensionMismatch; its strength is not checked, as W only flows here.
     """
+    _check_wind(W, f.ambient_dim, navigates=False)
     rng = np.random.default_rng(seed)
     pts = random_sphere_points(f.ambient_dim - 1, samples, rng)
     resid = np.abs(_dot(f.gradient(pts), pts @ W.matrix.T))
@@ -502,12 +486,14 @@ def _cluster(evals: np.ndarray, gap: float) -> np.ndarray:
     return np.diff(evals, axis=1) > thresh
 
 
-def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
+def principal_curvature_spectrum(W: Optional[KillingField], f: SphereFunction,
                                  c: float, points: int,
                                  seed: int = 0) -> SpectrumResult:
-    """Shape-operator eigenvalues of the level {f = c}, clustered.
+    """Shape-operator eigenvalues of the level {f = c}, clustered, for the
+    navigation datum (round h, W); W None is the round sphere.
 
-    The shape operator is taken with respect to the localization metric
+    Each point of the level's sample is the center of its own chart.  The
+    shape operator is taken with respect to the localization metric
     q = g^F_{grad f}: S(u) = -(nabla^q_u n1) on the q-orthogonal
     complement of the F-unit normal n1 = grad f / F(grad f), with the
     covariant derivative assembled from finite differences of q.
@@ -515,12 +501,13 @@ def principal_curvature_spectrum(metric: MetricField, f: SphereFunction,
     changes under halving/doubling the gap raises ClusterAmbiguity.  The
     result is consistent when every sampled point reports the same
     multiplicities.  A level of S^1 is a set of points and raises
-    DimensionMismatch.
+    DimensionMismatch; the wind is checked as randers_sphere checks it.
     """
-    n = metric.dim
+    n = f.ambient_dim - 1
     if n < 2:
         raise DimensionMismatch("a level of S^1 has no principal curvatures")
-    fld = metric.with_center(sample_level_set(f, c, points, seed))
+    chart = Chart(sample_level_set(f, c, points, seed))
+    fld = round_metric(chart) if W is None else randers_sphere(chart, W)
     # every sample's center and coordinate stencil in one pass: q and the
     # unit normal nu, then their x-derivatives d_k on the first axis
     F, q, grad = _dual(fld, f, np.zeros((points, n)), stencil=True)

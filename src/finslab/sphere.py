@@ -112,13 +112,15 @@ def killing_norm(W: KillingField) -> float:
     return W.norm
 
 
-def _check_wind(W: KillingField, ambient_dim: int) -> None:
+def _check_wind(W: KillingField, ambient_dim: int,
+                navigates: bool = True) -> None:
     # the navigation datum (round h, W) on S^(ambient_dim - 1) needs a wind
-    # on R^ambient_dim that is shorter than 1 everywhere
+    # on R^ambient_dim that is shorter than 1 everywhere; a wind that only
+    # flows (navigates False) needs the dimension alone
     if W.ambient_dim != ambient_dim:
         raise DimensionMismatch("Killing field dimension does not match "
                                 "the sphere")
-    if (strength := killing_norm(W)) >= 1.0:
+    if navigates and (strength := killing_norm(W)) >= 1.0:
         raise WindTooStrong(f"killing_norm(W) = {strength:.6f} >= 1")
 
 

@@ -14,12 +14,16 @@ Newton dual at a time instead of the batched level-set layer, charts,
 the navigated Randers coefficients, the Legendre solve and a stencil of
 the flux instead of the ambient closed forms of the level scan, one
 (y, u) pair at a time instead of the array pass of the navigation lemma,
-and the chart Jacobian J, J^T J and a linear solve for the wind instead
-of the closed-form round and Randers coefficients of a gnomonic chart.
+the chart Jacobian J, J^T J and a linear solve for the wind instead
+of the closed-form round and Randers coefficients of a gnomonic chart,
+and the stencil of a function's value and gradient rules
+(``stencil_jacobian``, ``stencil_function``) instead of its closed-form
+gradient and Hessian.
 
 The helpers at the end are test fixtures, not oracles: the two
 metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
-the one-center chart helpers ``chart_coords`` and
+the chart covector ``chart_gradient`` of df, the one-center chart
+helpers ``chart_coords`` and
 ``chart_pull_tangent``, ``unchecked_norm``, an invalid norm input, and
 ``span_matrix``, the vectorized elements of a basis of skew matrices.
 """
@@ -28,6 +32,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
 from finslab.errors import ChartBoundary
+from finslab.isoparametric import SphereFunction
 from finslab.minkowski import NormEvaluator, legendre_solve, randers_fiber
 from finslab.navigation import navigated_norm
 from finslab.sphere import (_CHART_RADIUS, Chart, MetricField,
@@ -427,11 +432,33 @@ def pointwise_sample_level_set(f, c, count, seed, newton_cap=60):
                 scale *= 0.5
             else:
                 break
+        # a focal point, where |grad_h f|^2 <= 1e-8, is not on a regular
+        # level
         if ok and abs(residual(p)) < 1e-10 \
-                and np.linalg.norm(tangent(p)) > 1e-6:
+                and np.linalg.norm(tangent(p)) > 1e-4:
             out.append(p)
     assert len(out) == count, f"{len(out)}/{count} seeds converged"
     return np.array(out)
+
+
+def stencil_jacobian(rule, P, h=1e-3):
+    """Derivatives of an ambient rule at the points P, on a new last axis,
+    by the fourth-order central stencil at step h, one ambient axis at a
+    time; exact up to roundoff on polynomials of degree <= 4."""
+    P = np.asarray(P, dtype=float)
+    return np.stack([sum(w * rule(P + o * h * e)
+                         for o, w in zip(_OFFS4, _WGTS4)) / h
+                     for e in np.eye(P.shape[-1])], axis=-1)
+
+
+def stencil_function(ambient_dim, kind, value, gradient=None):
+    """A SphereFunction of the value rule whose Hessian rule, and gradient
+    rule when none is given, is the stencil_jacobian of the rule below."""
+    if gradient is None:
+        def gradient(P):
+            return stencil_jacobian(value, P)
+    return SphereFunction(ambient_dim, kind, value, gradient,
+                          lambda P: stencil_jacobian(gradient, P))
 
 
 def _pointwise_dual(metric, f, x):
@@ -499,7 +526,7 @@ def chart_laplacian(W, f, P, h=1e-3):
     # X[o, k] = x0 + h _OFFS4[o] e_k, the stencil of every chart origin
     X = x0 + h * np.array(_OFFS4)[:, None, None, None] \
         * np.eye(n)[None, :, None, :]
-    grad = legendre_solve(met.coefficients(X), f.chart_gradient(chart, X))
+    grad = legendre_solve(met.coefficients(X), chart_gradient(chart, f, X))
     flux = np.sqrt(np.linalg.det(pullback_round(chart, X)))[..., None] * grad
     div = np.einsum("o,okpk->p", np.array(_WGTS4) / h, flux)
     return div / np.sqrt(np.linalg.det(pullback_round(chart, x0)))
@@ -611,6 +638,13 @@ def finsler_value_ambient(field, p, u):
     u = u - (u @ p) * p
     fld = field.with_center(p)
     return fld.norm_at(np.zeros(fld.dim))(fld.chart.basis.T @ u)
+
+
+def chart_gradient(chart, f, X):
+    """d(f o map) at the chart points X, the chart covector J^T grad f of
+    df, from the chart Jacobian of the oracles."""
+    p, J = _chart_jacobian(chart, X)
+    return np.einsum("...ij,...i->...j", J, f.gradient(p))
 
 
 def chart_coords(chart, p):

@@ -199,12 +199,10 @@ def test_criterion_5_tangency_eligibility():
 def test_criterion_6_principal_curvature_counts():
     sys_ = build_quiet(1, 3)
     f = otfkm_function(sys_)
-    chart6 = Chart(np.eye(6)[0])
     details = []
     ok = True
 
-    spec = principal_curvature_spectrum(round_metric(chart6), f, 0.3,
-                                        points=20, seed=106)
+    spec = principal_curvature_spectrum(None, f, 0.3, points=20, seed=106)
     ok = ok and spec.g == 4 and spec.consistent
     details.append(f"round otfkm: g={spec.g} mult={spec.multiplicities} "
                    f"consistent={spec.consistent}")
@@ -212,19 +210,14 @@ def test_criterion_6_principal_curvature_counts():
     # homogeneous configurations: rotation-invariant heights (g = 1),
     # product-of-spheres levels (g = 2), otfkm with a spin wind (g = 4)
     cases = [
-        ("height", randers_sphere(Chart(np.eye(5)[0]),
-                                  block_killing(1, [0.5], [2])),
-         height_function(5, axis=0), 0.4),
-        ("split-quadratic", randers_sphere(Chart(np.eye(4)[0]),
-                                           block_killing(0, [0.3, 0.6],
-                                                         [1, 1])),
+        ("height", block_killing(1, [0.5], [2]), height_function(5, axis=0),
+         0.4),
+        ("split-quadratic", block_killing(0, [0.3, 0.6], [1, 1]),
          split_quadratic_function(4, 2), 0.4),
-        ("otfkm", randers_sphere(chart6,
-                                 scaled_wind(spin_lift(sys_).elements[0])),
-         f, 0.3),
+        ("otfkm", scaled_wind(spin_lift(sys_).elements[0]), f, 0.3),
     ]
-    for name, met, fn, level in cases:
-        s = principal_curvature_spectrum(met, fn, level, points=8, seed=106)
+    for name, W, fn, level in cases:
+        s = principal_curvature_spectrum(W, fn, level, points=8, seed=106)
         ok = ok and s.g in (1, 2, 4) and s.consistent
         details.append(f"randers {name}: g={s.g} consistent={s.consistent}")
     report(6, "principal curvature counts", ok, "; ".join(details))

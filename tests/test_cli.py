@@ -234,6 +234,11 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--levels", "0.3", "--per-level", "4"])
     assert code == 1
     capsys.readouterr()
+    # so does a focal level, which has no regular point
+    assert main(["verify", "spectrum", "--n", "3", "--level", "1.0",
+                 "--per-level", "4"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["per_level"][0]["error"] == "EmptyLevel"
 
     # config error exits 2
     assert main(["verify", "transnormal", "--function", "otfkm",
@@ -879,6 +884,64 @@ def test_oversized_clifford_system_is_never_built(monkeypatch):
             cli._clifford_system(spec)
     with pytest.raises(AssertionError, match="m = 1, k = 64"):
         cli._clifford_system({"m": 1, "k": 64})
+
+
+@pytest.mark.parametrize("spec, name", [
+    ({"m": 4, "k1": 2}, "k1"),                     # k1 without k2
+    ({"m": 3, "k": 2, "k1": 7}, "k1"),
+    ({"m": 4, "k": 5, "k1": 2, "k2": 1}, "k"),     # k is not k1 + k2
+    ({"m": 1, "k": 3, "l": 4}, "l"),               # m and k give l = 3
+])
+def test_clifford_spec_key_that_is_not_used_exits_2(tmp_path, capsys, spec,
+                                                    name):
+    # a key of an {m, k} spec is used or must agree, never dropped
+    with pytest.raises(ConfigError, match=f"'{name}'"):
+        cli._clifford_system(spec)
+    entry = {"check": "clifford-audit", "clifford": spec}
+    (tmp_path / "battery.json").write_text(json.dumps([entry]))
+    assert main(["batch", str(tmp_path / "battery.json")]) == 2
+    error = _failed_battery_report(capsys.readouterr())
+    assert error["error"] == "ConfigError" and f"'{name}'" in error["message"]
+
+
+def test_clifford_spec_keys_that_agree_build_the_system():
+    # k beside k1 and k2 is their sum, as a system's JSON writes it, and
+    # with k2 alone k is read as k1
+    for spec, k12 in (({"m": 4, "k": 2, "k1": 1, "k2": 1}, (1, 1)),
+                      ({"m": 4, "k": 2, "k2": 1}, (2, 1)),
+                      ({"m": 4, "k1": 1, "k2": 1, "l": 8}, (1, 1))):
+        sys_ = cli._clifford_system(spec)
+        assert (sys_.k1, sys_.k2) == k12
+    assert cli._clifford_system({"m": 1, "k": 3, "l": 3}).k == 3
+
+
+def test_inline_clifford_flag_is_read_as_json(capsys):
+    # --clifford takes a file or inline JSON, as --w-spec and --norm do
+    assert main(["verify", "clifford-audit",
+                 "--clifford", '{"m": 1, "k": 3}']) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"] and out["config"]["clifford"] == {"m": 1, "k": 3}
+    assert main(["verify", "clifford-audit", "--clifford", "{"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("function", ["height", "split-quadratic", "otfkm"])
+@pytest.mark.parametrize("check", ["transnormal", "isoparametric",
+                                   "spectrum"])
+def test_focal_level_is_a_failed_empty_level(function, check):
+    # c = +-1 are the focal values of every built-in f = cos(g theta): a
+    # point found there is critical, so the level has no regular point
+    for c in (1.0, -1.0):
+        entry = {"check": check, "function": function, "n": 3,
+                 "per_level": 4} | (
+            {"level": c} if check == "spectrum" else {"levels": [c]})
+        if function == "otfkm":
+            entry["clifford"] = {"m": 1, "k": 3}
+        rep = run(ExperimentConfig.from_dict(entry))
+        assert not rep.passed and math.isnan(rep.max_deviation)
+        [error] = rep.per_level
+        assert error["error"] == "EmptyLevel"
+        assert error["message"].startswith(f"no regular point of level {c}")
 
 
 def test_non_clifford_matrices_exit_2(tmp_path, capsys):

@@ -11,13 +11,13 @@ from scipy.linalg import expm
 
 import finslab.isoparametric as iso
 import finslab.sphere as sphere
-from conftest import (chart_laplacian, laplace_beltrami_oracle,
-                      localization_field, newton_legendre,
-                      pointwise_gradient_norm, pointwise_sample_level_set,
-                      pointwise_shape_eigenvalues, pullback_round)
+from conftest import (chart_gradient, chart_laplacian,
+                      laplace_beltrami_oracle, localization_field,
+                      newton_legendre, pointwise_gradient_norm,
+                      pointwise_sample_level_set, pointwise_shape_eigenvalues,
+                      pullback_round, stencil_function, stencil_jacobian)
 from finslab import cli
-from finslab.clifford import (build_clifford, centralizer, otfkm_gradient,
-                              otfkm_value, spin_lift)
+from finslab.clifford import build_clifford, centralizer, spin_lift
 from finslab.curvature import Flag, flag_curvature
 from finslab.errors import (ConfigError, CriticalPoint, DimensionMismatch,
                             EmptyLevel, WindTooStrong)
@@ -59,7 +59,7 @@ def test_riemannian_gradient_is_raised_gradient():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.standard_normal(2) * 0.5
-        df = f.chart_gradient(met.chart, x)
+        df = chart_gradient(met.chart, f, x)
         grad = nonlinear_gradient(met, f, x)
         raised = np.linalg.solve(met.norm_at(x).alpha, df)
         assert np.linalg.norm(grad - raised) < 1e-9
@@ -72,7 +72,7 @@ def test_gradient_defining_relation():
         x = rng.standard_normal(5) * 0.3
         grad = nonlinear_gradient(met, f, x)
         g = 0.5 * met.norm_at(x).sq_jet(grad).hess
-        df = f.chart_gradient(met.chart, x)
+        df = chart_gradient(met.chart, f, x)
         assert np.abs(g @ grad - df).max() < 1e-8 * (1 + np.linalg.norm(df))
         assert float(df @ grad) > 0.0       # increasing direction
 
@@ -84,7 +84,7 @@ def test_gradient_norm_is_dual_norm_value():
     for _ in range(10):
         x = rng.standard_normal(5) * 0.3
         grad = nonlinear_gradient(met, f, x)
-        df = f.chart_gradient(met.chart, x)
+        df = chart_gradient(met.chart, f, x)
         Fg = met.norm_at(x)(grad)
         assert abs(Fg * Fg - float(df @ grad)) < 1e-8 * max(1.0, Fg * Fg)
 
@@ -126,7 +126,7 @@ def test_unit_normal_is_h_normal_plus_wind():
         grad = nonlinear_gradient(fld, f, x0)
         n1 = grad / fld.norm_at(x0)(grad)
         A = pullback_round(fld.chart, x0)
-        df = f.chart_gradient(fld.chart, x0)
+        df = chart_gradient(fld.chart, f, x0)
         nh = np.linalg.solve(A, df)
         nh /= np.sqrt(nh @ A @ nh)
         wch = np.linalg.solve(A, fld.chart.jacobian(x0).T
@@ -176,37 +176,12 @@ def test_laplacian_matches_coordinate_oracle():
         assert abs(lap - oracle) < 1e-4
 
 
-def test_custom_function_broadcasts_and_falls_back_to_the_stencil():
-    sys_ = build_clifford(1, 3)
-    f = SphereFunction(6, "custom", lambda p: otfkm_value(sys_, p))
-    P = sphere.random_sphere_points(5, 50, np.random.default_rng(3))
-    assert f.kind == "custom"
-    # the rules broadcast over rows, and one point gives a float
-    vals = f(P)
-    assert vals.shape == (50,)
-    assert isinstance(f(P[0]), float) and f(P[0]) == vals[0]
-    # with no gradient rule, the stencil of the value rule (exact on the
-    # quartic) gives the tangent gradient
-    exact = otfkm_gradient(sys_, P)
-    exact -= np.einsum("ij,ij->i", exact, P)[:, None] * P
-    fd = f.tangent_gradient(P)
-    assert fd.shape == (50, 6)
-    assert np.abs(fd - exact).max() < 2e-10
-    assert np.abs(f.tangent_gradient(P[0]) - fd[0]).max() < 1e-14
-    # a gradient rule, when given, is used as it is
-    g = SphereFunction(6, "custom", lambda p: otfkm_value(sys_, p),
-                       lambda p: otfkm_gradient(sys_, p))
-    assert np.array_equal(g.gradient(P), otfkm_gradient(sys_, P))
-
-
 def test_sample_level_set_height_equator():
     f = height_function(3, axis=2)
     P = sample_level_set(f, 0.0, 20, seed=7)
     assert isinstance(P, np.ndarray) and P.shape == (20, 3)
     assert np.abs(P[:, 2]).max() < 1e-10
     assert np.abs(np.linalg.norm(P, axis=1) - 1.0).max() < 1e-12
-    assert np.abs(np.einsum("ij,ij->i", P, f.tangent_gradient(P))).max() \
-        < 1e-10
 
 
 def test_sample_level_set_otfkm():
@@ -215,6 +190,26 @@ def test_sample_level_set_otfkm():
     P = sample_level_set(f, 0.0, 100, seed=8)
     assert P.shape == (100, 6)
     assert np.abs(f(P)).max() < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["height", "split-quadratic", "otfkm"])
+def test_focal_levels_have_no_regular_point(kind):
+    # c = +-1 are focal values of each f = cos(g theta): the projection
+    # lands within 1e-12 of them where |grad_h f|^2 = g^2 (1 - f^2) is
+    # below 1e-10, and neither sampler keeps such a point, while
+    # c = +-0.9999 stays a regular level
+    f = {"height": lambda: height_function(5, axis=0),
+         "split-quadratic": lambda: split_quadratic_function(4, 2),
+         "otfkm": lambda: otfkm_function(build_clifford(1, 3))}[kind]()
+    for c in (1.0, -1.0):
+        with pytest.raises(EmptyLevel, match=f"no regular point of level {c}"):
+            sample_level_set(f, c, 3, seed=2)
+        with pytest.raises(AssertionError, match="0/3"):
+            pointwise_sample_level_set(f, c, 3, 2)
+    for c in (0.9999, -0.9999):
+        assert np.abs(sample_level_set(f, c, 3, seed=2)
+                      - pointwise_sample_level_set(f, c, 3, 2)).max() < 1e-12
+    assert check_transnormal(None, f, [0.9999, -0.9999], per_level=3).passed
 
 
 def test_sample_level_set_out_of_range():
@@ -321,7 +316,7 @@ def test_legendre_matches_newton_at_paper_suite_levels():
                 x0 = np.zeros(fld.dim)
                 norm = fld.norm_at(x0)
                 for fn in (f, -f):
-                    df = fn.chart_gradient(fld.chart, x0)
+                    df = chart_gradient(fld.chart, fn, x0)
                     y = legendre_solve(norm, df)
                     oracle = newton_legendre(norm, df, rel_tol=1e-13)
                     assert (np.linalg.norm(y - oracle)
@@ -375,7 +370,8 @@ def test_tangency_flow_matches_expm_oracle(W):
     N = W.ambient_dim
     c = np.random.default_rng(N).standard_normal(N)
     f = SphereFunction(N, "linear", lambda p: p @ c,
-                       lambda p: np.broadcast_to(c, p.shape))
+                       lambda p: np.broadcast_to(c, p.shape),
+                       lambda p: np.zeros(p.shape + (N,)))
     rep = check_tangency(f, W, samples=50, seed=3)
     head = sphere.random_sphere_points(N - 1, 50,
                                        np.random.default_rng(3))[:20]
@@ -385,9 +381,8 @@ def test_tangency_flow_matches_expm_oracle(W):
 
 
 def test_spectrum_round_equator():
-    met = round_metric(Chart([0.0, 0.0, 1.0]))
     f = height_function(3, axis=2)
-    spec = principal_curvature_spectrum(met, f, 0.0, points=5, seed=0)
+    spec = principal_curvature_spectrum(None, f, 0.0, points=5, seed=0)
     assert spec.g == 1
     assert spec.multiplicities == (1,)
     assert abs(spec.cluster_means[0]) < 1e-5
@@ -395,8 +390,8 @@ def test_spectrum_round_equator():
 
 
 def test_spectrum_round_otfkm_g4():
-    _, f, met, _ = s5_setup(wind=None)
-    spec = principal_curvature_spectrum(met, f, 0.3, points=8, seed=0)
+    _, f, _, _ = s5_setup(wind=None)
+    spec = principal_curvature_spectrum(None, f, 0.3, points=8, seed=0)
     assert spec.g == 4
     assert spec.multiplicities == (1, 1, 1, 1)
     assert spec.consistent
@@ -404,19 +399,18 @@ def test_spectrum_round_otfkm_g4():
 
 def test_spectrum_randers_homogeneous_counts():
     # rotation-invariant height levels: one principal curvature
-    met1 = randers_sphere(Chart(np.eye(5)[0]), block_killing(1, [0.5], [2]))
-    spec1 = principal_curvature_spectrum(met1, height_function(5, axis=0),
+    spec1 = principal_curvature_spectrum(block_killing(1, [0.5], [2]),
+                                         height_function(5, axis=0),
                                          0.4, points=5, seed=0)
     assert spec1.g == 1 and spec1.consistent
     # product-of-spheres levels: two principal curvatures
-    met2 = randers_sphere(Chart(np.eye(4)[0]),
-                          block_killing(0, [0.3, 0.6], [1, 1]))
     spec2 = principal_curvature_spectrum(
-        met2, split_quadratic_function(4, 2), 0.4, points=5, seed=0)
+        block_killing(0, [0.3, 0.6], [1, 1]), split_quadratic_function(4, 2),
+        0.4, points=5, seed=0)
     assert spec2.g == 2 and spec2.consistent
     # OT-FKM with a spin wind: four principal curvatures
-    _, f, met3, _ = s5_setup()
-    spec3 = principal_curvature_spectrum(met3, f, 0.3, points=5, seed=0)
+    _, f, _, W = s5_setup()
+    spec3 = principal_curvature_spectrum(W, f, 0.3, points=5, seed=0)
     assert spec3.g == 4 and spec3.consistent
     assert all(s.g in (1, 2, 4) for s in (spec1, spec2, spec3))
 
@@ -434,7 +428,7 @@ def test_one_norm_build_and_one_solve_per_point(monkeypatch):
     monkeypatch.setattr(
         sphere.MetricField, "coefficients",
         lambda fld, X: builds.append(1) or coefficients(fld, X))
-    _, f, met, _ = s5_setup()
+    _, f, met, W = s5_setup()
     unit_gradient_field(met, f)(np.array([-0.1, 0.2, -0.05, -0.3, 0.1]))
     assert (len(builds), solves) == (1, [(5,)])
     # a spectrum of P points makes one builder call and one solve for the
@@ -442,7 +436,7 @@ def test_one_norm_build_and_one_solve_per_point(monkeypatch):
     for points in (1, 4):
         builds.clear()
         solves.clear()
-        principal_curvature_spectrum(met, f, 0.3, points=points, seed=0)
+        principal_curvature_spectrum(W, f, 0.3, points=points, seed=0)
         assert (len(builds), solves) == (1, [(1 + 4 * 5, points, 5)])
 
 
@@ -498,7 +492,7 @@ def test_level_quantities_match_pointwise_oracles(mk, wind):
     for fn, c in ((f, 0.3), (-f, 0.5)):
         pts = sample_level_set(fn, c, 3, seed=21)
         Fg = gradient_norm(W, fn, pts)
-        spec = principal_curvature_spectrum(met, fn, c, points=3, seed=21)
+        spec = principal_curvature_spectrum(W, fn, c, points=3, seed=21)
         for i, p in enumerate(pts):
             one = met.with_center(p)
             assert abs(Fg[i] - pointwise_gradient_norm(one, fn, x0)) < 1e-12
@@ -548,11 +542,12 @@ def test_spectrum_matches_pointwise_oracle_for_a_non_tangent_wind():
     # the wind rotates the (x0, x1) plane while the height function reads
     # x0, so F*(df) != |df| and q nu = df / F is not a unit vector: the
     # tangent basis must come from its direction
-    met = randers_sphere(Chart(np.eye(4)[0]), block_killing(0, [0.5], [2]))
+    W = block_killing(0, [0.5], [2])
+    met = randers_sphere(Chart(np.eye(4)[0]), W)
     f = height_function(4, axis=0)
     x0 = np.zeros(3)
     for c in (0.3, -0.5):
-        spec = principal_curvature_spectrum(met, f, c, points=3, seed=4)
+        spec = principal_curvature_spectrum(W, f, c, points=3, seed=4)
         assert spec.g == 2 and spec.consistent
         for p, clusters in zip(sample_level_set(f, c, 3, seed=4),
                                spec.per_point):
@@ -618,7 +613,8 @@ def _ht_laplacian(W, f, P):
     # + (n+1) <grad f, W^T W p> / (1 - |Wp|^2), grad f = F (nu + Wp)
     n = f.ambient_dim - 1
     Wp = P @ W.matrix.T
-    t = f.tangent_gradient(P)
+    g = f.gradient(P)
+    t = g - np.einsum("ij,ij->i", g, P)[:, None] * P
     nu = t / np.linalg.norm(t, axis=1, keepdims=True)
     grad = gradient_norm(W, f, P)[:, None] * (nu + Wp)
     WtWp = Wp @ W.matrix
@@ -723,7 +719,7 @@ def test_projection_converges_for_a_non_isoparametric_cubic():
         x = p @ a
         return 0.3 * x ** 3 + 0.5 * p[..., 1] * p[..., 2] - 0.2 * p[..., 3]
 
-    f = SphereFunction(4, "custom", value)
+    f = stencil_function(4, "custom", value)
     for c in (-0.2, 0.0, 0.15):
         P = sample_level_set(f, c, 20, seed=2)
         assert np.abs(f(P) - c).max() < 1e-12
@@ -748,7 +744,7 @@ def test_joint_samples_over_several_rounds_are_the_samples_alone(
                 + 0.5 * p[..., [0, 2, 1, 0]] * [0.0, 1.0, 1.0, 0.0]
                 - [0.0, 0.0, 0.0, 0.2])
 
-    f = SphereFunction(4, "custom", value, gradient)
+    f = stencil_function(4, "custom", value, gradient)
     rounds = []
     project = iso._project
     monkeypatch.setattr(iso, "_project",
@@ -763,7 +759,8 @@ def test_joint_samples_over_several_rounds_are_the_samples_alone(
 
 
 def test_level_quantities_check_the_wind():
-    # the wind is checked as randers_sphere checks it
+    # the wind is checked as randers_sphere checks it; tangency, whose
+    # wind only flows, checks its dimension alone
     sys_ = build_clifford(1, 3)
     f = otfkm_function(sys_)
     P = sample_level_set(f, 0.3, 2, seed=1)
@@ -771,25 +768,41 @@ def test_level_quantities_check_the_wind():
                           / killing_norm(KillingField(
                               spin_lift(sys_).elements[0])))
     small = standard_rotation(4, 0.5)
+    tangency = lambda W: check_tangency(f, W, samples=2)    # noqa: E731
     for evaluate in (lambda W: gradient_norm(W, f, P),
                      lambda W: nonlinear_laplacian(W, f, P),
                      lambda W: check_transnormal(W, f, [0.3], per_level=2),
-                     lambda W: check_isoparametric(W, f, [0.3], per_level=2)):
-        with pytest.raises(WindTooStrong):
-            evaluate(strong)
+                     lambda W: check_isoparametric(W, f, [0.3], per_level=2),
+                     lambda W: principal_curvature_spectrum(W, f, 0.3,
+                                                            points=2),
+                     tangency):
+        if evaluate is not tangency:
+            with pytest.raises(WindTooStrong):
+                evaluate(strong)
         with pytest.raises(DimensionMismatch):
             evaluate(small)
+    assert tangency(strong).passed
 
 
-def test_hessian_rules_match_the_stencil_of_the_gradient():
-    # the closed-form Hessians of the built-in functions against the
-    # stencil fallback, which is exact on quartics; negation flips them
+def test_closed_form_rules_match_the_stencil_oracle():
+    # the gradient and Hessian rules of the built-in functions, and of
+    # their negations, against the stencil of the rule below, which is
+    # exact on quartics; every rule broadcasts over rows.  The value rule
+    # of OT-FKM is extended off the sphere as a function of x / |x|, so
+    # gradients are compared on the tangent space
     P = sphere.random_sphere_points(5, 20, np.random.default_rng(7))
+
+    def tangent(G):
+        return G - np.einsum("ij,ij->i", G, P)[:, None] * P
+
     for f in (height_function(6, axis=2), split_quadratic_function(6, 2),
               otfkm_function(build_clifford(1, 3))):
         for fn in (f, -f):
-            fallback = SphereFunction(6, "custom", fn, fn.gradient)
-            H = fn.hessian(P)
-            assert H.shape == (20, 6, 6)
-            assert np.abs(H - fallback.hessian(P)).max() < 1e-9
+            assert fn(P).shape == (20,)
+            assert isinstance(fn(P[0]), float) and fn(P[0]) == fn(P)[0]
+            G, H = fn.gradient(P), fn.hessian(P)
+            assert G.shape == (20, 6) and H.shape == (20, 6, 6)
+            assert np.abs(tangent(G - stencil_jacobian(fn, P))).max() < 1e-9
+            assert np.abs(H - stencil_jacobian(fn.gradient, P)).max() < 1e-9
+        assert np.array_equal((-f).gradient(P), -f.gradient(P))
         assert np.array_equal((-f).hessian(P), -f.hessian(P))
