@@ -17,7 +17,8 @@ from conftest import (chart_gradient, chart_laplacian,
                       pointwise_sample_level_set, pointwise_shape_eigenvalues,
                       pullback_round, stencil_function, stencil_jacobian)
 from finslab import cli
-from finslab.clifford import build_clifford, centralizer, spin_lift
+from finslab.clifford import (build_clifford, centralizer, otfkm_gradient,
+                             otfkm_value, spin_lift)
 from finslab.curvature import Flag, flag_curvature
 from finslab.errors import (ConfigError, CriticalPoint, DimensionMismatch,
                             EmptyLevel, WindTooStrong)
@@ -784,12 +785,46 @@ def test_level_quantities_check_the_wind():
     assert tangency(strong).passed
 
 
-def test_closed_form_rules_match_the_stencil_oracle():
+def test_custom_function_broadcasts_and_falls_back_to_the_stencil():
+    # a function of a value rule alone: its rules broadcast over rows, one
+    # point gives a float, and the stencil of the value rule (exact on the
+    # quartic) gives the gradient on the tangent space, as the value rule
+    # is extended off the sphere through x / |x|; a gradient rule, when
+    # given, is used as it is
+    sys_ = build_clifford(1, 3)
+    f = stencil_function(6, "custom", lambda p: otfkm_value(sys_, p))
+    P = sphere.random_sphere_points(5, 50, np.random.default_rng(3))
+    assert f.kind == "custom"
+    vals = f(P)
+    assert vals.shape == (50,)
+    assert isinstance(f(P[0]), float) and f(P[0]) == vals[0]
+    exact = otfkm_gradient(sys_, P)
+    exact -= np.einsum("ij,ij->i", exact, P)[:, None] * P
+    fd = f.gradient(P)
+    fd -= np.einsum("ij,ij->i", fd, P)[:, None] * P
+    assert fd.shape == (50, 6)
+    assert np.abs(fd - exact).max() < 2e-10
+    one = f.gradient(P[0])
+    assert np.abs(one - (one @ P[0]) * P[0] - fd[0]).max() < 1e-14
+    g = stencil_function(6, "custom", lambda p: otfkm_value(sys_, p),
+                         lambda p: otfkm_gradient(sys_, p))
+    assert np.array_equal(g.gradient(P), otfkm_gradient(sys_, P))
+    # the built-in functions and their negations broadcast alike
+    for h in (height_function(6, axis=2), split_quadratic_function(6, 2),
+              otfkm_function(sys_)):
+        for fn in (h, -h):
+            assert fn(P).shape == (50,)
+            assert isinstance(fn(P[0]), float) and fn(P[0]) == fn(P)[0]
+            assert fn.gradient(P).shape == (50, 6)
+            assert fn.hessian(P).shape == (50, 6, 6)
+
+
+def test_hessian_rules_match_the_stencil_of_the_gradient():
     # the gradient and Hessian rules of the built-in functions, and of
     # their negations, against the stencil of the rule below, which is
-    # exact on quartics; every rule broadcasts over rows.  The value rule
-    # of OT-FKM is extended off the sphere as a function of x / |x|, so
-    # gradients are compared on the tangent space
+    # exact on quartics.  The value rule of OT-FKM is extended off the
+    # sphere as a function of x / |x|, so gradients are compared on the
+    # tangent space
     P = sphere.random_sphere_points(5, 20, np.random.default_rng(7))
 
     def tangent(G):
@@ -798,8 +833,6 @@ def test_closed_form_rules_match_the_stencil_oracle():
     for f in (height_function(6, axis=2), split_quadratic_function(6, 2),
               otfkm_function(build_clifford(1, 3))):
         for fn in (f, -f):
-            assert fn(P).shape == (20,)
-            assert isinstance(fn(P[0]), float) and fn(P[0]) == fn(P)[0]
             G, H = fn.gradient(P), fn.hessian(P)
             assert G.shape == (20, 6) and H.shape == (20, 6, 6)
             assert np.abs(tangent(G - stencil_jacobian(fn, P))).max() < 1e-9
