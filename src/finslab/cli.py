@@ -151,6 +151,15 @@ _FIELD_CHECKS = _type_checks(**typing.get_type_hints(ExperimentConfig))
 _CLIFFORD_ENTRIES = _type_checks(m=int, l=int, k=int, k1=int, k2=int)
 _WIND_ENTRIES = _type_checks(n0=int, lambdas=list[float], sizes=list[int],
                              kind=str, scale=float, index=int, seed=int)
+# the shapes of each spec, in the order its reader tries them, and the
+# keys each reads
+_CLIFFORD_SHAPES = dict.fromkeys(("matrices", "m"),
+                                 ("matrices", *_CLIFFORD_ENTRIES))
+_WIND_SHAPES = {"matrix": ("matrix",), "n0": ("n0", "lambdas", "sizes"),
+                "random-skew": ("kind", "scale", "seed")} | dict.fromkeys(
+    ("spin", "centralizer"), ("kind", "scale", "index"))
+_NORM_SHAPES = {"randers": ("kind", "alpha", "beta"),
+                "euclidean-quadratic-form": ("kind", "matrix")}
 
 
 def _finite_note(value) -> str:
@@ -171,18 +180,33 @@ def _read_json(path, what: str):
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def _check_spec(where: str, spec, checks: dict, required=()):
-    """A nested spec: an object with every required entry, whose entries
-    named in checks (from _type_checks) have their type."""
+def _nested(cfg: ExperimentConfig, name: str):
+    """The nested spec of field name, or None, read from the file it names."""
+    spec = getattr(cfg, name)
+    return _read_json(spec, f"field '{name}'") if isinstance(spec, str) \
+        else spec
+
+
+def _check_spec(where: str, spec, checks: dict, required=(), shapes=None):
+    """A nested spec: an object whose entries named in checks (from
+    _type_checks) have their type, with every required entry, and no key
+    that its shape, the first of shapes named by one of its keys or by its
+    kind, does not read (a spec of no listed shape is left to its reader)."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
-    for name in required:
-        if name not in spec:
-            raise ConfigError(f"{where}: missing '{name}'")
     for name, (shown, accepts) in checks.items():
         if name in spec and not accepts(spec[name]):
             raise ConfigError(f"{where}: '{name}' must be {shown}"
                               + _finite_note(spec[name]))
+    reads = next((keys for shape, keys in (shapes or {}).items()
+                  if shape in spec or spec.get("kind") == shape), spec)
+    for name in spec:
+        if name not in reads:
+            raise ConfigError(f"{where}: '{name}' is not read; this spec "
+                              "reads " + ", ".join(f"'{r}'" for r in reads))
+    for name in required:
+        if name not in spec:
+            raise ConfigError(f"{where}: missing '{name}'")
 
 
 def _array(where: str, name: str, value, shape) -> np.ndarray:
@@ -215,7 +239,7 @@ def _clifford_system(spec, where: str = "field 'clifford'"
     them, beside k1 and k2 k must be their sum, l must be the built
     system's, and k1 needs k2.  {m, k} must give 2l = 2 k delta_m <=
     _MAX_2L."""
-    _check_spec(where, spec, _CLIFFORD_ENTRIES)
+    _check_spec(where, spec, _CLIFFORD_ENTRIES, shapes=_CLIFFORD_SHAPES)
     try:
         if "matrices" in spec:   # numbers; the system checks their shape
             return cl.CliffordSystem.from_json(spec | {"matrices": _array(
@@ -247,33 +271,29 @@ def _clifford_system(spec, where: str = "field 'clifford'"
 
 
 def _load_clifford(cfg: ExperimentConfig) -> cl.CliffordSystem:
-    spec = cfg.clifford
+    spec = _nested(cfg, "clifford")
     if spec is None:
         raise ConfigError("field 'clifford': required for otfkm functions")
-    if isinstance(spec, str):
-        spec = _read_json(spec, "field 'clifford'")
     return _clifford_system(spec)
 
 
 def _load_norm(cfg: ExperimentConfig) -> NormEvaluator:
-    if cfg.norm is None:
+    spec = _nested(cfg, "norm")
+    if spec is None:
         return NormEvaluator.euclidean(cfg.n)
-    spec = cfg.norm
+    _check_spec("field 'norm'", spec, {}, shapes=_NORM_SHAPES)
     try:
-        return NormEvaluator.from_json(spec if isinstance(spec, dict)
-                                       else _read_json(spec, "field 'norm'"))
+        return NormEvaluator.from_json(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'norm': invalid norm: {exc}") from None
 
 
 def _load_killing(cfg: ExperimentConfig, ambient_dim: int,
                   sys_=None) -> KillingField:
-    spec = cfg.w_spec
+    spec = _nested(cfg, "w_spec")
     if spec is None:   # lam J, plus one fixed axis when the dimension is odd
         return block_killing(ambient_dim % 2, [cfg.lam], [ambient_dim // 2])
-    if isinstance(spec, str):
-        spec = _read_json(spec, "field 'w_spec'")
-    _check_spec("field 'w_spec'", spec, _WIND_ENTRIES)
+    _check_spec("field 'w_spec'", spec, _WIND_ENTRIES, shapes=_WIND_SHAPES)
     if "matrix" in spec:
         return KillingField(_array("field 'w_spec'", "matrix", spec["matrix"],
                                    (ambient_dim, ambient_dim)))
@@ -357,16 +377,13 @@ def _run_flag_curvature(cfg: ExperimentConfig, extras: dict):
 
 def _run_navigation_lemma(cfg: ExperimentConfig, extras: dict):
     base = _load_norm(cfg)
-    spec = cfg.w_spec
-    if isinstance(spec, str):
-        spec = _read_json(spec, "field 'w_spec'")
+    spec = _nested(cfg, "w_spec")
     if spec is None:
         wind = np.zeros(base.dim)
         wind[0] = cfg.lam
     else:
-        if not isinstance(spec, dict) or set(spec) != {"vector"}:
-            raise ConfigError("field 'w_spec': navigation-lemma takes only "
-                              "a wind {\"vector\": [...]}")
+        _check_spec("field 'w_spec'", spec, {}, ("vector",),
+                    {"vector": ("vector",)})
         wind = _array("field 'w_spec'", "vector", spec["vector"],
                       (base.dim,))
     # n echoes the dimension checked, which a given norm fixes
@@ -398,10 +415,8 @@ def _run_spectrum(cfg: ExperimentConfig, extras: dict):
     # expect_g is read, and so echoed, whether the spectrum is consistent
     ok = (cfg.expect_g is None or spec.g in cfg.expect_g) and spec.consistent
     # cluster-mean spread across sampled points, per cluster
-    spreads = []
-    if spec.consistent:
-        for i in range(spec.g):
-            spreads.append(float(np.ptp([pt[i][0] for pt in spec.per_point])))
+    spreads = [float(np.ptp([pt[i][0] for pt in spec.per_point]))
+               for i in range(spec.g)] if spec.consistent else []
     worst = worst_deviation(spreads) if spreads else float("inf")
     return VerificationReport(
         check="spectrum", config={}, n_samples=cfg.per_level,

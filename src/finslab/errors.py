@@ -50,10 +50,6 @@ class CriticalPoint(NumericalError):
     """df = 0 at the requested point; the nonlinear gradient is undefined there."""
 
 
-class StencilEscape(NumericalError):
-    """A Laplacian stencil point fell on the critical set of the function."""
-
-
 class EmptyLevel(NumericalError):
     """No sample of the requested level set could be produced."""
 

@@ -20,9 +20,9 @@ volume of the round one), so Lap f = div_h(grad f).
 A function is transnormal when F(grad f) is constant on each level and
 isoparametric when Lap f is too; the checks below sample level sets and
 report the per-level spread of those quantities.  The principal-curvature
-spectrum takes the same datum and works in charts centered at its sample
-points: its shape operator is taken with respect to the localization
-metric q(x) = g^F(x, grad f(x)).
+spectrum takes the same datum: the shape operator of the localization
+metric q = g^F_{grad f}, in closed form from the same ambient jet of nu.
+Only nonlinear_gradient and unit_gradient_field work in charts.
 """
 
 from __future__ import annotations
@@ -34,18 +34,15 @@ import numpy as np
 
 from .clifford import (CliffordSystem, otfkm_gradient, otfkm_hessian,
                        otfkm_value)
-from .curvature import stencil_derivative, stencil_points
 from .errors import (ClusterAmbiguity, ConfigError, CriticalPoint,
-                     DimensionMismatch, EmptyLevel, StencilEscape)
+                     DimensionMismatch, EmptyLevel)
 from .minkowski import _any, _dot, _matvec, _vecmat, fiber, legendre_solve
 from .report import VerificationReport, worst_deviation
-from .sphere import (Chart, KillingField, MetricField, _check_wind,
-                     _complete_basis, random_sphere_points, randers_sphere,
-                     round_metric)
+from .sphere import (KillingField, MetricField, _check_wind, _complete_basis,
+                     random_sphere_points)
 
 _CRITICAL_EPS = 1e-10
 _NEWTON_CAP = 60        # Newton steps of a level-set projection
-_STENCIL_STEP = 1e-3    # chart stencils of the spectrum
 _GAP = 1e-2             # relative eigenvalue gap between clusters
 # a sample is regular where |grad_h f|^2 > _REGULAR.  By the eikonal
 # identity |grad_h f|^2 = g^2 (1 - f^2) of f = cos(g theta), g <= 6, a point
@@ -234,30 +231,17 @@ def sample_level_set(f: SphereFunction, c: float, count: int,
     return _sample_levels(f, [c], count, [seed])[0]
 
 
-def _dual(metric: MetricField, f: SphereFunction, X,
-          stencil: bool = False) -> tuple:
-    """(F(grad f), g_{grad f}, grad f) over the leading axes of the chart
-    points X: one builder call and one Legendre solve of df.
-
-    Raises CriticalPoint where |df| < 1e-10.  With stencil, the results
-    cover X (row 0) and its coordinate stencil_points at _STENCIL_STEP
-    (rows 1 to 4n) in the same pass, and a critical stencil point raises
-    StencilEscape.
-    """
-    X = np.asarray(X, dtype=float)
-    if stencil:
-        X = np.concatenate((X[None], stencil_points(X, _STENCIL_STEP)))
+def _dual(metric: MetricField, f: SphereFunction, X) -> tuple:
+    """(F(grad f), grad f) over the leading axes of the chart points X: one
+    builder call and one Legendre solve of df.  Raises CriticalPoint where
+    |df| < 1e-10."""
     J = metric.chart.jacobian(X)
     df = _matvec(J.swapaxes(-1, -2), f.gradient(metric.chart.map(X)))
-    small = np.linalg.norm(df, axis=-1) < _CRITICAL_EPS
-    if _any(small[0] if stencil else small):
+    if _any(np.linalg.norm(df, axis=-1) < _CRITICAL_EPS):
         raise CriticalPoint("df vanishes; nonlinear gradient undefined")
-    if _any(small):
-        raise StencilEscape("stencil point hit the critical set")
     alpha, beta = metric.coefficients(X)
     grad = legendre_solve((alpha, beta), df)
-    F, _, g = fiber(alpha, beta, grad)
-    return F, g, grad
+    return fiber(alpha, beta, grad)[0], grad
 
 
 def nonlinear_gradient(metric: MetricField, f: SphereFunction,
@@ -268,7 +252,7 @@ def nonlinear_gradient(metric: MetricField, f: SphereFunction,
     Satisfies <grad f, v>^F_{grad f} = df(v) on a basis and points in the
     increasing direction of f.  Raises CriticalPoint when |df| < 1e-10.
     """
-    return _dual(metric, f, x)[2]
+    return _dual(metric, f, x)[1]
 
 
 def unit_gradient_field(metric: MetricField, f: SphereFunction
@@ -277,7 +261,7 @@ def unit_gradient_field(metric: MetricField, f: SphereFunction
     over the rows of its chart points."""
 
     def field(x: np.ndarray) -> np.ndarray:
-        F, _, grad = _dual(metric, f, x)
+        F, grad = _dual(metric, f, x)
         return grad / F[..., None]
 
     return field
@@ -316,18 +300,28 @@ def gradient_norm(W: Optional[KillingField], f: SphereFunction, P):
     return _tangent_dual(W, P, f.gradient(P))[2]
 
 
+def _normal_jet(W: np.ndarray, P: np.ndarray, g: np.ndarray,
+                H: np.ndarray) -> tuple:
+    # (t, F, nu, Dt, Dnu) at the points P from the wind matrix W and the
+    # ambient gradient g and Hessian H of f at P: t = grad_h f, extended off
+    # the sphere as g(x) - (g(x) . x) x, F = F(grad f), nu = t / |t| and
+    # the ambient Jacobians Dt and Dnu = (I - nu nu^T) Dt / |t|
+    t, s, F = _tangent_dual(W, P, g)
+    nu = t / s[..., None]
+    Dt = (H - P[..., :, None] * (_matvec(H, P) + g)[..., None, :]
+          - _dot(g, P)[..., None, None] * np.eye(P.shape[-1]))
+    Dnu = (Dt - nu[..., :, None] * _vecmat(nu, Dt)[..., None, :]) \
+        / s[..., None, None]
+    return t, F, nu, Dt, Dnu
+
+
 def _laplacian(W: np.ndarray, P: np.ndarray, g: np.ndarray,
                H: np.ndarray) -> np.ndarray:
     # the BH Laplacian at the points P from the wind matrix W and the
     # ambient gradient g and Hessian H of f at P; see nonlinear_laplacian
-    t, s, F = _tangent_dual(W, P, g)
-    nu = t / s[..., None]
+    t, F, nu, Dt, Dnu = _normal_jet(W, P, g, H)
     u = nu + _matvec(W, P)
-    Dt = (H - P[..., :, None] * (_matvec(H, P) + g)[..., None, :]
-          - _dot(g, P)[..., None, None] * np.eye(P.shape[-1]))
     dF = _vecmat(u, Dt) - _matvec(W, t)
-    Dnu = (Dt - nu[..., :, None] * _vecmat(nu, Dt)[..., None, :]) \
-        / s[..., None, None]
     DV = u[..., :, None] * dF[..., None, :] + F[..., None, None] * (Dnu + W)
     return np.trace(DV, axis1=-2, axis2=-1) - _dot(P, _matvec(DV, P))
 
@@ -492,46 +486,39 @@ def principal_curvature_spectrum(W: Optional[KillingField], f: SphereFunction,
     """Shape-operator eigenvalues of the level {f = c}, clustered, for the
     navigation datum (round h, W); W None is the round sphere.
 
-    Each point of the level's sample is the center of its own chart.  The
-    shape operator is taken with respect to the localization metric
-    q = g^F_{grad f}: S(u) = -(nabla^q_u n1) on the q-orthogonal
-    complement of the F-unit normal n1 = grad f / F(grad f), with the
-    covariant derivative assembled from finite differences of q.
-    Eigenvalues are clustered by the relative gap _GAP; a clustering that
-    changes under halving/doubling the gap raises ClusterAmbiguity.  The
-    result is consistent when every sampled point reports the same
-    multiplicities.  A level of S^1 is a set of points and raises
-    DimensionMismatch; the wind is checked as randers_sphere checks it.
+    The shape operator is that of the localization metric q = g^F_{n1}
+    on TM = {p, nu}^perp, q-orthogonal to the F-unit normal n1 = nu + w,
+    w = Wp.  The navigated tensor q = I/sigma - (w nu^T + nu w^T)/sigma^2
+    + (sigma - lambda) nu nu^T/sigma^3, sigma = 1 + nu.w, lambda =
+    1 - |w|^2, is h/sigma on TM, and sym II(a, b) = -sym q(nabla^h_a n1, b)
+    - (nabla^h_n1 q)(a, b)/2 gives the principal curvatures as the
+    eigenvalues, in an h-orthonormal basis B of TM, of
+
+        sigma sym II = sym(-B^T Dnu B + B^T w d^T B / sigma) + d.w/(2 sigma) I
+
+    with Dnu the ambient Jacobian of nu and d = Dnu n1 - W nu.  A tangent
+    wind has sigma = 1 and B^T d = 0 (its flow keeps nu, whose lines are
+    geodesics), which leaves the h shape operator.  Eigenvalues are
+    clustered by the relative gap _GAP; a clustering that changes under
+    halving/doubling the gap raises ClusterAmbiguity.  The result is
+    consistent when every sampled point reports the same multiplicities.
+    A level of S^1 is a set of points and raises DimensionMismatch; the
+    wind is checked as gradient_norm checks it.
     """
-    n = f.ambient_dim - 1
-    if n < 2:
+    if f.ambient_dim < 3:
         raise DimensionMismatch("a level of S^1 has no principal curvatures")
-    chart = Chart(sample_level_set(f, c, points, seed))
-    fld = round_metric(chart) if W is None else randers_sphere(chart, W)
-    # every sample's center and coordinate stencil in one pass: q and the
-    # unit normal nu, then their x-derivatives d_k on the first axis
-    F, q, grad = _dual(fld, f, np.zeros((points, n)), stencil=True)
-    nu = grad / F[..., None]
-    q0, nu0 = q[0], nu[0]
-    # ker df is the q-orthogonal complement of nu, since q nu = df / F;
-    # U holds a Euclidean orthonormal basis of it in its columns
-    w = _matvec(q0, nu0)
-    U = _complete_basis(w / np.sqrt(_dot(w, w))[:, None])
-    Ut = U.swapaxes(1, 2)
-    # q(nabla^q_u nu, v) = (d_u nu)^T q v + 1/2 E(nu, u, v), and II is
-    # minus that, with E_ijl = d_i q_jl + d_j q_il - d_l q_ij twice the
-    # Christoffel symbols of the first kind; the part of E(nu, u, v) that
-    # is antisymmetric in (u, v) drops out of sym(II), leaving (d_nu q)(u, v)
-    dnu = np.einsum("kpm,pka->pam",
-                    stencil_derivative(nu[1:], _STENCIL_STEP), U)
-    dq_nu = np.einsum("kpab,pk->pab",
-                      stencil_derivative(q[1:], _STENCIL_STEP), nu0)
-    II = -dnu @ q0 @ U - 0.5 * Ut @ dq_nu @ U
-    # principal curvatures: the eigenvalues of L^-1 sym(II) L^-T, with
-    # L L^T = U^T q U the Gram of the basis
-    L = np.linalg.cholesky(Ut @ q0 @ U)
-    LS = np.linalg.solve(L, 0.5 * (II + II.swapaxes(1, 2)))
-    evals = np.linalg.eigvalsh(np.linalg.solve(L, LS.swapaxes(1, 2)))
+    P, g = _sample_levels(f, [c], points, [seed])
+    P, W = _ambient(W, f, P)
+    _, _, nu, _, Dnu = _normal_jet(W, P, g, f.hessian(P))
+    w = _matvec(W, P)
+    d = _matvec(Dnu, nu + w) - _matvec(W, nu)
+    sigma = 1.0 + _dot(nu, w)
+    U = _complete_basis(P)     # p^perp, then the complement of nu in it
+    B = U @ _complete_basis(_vecmat(nu, U))
+    S = (_vecmat(w, B)[:, :, None] * _vecmat(d, B)[:, None, :]
+         / sigma[:, None, None] - B.swapaxes(1, 2) @ Dnu @ B)
+    evals = np.linalg.eigvalsh(0.5 * (S + S.swapaxes(1, 2)) + (
+        _dot(d, w) / (2.0 * sigma))[:, None, None] * np.eye(S.shape[-1]))
     cuts = [_cluster(evals, s * _GAP) for s in (0.5, 1.0, 2.0)]
     lo, mid, hi = (1 + cut.sum(axis=1) for cut in cuts)
     unstable = np.flatnonzero((lo != mid) | (hi != mid))

@@ -432,13 +432,13 @@ def test_one_norm_build_and_one_solve_per_point(monkeypatch):
     _, f, met, W = s5_setup()
     unit_gradient_field(met, f)(np.array([-0.1, 0.2, -0.05, -0.3, 0.1]))
     assert (len(builds), solves) == (1, [(5,)])
-    # a spectrum of P points makes one builder call and one solve for the
-    # centers and the 4 n stencil points of all of them (n = 5 on S^5)
+    # the spectrum is a closed form in ambient coordinates: no builder
+    # call and no Legendre solve, however many points it takes
     for points in (1, 4):
         builds.clear()
         solves.clear()
         principal_curvature_spectrum(W, f, 0.3, points=points, seed=0)
-        assert (len(builds), solves) == (1, [(1 + 4 * 5, points, 5)])
+        assert (len(builds), solves) == (0, [])
 
 
 def test_localization_build_is_two_builder_calls(monkeypatch):
@@ -478,10 +478,12 @@ def test_sampler_matches_pointwise_oracle(kind):
 
 @pytest.mark.parametrize("mk, wind", [
     ((1, 3), None), ((1, 3), "spin"), ((1, 3), "centralizer"),
-    ((1, 4), "spin"), ((1, 4), "centralizer")])
+    ((1, 4), "spin"), ((1, 4), "centralizer"), ((1, 3), "random-skew")])
 def test_level_quantities_match_pointwise_oracles(mk, wind):
-    # ambient F(grad f) and the batched shape-operator spectrum against
-    # one norm_at and one Newton dual per point, for f and -f
+    # ambient F(grad f) and the closed-form shape-operator spectrum against
+    # one norm_at and one Newton dual per point, for f and -f; the
+    # random-skew wind, tangent to no level, exercises the wind terms of
+    # the closed form (its spectra vary by point)
     sys_ = build_clifford(*mk)
     f = otfkm_function(sys_)
     chart = Chart(np.eye(sys_.dim)[0])
@@ -557,6 +559,57 @@ def test_spectrum_matches_pointwise_oracle_for_a_non_tangent_wind():
             groups = np.split(evals, np.cumsum([k for _, k in clusters])[:-1])
             assert np.allclose([m for m, _ in clusters],
                                [g.mean() for g in groups], rtol=0, atol=1e-8)
+
+
+def _tangent_split_wind(ambient_dim, p_split):
+    # rotations of the planes (x0, x1) and (x_p, x_p+1), one in each factor
+    # of the split, so the wind is tangent to every level; killing_norm 0.5
+    W = np.zeros((ambient_dim, ambient_dim))
+    W[0, 1], W[p_split, p_split + 1] = 0.3, 0.5
+    return KillingField(W - W.T)
+
+
+def _muenzner_cases():
+    # (label, f, g, (m1, m2), winds): m1 is the multiplicity of the
+    # curvature that blows up at the focal set {f = 1}, its codimension
+    # minus one, and m2 that of {f = -1}.  OT-FKM of (m, l): {f = 1} is
+    # {<P_i x, x> = 0, i = 0..m}, codimension m + 1, and m1 + m2 = l - 1;
+    # height on S^n: a point; split-quadratic |x_1..p|^2 - |x_p+1..N|^2: the
+    # spheres S^(p-1) and S^(N-p-1)
+    for mk in ((1, 3), (1, 4), (2, 2)):
+        sys_ = build_clifford(*mk)
+        yield (f"otfkm{mk}", otfkm_function(sys_), 4,
+               (sys_.m, sys_.l - sys_.m - 1),
+               [None] + [_scaled_wind(sys_, kind)
+                         for kind in ("spin", "centralizer")])
+    yield ("height S^4", height_function(5, axis=0), 1, (3, 3),
+           [None, block_killing(1, [0.5], [2])])
+    for N, p in ((4, 2), (5, 2)):
+        yield (f"split-quadratic S^{N - 1}", split_quadratic_function(N, p),
+               2, (N - p - 1, p - 1), [None, _tangent_split_wind(N, p)])
+
+
+def test_spectrum_is_muenzners_for_every_tangent_wind():
+    # on the level f = c of f = cos(g theta) the principal curvatures are
+    # cot(theta + j pi / g), theta = arccos(c) / g, with multiplicity m1
+    # for even j and m2 for odd j (Muenzner); -f swaps m1 and m2.  A
+    # tangent wind leaves them as they are
+    levels = sorted({-0.5, 0.3} | {
+        e["level"] for e in json.loads(SUITE.read_text())["experiments"]
+        if e["check"] == "spectrum"})
+    for label, f, g, (m1, m2), winds in _muenzner_cases():
+        for W in winds:
+            for fn, mults in ((f, (m1, m2)), (-f, (m2, m1))):
+                for c in levels:
+                    spec = principal_curvature_spectrum(W, fn, c, points=4,
+                                                        seed=7)
+                    j = np.arange(g)[::-1]      # ascending curvatures
+                    expect = 1.0 / np.tan(np.arccos(c) / g + j * np.pi / g)
+                    assert spec.consistent, (label, c)
+                    assert spec.multiplicities == tuple(
+                        mults[k % 2] for k in j), (label, c)
+                    assert np.allclose(spec.cluster_means, expect,
+                                       rtol=1e-10, atol=0), (label, c)
 
 
 def test_localization_metrics_have_round_curvature():
