@@ -223,11 +223,12 @@ def _array(where: str, name: str, value, shape) -> np.ndarray:
     return arr.astype(float)
 
 
-# largest 2l built from {m, k}: on one core, an audit of (2, 32) there
-# takes about 0.03 s and lifts the peak RSS of the process from 32 MB to
-# about 60 MB, its centralizer Gram built from its nonzeros alone; (1, 64)
-# builds no Gram: 0.05 s and 75 MB.  A dense 2l = 128 system (matrices
-# given rotated) has a dense 32 MB Gram: about 1.5-2 s and 200 MB
+# largest 2l built from {m, k}: with one BLAS thread, an audit of
+# (2, 32) there takes about 0.01 s (the build not counted) and lifts the
+# peak RSS of the process from 32 MB to 45 MB, its centralizer Gram built
+# from its nonzeros alone; (1, 64) builds no Gram: 0.01 s and 44 MB.  A
+# dense 2l = 128 system (matrices given rotated) has a dense 32 MB Gram:
+# about 1.6 s and 200 MB
 _MAX_2L = 128
 
 

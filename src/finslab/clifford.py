@@ -52,53 +52,52 @@ def clifford_delta(m: int) -> int:
     return 2 ** (4 * q + (-1, 0, 1, 2, 2, 3, 3, 3)[r])
 
 
-def _skew_family(q: int) -> list[np.ndarray]:
-    """q pairwise-anticommuting skew complex structures on R^{delta_{q+1}}.
+def _kron(A, B) -> np.ndarray:
+    # np.kron of the last two axes, broadcast over the leading ones; every
+    # entry is the one product np.kron forms, so the result is the same
+    (p, q), (r, s) = A.shape[-2:], B.shape[-2:]
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(
+        lead + (p * r, q * s))
 
-    Built recursively from tensor products of R, D, S; dimension doubles at
-    q in {1, 2, 4, 8} and multiplies by 16 every 8 generators.
+
+def _skew_family(q: int) -> np.ndarray:
+    """(q, delta_{q+1}, delta_{q+1}) stack of q pairwise-anticommuting skew
+    complex structures on R^{delta_{q+1}}.
+
+    Built recursively from tensor products of R, D, S, one stacked
+    Kronecker product per step; dimension doubles at q in {1, 2, 4, 8}
+    and multiplies by 16 every 8 generators.
     """
     if q == 0:
-        return []
+        return np.zeros((0, 1, 1))
     if q == 1:
-        return [_R]
+        return _R[None]
     if q <= 3:
-        fam = [np.kron(_R, _D), np.kron(_R, _S), np.kron(np.eye(2), _R)]
-        return fam[:q]
-    if q <= 7:
-        base = _skew_family(3)
-        eye4 = np.eye(4)
-        commuting = [np.kron(_D, _R), np.kron(_S, _R), np.kron(_R, np.eye(2))]
-        fam = [np.kron(_D, E) for E in base] + [np.kron(_R, eye4)]
-        fam += [np.kron(_S, B) for B in commuting]
-        return fam[:q]
-    if q == 8:
-        base = _skew_family(7)
-        return [np.kron(_D, E) for E in base] + [np.kron(_R, np.eye(8))]
-    # periodicity: tensor the 8-generator family with a smaller one
-    eight = _skew_family(8)
-    d8 = eight[0].shape[0]
-    rest = _skew_family(q - 8)
-    d = rest[0].shape[0] if rest else 1
-    omega = np.eye(d8)
-    for E in eight:
-        omega = omega @ E
-    fam = [np.kron(E, np.eye(d)) for E in eight]
-    fam += [np.kron(omega, E) for E in rest]
-    return fam
+        left, right = [_R, _R, np.eye(2)], [_D, _S, _R]
+    elif q <= 7:
+        commuting = _kron(np.stack([_D, _S, _R]),
+                          np.stack([_R, _R, np.eye(2)]))
+        left = [_D] * 3 + [_R] + [_S] * 3
+        right = [*_skew_family(3), np.eye(4), *commuting]
+    elif q == 8:
+        left, right = [_D] * 7 + [_R], [*_skew_family(7), np.eye(8)]
+    else:   # periodicity: tensor the 8-generator family with a smaller one
+        eight, rest = _skew_family(8), _skew_family(q - 8)
+        omega = np.eye(eight.shape[-1])
+        for E in eight:
+            omega = omega @ E
+        left = [*eight] + [omega] * len(rest)
+        right = [np.eye(rest.shape[-1])] * 8 + [*rest]
+    return _kron(np.stack(left), np.stack(right))[:q]
 
 
-def _irreducible_system(m: int) -> list[np.ndarray]:
-    """The irreducible symmetric Clifford system {P'_0, ..., P'_m}."""
-    delta = clifford_delta(m)
-    fam = _skew_family(m - 1)
-    eye = np.eye(delta)
-    P0 = np.block([[eye, 0.0 * eye], [0.0 * eye, -eye]])
-    P1 = np.block([[0.0 * eye, eye], [eye, 0.0 * eye]])
-    system = [P0, P1]
-    for E in fam:
-        system.append(np.block([[0.0 * E, E], [-E, 0.0 * E]]))
-    return system
+def _irreducible_system(m: int) -> np.ndarray:
+    """The irreducible symmetric Clifford system {P'_0, ..., P'_m}, stacked:
+    D x I, S x I and R x E for the E of _skew_family(m - 1)."""
+    eye = np.eye(clifford_delta(m))
+    return _kron(np.stack([_D, _S] + [_R] * (m - 1)),
+                 np.concatenate([[eye, eye], _skew_family(m - 1)]))
 
 
 class CliffordSystem:
@@ -186,10 +185,9 @@ def build_clifford(m: int, k) -> CliffordSystem:
         k1, k2 = int(k), 0
     if min(k1, k2) < 0 or k1 + k2 < 1:
         raise ValueError("k must be >= 1")
-    prime = _irreducible_system(m)
     sign = np.diag([1.0] * k1 + [-1.0] * k2)
-    sys_ = CliffordSystem([np.kron(P, np.eye(k1 + k2)) for P in prime[:-1]]
-                          + [np.kron(prime[-1], sign)])
+    sys_ = CliffordSystem(_kron(_irreducible_system(m),
+                                np.stack([np.eye(k1 + k2)] * m + [sign])))
     if sys_.l - m - 1 < 1:
         warnings.warn(f"m2 = {sys_.l - m - 1} < 1: quartic is not "
                       f"isoparametric for (m={m}, k={sys_.k})", stacklevel=2)
@@ -331,24 +329,34 @@ def _null_coefficients(C, a, b):
 
 
 def _eigenframe(sys_: CliffordSystem) -> tuple:
-    # (eigenvalues of P_0, Q+, Q-, K) from one eigh: Q+ the +1 eigenvectors
-    # of P_0 as eigh returns them, Q- = P_1 Q+, and K the (dim, L)
-    # coefficients on the pair basis of so(l) of the Y of c(Sigma), with
-    # orthonormal rows in the order of centralizer's elements
+    # (eigenvalues of P_0, Q+, Q-, C, K) from one eigh: Q+ the +1
+    # eigenvectors of P_0 as eigh returns them, Q- = P_1 Q+, C the blocks
+    # Q+^T P_i Q- (i >= 2), and K the groups (pairs, coeffs) of
+    # _null_coefficients: the coefficients on the pair basis of so(l) of
+    # the elements Y of c(Sigma), row start + r of a group holding
+    # coeffs[r] on pairs[r] after the start rows of the groups before it.
+    # The rows are orthonormal and in the order of centralizer's elements
     mats = sys_.matrices
     evals, Q = np.linalg.eigh(mats[0])
     Qp = Q[:, evals > 0.0]
     Qm = mats[1] @ Qp
-    l = Qp.shape[1]
-    a, b = np.triu_indices(l, 1)
+    a, b = np.triu_indices(Qp.shape[1], 1)
     C = Qp.T @ mats[2:] @ Qm
-    found = list(_null_coefficients(C, a, b))
-    K = np.zeros((sum(len(pairs) for pairs, _ in found), len(a)))
-    start = 0
-    for pairs, coeffs in found:   # row start + r: coeffs[r] on pairs[r]
-        K[start + np.arange(len(pairs))[:, None], pairs] = coeffs
-        start += len(pairs)
-    return evals, Qp, Qm, K
+    return evals, Qp, Qm, C, list(_null_coefficients(C, a, b))
+
+
+def _row_starts(K) -> np.ndarray:
+    # the first row of each group of K, and the number of rows last
+    return np.cumsum([0] + [len(pairs) for pairs, _ in K])
+
+
+def _triplets(K) -> tuple:
+    # (rows, pairs, coeffs) of the groups K of _eigenframe, concatenated:
+    # row rows[t] holds coeffs[t] on pairs[t]
+    rows = [np.repeat(start + np.arange(len(pairs)), pairs.shape[1])
+            for start, (pairs, _) in zip(_row_starts(K), K)]
+    return (np.concatenate(rows), np.concatenate([p.ravel() for p, _ in K]),
+            np.concatenate([c.ravel() for _, c in K]))
 
 
 def _pair_skew(w, l: int) -> np.ndarray:
@@ -385,8 +393,13 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
     for m = 1 there is no C_i and no Gram, and element p is pair p of
     (0, 1), ..., (l - 2, l - 1), in lexicographic order.
     """
-    _, Qp, Qm, K = _eigenframe(sys_)
-    Y = _pair_skew(K, Qp.shape[1])
+    _, Qp, Qm, _, K = _eigenframe(sys_)
+    rows, pairs, coeffs = _triplets(K)
+    l = Qp.shape[1]
+    a, b = np.triu_indices(l, 1)
+    Y = np.zeros((_row_starts(K)[-1], l, l))
+    Y[rows, a[pairs], b[pairs]] = 0.5 * coeffs
+    Y[rows, b[pairs], a[pairs]] = -0.5 * coeffs
     X = Qp @ Y @ Qp.T + Qm @ Y @ Qm.T
     return SkewBasis(list(0.5 * (X - X.transpose(0, 2, 1))))
 
@@ -413,6 +426,21 @@ def _spin_products(P: np.ndarray) -> np.ndarray:
     # the stack of P_i P_j / 2 over the pairs i < j, in row-major order
     i, j = np.triu_indices(len(P), 1)
     return 0.5 * (P[i] @ P[j])
+
+
+def _frame_spin(C: np.ndarray) -> np.ndarray:
+    # _spin_products in the eigenframe of P_0, in the same pair order,
+    # read off the blocks C_i in the four forms that audit states
+    m, l = len(C) + 1, C.shape[-1]
+    i, j = np.triu_indices(m - 1, 1)
+    spin = np.zeros((m * (m + 1) // 2, 2 * l, 2 * l))
+    spin[0, :l, l:] = 0.5 * np.eye(l)
+    spin[0, l:, :l] = -0.5 * np.eye(l)
+    spin[1:m, :l, l:] = spin[1:m, l:, :l] = 0.5 * C
+    spin[m:2 * m - 1, :l, :l] = -0.5 * C
+    spin[m:2 * m - 1, l:, l:] = 0.5 * C
+    spin[2 * m - 1:, :l, :l] = spin[2 * m - 1:, l:, l:] = -0.5 * (C[i] @ C[j])
+    return spin
 
 
 def spin_lift(sys_: CliffordSystem) -> SkewBasis:
@@ -446,19 +474,59 @@ def symmetry_basis(sys_: CliffordSystem) -> SkewBasis:
     return SkewBasis(spin_lift(sys_).elements + centralizer(sys_).elements)
 
 
+def _gather_product(w, src, dst, coeffs, size: int) -> np.ndarray:
+    # out[..., j] = sum of coeffs[t] w[..., src[t]] over the t with
+    # dst[t] = j, over the leading axes of w: a gather and np.bincount
+    flat = w.reshape(np.prod(w.shape[:-1], dtype=int), w.shape[-1])
+    bins = (size * np.arange(len(flat)))[:, None] + dst
+    out = np.bincount(bins.ravel(), (flat[:, src] * coeffs).ravel(),
+                      minlength=size * len(flat))
+    return out.reshape(w.shape[:-1] + (size,))
+
+
+def _row_products(K, L: int, vectors: int) -> tuple:
+    # (w -> w K, v -> v K^T, the squared row norms) for the groups K of
+    # _eigenframe, to be applied to `vectors` vectors in all.  With one
+    # BLAS thread a gather over the triplets costs about 55 times a dense
+    # product per stored entry and vector, and forming the dense (dim, L)
+    # matrix about 6 times, so the matrix is formed, once, where K fills
+    # more than (6 + vectors) / (55 vectors) of it: 2.3% at an audit's 24
+    # vectors, passed on a partly or wholly rotated system.  Below that,
+    # at 24 vectors, the gather's temporaries stay smaller than the matrix
+    starts = _row_starts(K)
+    dim = starts[-1]
+    if 55 * vectors * sum(p.size for p, _ in K) > (6 + vectors) * dim * L:
+        dense = np.zeros((dim, L))
+        for start, (pairs, coeffs) in zip(starts, K):
+            np.put_along_axis(dense[start:start + len(pairs)], pairs, coeffs,
+                              axis=1)
+        return (lambda w: w @ dense, lambda v: v @ dense.T,
+                np.einsum("ij,ij->i", dense, dense))
+    rows, pairs, coeffs = _triplets(K)
+    return (lambda w: _gather_product(w, rows, pairs, coeffs, L),
+            lambda v: _gather_product(v, pairs, rows, coeffs, dim),
+            np.bincount(rows, coeffs * coeffs, minlength=dim))
+
+
 def _closure_residual(dense, trials: int, seed: int, K=None) -> float:
     # lie_closure_residual of the span of the (d, n, n) stack dense and,
-    # when K is given, of the diag(Y_r, Y_r) with Y_r = _pair_skew(K[r]),
-    # drawn after the stack; their part of the projection is K on the pair
-    # vector of the sum of the two diagonal blocks of [X, Y]
+    # when the groups K of _eigenframe are given, of the diag(Y_r, Y_r)
+    # with Y_r the pair skew of row r of K, drawn after the stack; their
+    # part of the projection is K on the pair vector of the sum of the two
+    # diagonal blocks of [X, Y]
     rng = np.random.default_rng(seed)
     d, n = len(dense), dense.shape[-1]
-    flat = dense.reshape(d, -1)
-    draw = rng.standard_normal((trials, 2, d + (0 if K is None else len(K))))
-    XY = (draw[..., :d] @ flat).reshape(trials, 2, n, n)
     l = n // 2
+    L = l * (l - 1) // 2
+    flat = dense.reshape(d, -1)
+    norms = ()
     if K is not None:
-        block = _pair_skew(draw[..., d:] @ K, l)
+        # 2 trials vectors go through K, then trials through K^T and K
+        times_K, times_KT, norms = _row_products(K, L, 4 * trials)
+    draw = rng.standard_normal((trials, 2, d + len(norms)))
+    XY = (draw[..., :d] @ flat).reshape(trials, 2, n, n)
+    if K is not None:
+        block = _pair_skew(times_K(draw[..., d:]), l)
         XY[..., :l, :l] += block
         XY[..., l:, l:] += block
     X, Y = XY[:, 0], XY[:, 1]
@@ -469,7 +537,7 @@ def _closure_residual(dense, trials: int, seed: int, K=None) -> float:
         a, b = np.triu_indices(l, 1)
         M = C[:, :l, :l] + C[:, l:, l:]
         pair = 0.5 * (M[:, a, b] - M[:, b, a])
-        Z = _pair_skew(((pair @ K.T) / np.einsum("ij,ij->i", K, K)) @ K, l)
+        Z = _pair_skew(times_K(times_KT(pair) / norms), l)
         R[:, :l, :l] -= Z
         R[:, l:, l:] -= Z
     # scale by |X||Y|, not |C|: commuting pairs give C at noise level
@@ -499,19 +567,26 @@ def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
     """Full structural audit of one system; returns a dict of findings.
 
     It works in the eigenframe U = [Q+ | Q-] of P_0 that centralizer
-    uses, where c(Sigma) is {diag(Y, Y)}: the closure check takes the spin
-    lift as U^T (P_i P_j / 2) U, the products of the U^T P_i U, and the
-    centralizer as its pair coefficients, and forms no dense centralizer
-    element.  The +-1 multiplicities come from the same eigh.  Conjugation by
-    U keeps brackets, norms and orthogonal projections, so the residual is
-    that of symmetry_basis, with the same draw, up to roundoff.
+    uses, where P_0 = diag(I, -I), P_1 = [[0, I], [I, 0]] and P_i =
+    [[0, C_i], [-C_i, 0]] (i >= 2) with the l x l blocks C_i, and
+    c(Sigma) is {diag(Y, Y)}.  The closure check takes the spin lift
+    P_i P_j / 2 (i < j) from the C_i alone, as [[0, I], [-I, 0]] / 2,
+    [[0, C_i], [C_i, 0]] / 2, diag(-C_i, C_i) / 2 and
+    -diag(C_i C_j, C_i C_j) / 2, and the centralizer as the rows of its
+    pair coefficients, gathered where they are sparse and one dense
+    matrix where they fill more than about 2% of it, and forms no dense
+    centralizer element.  These forms hold to the anticommutation and
+    symmetry defect a CliffordSystem bounds.  The +-1 multiplicities come
+    from the same eigh.  Conjugation by U keeps brackets, norms and
+    orthogonal projections, so the residual is that of symmetry_basis,
+    with the same draw, up to roundoff.
     """
-    evals, Qp, Qm, K = _eigenframe(sys_)
+    evals, _, _, C, K = _eigenframe(sys_)
     mult_plus = int(np.sum(evals > 0.5))
     mult_minus = int(np.sum(evals < -0.5))
-    U = np.hstack([Qp, Qm])
-    spin = _spin_products(U.T @ sys_.matrices @ U)
+    spin = _frame_spin(C)
     closure = _closure_residual(spin, _CLOSURE_TRIALS, seed, K)
+    dim = int(_row_starts(K)[-1])
     acm = sys_.anticommutation_error
     predicted = predicted_centralizer_dim(sys_)
     return {
@@ -523,14 +598,14 @@ def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
         "delta_m": sys_.delta_m,
         "anticommutation_error": acm,
         "eigen_multiplicities": [mult_plus, mult_minus],
-        "centralizer_dim": len(K),
+        "centralizer_dim": dim,
         "centralizer_dim_predicted": predicted,
         "spin_dim": len(spin),
         "spin_dim_predicted": sys_.m * (sys_.m + 1) // 2,
         "lie_closure_residual": closure,
-        "full_symmetry_dim": len(spin) + len(K),
+        "full_symmetry_dim": len(spin) + dim,
         "ok": bool(acm == 0.0
                    and mult_plus == sys_.l and mult_minus == sys_.l
-                   and len(K) == predicted
+                   and dim == predicted
                    and closure < 1e-10),
     }

@@ -16,9 +16,11 @@ the flux instead of the ambient closed forms of the level scan, one
 (y, u) pair at a time instead of the array pass of the navigation lemma,
 the chart Jacobian J, J^T J and a linear solve for the wind instead
 of the closed-form round and Randers coefficients of a gnomonic chart,
-and the stencil of a function's value and gradient rules
+the stencil of a function's value and gradient rules
 (``stencil_jacobian``, ``stencil_function``) instead of its closed-form
-gradient and Hessian.
+gradient and Hessian, the conjugated products U^T (P_i P_j / 2) U
+instead of the spin lift read off the blocks C_i, and one ``np.kron``
+and ``np.block`` per matrix instead of the stacked Clifford build.
 
 The helpers at the end are test fixtures, not oracles: the two
 metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
@@ -362,6 +364,67 @@ def dense_gram_null_coefficients(C, a, b, tol=1e-8):
         j, col = np.nonzero(mu <= tol)
         found.append((blocks[j], V[j, :, col]))
     return found
+
+
+def frame_spin_products(matrices):
+    """The products P_i P_j / 2 (i < j, row-major) conjugated into the
+    eigenframe U = [Q+ | P_1 Q+] of P_0, with Q+ the +1 eigenvectors of
+    P_0 as eigh returns them: U^T (P_i P_j / 2) U, from the products of
+    the U^T P_i U."""
+    evals, Q = np.linalg.eigh(matrices[0])
+    Qp = Q[:, evals > 0.0]
+    U = np.hstack([Qp, matrices[1] @ Qp])
+    F = U.T @ matrices @ U
+    return np.array([0.5 * (F[i] @ F[j]) for i in range(len(F))
+                     for j in range(i + 1, len(F))])
+
+
+_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_DIAG = np.array([[1.0, 0.0], [0.0, -1.0]])
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def kron_skew_family(q):
+    """q anticommuting skew complex structures, one np.kron per matrix:
+    from R, D, S, doubling at q in {1, 2, 4, 8}, and tensored with the
+    8-generator family and its volume element beyond q = 8."""
+    if q == 0:
+        return []
+    if q == 1:
+        return [_ROT]
+    if q <= 3:
+        return [np.kron(_ROT, _DIAG), np.kron(_ROT, _SWAP),
+                np.kron(np.eye(2), _ROT)][:q]
+    if q <= 7:
+        commuting = [np.kron(_DIAG, _ROT), np.kron(_SWAP, _ROT),
+                     np.kron(_ROT, np.eye(2))]
+        fam = [np.kron(_DIAG, E) for E in kron_skew_family(3)]
+        fam += [np.kron(_ROT, np.eye(4))]
+        fam += [np.kron(_SWAP, B) for B in commuting]
+        return fam[:q]
+    if q == 8:
+        return ([np.kron(_DIAG, E) for E in kron_skew_family(7)]
+                + [np.kron(_ROT, np.eye(8))])
+    eight, rest = kron_skew_family(8), kron_skew_family(q - 8)
+    omega = np.eye(16)
+    for E in eight:
+        omega = omega @ E
+    return ([np.kron(E, np.eye(rest[0].shape[0])) for E in eight]
+            + [np.kron(omega, E) for E in rest])
+
+
+def kron_clifford_matrices(m, k1, k2, delta):
+    """The matrices of k1 + k2 copies of the irreducible system on
+    R^{2 delta}, the last k2 with P_m negated: each irreducible matrix
+    by np.block, then np.kron with the identity or the sign."""
+    eye = np.eye(delta)
+    prime = [np.block([[eye, 0.0 * eye], [0.0 * eye, -eye]]),
+             np.block([[0.0 * eye, eye], [eye, 0.0 * eye]])]
+    prime += [np.block([[0.0 * E, E], [-E, 0.0 * E]])
+              for E in kron_skew_family(m - 1)]
+    sign = np.diag([1.0] * k1 + [-1.0] * k2)
+    return np.array([np.kron(P, np.eye(k1 + k2)) for P in prime[:-1]]
+                    + [np.kron(prime[-1], sign)])
 
 
 def qr_closure_residual(elements, trials, seed):

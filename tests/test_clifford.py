@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 import finslab.clifford as clifford
 from conftest import (dense_centralizer, dense_gram_null_coefficients,
+                      frame_spin_products, kron_clifford_matrices,
                       qr_closure_residual, span_matrix)
 from finslab.clifford import (CliffordSystem, SkewBasis,
                               anticommutation_error, build_clifford,
@@ -218,9 +219,10 @@ def test_centralizer_index_is_lexicographic_pair_for_m1():
 
 
 def test_m1_audit_builds_no_gram():
-    # with no C_i every Y commutes: the audit of (1, 64) allocates its
-    # (2016, 2016) coefficient matrix K, 31 MiB, and no L x L Gram or
-    # (L, l, l) product beside it
+    # with no C_i every Y commutes: the audit of (1, 64) keeps its 2016
+    # centralizer rows as triplets, one per row, and builds no dense
+    # (2016, 2016) coefficient matrix (31 MiB), L x L Gram or (L, l, l)
+    # product; with the dense matrix it peaked at 37 MiB
     sys_ = build_quiet(1, 64)
     tracemalloc.start()
     try:
@@ -229,7 +231,7 @@ def test_m1_audit_builds_no_gram():
     finally:
         tracemalloc.stop()
     assert rep["centralizer_dim"] == 2016 and rep["ok"]
-    assert peak < 64 * 2**20, peak / 2**20
+    assert peak < 12 * 2**20, peak / 2**20
 
 
 def test_m2_audit_builds_no_dense_gram():
@@ -532,6 +534,32 @@ def test_declared_fields_must_agree_with_the_matrices():
         CliffordSystem.from_json(odd | {"k1": 2, "k2": 0})
 
 
+def test_build_matches_the_kron_construction_bit_for_bit():
+    # the stacked build against one np.kron / np.block per matrix, signed
+    # zeros included, for m = 1..12, every k and every split (k1, k2) up
+    # to 2l = 128, and the irreducible stack of m = 13..16 (2l = 256)
+    def assert_same(built, expected, where):
+        assert np.array_equal(built, expected), where
+        assert np.array_equal(np.signbit(built), np.signbit(expected)), where
+
+    count = 0
+    for m in range(1, 13):
+        delta = clifford_delta(m)
+        for k in range(1, 64 // delta + 1):
+            specs = [(k, (k, 0))]
+            if m % 4 == 0:
+                specs += [((k1, k - k1), (k1, k - k1)) for k1 in range(k + 1)]
+            for spec, (k1, k2) in specs:
+                expected = kron_clifford_matrices(m, k1, k2, delta)
+                assert_same(build_quiet(m, spec).matrices, expected,
+                            (m, spec))
+                count += 1
+    for m in range(13, 17):
+        assert_same(clifford._irreducible_system(m),
+                    kron_clifford_matrices(m, 1, 0, 128), m)
+    assert count == 366
+
+
 def test_split_copies_inequivalent():
     # volume element P_0 ... P_m has opposite trace on the two irreducibles
     def vol_trace(sys_):
@@ -586,11 +614,16 @@ def rotated_systems():
 
 def test_audit_closure_matches_the_dense_basis():
     # the audit's eigenframe residual is that of symmetry_basis with the
-    # same draw, up to roundoff, and the QR oracle stays a lower bound
+    # same draw, up to roundoff, and the QR oracle stays a lower bound;
+    # the spin lift read off the C_i is U^T (P_i P_j / 2) U up to the
+    # roundoff of the rotated systems' defect
     systems = [(m, spec, sys_) for m, spec, sys_ in grid_systems(32)]
     systems += list(rotated_systems())
     assert len(systems) == 49
     for seed, (m, spec, sys_) in enumerate(systems):
+        spin = clifford._frame_spin(frame_blocks(sys_)[0])
+        expected = frame_spin_products(sys_.matrices)
+        assert np.abs(spin - expected).max() <= 1e-14, (m, spec)
         basis = symmetry_basis(sys_)
         framed = clifford.audit(sys_, seed=seed)["lie_closure_residual"]
         dense = lie_closure_residual(basis, 6, seed)
@@ -628,9 +661,51 @@ def test_audit_builds_no_dense_symmetry_basis(monkeypatch):
 
     monkeypatch.setattr(clifford, "centralizer", forbidden)
     monkeypatch.setattr(clifford, "spin_lift", forbidden)
+    monkeypatch.setattr(clifford, "_spin_products", forbidden)
     count = 0
     for m, spec, sys_ in grid_systems(64):
         if sys_.dim == 64:
             count += 1
             assert clifford.audit(sys_, seed=count)["ok"], (m, spec)
     assert count == 11
+
+
+def test_centralizer_rows_apply_alike_by_gather_and_by_matrix(monkeypatch):
+    # the gather gives w K and v K^T of the dense rows on sparse (grid),
+    # partly and wholly filled (rotated) triplets alike, and so do the
+    # products an audit chooses, with the rows' squared norms; the rotated
+    # systems' full rows choose the matrix, formed once per audit, and
+    # never gather
+    rng = np.random.default_rng(3)
+    rotated = [s for _, _, s in rotated_systems()]
+    rotated += [s for _, _, s in half_rotated_systems()]
+    for sys_ in [build_quiet(1, 8), build_quiet(2, 16), build_quiet(5, 4),
+                 *rotated]:
+        _, Qp, _, _, K = clifford._eigenframe(sys_)
+        L = len(np.triu_indices(Qp.shape[1], 1)[0])
+        dense = coefficient_rows(K, L)
+        dim = len(dense)
+        rows, pairs, coeffs = clifford._triplets(K)
+        w, v = rng.standard_normal((6, 2, dim)), rng.standard_normal((6, L))
+        times_K, times_KT, norms = clifford._row_products(K, L, 24)
+        assert np.abs(norms - (dense * dense).sum(axis=1)).max() < 1e-14
+        for got in (clifford._gather_product(w, rows, pairs, coeffs, L),
+                    times_K(w)):
+            assert np.abs(got - w @ dense).max() < 1e-13
+        for got in (clifford._gather_product(v, pairs, rows, coeffs, dim),
+                    times_KT(v)):
+            assert np.abs(got - v @ dense.T).max() < 1e-13
+    original, calls = clifford._row_products, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rotated audit gathered")
+
+    monkeypatch.setattr(clifford, "_row_products", counted)
+    monkeypatch.setattr(clifford, "_gather_product", forbidden)
+    for sys_ in rotated:   # not "ok": a rotated system's defect is not 0
+        assert clifford.audit(sys_)["lie_closure_residual"] < 1e-10
+    assert len(calls) == len(rotated)
