@@ -11,11 +11,11 @@ grad(-f) != -grad(f).
 
 import numpy as np
 
-from finslab import (Chart, KillingField, build_clifford, check_isoparametric,
+from finslab import (KillingField, build_clifford, check_isoparametric,
                      check_tangency, check_transnormal, gradient_norm,
                      killing_norm, nonlinear_gradient, otfkm_function,
-                     principal_curvature_spectrum, randers_sphere,
-                     sample_level_set, spin_lift)
+                     principal_curvature_spectrum, sample_level_set,
+                     spin_lift)
 
 sys_ = build_clifford(1, 3)
 print(f"Clifford system m={sys_.m}, k={sys_.k} on R^{sys_.dim}: "
@@ -40,9 +40,9 @@ for name, wind in (("round", None), ("randers", W)):
     print(f"isoparametric spread {i.max_deviation:.2e} (f and -f)")
 
 print("\n=== the asymmetry of the nonlinear gradient ===")
-fld = randers_sphere(Chart(sample_level_set(f, 0.3, 1, seed=3)[0]), W)
-a = nonlinear_gradient(fld, f, np.zeros(5))
-b = nonlinear_gradient(fld, -f, np.zeros(5))
+p = sample_level_set(f, 0.3, 1, seed=3)[0]
+a = nonlinear_gradient(W, f, p)
+b = nonlinear_gradient(W, -f, p)
 print(f"|grad(-f) + grad(f)| = {np.linalg.norm(a + b):.4f}  (nonzero)")
 # yet F(grad(+-f)) = |grad_h f| +- df(Wp), and df(Wp) = 0 for a tangent W
 pts = sample_level_set(f, 0.3, 5, seed=3)

@@ -3,9 +3,10 @@
 
 For a wind-invariant OT-FKM family on a navigated sphere the two F-unit
 normals n1 = n + W and n2 = -n + W flow along geodesics.  This script
-follows both normal fields through the level family, monitors the
-geodesic ODE residual, and reads off the principal-curvature pattern of
-the homogeneous examples (only g in {1, 2, 4} occurs).
+pulls both ambient normal fields into a chart, follows them through the
+level family, monitors the geodesic ODE residual, and reads off the
+principal-curvature pattern of the homogeneous examples (only g in
+{1, 2, 4} occurs).
 """
 
 import numpy as np
@@ -16,6 +17,12 @@ from finslab import (Chart, KillingField, block_killing, build_clifford,
                      principal_curvature_spectrum, randers_sphere,
                      sample_level_set, spin_lift, split_quadratic_function,
                      unit_gradient_field)
+
+
+def chart_field(chart, field):
+    """The ambient vector field ``field`` as a field of chart vectors."""
+    return lambda x: chart.pull_tangent(x, field(chart.map(x)))
+
 
 sys_ = build_clifford(1, 3)
 f = otfkm_function(sys_)
@@ -28,7 +35,7 @@ for fn, label, level in ((f, "n1 (increasing f)", -0.8),
                          (-f, "n2 (decreasing f)", -0.8)):
     start = sample_level_set(fn, level, 1, seed=5)[0]
     met = base.with_center(start)
-    field = unit_gradient_field(met, fn)
+    field = chart_field(met.chart, unit_gradient_field(W, fn))
     path = integrate_flow(field, np.zeros(5), 0.25, steps=50)
     resid = max(geodesic_field_residual(met, field, path[i])
                 for i in range(0, 51, 10))

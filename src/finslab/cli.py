@@ -312,13 +312,16 @@ def _load_killing(cfg: ExperimentConfig, ambient_dim: int,
         if sys_ is None:
             raise ConfigError(f"field 'w_spec': {kind} winds need a "
                               "clifford system")
-        algebra = cl.spin_lift if kind == "spin" else cl.centralizer
-        elems = algebra(sys_).elements
         idx = spec.get("index", 0)
-        if not 0 <= idx < len(elems):
+        if kind == "spin":
+            elems = cl.spin_lift(sys_).elements
+            count, elems = len(elems), elems[idx:idx + 1]
+        else:   # element idx alone, not all of c(Sigma)
+            count, elems = cl._centralizer_rows(sys_, slice(idx, idx + 1))
+        if not 0 <= idx < count:
             raise ConfigError(f"field 'w_spec': index {idx} is outside the "
-                              f"{len(elems)} {kind} elements")
-        M = elems[idx]
+                              f"{count} {kind} elements")
+        M = elems[0]
     elif kind == "random-skew":
         seed = spec.get("seed", 0)
         if seed < 0:

@@ -393,15 +393,22 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
     for m = 1 there is no C_i and no Gram, and element p is pair p of
     (0, 1), ..., (l - 2, l - 1), in lexicographic order.
     """
+    return SkewBasis(list(_centralizer_rows(sys_, slice(None))[1]))
+
+
+def _centralizer_rows(sys_: CliffordSystem, select: slice) -> tuple:
+    # (dim c(Sigma), the elements select of centralizer, from their rows)
     _, Qp, Qm, _, K = _eigenframe(sys_)
     rows, pairs, coeffs = _triplets(K)
-    l = Qp.shape[1]
-    a, b = np.triu_indices(l, 1)
-    Y = np.zeros((_row_starts(K)[-1], l, l))
+    keep = range(_row_starts(K)[-1])[select]
+    t = (rows >= keep.start) & (rows < keep.stop)
+    rows, pairs, coeffs = rows[t] - keep.start, pairs[t], coeffs[t]
+    a, b = np.triu_indices(Qp.shape[1], 1)
+    Y = np.zeros((len(keep), Qp.shape[1], Qp.shape[1]))
     Y[rows, a[pairs], b[pairs]] = 0.5 * coeffs
     Y[rows, b[pairs], a[pairs]] = -0.5 * coeffs
     X = Qp @ Y @ Qp.T + Qm @ Y @ Qm.T
-    return SkewBasis(list(0.5 * (X - X.transpose(0, 2, 1))))
+    return _row_starts(K)[-1], 0.5 * (X - X.transpose(0, 2, 1))
 
 
 def predicted_centralizer_dim(sys_: CliffordSystem) -> int:

@@ -5,11 +5,11 @@ regular point is the Legendre dual of df:
 
     < grad f, v >^F_{grad f} = df(v)   for all v.
 
-The level checks take F from the navigation datum (round h, Killing wind
-W), with W = 0 for the round sphere, and evaluate in ambient coordinates
-with no chart.  The indicatrix of F is the h-indicatrix translated by
-W(p) = Wp, so the dual norm is F*(xi) = |xi|_h + xi(Wp); with nu the
-h-unit normal grad_h f / |grad_h f|,
+Every function here takes F from the navigation datum (round h, Killing
+wind W), with W = 0 for the round sphere, and evaluates in ambient
+coordinates with no chart.  The indicatrix of F is the h-indicatrix
+translated by W(p) = Wp, so the dual norm is F*(xi) = |xi|_h + xi(Wp);
+with nu the h-unit normal grad_h f / |grad_h f|,
 
     grad f = F(grad f) (nu + Wp),   F(grad f) = F*(df) = |grad_h f| + df(Wp).
 
@@ -22,7 +22,6 @@ isoparametric when Lap f is too; the checks below sample level sets and
 report the per-level spread of those quantities.  The principal-curvature
 spectrum takes the same datum: the shape operator of the localization
 metric q = g^F_{grad f}, in closed form from the same ambient jet of nu.
-Only nonlinear_gradient and unit_gradient_field work in charts.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from .clifford import (CliffordSystem, otfkm_gradient, otfkm_hessian,
                        otfkm_value)
 from .errors import (ClusterAmbiguity, ConfigError, CriticalPoint,
                      DimensionMismatch, EmptyLevel)
-from .minkowski import _any, _dot, _matvec, _vecmat, fiber, legendre_solve
+from .minkowski import _any, _dot, _matvec, _vecmat
 from .report import VerificationReport, worst_deviation
-from .sphere import (KillingField, MetricField, _check_wind, _complete_basis,
+from .sphere import (KillingField, _check_wind, _complete_basis,
                      random_sphere_points)
 
 _CRITICAL_EPS = 1e-10
@@ -231,42 +230,6 @@ def sample_level_set(f: SphereFunction, c: float, count: int,
     return _sample_levels(f, [c], count, [seed])[0]
 
 
-def _dual(metric: MetricField, f: SphereFunction, X) -> tuple:
-    """(F(grad f), grad f) over the leading axes of the chart points X: one
-    builder call and one Legendre solve of df.  Raises CriticalPoint where
-    |df| < 1e-10."""
-    J = metric.chart.jacobian(X)
-    df = _matvec(J.swapaxes(-1, -2), f.gradient(metric.chart.map(X)))
-    if _any(np.linalg.norm(df, axis=-1) < _CRITICAL_EPS):
-        raise CriticalPoint("df vanishes; nonlinear gradient undefined")
-    alpha, beta = metric.coefficients(X)
-    grad = legendre_solve((alpha, beta), df)
-    return fiber(alpha, beta, grad)[0], grad
-
-
-def nonlinear_gradient(metric: MetricField, f: SphereFunction,
-                       x) -> np.ndarray:
-    """The Legendre dual of df at a regular chart point (or over the rows
-    of a stack of them).
-
-    Satisfies <grad f, v>^F_{grad f} = df(v) on a basis and points in the
-    increasing direction of f.  Raises CriticalPoint when |df| < 1e-10.
-    """
-    return _dual(metric, f, x)[1]
-
-
-def unit_gradient_field(metric: MetricField, f: SphereFunction
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-    """The F-unit normal field of the levels of f, grad f / F(grad f),
-    over the rows of its chart points."""
-
-    def field(x: np.ndarray) -> np.ndarray:
-        F, grad = _dual(metric, f, x)
-        return grad / F[..., None]
-
-    return field
-
-
 def _ambient(W: Optional[KillingField], f: SphereFunction, P) -> tuple:
     # the ambient points P of f as floats and the matrix of W (0 for None),
     # checked as randers_sphere checks them
@@ -291,13 +254,34 @@ def _tangent_dual(W: np.ndarray, P: np.ndarray, g: np.ndarray) -> tuple:
     return t, s, s + _dot(t, _matvec(W, P))
 
 
+def _unit_normal(W: Optional[KillingField], f: SphereFunction, P) -> tuple:
+    # (F(grad f), n1 = nu + Wp) at the ambient points P, checked by _ambient
+    P, W = _ambient(W, f, P)
+    t, s, F = _tangent_dual(W, P, f.gradient(P))
+    return F, t / s[..., None] + _matvec(W, P)
+
+
 def gradient_norm(W: Optional[KillingField], f: SphereFunction, P):
     """F(grad f) = |grad_h f| + df(Wp), the transnormal quantity, at the
     ambient points P (over their leading axes) of the navigation datum
     (round h, W); W None is the round sphere.  Raises WindTooStrong and
     DimensionMismatch as randers_sphere does."""
-    P, W = _ambient(W, f, P)
-    return _tangent_dual(W, P, f.gradient(P))[2]
+    return _unit_normal(W, f, P)[0]
+
+
+def nonlinear_gradient(W: Optional[KillingField], f: SphereFunction, P):
+    """grad f = F(grad f) (nu + Wp), the Legendre dual of df, at ambient
+    points P taken as gradient_norm takes them.  It points up f, and
+    raises CriticalPoint where |grad_h f| < 1e-10."""
+    F, n1 = _unit_normal(W, f, P)
+    return F[..., None] * n1
+
+
+def unit_gradient_field(W: Optional[KillingField], f: SphereFunction
+                        ) -> Callable[[np.ndarray], np.ndarray]:
+    """The F-unit normal field n1 = grad f / F(grad f) = nu + Wp of the
+    levels of f, over ambient points taken as gradient_norm takes them."""
+    return lambda P: _unit_normal(W, f, P)[1]
 
 
 def _normal_jet(W: np.ndarray, P: np.ndarray, g: np.ndarray,

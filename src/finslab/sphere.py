@@ -76,6 +76,14 @@ class Chart:
         s = np.sqrt(s2)
         return self.basis / s - p_uns[..., :, None] * x[..., None, :] / (s * s2)
 
+    def pull_tangent(self, x, V) -> np.ndarray:
+        """The ambient vectors V tangent at map(x) in chart coordinates,
+        A^-1 J^T V = u + x (x . u), u = s B^T V, over the leading axes."""
+        x = np.asarray(x, dtype=float)
+        u = np.sqrt(self._lift(x)[0])[..., None] * _matvec(
+            self.basis.swapaxes(-1, -2), np.asarray(V, dtype=float))
+        return u + x * _dot(x, u)[..., None]
+
 
 class KillingField:
     """A Killing field of S^n(1), stored as a skew (n+1) x (n+1) matrix.
@@ -221,11 +229,9 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
     At each chart point the wind is W(p) pulled to chart coordinates and
     the pointwise norm is the closed-form Randers solution of the
     navigation problem; where the wind vanishes that is h itself
-    (beta = 0).  Requires killing_norm(W) < 1.  With A the round pullback
-    of round_metric and q = c + B x = s p the unscaled lift of x, the chart
-    wind is the closed form A^-1 J^T W p = u + x (x . u), u = B^T W q, with
-    no chart Jacobian J: the x-term of J^T drops because p^T W p = 0 for
-    the skew W that KillingField guarantees.
+    (beta = 0).  Requires killing_norm(W) < 1.  The chart wind is the
+    Chart.pull_tangent of W p, tangent as KillingField makes W skew, with
+    its u = s B^T W p written as B^T W q on the unscaled lift q = c + B x.
     """
     _check_wind(W, chart.n + 1)
 

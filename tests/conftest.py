@@ -16,6 +16,9 @@ the flux instead of the ambient closed forms of the level scan, one
 (y, u) pair at a time instead of the array pass of the navigation lemma,
 the chart Jacobian J, J^T J and a linear solve for the wind instead
 of the closed-form round and Randers coefficients of a gnomonic chart,
+the chart Newton dual of ``_pointwise_dual`` instead of the ambient
+closed-form nonlinear gradient, the chart Jacobian and a linear solve
+(``chart_pull_tangent``) instead of ``Chart.pull_tangent``,
 the stencil of a function's value and gradient rules
 (``stencil_jacobian``, ``stencil_function``) instead of its closed-form
 gradient and Hessian, the conjugated products U^T (P_i P_j / 2) U
@@ -24,9 +27,9 @@ and ``np.block`` per matrix instead of the stacked Clifford build.
 
 The helpers at the end are test fixtures, not oracles: the two
 metric-field helpers ``localization_field`` and ``finsler_value_ambient``,
-the chart covector ``chart_gradient`` of df, the one-center chart
-helpers ``chart_coords`` and
-``chart_pull_tangent``, ``unchecked_norm``, an invalid norm input, and
+the chart covector ``chart_gradient`` of df, the chart field
+``chart_unit_normal`` of the F-unit normal, the one-center chart helper
+``chart_coords``, ``unchecked_norm``, an invalid norm input, and
 ``span_matrix``, the vectorized elements of a basis of skew matrices.
 """
 
@@ -34,7 +37,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, null_space
 
 from finslab.errors import ChartBoundary
-from finslab.isoparametric import SphereFunction
+from finslab.isoparametric import SphereFunction, unit_gradient_field
 from finslab.minkowski import NormEvaluator, legendre_solve, randers_fiber
 from finslab.navigation import navigated_norm
 from finslab.sphere import (_CHART_RADIUS, Chart, MetricField,
@@ -721,10 +724,21 @@ def chart_coords(chart, p):
 
 
 def chart_pull_tangent(chart, x, u_amb):
-    """The ambient tangent vector u_amb at chart.map(x) in chart
-    coordinates, for a one-center chart."""
-    J = chart.jacobian(x)
-    return np.linalg.solve(J.T @ J, J.T @ np.asarray(u_amb, dtype=float))
+    """The ambient tangent vectors u_amb at chart.map(x) in chart
+    coordinates, (J^T J)^-1 J^T u_amb by a linear solve, over the leading
+    axes of x and u_amb."""
+    Jt = np.swapaxes(chart.jacobian(x), -1, -2)
+    return np.linalg.solve(
+        Jt @ np.swapaxes(Jt, -1, -2),
+        (Jt @ np.asarray(u_amb, dtype=float)[..., None]))[..., 0]
+
+
+def chart_unit_normal(chart, W, f):
+    """The F-unit normal n1 of the levels of f for the navigation datum
+    (round h, W) as a chart vector field: unit_gradient_field at the
+    mapped chart points, pulled back by Chart.pull_tangent."""
+    field = unit_gradient_field(W, f)
+    return lambda X: chart.pull_tangent(X, field(chart.map(X)))
 
 
 def unchecked_norm(alpha, beta=None):

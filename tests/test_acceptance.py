@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import sampled_killing_norm
+from conftest import chart_unit_normal, sampled_killing_norm
 from finslab.clifford import (SkewBasis, anticommutation_error,
                               build_clifford, centralizer, clifford_delta,
                               find_clifford_point, lie_closure_residual,
@@ -20,8 +20,7 @@ from finslab.errors import NotOnFocalSet, WindTooStrong
 from finslab.isoparametric import (check_isoparametric, check_tangency,
                                    check_transnormal, height_function,
                                    otfkm_function, principal_curvature_spectrum,
-                                   sample_level_set, split_quadratic_function,
-                                   unit_gradient_field)
+                                   sample_level_set, split_quadratic_function)
 from finslab.minkowski import NormEvaluator
 from finslab.navigation import (NavigationDatum, check_navigation_lemma,
                                 navigate)
@@ -235,7 +234,7 @@ def test_criterion_7_geodesic_field():
     for fn, level in ((f, -0.8), (f, -0.3), (-f, -0.8), (-f, -0.3)):
         start = sample_level_set(fn, level, 1, seed=107)[0]
         met = base.with_center(start)
-        field = unit_gradient_field(met, fn)
+        field = chart_unit_normal(met.chart, W, fn)
         path = integrate_flow(field, np.zeros(5), 0.25, steps=50)
         arc_total += 0.25
         for idx in range(0, 51, 10):

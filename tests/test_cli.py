@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from finslab.cli import ExperimentConfig, batch, main, run
 from finslab.errors import ConfigError, ParseError, UnknownCheck
 from finslab.isoparametric import SpectrumResult
 from finslab.report import worst_deviation
-from finslab.sphere import MetricField
+from finslab.sphere import KillingField, MetricField, killing_norm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -1285,3 +1286,49 @@ def test_benchmark_tracer_names_resolve():
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr}"
     assert "builder" in inspect.signature(MetricField.__init__).parameters
+
+
+def _centralizer_wind(sys_, index):
+    # the wind of a {"kind": "centralizer", "index": index} spec on sys_
+    cfg = ExperimentConfig.from_dict(
+        {"check": "tangency", "w_spec": {"kind": "centralizer",
+                                         "index": index}})
+    return cli._load_killing(cfg, sys_.dim, sys_)
+
+
+@pytest.mark.parametrize("m, k", [(1, 3), (1, 4), (2, 2), (3, 2), (5, 2),
+                                  (4, (2, 1))])
+def test_centralizer_wind_is_the_element_of_the_whole_algebra(m, k):
+    # element i alone, formed from its row, is bit for bit element i of
+    # centralizer, and so is the wind scaled from it; an index outside
+    # the algebra is the same ConfigError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sys_ = cli.cl.build_clifford(m, k)
+    elems = cli.cl.centralizer(sys_).elements
+    for i, X in enumerate(elems):
+        count, alone = cli.cl._centralizer_rows(sys_, slice(i, i + 1))
+        assert count == len(elems) and alone.shape == (1,) + X.shape
+        assert alone[0].tobytes() == X.tobytes()
+        expect = KillingField(0.5 * X / killing_norm(KillingField(X)))
+        assert _centralizer_wind(sys_, i).matrix.tobytes() \
+            == expect.matrix.tobytes()
+    for index in (-1, len(elems)):
+        with pytest.raises(ConfigError, match=(
+                f"index {index} is outside the {len(elems)} centralizer "
+                "elements")):
+            _centralizer_wind(sys_, index)
+
+
+def test_centralizer_wind_forms_one_element():
+    # c(Sigma) of (1, 48), 2l = 96, has 1,128 elements of 96 x 96, 83 MB
+    # as one stack; forming all of them to take one peaked at 218 MiB
+    sys_ = cli.cl.build_clifford(1, 48)
+    tracemalloc.start()
+    try:
+        W = _centralizer_wind(sys_, 700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.ambient_dim == 96 and abs(W.norm - 0.5) < 1e-12
+    assert peak < 4 * 2**20, peak / 2**20

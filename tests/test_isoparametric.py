@@ -11,7 +11,8 @@ from scipy.linalg import expm
 
 import finslab.isoparametric as iso
 import finslab.sphere as sphere
-from conftest import (chart_gradient, chart_laplacian,
+from conftest import (_pointwise_dual, chart_coords, chart_gradient,
+                      chart_laplacian, chart_pull_tangent, chart_unit_normal,
                       laplace_beltrami_oracle, localization_field,
                       newton_legendre, pointwise_gradient_norm,
                       pointwise_sample_level_set, pointwise_shape_eigenvalues,
@@ -30,8 +31,9 @@ from finslab.isoparametric import (SphereFunction, check_isoparametric,
                                    sample_level_set, split_quadratic_function,
                                    unit_gradient_field)
 from finslab.minkowski import legendre_solve
-from finslab.sphere import (Chart, KillingField, block_killing, killing_norm,
-                            randers_sphere, round_metric, standard_rotation)
+from finslab.sphere import (_CHART_RADIUS, Chart, KillingField, block_killing,
+                            killing_norm, randers_sphere, round_metric,
+                            standard_rotation)
 
 LEVELS = [-0.8, -0.3, 0.0, 0.3, 0.8]
 SUITE = Path(__file__).resolve().parents[1] / "demos" / "paper_suite.json"
@@ -54,6 +56,11 @@ def s5_setup(wind="spin", scale=0.5):
     return sys_, f, randers_sphere(chart, W), W
 
 
+def pulled_gradient(chart, W, f, x):
+    """The ambient nonlinear gradient at chart.map(x), pulled back."""
+    return chart.pull_tangent(x, nonlinear_gradient(W, f, chart.map(x)))
+
+
 def test_riemannian_gradient_is_raised_gradient():
     met = round_metric(Chart([0.0, 0.0, 1.0]))
     f = height_function(3, axis=0)
@@ -61,17 +68,17 @@ def test_riemannian_gradient_is_raised_gradient():
     for _ in range(10):
         x = rng.standard_normal(2) * 0.5
         df = chart_gradient(met.chart, f, x)
-        grad = nonlinear_gradient(met, f, x)
+        grad = pulled_gradient(met.chart, None, f, x)
         raised = np.linalg.solve(met.norm_at(x).alpha, df)
         assert np.linalg.norm(grad - raised) < 1e-9
 
 
 def test_gradient_defining_relation():
-    _, f, met, _ = s5_setup()
+    _, f, met, W = s5_setup()
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.standard_normal(5) * 0.3
-        grad = nonlinear_gradient(met, f, x)
+        grad = pulled_gradient(met.chart, W, f, x)
         g = 0.5 * met.norm_at(x).sq_jet(grad).hess
         df = chart_gradient(met.chart, f, x)
         assert np.abs(g @ grad - df).max() < 1e-8 * (1 + np.linalg.norm(df))
@@ -80,21 +87,24 @@ def test_gradient_defining_relation():
 
 def test_gradient_norm_is_dual_norm_value():
     # F(grad f)^2 = df(grad f) by the defining relation and Euler identity
-    _, f, met, _ = s5_setup()
+    _, f, met, W = s5_setup()
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.standard_normal(5) * 0.3
-        grad = nonlinear_gradient(met, f, x)
+        grad = pulled_gradient(met.chart, W, f, x)
         df = chart_gradient(met.chart, f, x)
         Fg = met.norm_at(x)(grad)
         assert abs(Fg * Fg - float(df @ grad)) < 1e-8 * max(1.0, Fg * Fg)
 
 
 def test_critical_point_raises():
-    met = round_metric(Chart([1.0, 0.0, 0.0]))
-    f = height_function(3, axis=0)   # critical at the chart center
-    with pytest.raises(CriticalPoint):
-        nonlinear_gradient(met, f, np.zeros(2))
+    f = height_function(3, axis=0)   # critical at the pole e_0
+    pole = np.array([1.0, 0.0, 0.0])
+    for W in (None, block_killing(1, [0.5], [1])):
+        with pytest.raises(CriticalPoint):
+            nonlinear_gradient(W, f, pole)
+        with pytest.raises(CriticalPoint):
+            unit_gradient_field(W, f)(np.stack([[0.0, 1.0, 0.0], pole]))
 
 
 @pytest.mark.parametrize("check", [check_transnormal, check_isoparametric])
@@ -124,8 +134,12 @@ def test_unit_normal_is_h_normal_plus_wind():
     for p in sample_level_set(f, 0.3, 5, seed=3):
         fld = met.with_center(p)
         x0 = np.zeros(5)
-        grad = nonlinear_gradient(fld, f, x0)
+        grad = pulled_gradient(fld.chart, W, f, x0)
         n1 = grad / fld.norm_at(x0)(grad)
+        # the unit field is the same n1, ambient: nu + Wp
+        assert np.linalg.norm(
+            fld.chart.pull_tangent(x0, unit_gradient_field(W, f)(p)) - n1) \
+            < 1e-12
         A = pullback_round(fld.chart, x0)
         df = chart_gradient(fld.chart, f, x0)
         nh = np.linalg.solve(A, df)
@@ -143,19 +157,12 @@ def test_unit_normal_is_h_normal_plus_wind():
 
 def test_gradient_asymmetry_witness():
     # non-reversible metric: grad(-f) != -grad(f) somewhere
-    _, f, met, _ = s5_setup()
-    neg = -f
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(20):
-        x = rng.standard_normal(5) * 0.3
-        try:
-            a = nonlinear_gradient(met, f, x)
-            b = nonlinear_gradient(met, neg, x)
-        except CriticalPoint:
-            continue
-        worst = max(worst, float(np.linalg.norm(a + b)))
-    assert worst > 1e-3
+    _, f, met, W = s5_setup()
+    X = np.random.default_rng(4).standard_normal((20, 5)) * 0.3
+    P = met.chart.map(X)
+    ab = met.chart.pull_tangent(X, nonlinear_gradient(W, f, P)
+                                + nonlinear_gradient(W, -f, P))
+    assert np.linalg.norm(ab, axis=1).max() > 1e-3
 
 
 def test_height_laplacian_on_s2():
@@ -416,47 +423,22 @@ def test_spectrum_randers_homogeneous_counts():
     assert all(s.g in (1, 2, 4) for s in (spec1, spec2, spec3))
 
 
-def test_one_norm_build_and_one_solve_per_point(monkeypatch):
-    # every builder call of every field (re-centered ones included), and
-    # the shape of the covectors of every Legendre solve
-    solves = []
-    solve = iso.legendre_solve
-    monkeypatch.setattr(
-        iso, "legendre_solve",
-        lambda norm, xi: solves.append(np.shape(xi)) or solve(norm, xi))
-    builds = []
-    coefficients = sphere.MetricField.coefficients
-    monkeypatch.setattr(
-        sphere.MetricField, "coefficients",
-        lambda fld, X: builds.append(1) or coefficients(fld, X))
-    _, f, met, W = s5_setup()
-    unit_gradient_field(met, f)(np.array([-0.1, 0.2, -0.05, -0.3, 0.1]))
-    assert (len(builds), solves) == (1, [(5,)])
-    # the spectrum is a closed form in ambient coordinates: no builder
-    # call and no Legendre solve, however many points it takes
-    for points in (1, 4):
-        builds.clear()
-        solves.clear()
-        principal_curvature_spectrum(W, f, 0.3, points=points, seed=0)
-        assert (len(builds), solves) == (0, [])
-
-
-def test_localization_build_is_two_builder_calls(monkeypatch):
-    # one base build for the tensor and one inside the unit normal field,
-    # however many points the build covers
+def test_localization_build_is_one_builder_call(monkeypatch):
+    # one base build for the tensor, however many points the build covers:
+    # the unit normal field is ambient and builds nothing
     builds = []
     coefficients = sphere.MetricField.coefficients
     monkeypatch.setattr(
         sphere.MetricField, "coefficients",
         lambda fld, X: builds.append(fld.kind) or coefficients(fld, X))
-    _, f, met, _ = s5_setup()
+    _, f, met, W = s5_setup()
     fld = met.with_center(sample_level_set(f, 0.2, 1, seed=12)[0])
-    loc = localization_field(fld, unit_gradient_field(fld, f))
+    loc = localization_field(fld, chart_unit_normal(fld.chart, W, f))
     rng = np.random.default_rng(14)
     for shape in ((5,), (10, 5), (3, 7, 5)):
         builds.clear()
         loc.coefficients(0.05 * rng.standard_normal(shape))
-        assert builds.count("randers-from-navigation") == 2
+        assert builds == ["localization", "randers-from-navigation"]
 
 
 @pytest.mark.parametrize("kind", ["height", "split-quadratic", "otfkm"])
@@ -615,13 +597,12 @@ def test_spectrum_is_muenzners_for_every_tangent_wind():
 def test_localization_metrics_have_round_curvature():
     # freezing the Randers tensor along either unit normal of a
     # wind-invariant family gives a constant-curvature-1 metric
-    _, f, met, _ = s5_setup()
+    _, f, met, W = s5_setup()
     fld = met.with_center(sample_level_set(f, 0.2, 1, seed=12)[0])
     rng = np.random.default_rng(13)
     for sign in (+1.0, -1.0):
         fn = f if sign > 0 else -f
-        field = unit_gradient_field(fld, fn)
-        loc = localization_field(fld, field)
+        loc = localization_field(fld, chart_unit_normal(fld.chart, W, fn))
         for _ in range(3):
             x = rng.standard_normal(5) * 0.05
             K = flag_curvature(loc, Flag(x, rng.standard_normal(5),
@@ -723,21 +704,82 @@ def test_level_means_follow_the_cartan_muenzner_profile(mk, wind):
 
 
 def test_level_checks_build_no_chart_and_solve_no_dual(monkeypatch):
-    # the level scan is chart-free: no chart, no metric field, no Legendre
-    # solve anywhere under check_transnormal and check_isoparametric
+    # the level layer is chart-free: no chart, no metric field, no builder
+    # call and no Legendre solve anywhere under the level checks, the
+    # nonlinear gradient, the unit normal field and the spectrum, however
+    # many points they take
     def refuse(*args, **kwargs):
-        raise AssertionError("the level scan built a chart or solved a dual")
+        raise AssertionError("the level layer built a chart or solved a dual")
 
     import finslab.minkowski as minkowski
     monkeypatch.setattr(sphere.Chart, "__init__", refuse)
     monkeypatch.setattr(sphere.MetricField, "__init__", refuse)
+    monkeypatch.setattr(sphere.MetricField, "coefficients", refuse)
     monkeypatch.setattr(minkowski, "legendre_solve", refuse)
-    monkeypatch.setattr(iso, "legendre_solve", refuse)
+    for name in ("_dual", "Chart", "MetricField", "legendre_solve", "fiber"):
+        assert not hasattr(iso, name), name
     sys_ = build_clifford(1, 3)
     f = otfkm_function(sys_)
+    P = sample_level_set(f, 0.3, 4, seed=0)
     for W in (None, _scaled_wind(sys_, "spin")):
         assert check_transnormal(W, f, [0.3], per_level=5).passed
         assert check_isoparametric(W, f, [0.3], per_level=5).passed
+        for fn in (f, -f):
+            assert nonlinear_gradient(W, fn, P).shape == P.shape
+            assert unit_gradient_field(W, fn)(P[0]).shape == P[0].shape
+        for points in (1, 4):
+            assert principal_curvature_spectrum(W, f, 0.3, points=points,
+                                                seed=0).g == 4
+
+
+@pytest.mark.parametrize("wind", [None, "spin", "centralizer",
+                                  "random-skew"])
+def test_ambient_gradient_matches_chart_newton_dual(wind):
+    # the ambient closed form pulled into a chart against one norm_at and
+    # one Newton dual per chart point, on and off a level, for f and -f;
+    # the unit field is the same vector over F(grad f)
+    sys_ = build_clifford(1, 3)
+    f = otfkm_function(sys_)
+    W = None if wind is None else _scaled_wind(sys_, wind)
+    chart = Chart(np.eye(6)[0])
+    met = round_metric(chart) if W is None else randers_sphere(chart, W)
+    # level points moved into the chart's hemisphere, where f is even
+    level = sample_level_set(f, 0.3, 4, seed=31)
+    level *= np.sign(level[:, :1])
+    X = np.concatenate([0.4 * np.random.default_rng(31).standard_normal(
+        (6, 5)), [chart_coords(chart, p) for p in level]])
+    for fn in (f, -f):
+        grad = pulled_gradient(chart, W, fn, X)
+        unit = chart_unit_normal(chart, W, fn)(X)
+        for x, g, n1 in zip(X, grad, unit):
+            norm, oracle = _pointwise_dual(met, fn, x)
+            scale = np.linalg.norm(oracle)
+            assert np.linalg.norm(g - oracle) < 1e-12 * scale
+            assert np.linalg.norm(n1 - oracle / norm(oracle)) \
+                < 1e-12 * scale / norm(oracle)
+
+
+def test_pull_tangent_matches_chart_jacobian_solve():
+    # u + x (x . u), u = s B^T V, against (J^T J)^-1 J^T V over stacks of
+    # chart points out to the chart radius, on one chart and on a stack of
+    # charts, with the normal part of V dropped
+    rng = np.random.default_rng(32)
+    r = np.array([0.0, 0.5, 2.0, 6.0, 0.99 * _CHART_RADIUS])
+    for centers, shape in ((np.eye(5)[2], (3, 5)),
+                           (rng.standard_normal((5, 5)), (3, 5))):
+        chart = Chart(centers)
+        X = rng.standard_normal(shape + (4,))
+        X *= r[:, None] / np.linalg.norm(X, axis=-1, keepdims=True)
+        P = chart.map(X)
+        V = rng.standard_normal(P.shape)
+        V -= np.einsum("...i,...i->...", V, P)[..., None] * P
+        got = chart.pull_tangent(X, V)
+        oracle = chart_pull_tangent(chart, X, V)
+        assert got.shape == oracle.shape == X.shape
+        assert np.abs(got - oracle).max() < 1e-12 * np.abs(oracle).max()
+        # and J maps it back to V
+        assert np.allclose((chart.jacobian(X) @ got[..., None])[..., 0], V,
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["height", "split-quadratic", "otfkm"])
