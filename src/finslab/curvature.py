@@ -11,22 +11,23 @@ and the Riemann curvature in chart coordinates
 
 For quadratic and Randers pointwise norms the x-dependence of F^2 lives
 entirely in the coefficient fields (A(x), or alpha(x), beta(x)), so the
-spray is evaluated in closed form from those fields and their
-fourth-order finite-difference x-derivatives; y-derivatives are exact.
-Derivatives of G itself use fourth-order stencils at a larger step: G
-carries ~1e-12 of stencil noise, and the outer steps keep the amplified
-noise near 1e-7, well inside the 1e-4 acceptance band for flag curvature.
+spray is evaluated in closed form from the coefficient jet that the
+metric field's builder returns: the fields and their x-derivatives, both
+closed forms in x, with y-derivatives exact.  Derivatives of G itself
+use fourth-order stencils: G carries roundoff only, and the step keeps
+the amplified noise near 1e-8, well inside the 1e-4 acceptance band for
+flag curvature.
 
 Every point of a flag's stencils is fixed by (x, y) before anything is
 evaluated, so R_y is computed in array passes, and a stack of flags in
 the same passes as one.  A flag needs spray models at 4n + 5 chart
 points: x, the 4n points of the x-stencil of G and the 4 points of the
-stencil along y.  For a stack of F flags, their coefficients and
-coefficient derivatives come from one builder call over all
-F (4n + 5)(4n + 1) points of the coefficient stencils.  The sprays then
-go through one batched solve for G(x, y) of every flag and one for the
+stencil along y.  For a stack of F flags, the coefficient jets of all
+F (4n + 5) points come from one builder call.  The sprays then go
+through one batched solve for G(x, y) of every flag and one for the
 F 40n stencil sprays around them (the stencil along G(x, y) needs
-G(x, y) first).  geodesic_spray and riemann_curvature are the one-point
+G(x, y) first), and each contraction of the spray is one pass over the
+whole stack.  geodesic_spray and riemann_curvature are the one-point
 cases of the same code.
 """
 
@@ -47,9 +48,8 @@ from .sphere import _CHART_RADIUS, MetricField
 _OFFS = np.array([-2.0, -1.0, 1.0, 2.0])
 _WGTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
-_X_STEP = 1e-4      # stencil for the coefficient-field derivatives
 _OUT_STEP = 5e-3    # stencils applied to the spray itself
-_RIEMANN_REACH = 2.0 * _OUT_STEP + 2.0 * _X_STEP
+_RIEMANN_REACH = 2.0 * _OUT_STEP
 _FIELD_STEP = 1e-3  # stencil for the Jacobian of a chart vector field
 
 
@@ -80,64 +80,57 @@ def stencil_derivative(values, h: float) -> np.ndarray:
     return np.einsum("j,j...->...", _WGTS / h, D)
 
 
-def _check_stencil(x: np.ndarray, reach: float):
+def _check_chart(x: np.ndarray, reach: float = 0.0):
+    # ChartBoundary outside the chart domain; DifferentiationFailure where
+    # stencils of the given reach around x would leave it
     r = np.sqrt(_dot(x, x))
     if _any(r >= _CHART_RADIUS):
         raise ChartBoundary(f"|x| = {np.max(r):.3f} outside chart domain")
-    if _any(r + 2.0 * reach >= _CHART_RADIUS):
+    if reach and _any(r + 2.0 * reach >= _CHART_RADIUS):
         raise DifferentiationFailure("stencil would leave the chart domain")
 
 
 class _LocalModel:
     """Closed-form spray data at the chart points X (any leading axes, the
-    model axes, and last axis n): the coefficient pair (alpha, beta) of
-    MetricField.coefficients, beta None for a quadratic field, and its
-    x-derivatives Dalpha, Dbeta, with k on the axis after the model axes.
-
-    One builder call covers X and the x-stencil of every point of X.
+    model axes, and last axis n): the coefficient jet of
+    MetricField.coefficients, the pair (alpha, beta), beta None for a
+    quadratic field, and its x-derivatives Dalpha, Dbeta, with k on the
+    axis after the model axes, from one builder call over X.
     """
 
     __slots__ = ("alpha", "beta", "Dalpha", "Dbeta")
 
     def __init__(self, metric: MetricField, X: np.ndarray):
-        P = np.concatenate((X[None], stencil_points(X, _X_STEP)))
-        alpha, beta = metric.coefficients(P)
-
-        def split(c):
-            # values at X and the x-derivatives [..., k, ...] from the stencil
-            return c[0], np.moveaxis(stencil_derivative(c[1:], _X_STEP), 0,
-                                     X.ndim - 1)
-
-        if beta is None:
+        alpha, self.beta, self.Dalpha, self.Dbeta = metric.coefficients(X)
+        if self.beta is None:
             alpha = 0.5 * (alpha + np.swapaxes(alpha, -1, -2))
             _cholesky(alpha, "quadratic form matrix is not SPD")
-            self.beta = self.Dbeta = None
-        else:
-            self.beta, self.Dbeta = split(beta)
-        self.alpha, self.Dalpha = split(alpha)
+        self.alpha = alpha
 
     def spray(self, idx, Y: np.ndarray) -> np.ndarray:
         """G(X[idx], Y) over the leading axes of Y, which are those of the
-        model points that idx picks, with one batched solve."""
-        Yk = Y[..., None, :]                            # y against each k
+        model points that idx picks, with one batched solve; every
+        contraction is one pass over the whole stack."""
         if self.beta is None:
-            DAy = _matvec(self.Dalpha[idx], Yk)         # (..., k, l)
-            s = _matvec(DAy, Y)                         # y^T dA/dx^k y
-            rhs = 2.0 * (Yk @ DAy)[..., 0, :] - s
+            DAy = np.einsum("...kij,...j->...ki", self.Dalpha[idx], Y)
+            s = np.einsum("...ki,...i->...k", DAy, Y)   # y^T dA/dx^k y
+            rhs = 2.0 * np.einsum("...k,...ki->...i", Y, DAy) - s
             return 0.25 * np.linalg.solve(self.alpha[idx],
                                           rhs[..., None])[..., 0]
         a, F, p, m, g = randers_fiber(self.alpha[idx], self.beta[idx], Y)
         Dbeta = self.Dbeta[idx]
-        a, F = a[..., None], F[..., None]
-        Day = _matvec(self.Dalpha[idx], Yk)             # (..., k, l)
-        s = _matvec(Day, Y)                             # (..., k)
-        dF = s / (2.0 * a) + _matvec(Dbeta, Y)          # dF/dx^k
-        mixed = 2.0 * (dF[..., None] * m[..., None, :]
-                       + F[..., None] * (Day / a[..., None]
-                                         - s[..., None] * p[..., None, :]
-                                         / (2.0 * a * a)[..., None]
-                                         + Dbeta))
-        rhs = (Yk @ mixed)[..., 0, :] - 2.0 * F * dF
+        Day = np.einsum("...kij,...j->...ki", self.Dalpha[idx], Y)
+        s = np.einsum("...ki,...i->...k", Day, Y)       # y^T dalpha/dx^k y
+        dF = s / (2.0 * a[..., None]) \
+            + np.einsum("...ki,...i->...k", Dbeta, Y)   # dF/dx^k
+        # y^k d^2(F^2)/dx^k dy^l, with d(F^2)/dy^l = 2 F m_l
+        yDay = np.einsum("...k,...ki->...i", Y, Day)
+        ys = np.einsum("...k,...k->...", Y, s)
+        ydF = np.einsum("...k,...k->...", Y, dF)
+        ymixed = 2.0 * (ydF[..., None] * m + F[..., None] * (
+            yDay / a[..., None] - (ys / (2.0 * a * a))[..., None] * p
+            + np.einsum("...k,...ki->...i", Y, Dbeta)))
+        rhs = ymixed - 2.0 * F[..., None] * dF
         return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
@@ -147,7 +140,7 @@ def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.any(y):
         raise ZeroBaseVector("spray undefined at y = 0")
-    _check_stencil(x, _X_STEP * 2.0)
+    _check_chart(x)
     return _LocalModel(metric, x[None]).spray([0], y[None])[0]
 
 
@@ -168,7 +161,7 @@ def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.any(y):
         raise ZeroBaseVector("Riemann curvature undefined at y = 0")
-    _check_stencil(x, _RIEMANN_REACH)
+    _check_chart(x, _RIEMANN_REACH)
     return _riemann(_flag_model(metric, x[None], y[None]), y[None])[0]
 
 
@@ -263,7 +256,7 @@ def _flag_curvature(metric: MetricField, x: np.ndarray, y: np.ndarray,
     # K over the rows of the stacks x, y and v (F, n)
     if _any(~y.any(axis=-1)):
         raise ZeroBaseVector("flagpole must be nonzero")
-    _check_stencil(x, _RIEMANN_REACH)
+    _check_chart(x, _RIEMANN_REACH)
     model = _flag_model(metric, x, y)
     at_x = (0, np.arange(len(y)))
     # g_y is 0-homogeneous in y, so the g at y serves the scaled y too

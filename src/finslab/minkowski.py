@@ -7,8 +7,9 @@ Two closed-form kinds are built in:
 * ``euclidean-quadratic-form``: F(y) = sqrt(y^T A y) for SPD A,
 * ``randers``: F(y) = sqrt(y^T alpha y) + beta . y with |beta|_alpha < 1.
 
-A norm is its coefficient pair, (A, None) or (alpha, beta), as
-MetricField builders return it; ``fiber`` evaluates a pair, for a
+A norm is its coefficient pair, (A, None) or (alpha, beta), the first
+two entries of a MetricField builder's coefficient jet; ``fiber``
+evaluates a pair, for a
 NormEvaluator and for stacked coefficient arrays alike.
 
 For both kinds the value, gradient and Hessian of F^2 in the fiber
@@ -233,8 +234,9 @@ def fundamental_tensor(norm: NormEvaluator, y) -> np.ndarray:
 def legendre_solve(norm, xi) -> np.ndarray:
     """The unique y dual to the covector xi: g_ij(y) y^j = xi_i.
 
-    norm is a NormEvaluator, or the coefficients (A, None) or
-    (alpha, beta) of MetricField.coefficients, over whose leading axes
+    norm is a NormEvaluator, or a coefficient pair (A, None) or
+    (alpha, beta), the first two entries of MetricField.coefficients, over
+    whose leading axes
     (and those of xi) the closed form broadcasts.  Since g(y) y =
     1/2 grad F^2(y), y = F*(xi) grad F*(xi) for the dual norm F*.  A
     quadratic norm gives y = A^{-1} xi.  A Randers norm is the navigation

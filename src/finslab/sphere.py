@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ChartBoundary, DimensionMismatch, LambdaOutOfRange,
                      NotSkew, WindTooStrong)
-from .minkowski import NormEvaluator, _any, _dot, _matvec
+from .minkowski import NormEvaluator, _any, _dot, _matvec, _vecmat
 from .navigation import randers_from_navigation
 
 _CHART_RADIUS = 10.0    # charts end at |x| = 10, 84.3 degrees from the center
@@ -172,11 +172,14 @@ class MetricField:
     """A Finsler metric as a gnomonic chart plus a coefficient builder.
 
     The builder maps the field and chart points X (last axis n) to the
-    coefficients of the pointwise norms over the leading axes of X:
-    (A, None) for a quadratic field, (alpha, beta) for a Randers field.
-    It reads the chart from the field, so re-centering swaps the chart
-    and nothing else.  kind names the metric ("round-h",
-    "randers-from-navigation").  Every call builds afresh.
+    coefficients of the pointwise norms over the leading axes of X and
+    their x-derivatives, the coefficient jet: (A, None, dA, None) for a
+    quadratic field, (alpha, beta, Dalpha, Dbeta) for a Randers field,
+    with the derivative index k on the axis after the leading axes of X
+    (dA[..., k, i, j] = dA_ij / dx^k).  It reads the chart from the
+    field, so re-centering swaps the chart and nothing else.  kind names
+    the metric ("round-h", "randers-from-navigation").  Every call
+    builds afresh.
     """
 
     def __init__(self, chart: Chart, kind: str,
@@ -190,12 +193,14 @@ class MetricField:
         return self.chart.n
 
     def coefficients(self, X) -> tuple:
-        """(A, None) or (alpha, beta) over the leading axes of X."""
+        """The coefficient jet (A, None, dA, None) or (alpha, beta,
+        Dalpha, Dbeta) over the leading axes of X; its first two entries
+        are the coefficient pair of the pointwise norms."""
         return self._builder(self, np.asarray(X, dtype=float))
 
     def norm_at(self, x) -> NormEvaluator:
         """The pointwise norm at the single chart point x."""
-        alpha, beta = self.coefficients(x)
+        alpha, beta = self.coefficients(x)[:2]
         if beta is None:
             return NormEvaluator.quadratic(alpha)
         return NormEvaluator.randers(alpha, beta)
@@ -206,19 +211,28 @@ class MetricField:
         return MetricField(Chart(p_ambient), self.kind, self._builder)
 
 
-def _round_pullback(s2: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # (s^2 I - x x^T) / s^4 over the leading axes of X, s2 = 1 + |x|^2
+def _round_jet(s2: np.ndarray, X: np.ndarray) -> tuple:
+    # A = (s^2 I - x x^T) / s^4 and its x-derivatives
+    # dA[..., k, :, :] = (2 x_k I - e_k x^T - x e_k^T) / s^4 - 4 x_k A / s^2
+    # over the leading axes of X, s2 = 1 + |x|^2
+    eye = np.eye(X.shape[-1])
     s2 = s2[..., None, None]
-    return (s2 * np.eye(X.shape[-1]) - X[..., :, None] * X[..., None, :]) \
-        / (s2 * s2)
+    A = (s2 * eye - X[..., :, None] * X[..., None, :]) / (s2 * s2)
+    ex = eye[:, :, None] * X[..., None, None, :]            # e_k x^T
+    xk = X[..., :, None, None]
+    dA = ((2.0 * xk * eye - ex - ex.swapaxes(-1, -2)) / (s2 * s2)[..., None]
+          - 4.0 * xk * A[..., None, :, :] / s2[..., None])
+    return A, dA
 
 
 def round_metric(chart: Chart) -> MetricField:
     """Pullback of the ambient Euclidean metric: quadratic at every point,
-    A = J^T J = (s^2 I - x x^T) / s^4, s^2 = 1 + |x|^2, with no Jacobian."""
+    A = J^T J = (s^2 I - x x^T) / s^4, s^2 = 1 + |x|^2, with no Jacobian,
+    and its x-derivatives in closed form."""
 
     def build(field: MetricField, X: np.ndarray) -> tuple:
-        return _round_pullback(field.chart._lift(X)[0], X), None
+        A, dA = _round_jet(field.chart._lift(X)[0], X)
+        return A, None, dA, None
 
     return MetricField(chart, "round-h", build)
 
@@ -232,14 +246,41 @@ def randers_sphere(chart: Chart, W: KillingField) -> MetricField:
     (beta = 0).  Requires killing_norm(W) < 1.  The chart wind is the
     Chart.pull_tangent of W p, tangent as KillingField makes W skew, with
     its u = s B^T W p written as B^T W q on the unscaled lift q = c + B x.
+
+    The x-derivatives follow in closed form: du/dx^k = M e_k with
+    M = B^T W B, so the chart wind w = u + x (x . u) has
+    dw/dx^k = M e_k + e_k (x . u) + x (u_k + x . M e_k).  The chain rule
+    through the Randers dictionary alpha = A / lam + beta beta^T,
+    beta = -A w / lam, lam = 1 - w^T A w, then gives
+    dlam = -(d(Aw) . w + Aw . dw), dbeta = -(d(Aw) + beta dlam) / lam and
+    dalpha = (dA - dlam A / lam) / lam + dbeta beta^T + beta dbeta^T.
     """
     _check_wind(W, chart.n + 1)
 
     def build(field: MetricField, X: np.ndarray) -> tuple:
         s2, q = field.chart._lift(X)
-        u = _matvec(field.chart.basis.swapaxes(-1, -2) @ W.matrix, q)
-        w = u + X * _dot(X, u)[..., None]
-        return randers_from_navigation(_round_pullback(s2, X), w)
+        BtW = field.chart.basis.swapaxes(-1, -2) @ W.matrix
+        u = _matvec(BtW, q)
+        xu = _dot(X, u)
+        w = u + X * xu[..., None]
+        A, dA = _round_jet(s2, X)
+        alpha, beta = randers_from_navigation(A, w)
+        # [..., k, i] = dw_i / dx^k
+        M = BtW @ field.chart.basis
+        dw = (M.swapaxes(-1, -2) + xu[..., None, None] * np.eye(X.shape[-1])
+              + (u + _vecmat(X, M))[..., :, None] * X[..., None, :])
+        Aw = _matvec(A, w)
+        lam = (1.0 - _dot(w, Aw))[..., None]
+        dAw = (np.einsum("...kij,...j->...ki", dA, w)
+               + np.einsum("...ij,...kj->...ki", A, dw))
+        dlam = -(np.einsum("...ki,...i->...k", dAw, w)
+                 + np.einsum("...ki,...i->...k", dw, Aw))
+        Dbeta = -(dAw + beta[..., None, :] * dlam[..., None]) \
+            / lam[..., None]
+        outer = Dbeta[..., :, None] * beta[..., None, None, :]
+        Dalpha = ((dA - (dlam / lam)[..., None, None] * A[..., None, :, :])
+                  / lam[..., None, None] + outer + outer.swapaxes(-1, -2))
+        return alpha, beta, Dalpha, Dbeta
 
     return MetricField(chart, "randers-from-navigation", build)
 

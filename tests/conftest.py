@@ -12,7 +12,9 @@ the Lie closure check on the basis itself, one spray model per stencil
 point instead of the batched flag stencil, one seed and one norm and one
 Newton dual at a time instead of the batched level-set layer, charts,
 the navigated Randers coefficients, the Legendre solve and a stencil of
-the flux instead of the ambient closed forms of the level scan, one
+the flux instead of the ambient closed forms of the level scan, a
+stencil of the coefficient pair (``fd_coefficient_jet``) instead of the
+closed-form coefficient jets of the metric-field builders, one
 (y, u) pair at a time instead of the array pass of the navigation lemma,
 the chart Jacobian J, J^T J and a linear solve for the wind instead
 of the closed-form round and Randers coefficients of a gnomonic chart,
@@ -592,10 +594,39 @@ def chart_laplacian(W, f, P, h=1e-3):
     # X[o, k] = x0 + h _OFFS4[o] e_k, the stencil of every chart origin
     X = x0 + h * np.array(_OFFS4)[:, None, None, None] \
         * np.eye(n)[None, :, None, :]
-    grad = legendre_solve(met.coefficients(X), chart_gradient(chart, f, X))
+    grad = legendre_solve(met.coefficients(X)[:2],
+                          chart_gradient(chart, f, X))
     flux = np.sqrt(np.linalg.det(pullback_round(chart, X)))[..., None] * grad
     div = np.einsum("o,okpk->p", np.array(_WGTS4) / h, flux)
     return div / np.sqrt(np.linalg.det(pullback_round(chart, x0)))
+
+
+def _stencil_jet(pair, X, h=1e-4):
+    # (alpha, beta, Dalpha, Dbeta) at the chart points X from the pair
+    # rule P -> (alpha, beta) (beta None for a quadratic field), called
+    # once on X and its coordinate stencil at step h
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
+    steps = h * np.array(_OFFS4)[:, None, None] * np.eye(n)  # [o, k, :]
+    P = X + steps.reshape((4, n) + (1,) * (X.ndim - 1) + (n,))
+    values = pair(np.concatenate((X[None], P.reshape((4 * n,) + X.shape))))
+
+    def derivative(c):
+        # [..., k, ...]: the weighted stencil rows, k after the axes of X
+        D = np.einsum("o,ok...->k...", np.array(_WGTS4) / h,
+                      c[1:].reshape((4, n) + c.shape[1:]))
+        return np.moveaxis(D, 0, X.ndim - 1)
+
+    return tuple(None if c is None else c[0] for c in values) + tuple(
+        None if c is None else derivative(c) for c in values)
+
+
+def fd_coefficient_jet(metric, X, h=1e-4):
+    """The coefficient jet (alpha, beta, Dalpha, Dbeta) of a metric field
+    at the chart points X, with the x-derivatives taken by a fourth-order
+    central stencil at step h of the coefficient pair of
+    ``metric.coefficients``, in one call over X and the stencil."""
+    return _stencil_jet(lambda P: metric.coefficients(P)[:2], X, h)
 
 
 def pointwise_shape_eigenvalues(metric, f, x, h=1e-3):
@@ -680,20 +711,22 @@ def pointwise_navigation_lemma(datum, samples=1000, seed=0):
 def localization_field(base, Y):
     """Riemannian field g^F_Y: the fundamental tensor of ``base`` frozen
     along the nonvanishing chart vector field Y, which maps chart points
-    (..., n) to vectors (..., n).  A build is one base builder call and
-    one call of Y over all its points.
+    (..., n) to vectors (..., n), with its x-derivatives from the stencil
+    of ``fd_coefficient_jet``.  A build is one base builder call and one
+    call of Y over all its points and their stencils.
 
     The field builds in the chart of its base, whatever chart it is
     given, so it is never re-centered: with_center would swap a chart
     that its builder does not read."""
 
-    def build(field, X):
-        alpha, beta = base.coefficients(X)
-        Yx = Y(X)       # evaluated for a quadratic base too, which ignores it
+    def pair(P):
+        alpha, beta = base.coefficients(P)[:2]
+        Yx = Y(P)       # evaluated for a quadratic base too, which ignores it
         G = alpha if beta is None else randers_fiber(alpha, beta, Yx)[4]
         return 0.5 * (G + np.swapaxes(G, -1, -2)), None
 
-    return MetricField(base.chart, "localization", build)
+    return MetricField(base.chart, "localization",
+                       lambda field, X: _stencil_jet(pair, X))
 
 
 def finsler_value_ambient(field, p, u):

@@ -40,7 +40,7 @@ def test_run_flag_curvature_round():
 @pytest.mark.parametrize("metric", ["round", "randers"])
 def test_flag_curvature_report_builds_once(monkeypatch, metric):
     # all the flags of a report are evaluated in one pass: one builder
-    # call over every coefficient-stencil point of its flags
+    # call over the 4n + 5 spray-model points of each of its flags
     calls = []
     coefficients = MetricField.coefficients
     monkeypatch.setattr(MetricField, "coefficients",
@@ -50,7 +50,7 @@ def test_flag_curvature_report_builds_once(monkeypatch, metric):
         {"check": "flag-curvature", "n": 3, "metric": metric,
          "samples": 7}))
     assert rep.passed and rep.n_samples == 7
-    assert len(calls) == 1 and np.prod(calls[0][:-1]) == 7 * 13 * 17
+    assert len(calls) == 1 and np.prod(calls[0][:-1]) == 7 * 17
 
 
 def test_spectrum_nan_spread_fails(monkeypatch):

@@ -13,16 +13,19 @@ from finslab.curvature import (Flag, flag_curvature, geodesic_spray,
                                stencil_derivative, stencil_points)
 from finslab.errors import (ChartBoundary, DegenerateFlag,
                             DifferentiationFailure, FinslabError)
+from finslab.minkowski import fundamental_tensor
 from finslab.sphere import (Chart, KillingField, MetricField, block_killing,
                             killing_norm, randers_sphere, round_metric,
                             standard_rotation)
 
 
 def flat_metric(n: int) -> MetricField:
+    # the identity at every chart point, with zero x-derivatives
     chart = Chart(np.eye(n + 1)[0])
     return MetricField(chart, "localization",
                        lambda fld, X: (np.broadcast_to(
-                           np.eye(n), X.shape[:-1] + (n, n)), None))
+                           np.eye(n), X.shape[:-1] + (n, n)), None,
+                           np.zeros(X.shape[:-1] + (n, n, n)), None))
 
 
 def test_stencil_exact_on_quartics():
@@ -181,15 +184,15 @@ def test_randers_sphere_curvature_where_wind_vanishes():
 
 def test_flag_curvature_builds_the_base_norm_once():
     # a flag needs spray models at x and at 4n + 4 points off x for the
-    # x- and mixed derivatives, each with its 4n-point coefficient
-    # stencil: one builder call sees all (1 + 4n)(4n + 5) points per flag,
-    # for one flag or a stack of F, and the base point of each flag once
+    # x- and mixed derivatives, and the builder gives each its coefficient
+    # jet: one builder call sees all 4n + 5 points per flag, for one flag
+    # or a stack of F, and the base point of each flag once
     rng = np.random.default_rng(9)
     for met, n, count in (
             (randers_sphere(Chart(rng.standard_normal(4)),
-                            standard_rotation(4, 0.4)), 3, 221),
+                            standard_rotation(4, 0.4)), 3, 17),
             (randers_sphere(Chart([0.6, 0.8, 0.0]),
-                            block_killing(1, [0.5], [1])), 2, 117)):
+                            block_killing(1, [0.5], [1])), 2, 13)):
         build = met._builder
         for F in (None, 1, 5):
             seen = []
@@ -199,8 +202,7 @@ def test_flag_curvature_builds_the_base_norm_once():
             flag_curvature(met, Flag(x, *rng.standard_normal((2,) + shape)))
             assert len(seen) == 1
             pts = seen[0].reshape(-1, n)
-            assert len(pts) == (F or 1) * count == (F or 1) * (1 + 4 * n) \
-                * (4 * n + 5)
+            assert len(pts) == (F or 1) * count == (F or 1) * (4 * n + 5)
             for row in np.atleast_2d(x):
                 assert np.all(pts == row, axis=1).sum() == 1
 
@@ -377,6 +379,17 @@ def test_spray_outside_chart_raises():
         geodesic_spray(met, np.array([10.5, 0.0]), np.array([1.0, 0.0]))
 
 
+def test_spray_is_finite_up_to_the_chart_edge():
+    # the spray takes its x-derivatives from the coefficient jets, not a
+    # stencil, so it needs no reach beyond the chart domain
+    chart = Chart([0.0, 0.0, 1.0])
+    for met in (round_metric(chart),
+                randers_sphere(chart, block_killing(1, [0.5], [1]))):
+        G = geodesic_spray(met, np.array([9.9999, 0.0]),
+                           np.array([0.3, 1.0]))
+        assert np.isfinite(G).all()
+
+
 def test_randers_spray_matches_fd_spray():
     # the closed-form Randers spray against central differences of the
     # pointwise norm values alone
@@ -436,6 +449,61 @@ def test_randers_geodesic_matches_closed_form(W, seed):
                        for t in path.times])
     assert len(path.recenters) > 0
     assert np.abs(path.ambient_points - expect).max() < 1e-5
+
+
+def _s_curvatures(met, x, y, h=1e-3):
+    # (S_BH, S_HT) at (x, y), F(y) = 1: the centred difference of the
+    # distortion tau = log(sqrt(det g_y) / sigma(x)) along the geodesic
+    # through (x, y), one RK4 step of h each way, for the Busemann-Hausdorff
+    # density sigma_BH = (1 - |beta|_alpha^2)^((n+1)/2) sqrt(det alpha) and
+    # the Holmes-Thompson density sigma_HT = sqrt(det alpha)
+    n = len(x)
+
+    def taus(path):
+        norm = met.norm_at(path.chart_points[-1])
+        g = fundamental_tensor(norm, path.chart_velocities[-1])
+        tau_ht = 0.5 * (np.linalg.slogdet(g)[1]
+                        - np.linalg.slogdet(norm.alpha)[1])
+        bb = 0.0 if norm.beta is None \
+            else norm.beta @ np.linalg.solve(norm.alpha, norm.beta)
+        return np.array([tau_ht - 0.5 * (n + 1) * np.log1p(-bb), tau_ht])
+
+    ahead, behind = (taus(integrate_geodesic(met, x, y, t, steps=1))
+                     for t in (h, -h))
+    return (ahead - behind) / (2.0 * h)
+
+
+def _random_skew_wind(dim, norm, rng):
+    M = rng.standard_normal((dim, dim))
+    M = M - M.T
+    return KillingField(norm * M / killing_norm(KillingField(M)))
+
+
+@pytest.mark.parametrize("wind", ["round", "standard", "block",
+                                  "random-skew"])
+def test_s_curvature_vanishes_for_the_busemann_hausdorff_measure(wind):
+    # Shen's S-curvature of a navigated Randers sphere vanishes for the
+    # BH measure under every Killing wind; for the HT measure it vanishes
+    # exactly when |W p| is constant on the sphere, i.e. W^T W = c I
+    rng = np.random.default_rng(30)
+    W = {"round": None,
+         "standard": standard_rotation(4, 0.5),
+         "block": block_killing(0, [0.3, 0.6], [1, 1]),
+         "random-skew": _random_skew_wind(5, 0.4, rng)}[wind]
+    dim = 4 if W is None else W.ambient_dim
+    chart = Chart(rng.standard_normal(dim))
+    met = round_metric(chart) if W is None else randers_sphere(chart, W)
+    S = np.array([_s_curvatures(met, *row)
+                  for row in zip(0.3 * rng.standard_normal((4, dim - 1)),
+                                 rng.standard_normal((4, dim - 1)))])
+    assert np.abs(S[:, 0]).max() < 1e-9
+    WtW = np.zeros((dim, dim)) if W is None else W.matrix.T @ W.matrix
+    constant = np.allclose(WtW, WtW[0, 0] * np.eye(dim), atol=1e-12)
+    assert constant == (wind in ("round", "standard"))
+    if constant:
+        assert np.abs(S[:, 1]).max() < 1e-9
+    else:
+        assert np.abs(S[:, 1]).max() > 1e-2
 
 
 def test_geodesic_csv_export(tmp_path):

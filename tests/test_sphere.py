@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (chart_coords, finsler_value_ambient,
+from conftest import (chart_coords, fd_coefficient_jet, finsler_value_ambient,
                       jacobian_randers_coefficients, pullback_round,
                       sampled_killing_norm)
 from finslab.errors import (ChartBoundary, DimensionMismatch,
@@ -89,6 +89,54 @@ def test_closed_form_coefficients_match_jacobian_oracle(kind, wind, stack):
         axes = tuple(range(len(lead), b.ndim))
         assert (np.abs(a - b).max(axis=axes)
                 <= 1e-13 * np.abs(b).max(axis=axes)).all()
+
+
+def _jet_wind(kind, dim, rng):
+    # a wind on R^dim of each kind; the standard rotation needs dim even
+    if kind == "standard":
+        return standard_rotation(dim, 0.6)
+    if kind == "block":
+        return block_killing(1, [0.5], [1]) if dim < 4 \
+            else block_killing(dim % 2, [0.3, 0.6], [1, 1])
+    return _random_wind(dim, rng)
+
+
+@pytest.mark.parametrize("chart_kind", ["one", "with_center", "stack"])
+@pytest.mark.parametrize("n,wind", [
+    (n, wind) for n in (2, 3, 4)
+    for wind in (None, "standard", "block", "random-skew")
+    if not (wind == "standard" and n % 2 == 0)])
+def test_closed_form_jets_match_the_stencil_oracle(n, wind, chart_kind):
+    # the builders' closed-form x-derivatives against a fourth-order
+    # stencil of their coefficient pairs, for one point and for stacks,
+    # out to |x| = 9 of the radius-10 chart
+    rng = np.random.default_rng(60 + n)
+    W = None if wind is None else _jet_wind(wind, n + 1, rng)
+    make = round_metric if W is None \
+        else (lambda chart: randers_sphere(chart, W))
+    met = make(Chart(rng.standard_normal(n + 1)))
+    lead = (20,)
+    if chart_kind == "with_center":
+        met = met.with_center(random_sphere_points(n, 1, rng)[0])
+    elif chart_kind == "stack":
+        met = met.with_center(random_sphere_points(n, 3, rng))
+        lead = (20, 3)
+    U = rng.standard_normal(lead + (n,))
+    U /= np.linalg.norm(U, axis=-1, keepdims=True)
+    X = np.linspace(0.05, 9.0, 20).reshape((20,) + (1,) * len(lead)) * U
+    for points in (X, X[-1]):
+        got = met.coefficients(points)
+        want = fd_coefficient_jet(met, points)
+        assert len(got) == len(want) == 4
+        assert (got[1] is None) == (got[3] is None) == (W is None)
+        for a, b in zip(got, want):
+            if b is None:
+                continue
+            assert a.shape == b.shape
+            # relative to the largest entry at each point
+            axes = tuple(range(points.ndim - 1, b.ndim))
+            assert (np.abs(a - b).max(axis=axes)
+                    <= 1e-8 * np.abs(b).max(axis=axes)).all()
 
 
 def test_round_metric_center_is_identity():
