@@ -260,22 +260,25 @@ class SkewBasis:
 
 
 def _null_coefficients(C, a, b):
-    # (pairs, coeffs) of the null vectors of the Gram of Y -> ([Y, C_i])_i,
-    # per block size.  Each C_i is skew and orthogonal (P_i^2 = I), so the
-    # Gram is Y -> 2 sum_i (Y - C_i Y C_i^T), 2(m - 1) I less twice the
-    # pair matrix of sum_i Ad C_i; the Ad C_i are commuting involutions,
-    # so its eigenvalues are multiples of 4.  Off 2(m - 1) I, its entry at
-    # p = (a, b), q = (c, d) is 2 sum_i (C_i[a, d] C_i[b, c]
-    # - C_i[a, c] C_i[b, d]), nonzero only when c and d lie in the support
-    # of rows a and b of the C_i.  So row p is read off the antisymmetric
-    # part of R_p = C[:, a, S]^T C[:, b, S], with S that support in
-    # ascending order, padded to a common width by the index l of an
-    # appended zero column (all l columns on a dense system), and only the
-    # nonzero entries and the blocks they connect are built.  With no C_i
-    # (m = 1) there is no Gram: pair p alone is null vector p
+    # (blocks, V, null) per block size: the pairs of the blocks of the
+    # Gram of Y -> ([Y, C_i])_i, their eigh eigenvectors and the mask
+    # mu <= _NULL_TOL of the null columns.  Each C_i is skew and
+    # orthogonal (P_i^2 = I), so the Gram is Y -> 2 sum_i (Y - C_i Y
+    # C_i^T), 2(m - 1) I less twice the pair matrix of sum_i Ad C_i; the
+    # Ad C_i are commuting involutions, so its eigenvalues are multiples
+    # of 4.  Off 2(m - 1) I, its entry at p = (a, b), q = (c, d) is
+    # 2 sum_i (C_i[a, d] C_i[b, c] - C_i[a, c] C_i[b, d]), nonzero only
+    # when c and d lie in the support of rows a and b of the C_i.  So row
+    # p is read off the antisymmetric part of R_p = C[:, a, S]^T C[:, b, S],
+    # with S that support in ascending order, padded to a common width by
+    # the index l of an appended zero column (all l columns on a dense
+    # system), and only the nonzero entries and the blocks they connect
+    # are built.  With no C_i (m = 1) there is no Gram: each pair is a
+    # block whose one vector is null
     L, l = len(a), C.shape[-1]
     if not len(C):
-        yield np.arange(L)[:, None], np.ones((L, 1))
+        yield (np.arange(L)[:, None], np.ones((L, 1, 1)),
+               np.ones((L, 1), bool))
         return
     support = np.any(C != 0.0, axis=0)
     support = support[a] | support[b]
@@ -324,18 +327,17 @@ def _null_coefficients(C, a, b):
         if np.any((mu > _NULL_TOL) & (mu < _AMBIGUITY_BAND)):
             raise RankDeficiency(
                 "null-space eigenvalues fall inside the ambiguity band")
-        j, col = np.nonzero(mu <= _NULL_TOL)
-        yield blocks[j], V[j, :, col]
+        yield blocks, V, mu <= _NULL_TOL
 
 
 def _eigenframe(sys_: CliffordSystem) -> tuple:
     # (eigenvalues of P_0, Q+, Q-, C, K) from one eigh: Q+ the +1
     # eigenvectors of P_0 as eigh returns them, Q- = P_1 Q+, C the blocks
-    # Q+^T P_i Q- (i >= 2), and K the groups (pairs, coeffs) of
-    # _null_coefficients: the coefficients on the pair basis of so(l) of
-    # the elements Y of c(Sigma), row start + r of a group holding
-    # coeffs[r] on pairs[r] after the start rows of the groups before it.
-    # The rows are orthonormal and in the order of centralizer's elements
+    # Q+^T P_i Q- (i >= 2), and K the groups (blocks, V, null) of
+    # _null_coefficients.  The rows of K are their null columns V[j, :, c]
+    # on the pairs blocks[j], group after group in the order of
+    # np.nonzero(null): the orthonormal coefficients on the pair basis of
+    # so(l) of the Y of c(Sigma), in the order of centralizer's elements
     mats = sys_.matrices
     evals, Q = np.linalg.eigh(mats[0])
     Qp = Q[:, evals > 0.0]
@@ -343,20 +345,6 @@ def _eigenframe(sys_: CliffordSystem) -> tuple:
     a, b = np.triu_indices(Qp.shape[1], 1)
     C = Qp.T @ mats[2:] @ Qm
     return evals, Qp, Qm, C, list(_null_coefficients(C, a, b))
-
-
-def _row_starts(K) -> np.ndarray:
-    # the first row of each group of K, and the number of rows last
-    return np.cumsum([0] + [len(pairs) for pairs, _ in K])
-
-
-def _triplets(K) -> tuple:
-    # (rows, pairs, coeffs) of the groups K of _eigenframe, concatenated:
-    # row rows[t] holds coeffs[t] on pairs[t]
-    rows = [np.repeat(start + np.arange(len(pairs)), pairs.shape[1])
-            for start, (pairs, _) in zip(_row_starts(K), K)]
-    return (np.concatenate(rows), np.concatenate([p.ravel() for p, _ in K]),
-            np.concatenate([c.ravel() for _, c in K]))
 
 
 def _pair_skew(w, l: int) -> np.ndarray:
@@ -388,10 +376,11 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
     L = l(l - 1)/2.  The Gram splits exactly (no threshold) into the
     connected blocks of its nonzero pattern, whose spectra make up its
     own: small blocks when the C_i are signed permutations, as on built
-    systems, one block on a dense (e.g. rotated) system.  Elements are
-    ordered by the size of their block, then by its least pair index;
-    for m = 1 there is no C_i and no Gram, and element p is pair p of
-    (0, 1), ..., (l - 2, l - 1), in lexicographic order.
+    systems, one block on a dense (e.g. rotated) system.  An element is
+    a null column of its block's eigh, on that block's pairs alone, and
+    they are ordered by block size, least pair and column; for m = 1
+    there is no C_i and no Gram, and element p is pair p of (0, 1), ...,
+    (l - 2, l - 1), in lexicographic order.
     """
     return SkewBasis(list(_centralizer_rows(sys_, slice(None))[1]))
 
@@ -399,16 +388,19 @@ def centralizer(sys_: CliffordSystem) -> SkewBasis:
 def _centralizer_rows(sys_: CliffordSystem, select: slice) -> tuple:
     # (dim c(Sigma), the elements select of centralizer, from their rows)
     _, Qp, Qm, _, K = _eigenframe(sys_)
-    rows, pairs, coeffs = _triplets(K)
-    keep = range(_row_starts(K)[-1])[select]
-    t = (rows >= keep.start) & (rows < keep.stop)
-    rows, pairs, coeffs = rows[t] - keep.start, pairs[t], coeffs[t]
+    found = [np.nonzero(null) for _, _, null in K]
+    starts = np.cumsum([0] + [len(j) for j, _ in found])   # dim last
+    keep = range(starts[-1])[select]
     a, b = np.triu_indices(Qp.shape[1], 1)
     Y = np.zeros((len(keep), Qp.shape[1], Qp.shape[1]))
-    Y[rows, a[pairs], b[pairs]] = 0.5 * coeffs
-    Y[rows, b[pairs], a[pairs]] = -0.5 * coeffs
+    for (blocks, V, _), (j, col), start in zip(K, found, starts):
+        rows = start - keep.start + np.arange(len(j))   # rows in keep
+        t = (rows >= 0) & (rows < len(keep))
+        pairs, coeffs = blocks[j[t]], V[j[t], :, col[t]]
+        Y[rows[t, None], a[pairs], b[pairs]] = 0.5 * coeffs
+        Y[rows[t, None], b[pairs], a[pairs]] = -0.5 * coeffs
     X = Qp @ Y @ Qp.T + Qm @ Y @ Qm.T
-    return _row_starts(K)[-1], 0.5 * (X - X.transpose(0, 2, 1))
+    return starts[-1], 0.5 * (X - X.transpose(0, 2, 1))
 
 
 def predicted_centralizer_dim(sys_: CliffordSystem) -> int:
@@ -481,38 +473,30 @@ def symmetry_basis(sys_: CliffordSystem) -> SkewBasis:
     return SkewBasis(spin_lift(sys_).elements + centralizer(sys_).elements)
 
 
-def _gather_product(w, src, dst, coeffs, size: int) -> np.ndarray:
-    # out[..., j] = sum of coeffs[t] w[..., src[t]] over the t with
-    # dst[t] = j, over the leading axes of w: a gather and np.bincount
-    flat = w.reshape(np.prod(w.shape[:-1], dtype=int), w.shape[-1])
-    bins = (size * np.arange(len(flat)))[:, None] + dst
-    out = np.bincount(bins.ravel(), (flat[:, src] * coeffs).ravel(),
-                      minlength=size * len(flat))
-    return out.reshape(w.shape[:-1] + (size,))
-
-
-def _row_products(K, L: int, vectors: int) -> tuple:
+def _row_products(K, L: int) -> tuple:
     # (w -> w K, v -> v K^T, the squared row norms) for the groups K of
-    # _eigenframe, to be applied to `vectors` vectors in all.  With one
-    # BLAS thread a gather over the triplets costs about 55 times a dense
-    # product per stored entry and vector, and forming the dense (dim, L)
-    # matrix about 6 times, so the matrix is formed, once, where K fills
-    # more than (6 + vectors) / (55 vectors) of it: 2.3% at an audit's 24
-    # vectors, passed on a partly or wholly rotated system.  Below that,
-    # at 24 vectors, the gather's temporaries stay smaller than the matrix
-    starts = _row_starts(K)
-    dim = starts[-1]
-    if 55 * vectors * sum(p.size for p, _ in K) > (6 + vectors) * dim * L:
-        dense = np.zeros((dim, L))
-        for start, (pairs, coeffs) in zip(starts, K):
-            np.put_along_axis(dense[start:start + len(pairs)], pairs, coeffs,
-                              axis=1)
-        return (lambda w: w @ dense, lambda v: v @ dense.T,
-                np.einsum("ij,ij->i", dense, dense))
-    rows, pairs, coeffs = _triplets(K)
-    return (lambda w: _gather_product(w, rows, pairs, coeffs, L),
-            lambda v: _gather_product(v, pairs, rows, coeffs, dim),
-            np.bincount(rows, coeffs * coeffs, minlength=dim))
+    # _eigenframe, over the leading axes of w and v: per group one stacked
+    # product of V or V^T with the vectors on the last axis, so that each
+    # block is one small product, on sparse and dense K alike
+    ends = np.cumsum([np.count_nonzero(null) for _, _, null in K])
+
+    def times_K(w):
+        flat = w.reshape(np.prod(w.shape[:-1], dtype=int), -1).T
+        out = np.zeros((L, flat.shape[1]))
+        for (blocks, V, null), part in zip(K, np.split(flat, ends[:-1])):
+            coeffs = np.zeros(null.shape + part.shape[1:])
+            coeffs[null] = part
+            out[blocks] = V @ coeffs
+        return out.T.reshape(w.shape[:-1] + (L,))
+
+    def times_KT(v):
+        flat = v.reshape(np.prod(v.shape[:-1], dtype=int), L).T
+        rows = [(V.transpose(0, 2, 1) @ flat[blocks])[null]
+                for blocks, V, null in K]
+        return np.concatenate(rows).T.reshape(v.shape[:-1] + (-1,))
+
+    return times_K, times_KT, np.concatenate(
+        [np.einsum("jrc,jrc->jc", V, V)[null] for _, V, null in K])
 
 
 def _closure_residual(dense, trials: int, seed: int, K=None) -> float:
@@ -520,7 +504,8 @@ def _closure_residual(dense, trials: int, seed: int, K=None) -> float:
     # when the groups K of _eigenframe are given, of the diag(Y_r, Y_r)
     # with Y_r the pair skew of row r of K, drawn after the stack; their
     # part of the projection is K on the pair vector of the sum of the two
-    # diagonal blocks of [X, Y]
+    # diagonal blocks of [X, Y], and K is applied by the block products of
+    # _row_products
     rng = np.random.default_rng(seed)
     d, n = len(dense), dense.shape[-1]
     l = n // 2
@@ -528,8 +513,7 @@ def _closure_residual(dense, trials: int, seed: int, K=None) -> float:
     flat = dense.reshape(d, -1)
     norms = ()
     if K is not None:
-        # 2 trials vectors go through K, then trials through K^T and K
-        times_K, times_KT, norms = _row_products(K, L, 4 * trials)
+        times_K, times_KT, norms = _row_products(K, L)
     draw = rng.standard_normal((trials, 2, d + len(norms)))
     XY = (draw[..., :d] @ flat).reshape(trials, 2, n, n)
     if K is not None:
@@ -579,9 +563,9 @@ def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
     c(Sigma) is {diag(Y, Y)}.  The closure check takes the spin lift
     P_i P_j / 2 (i < j) from the C_i alone, as [[0, I], [-I, 0]] / 2,
     [[0, C_i], [C_i, 0]] / 2, diag(-C_i, C_i) / 2 and
-    -diag(C_i C_j, C_i C_j) / 2, and the centralizer as the rows of its
-    pair coefficients, gathered where they are sparse and one dense
-    matrix where they fill more than about 2% of it, and forms no dense
+    -diag(C_i C_j, C_i C_j) / 2, and the centralizer as the null columns
+    of its Gram blocks' eigh, applied by one stacked product per block
+    size on sparse and dense systems alike, and forms no dense
     centralizer element.  These forms hold to the anticommutation and
     symmetry defect a CliffordSystem bounds.  The +-1 multiplicities come
     from the same eigh.  Conjugation by U keeps brackets, norms and
@@ -593,7 +577,7 @@ def audit(sys_: CliffordSystem, seed: int = 0) -> dict:
     mult_minus = int(np.sum(evals < -0.5))
     spin = _frame_spin(C)
     closure = _closure_residual(spin, _CLOSURE_TRIALS, seed, K)
-    dim = int(_row_starts(K)[-1])
+    dim = int(sum(np.count_nonzero(null) for _, _, null in K))
     acm = sys_.anticommutation_error
     predicted = predicted_centralizer_dim(sys_)
     return {

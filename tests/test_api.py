@@ -104,6 +104,40 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert unreferenced == sorted(UNREFERENCED_EXPORTS)
 
 
+def test_every_private_helper_is_referenced_in_the_package():
+    # each private module-level function, class and constant of src/finslab
+    # is referenced (a name, an attribute or an imported name) by some
+    # module-level statement of the package other than its own definition,
+    # so a helper whose last caller left does not stay behind
+    defined, seen = [], []
+    for path in sorted((ROOT / "src" / "finslab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            seen.append(names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = [t.id for t in getattr(stmt, "targets", [])
+                           + [getattr(stmt, "target", None)]
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(f"{path.stem}.{name}", len(seen) - 1)
+                        for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+    orphaned = [name for name, own in defined
+                if not any(name.split(".")[1] in names
+                           for i, names in enumerate(seen) if i != own)]
+    assert len(defined) > 50 and orphaned == []
+
+
 def test_exported_keyword_defaults_are_pinned():
     found = {}
     for name in dir(finslab):

@@ -220,9 +220,10 @@ def test_centralizer_index_is_lexicographic_pair_for_m1():
 
 def test_m1_audit_builds_no_gram():
     # with no C_i every Y commutes: the audit of (1, 64) keeps its 2016
-    # centralizer rows as triplets, one per row, and builds no dense
-    # (2016, 2016) coefficient matrix (31 MiB), L x L Gram or (L, l, l)
-    # product; with the dense matrix it peaked at 37 MiB
+    # centralizer rows as 2016 blocks of one pair, each its own 1 x 1
+    # eigenvector, and builds no dense (2016, 2016) coefficient matrix
+    # (31 MiB), L x L Gram or (L, l, l) product; with the dense matrix it
+    # peaked at 37 MiB
     sys_ = build_quiet(1, 64)
     tracemalloc.start()
     try:
@@ -250,9 +251,18 @@ def test_m2_audit_builds_no_dense_gram():
         assert peak < 48 * 2**20, (m, k, peak / 2**20)
 
 
+def null_rows(groups):
+    """The (pairs, coeffs) of the null columns of each group (blocks, V,
+    null) of _null_coefficients: row r holds coeffs[r] on pairs[r], in
+    the order of np.nonzero(null), as dense_gram_null_coefficients
+    gives them."""
+    return [(blocks[j], V[j, :, col]) for blocks, V, null in groups
+            for j, col in [np.nonzero(null)]]
+
+
 def coefficient_rows(found, L):
-    """The (dim, L) rows of the (pairs, coeffs) groups of
-    _null_coefficients on the pair basis, in the order found."""
+    """The (dim, L) rows of the (pairs, coeffs) groups of null_rows on the
+    pair basis, in the order found."""
     K = np.zeros((sum(len(pairs) for pairs, _ in found), L))
     start = 0
     for pairs, coeffs in found:   # row start + r: coeffs[r] on pairs[r]
@@ -277,7 +287,7 @@ def assert_matches_dense_gram_oracle(C, a, b, where):
     def nonempty(found):
         return [(pairs, coeffs) for pairs, coeffs in found if len(pairs)]
 
-    found = nonempty(clifford._null_coefficients(C, a, b))
+    found = nonempty(null_rows(clifford._null_coefficients(C, a, b)))
     expected = nonempty(dense_gram_null_coefficients(C, a, b))
     assert len(found) == len(expected), where
     for (pairs, coeffs), (pairs0, coeffs0) in zip(found, expected):
@@ -333,7 +343,8 @@ def test_null_coefficients_span_the_oracle_null_space_when_rotated():
         support = np.any(C != 0.0, axis=0)
         width = np.count_nonzero(support[a] | support[b], axis=1)
         padded += width.min() < width.max()
-        found = projector(list(clifford._null_coefficients(C, a, b)), len(a))
+        found = projector(null_rows(clifford._null_coefficients(C, a, b)),
+                          len(a))
         expected = projector(dense_gram_null_coefficients(C, a, b), len(a))
         assert np.trace(found) == pytest.approx(
             predicted_centralizer_dim(sys_)), (m, k)
@@ -635,15 +646,18 @@ def test_audit_closure_matches_the_dense_basis():
 @pytest.mark.parametrize("m,k", [(2, 2), (4, (1, 1)), (5, 1)])
 def test_audit_closure_fails_off_the_null_space(m, k, monkeypatch):
     # row 0 of K turned by 45 degrees towards a pair direction orthogonal
-    # to every row: the dimension still matches, the closure must not
+    # to every row: the dimension still matches, the closure must not.
+    # The rows are yielded as the null columns of one block of all L pairs
     original = clifford._null_coefficients
 
     def tilted(C, a, b):
-        K = coefficient_rows(list(original(C, a, b)), len(a))
+        K = coefficient_rows(null_rows(original(C, a, b)), len(a))
         off = np.eye(len(a)) - K.T @ K        # projector off the null space
         q = int(np.argmax(np.diag(off)))
         K[0] = (K[0] + off[q] / np.linalg.norm(off[q])) / np.sqrt(2.0)
-        yield np.broadcast_to(np.arange(len(a)), K.shape), K
+        V = np.zeros((1, len(a), len(a)))
+        V[0, :, :len(K)] = K.T
+        yield np.arange(len(a))[None], V, np.arange(len(a))[None] < len(K)
 
     sys_ = build_quiet(m, k)
     assert clifford.audit(sys_)["ok"]
@@ -670,42 +684,33 @@ def test_audit_builds_no_dense_symmetry_basis(monkeypatch):
     assert count == 11
 
 
-def test_centralizer_rows_apply_alike_by_gather_and_by_matrix(monkeypatch):
-    # the gather gives w K and v K^T of the dense rows on sparse (grid),
-    # partly and wholly filled (rotated) triplets alike, and so do the
-    # products an audit chooses, with the rows' squared norms; the rotated
-    # systems' full rows choose the matrix, formed once per audit, and
-    # never gather
+def test_centralizer_rows_apply_alike_by_block_products():
+    # the block products give w K, v K^T and the squared row norms of the
+    # dense rows on sparse (built), partly and wholly filled (rotated)
+    # groups alike, and on the empty c(Sigma) of (9, 1); the rotated
+    # audits close through them
     rng = np.random.default_rng(3)
     rotated = [s for _, _, s in rotated_systems()]
     rotated += [s for _, _, s in half_rotated_systems()]
+    dims = []
     for sys_ in [build_quiet(1, 8), build_quiet(2, 16), build_quiet(5, 4),
-                 *rotated]:
+                 *rotated, build_quiet(9, 1)]:
         _, Qp, _, _, K = clifford._eigenframe(sys_)
         L = len(np.triu_indices(Qp.shape[1], 1)[0])
-        dense = coefficient_rows(K, L)
+        dense = coefficient_rows(null_rows(K), L)
         dim = len(dense)
-        rows, pairs, coeffs = clifford._triplets(K)
+        dims.append(dim)
         w, v = rng.standard_normal((6, 2, dim)), rng.standard_normal((6, L))
-        times_K, times_KT, norms = clifford._row_products(K, L, 24)
-        assert np.abs(norms - (dense * dense).sum(axis=1)).max() < 1e-14
-        for got in (clifford._gather_product(w, rows, pairs, coeffs, L),
-                    times_K(w)):
-            assert np.abs(got - w @ dense).max() < 1e-13
-        for got in (clifford._gather_product(v, pairs, rows, coeffs, dim),
-                    times_KT(v)):
-            assert np.abs(got - v @ dense.T).max() < 1e-13
-    original, calls = clifford._row_products, []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a rotated audit gathered")
-
-    monkeypatch.setattr(clifford, "_row_products", counted)
-    monkeypatch.setattr(clifford, "_gather_product", forbidden)
+        times_K, times_KT, norms = clifford._row_products(K, L)
+        assert norms.shape == (dim,)
+        assert np.abs(norms - (dense * dense).sum(axis=1)).max(
+            initial=0.0) < 1e-14
+        got = times_K(w)
+        assert got.shape == (6, 2, L)
+        assert np.abs(got - w @ dense).max() < 1e-13
+        got = times_KT(v)
+        assert got.shape == (6, dim)
+        assert np.abs(got - v @ dense.T).max(initial=0.0) < 1e-13
+    assert dims[-1] == 0 and min(dims[:-1]) > 0
     for sys_ in rotated:   # not "ok": a rotated system's defect is not 0
         assert clifford.audit(sys_)["lie_closure_residual"] < 1e-10
-    assert len(calls) == len(rotated)
