@@ -9,26 +9,35 @@ and the Riemann curvature in chart coordinates
     R^i_k(y) = 2 dG^i/dx^k - y^j d^2 G^i/dx^j dy^k
                + 2 G^j d^2 G^i/dy^j dy^k - dG^i/dy^j dG^j/dy^k.
 
-For quadratic and Randers pointwise norms the x-dependence of F^2 lives
-entirely in the coefficient fields (A(x), or alpha(x), beta(x)), so the
-spray is evaluated in closed form from the coefficient jet that the
-metric field's builder returns: the fields and their x-derivatives, both
-closed forms in x, with y-derivatives exact.  Derivatives of G itself
-use fourth-order stencils: G carries roundoff only, and the step keeps
-the amplified noise near 1e-8, well inside the 1e-4 acceptance band for
+For a quadratic or Randers pointwise norm the x-dependence of F^2
+lives in its coefficient fields (A(x), or alpha(x), beta(x)), and the
+spray is a closed form in the coefficient jet that the metric field's
+builder returns, the fields and their x-derivatives: G = Gamma y y / 2
+for a quadratic field, and for F = alpha + beta (Chern-Shen,
+*Riemann-Finsler Geometry*, 2005)
+
+    G = G_alpha + (r00 - 2 alpha s0) / (2F) y + alpha S y,
+
+with G_alpha the spray of alpha, r and s the symmetric and skew parts of
+the alpha-covariant derivative of beta, S = alpha^-1 s and
+s0 = b^i s_ij y^j.  Its y-Jacobian and y-Hessian are closed forms too,
+so every y-derivative of G is exact.  The x-derivatives of G keep one
+fourth-order stencil: G carries roundoff only, and the step keeps the
+amplified noise near 1e-8, well inside the 1e-4 acceptance band for
 flag curvature.
 
-Every point of a flag's stencils is fixed by (x, y) before anything is
+Every point of a flag's stencil is fixed by (x, y) before anything is
 evaluated, so R_y is computed in array passes, and a stack of flags in
 the same passes as one.  A flag needs spray models at 4n + 5 chart
-points: x, the 4n points of the x-stencil of G and the 4 points of the
+points: x, the 4n points of its x-stencil and the 4 points of its
 stencil along y.  For a stack of F flags, the coefficient jets of all
-F (4n + 5) points come from one builder call.  The sprays then go
-through one batched solve for G(x, y) of every flag and one for the
-F 40n stencil sprays around them (the stencil along G(x, y) needs
-G(x, y) first), and each contraction of the spray is one pass over the
-whole stack.  geodesic_spray and riemann_curvature are the one-point
-cases of the same code.
+F (4n + 5) points come from one builder call, one batched solve per
+point gives the Christoffel symbols of alpha and alpha^-1 s, and the
+spray, its y-Jacobian and y-Hessian at every point are contractions
+over the whole stack: dG/dx from G along the x-stencil,
+y^j d^2G/dx^j dy from the Jacobian along y, and the rest exactly at x.
+geodesic_spray and riemann_curvature are the one-point cases of the
+same code.
 """
 
 from __future__ import annotations
@@ -40,8 +49,7 @@ import numpy as np
 
 from .errors import (ChartBoundary, DegenerateFlag, DifferentiationFailure,
                      FinslabError, ZeroBaseVector)
-from .minkowski import (_any, _cholesky, _dot, _matvec, _vecmat, fiber,
-                        randers_fiber)
+from .minkowski import _any, _dot, _matvec, _vecmat, fiber
 from .sphere import _CHART_RADIUS, MetricField
 
 # 4-point, fourth-order central first-derivative stencil
@@ -90,48 +98,65 @@ def _check_chart(x: np.ndarray, reach: float = 0.0):
         raise DifferentiationFailure("stencil would leave the chart domain")
 
 
-class _LocalModel:
-    """Closed-form spray data at the chart points X (any leading axes, the
-    model axes, and last axis n): the coefficient jet of
-    MetricField.coefficients, the pair (alpha, beta), beta None for a
-    quadratic field, and its x-derivatives Dalpha, Dbeta, with k on the
-    axis after the model axes, from one builder call over X.
+def _spray_jet(alpha, beta, Dalpha, Dbeta, y) -> tuple:
+    """(G, J, H) at y over the leading axes of the coefficient jet of
+    MetricField.coefficients (beta None for a quadratic field), those of
+    y broadcast against them: the spray G^i, its y-Jacobian
+    J[..., i, k] = dG^i/dy^k and y-Hessian H[..., i, j, k].
+
+    G = G_alpha + (r00 - 2 a s0) / (2F) y + a S y (Chern-Shen 2005),
+    with G_alpha = Gamma y y / 2 and Gamma the Christoffel symbols of
+    alpha, a = |y|_alpha, r and s the symmetric and skew parts of the
+    alpha-covariant derivative b_i|j of beta, S = alpha^-1 s and
+    s_j = b^i s_ij = b_i S^i_j.  One batched solve per model point gives
+    Gamma and S; each y needs contractions only.
     """
-
-    __slots__ = ("alpha", "beta", "Dalpha", "Dbeta")
-
-    def __init__(self, metric: MetricField, X: np.ndarray):
-        alpha, self.beta, self.Dalpha, self.Dbeta = metric.coefficients(X)
-        if self.beta is None:
-            alpha = 0.5 * (alpha + np.swapaxes(alpha, -1, -2))
-            _cholesky(alpha, "quadratic form matrix is not SPD")
-        self.alpha = alpha
-
-    def spray(self, idx, Y: np.ndarray) -> np.ndarray:
-        """G(X[idx], Y) over the leading axes of Y, which are those of the
-        model points that idx picks, with one batched solve; every
-        contraction is one pass over the whole stack."""
-        if self.beta is None:
-            DAy = np.einsum("...kij,...j->...ki", self.Dalpha[idx], Y)
-            s = np.einsum("...ki,...i->...k", DAy, Y)   # y^T dA/dx^k y
-            rhs = 2.0 * np.einsum("...k,...ki->...i", Y, DAy) - s
-            return 0.25 * np.linalg.solve(self.alpha[idx],
-                                          rhs[..., None])[..., 0]
-        a, F, p, m, g = randers_fiber(self.alpha[idx], self.beta[idx], Y)
-        Dbeta = self.Dbeta[idx]
-        Day = np.einsum("...kij,...j->...ki", self.Dalpha[idx], Y)
-        s = np.einsum("...ki,...i->...k", Day, Y)       # y^T dalpha/dx^k y
-        dF = s / (2.0 * a[..., None]) \
-            + np.einsum("...ki,...i->...k", Dbeta, Y)   # dF/dx^k
-        # y^k d^2(F^2)/dx^k dy^l, with d(F^2)/dy^l = 2 F m_l
-        yDay = np.einsum("...k,...ki->...i", Y, Day)
-        ys = np.einsum("...k,...k->...", Y, s)
-        ydF = np.einsum("...k,...k->...", Y, dF)
-        ymixed = 2.0 * (ydF[..., None] * m + F[..., None] * (
-            yDay / a[..., None] - (ys / (2.0 * a * a))[..., None] * p
-            + np.einsum("...k,...ki->...i", Y, Dbeta)))
-        rhs = ymixed - 2.0 * F[..., None] * dF
-        return 0.25 * np.linalg.solve(g, rhs[..., None])[..., 0]
+    n = y.shape[-1]
+    # Gamma_{l,jk} = (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk) / 2 on
+    # axes [l, j, k], from Dalpha[..., k, i, j] = d_k alpha_ij
+    low = 0.5 * (Dalpha.swapaxes(-3, -2) + Dalpha.swapaxes(-3, -1) - Dalpha)
+    rhs = low.reshape(low.shape[:-2] + (n * n,))
+    if beta is not None:
+        # s_ij = (d_j b_i - d_i b_j) / 2, as Gamma is symmetric
+        s = 0.5 * (Dbeta.swapaxes(-1, -2) - Dbeta)
+        rhs = np.concatenate((rhs, s), axis=-1)
+    sol = np.linalg.solve(alpha, rhs)
+    Gam = sol[..., :n * n].reshape(sol.shape[:-1] + (n, n))
+    J = (Gam @ y[..., None, :, None])[..., 0]          # Gamma y
+    G = 0.5 * _matvec(J, y)
+    if beta is None:
+        return G, J, Gam
+    S = sol[..., n * n:]
+    # r_ij = (d_j b_i + d_i b_j) / 2 - b_k Gamma^k_ij
+    r = 0.5 * (Dbeta + Dbeta.swapaxes(-1, -2)) \
+        - _vecmat(beta, sol[..., :n * n]).reshape(S.shape)
+    s_vec = _vecmat(beta, S)
+    ay = _matvec(alpha, y)
+    a = np.sqrt(_dot(y, ay))[..., None]
+    F = a + _dot(beta, y)[..., None]
+    p = ay / a
+    m = p + beta
+    ry, Sy = _matvec(r, y), _matvec(S, y)
+    s0 = _dot(s_vec, y)[..., None]
+    # G = G_alpha + P y + a S y with 2 F P = r00 - 2 a s0; differentiate
+    # that relation once and twice for dP and ddP
+    P = (_dot(ry, y)[..., None] - 2.0 * a * s0) / (2.0 * F)
+    dP = (ry - s0 * p - a * s_vec - P * m) / F
+    q = (alpha - p[..., :, None] * p[..., None, :]) / a[..., None]
+    pm = p[..., :, None] * s_vec[..., None, :] \
+        + m[..., :, None] * dP[..., None, :]
+    ddP = (r - (s0 + P)[..., None] * q - pm - pm.swapaxes(-1, -2)) \
+        / F[..., None]
+    eye = np.eye(n)
+    G = G + P * y + a * Sy
+    J = J + y[..., :, None] * dP[..., None, :] + P[..., None] * eye \
+        + Sy[..., :, None] * p[..., None, :] + a[..., None] * S
+    # [i, j, k]: delta_ij dP_k + S^i_j p_k, and its swap j <-> k
+    T = eye[:, :, None] * dP[..., None, None, :] \
+        + S[..., :, :, None] * p[..., None, None, :]
+    H = Gam + y[..., :, None, None] * ddP[..., None, :, :] \
+        + Sy[..., :, None, None] * q[..., None, :, :] + T + T.swapaxes(-1, -2)
+    return G, J, H
 
 
 def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
@@ -141,18 +166,16 @@ def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
     if not np.any(y):
         raise ZeroBaseVector("spray undefined at y = 0")
     _check_chart(x)
-    return _LocalModel(metric, x[None]).spray([0], y[None])[0]
+    return _spray_jet(*metric.coefficients(x), y)[0]
 
 
-def _flag_model(metric: MetricField, x: np.ndarray,
-                y: np.ndarray) -> _LocalModel:
-    # spray models at x (row 0), at the x-stencil of G (rows 1 to 4n,
-    # offset-major) and at the stencil along y (the last 4 rows), for
-    # each flag of the stacks x and y (F, n) on the second axis
+def _flag_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # the spray-model points of the flags of the stacks x and y (F, n), on
+    # a new first axis: x (row 0), its x-stencil (rows 1 to 4n,
+    # offset-major) and its stencil along y (the last 4 rows)
     u = y / np.sqrt(_dot(y, y))[..., None]
-    return _LocalModel(metric, np.concatenate(
-        (x[None], stencil_points(x, _OUT_STEP),
-         stencil_points(x, _OUT_STEP, u[None]))))
+    return np.concatenate((x[None], stencil_points(x, _OUT_STEP),
+                           stencil_points(x, _OUT_STEP, u[None])))
 
 
 def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
@@ -162,50 +185,23 @@ def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
     if not np.any(y):
         raise ZeroBaseVector("Riemann curvature undefined at y = 0")
     _check_chart(x, _RIEMANN_REACH)
-    return _riemann(_flag_model(metric, x[None], y[None]), y[None])[0]
+    jet = metric.coefficients(_flag_points(x[None], y[None]))
+    return _riemann(jet, y[None])[0]
 
 
-def _riemann(model: _LocalModel, y: np.ndarray) -> np.ndarray:
-    # R(y) (F, n, n) for the stack y (F, n) from the models of
-    # _flag_model, built for positive multiples of the rows of y; the
-    # caller has checked the stencil reach
-    nf, n = y.shape
-    h = _OUT_STEP
-    flags = np.arange(nf)
-    G0 = model.spray((0, flags), y)
-    g0n = np.sqrt(_dot(G0, G0))
-    # the term along G0 is weighted by |G0|, so where G0 = 0 its weight
-    # is 0 and any unit direction does
-    live = g0n > 1e-14
-    weight = np.where(live, g0n, 0.0)
-    u = np.where(live[:, None], G0, np.eye(n)[0]) \
-        / np.where(live, g0n, 1.0)[:, None]
-    # dG/dx: y at the x-stencil models; the y-stencil of G around y at x
-    # (dG/dy) and at the four models along y (for y^j d^2G/dx^j dy^k),
-    # and around each point along G0 at x (for G^j d^2G/dy^j dy^k)
-    centers = np.concatenate((np.broadcast_to(y, (5, nf, n)),
-                              stencil_points(y, h, u[None])))
-    Ys = stencil_points(centers, h)                 # [4n, center, flag, n]
-    rows = np.concatenate((np.arange(1, 4 * n + 1),
-                           np.tile([0, *range(4 * n + 1, 4 * n + 5),
-                                    0, 0, 0, 0], 4 * n)))
-    G = model.spray((rows[:, None], flags),
-                    np.concatenate((np.broadcast_to(y, (4 * n, nf, n)),
-                                    Ys.reshape(-1, nf, n))))
-
-    def by_flag(d):
-        # derivatives [k, flag, i] as matrices [flag, i, k]
-        return np.moveaxis(d, 0, -1)
-
-    dGdx = by_flag(stencil_derivative(G[:4 * n], h))
-    # [k, center, flag, i]: the y-Jacobian of G at each center
-    jac = stencil_derivative(G[4 * n:].reshape(Ys.shape), h)
-    dGdy = by_flag(jac[:, 0])
-    mixed = np.sqrt(_dot(y, y))[:, None, None] * by_flag(
-        stencil_derivative(jac[:, 1:5].swapaxes(0, 1), h)[0])
-    second = weight[:, None, None] * by_flag(
-        stencil_derivative(jac[:, 5:].swapaxes(0, 1), h)[0])
-    return 2.0 * dGdx - mixed + 2.0 * second - dGdy @ dGdy
+def _riemann(jet: tuple, y: np.ndarray) -> np.ndarray:
+    # R(y) (F, n, n) for the stack y (F, n) from the coefficient jet at
+    # the points of _flag_points, built for positive multiples of the
+    # rows of y; the caller has checked the stencil reach
+    n = y.shape[-1]
+    G, J, H = _spray_jet(*jet, y)
+    # [k, flag, i] derivatives of G along the x-stencil, as [flag, i, k]
+    dGdx = np.moveaxis(stencil_derivative(G[1:4 * n + 1], _OUT_STEP), 0, -1)
+    mixed = np.sqrt(_dot(y, y))[:, None, None] \
+        * stencil_derivative(J[4 * n + 1:], _OUT_STEP)[0]
+    # G^j d^2G^i/dy^j dy^k; H is symmetric in j and k
+    second = (H[0] @ G[0][:, None, :, None])[..., 0]
+    return 2.0 * dGdx - mixed + 2.0 * second - J[0] @ J[0]
 
 
 @dataclass
@@ -257,11 +253,9 @@ def _flag_curvature(metric: MetricField, x: np.ndarray, y: np.ndarray,
     if _any(~y.any(axis=-1)):
         raise ZeroBaseVector("flagpole must be nonzero")
     _check_chart(x, _RIEMANN_REACH)
-    model = _flag_model(metric, x, y)
-    at_x = (0, np.arange(len(y)))
+    jet = metric.coefficients(_flag_points(x, y))
     # g_y is 0-homogeneous in y, so the g at y serves the scaled y too
-    Fy, _, g = fiber(model.alpha[at_x], None if model.beta is None
-                     else model.beta[at_x], y)
+    Fy, _, g = fiber(jet[0][0], None if jet[1] is None else jet[1][0], y)
     if _any(Fy <= 0.0):
         raise ZeroBaseVector("flagpole has zero length")
     y = y / Fy[:, None]
@@ -271,7 +265,7 @@ def _flag_curvature(metric: MetricField, x: np.ndarray, y: np.ndarray,
     if _any(ww <= 1e-12 * gyy * (_dot(v, v) + 1.0)):
         raise DegenerateFlag("flag plane is numerically degenerate")
     w = w / np.sqrt(ww)[:, None]
-    R = _riemann(model, y)
+    R = _riemann(jet, y)
     return _dot(_vecmat(_matvec(R, w), g), w)
 
 
@@ -307,11 +301,14 @@ def integrate_geodesic(metric: MetricField, x0, y0, T: float,
     """RK4 integration of x'' + 2 G(x, x') = 0 from (x0, y0), F-unit speed.
 
     The chart is re-centered at the current point whenever |x| > 1, so the
-    trajectory may cross the whole sphere.
+    trajectory may cross the whole sphere.  A step builds the coefficient
+    jet four times: at its three inner RK4 stages and at its end point,
+    whose jet gives the recorded F and the next step's first stage.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
-    F0 = metric.norm_at(x)(y)
+    jet = metric.coefficients(x)
+    F0 = fiber(jet[0], jet[1], y)[0]
     if F0 <= 0.0:
         raise ZeroBaseVector("initial velocity must be nonzero")
     y /= F0
@@ -329,17 +326,18 @@ def integrate_geodesic(metric: MetricField, x0, y0, T: float,
     recenters = []
 
     def record(i, t):
+        # at (x, y), whose coefficient jet is jet
         times[i] = t
         cpts[i] = x
         cvel[i] = y
         J = metric.chart.jacobian(x)
         apts[i] = metric.chart.map(x)
         avel[i] = J @ y
-        fval[i] = metric.norm_at(x)(y)
+        fval[i] = fiber(jet[0], jet[1], y)[0]
 
     record(0, 0.0)
     for i in range(steps):
-        k1x, k1y = rhs(x, y)
+        k1x, k1y = y, -2.0 * _spray_jet(*jet, y)[0]
         k2x, k2y = rhs(x + 0.5 * dt * k1x, y + 0.5 * dt * k1y)
         k3x, k3y = rhs(x + 0.5 * dt * k2x, y + 0.5 * dt * k2y)
         k4x, k4y = rhs(x + dt * k3x, y + dt * k3y)
@@ -352,6 +350,7 @@ def integrate_geodesic(metric: MetricField, x0, y0, T: float,
             x = np.zeros_like(x)
             y = metric.chart.basis.T @ v_amb
             recenters.append(i + 1)
+        jet = metric.coefficients(x)
         record(i + 1, (i + 1) * dt)
 
     return GeodesicPath(times, cpts, cvel, apts, avel, fval, recenters)

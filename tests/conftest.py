@@ -186,6 +186,19 @@ class _PointModel:
             self.Dalpha = _diff4(lambda xv: metric.norm_at(xv).alpha, x, h)
             self.Dbeta = _diff4(lambda xv: metric.norm_at(xv).beta, x, h)
 
+    @classmethod
+    def of_jet(cls, alpha, beta, Dalpha, Dbeta):
+        """The model of one chart point's coefficient jet as given, such
+        as the closed-form jet of MetricField.coefficients."""
+        model = object.__new__(cls)
+        model.quad = beta is None
+        if model.quad:
+            model.A, model.DA = alpha, Dalpha
+        else:
+            model.alpha, model.beta = alpha, beta
+            model.Dalpha, model.Dbeta = Dalpha, Dbeta
+        return model
+
     def fiber(self, y):
         """(a, F, p, m, g) of the Randers norm at y: a = |y|_alpha,
         F = a + beta.y, p = grad a, m = grad F and the fundamental tensor

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import (chart_coords, chart_pull_tangent, fd_spray,
-                      localization_field, pointwise_flag_curvature)
-from finslab.curvature import (Flag, flag_curvature, geodesic_spray,
-                               integrate_geodesic, riemann_curvature,
-                               stencil_derivative, stencil_points)
+from conftest import (_diff4, _PointModel, chart_coords, chart_pull_tangent,
+                      fd_spray, localization_field, pointwise_flag_curvature)
+from finslab.curvature import (Flag, _spray_jet, flag_curvature,
+                               geodesic_spray, integrate_geodesic,
+                               riemann_curvature, stencil_derivative,
+                               stencil_points)
 from finslab.errors import (ChartBoundary, DegenerateFlag,
                             DifferentiationFailure, FinslabError)
 from finslab.minkowski import fundamental_tensor
@@ -404,6 +405,82 @@ def test_randers_spray_matches_fd_spray():
         assert np.abs(G - oracle).max() < 1e-5 * max(1.0, np.abs(G).max())
 
 
+def _jet_metric(kind, n, rng):
+    # a metric field on S^n of each kind; the standard rotation needs n odd
+    chart = Chart(rng.standard_normal(n + 1))
+    if kind == "round":
+        return round_metric(chart)
+    if kind == "standard":
+        W = standard_rotation(n + 1, 0.6)
+    elif kind == "block":
+        W = block_killing(1, [0.5], [1]) if n < 3 \
+            else block_killing((n + 1) % 2, [0.3, 0.6], [1, 1])
+    else:
+        W = _random_skew_wind(n + 1, 0.6, rng)
+    met = randers_sphere(chart, W)
+    if kind == "localization":
+        return localization_field(
+            met, lambda x: np.arange(1.0, n + 1.0) + 0.5 * x)
+    return met
+
+
+@pytest.mark.parametrize("n,kind", [
+    (n, kind) for n in (2, 3, 4)
+    for kind in ("round", "standard", "block", "random-skew", "localization")
+    if not (kind == "standard" and n % 2 == 0)])
+def test_spray_jet_matches_the_pointwise_oracle(n, kind):
+    # the closed-form spray against the 1/4 g^-1 definition of the oracle
+    # on the same coefficient jet, and its exact y-Jacobian and y-Hessian
+    # against fourth-order differences of that oracle spray in y, for one
+    # point and for stacks, out to |x| = 9 of the radius-10 chart
+    rng = np.random.default_rng(70 + n)
+    met = _jet_metric(kind, n, rng)
+    U = rng.standard_normal((4, n))
+    U /= np.linalg.norm(U, axis=-1, keepdims=True)
+    X = np.linspace(0.05, 9.0, 4)[:, None] * U
+    Y = rng.standard_normal((4, n))
+    for points, ys in ((X, Y), (X.reshape(2, 2, n), Y.reshape(2, 2, n)),
+                       (X[-1], Y[-1])):
+        jet = met.coefficients(points)
+        G, J, H = _spray_jet(*jet, ys)
+        assert G.shape == ys.shape
+        assert J.shape == H.shape[:-1] == ys.shape + (n,)
+        for idx in np.ndindex(ys.shape[:-1]):
+            model = _PointModel.of_jet(
+                *(None if c is None else c[idx] for c in jet))
+            y = ys[idx]
+            want = model.spray(y)
+            assert np.abs(G[idx] - want).max() <= 1e-12 * np.abs(want).max()
+            h = 1e-3 * np.linalg.norm(y)
+            dG = _diff4(model.spray, y, h).T
+            ddG = np.moveaxis(_diff4(lambda z: _diff4(model.spray, z, h).T,
+                                     y, h), 0, -1)
+            assert np.abs(J[idx] - dG).max() <= 1e-7 * np.abs(dG).max()
+            assert np.abs(H[idx] - ddG).max() <= 1e-7 * np.abs(ddG).max()
+
+
+def test_flag_stack_solves_once_per_model_point(monkeypatch):
+    # every linear solve of a flag stack is one batched solve over at most
+    # its F (4n + 5) model points, never one per spray evaluation of the
+    # stencils
+    sizes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    rng = np.random.default_rng(13)
+    for kind, n in (("random-skew", 3), ("round", 2), ("localization", 4)):
+        met = _jet_metric(kind, n, rng)
+        for F in (1, 5):
+            sizes.clear()
+            x, y, v = rng.standard_normal((3, F, n))
+            flag_curvature(met, Flag(0.3 * x, y, v))
+            assert sizes and max(sizes) <= F * (4 * n + 5)
+
+
 def test_integrate_flat_straight_line():
     met = flat_metric(2)
     path = integrate_geodesic(met, np.zeros(2), np.array([1.0, 0.0]),
@@ -428,6 +505,23 @@ def test_geodesic_energy_conservation():
     path = integrate_geodesic(met, np.zeros(3), rng.standard_normal(3),
                               np.pi, steps=1000)
     assert np.abs(path.F_values - 1.0).max() < 1e-6
+
+
+def test_geodesic_step_builds_the_jet_four_times():
+    # the three inner RK4 stages build a jet each, and the jet at the end
+    # point gives the recorded F and the next step's first stage: 4 builder
+    # calls a step and one at the start, re-centering included
+    met = randers_sphere(Chart([0.3, -0.5, 0.8, 0.1]),
+                         standard_rotation(4, 0.5))
+    build = met._builder
+    calls = []
+    met._builder = lambda fld, X: calls.append(X) or build(fld, X)
+    for steps in (1, 12):
+        calls.clear()
+        path = integrate_geodesic(met, np.zeros(3), [1.0, 0.3, -0.2], 3.0,
+                                  steps)
+        assert len(calls) == 4 * steps + 1
+    assert len(path.recenters) > 0
 
 
 @pytest.mark.parametrize("W, seed", [(block_killing(1, [0.5], [1]), 0),
