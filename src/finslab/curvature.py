@@ -21,23 +21,27 @@ for a quadratic field, and for F = alpha + beta (Chern-Shen,
 with G_alpha the spray of alpha, r and s the symmetric and skew parts of
 the alpha-covariant derivative of beta, S = alpha^-1 s and
 s0 = b^i s_ij y^j.  Its y-Jacobian and y-Hessian are closed forms too,
-so every y-derivative of G is exact.  The x-derivatives of G keep one
-fourth-order stencil: G carries roundoff only, and the step keeps the
-amplified noise near 1e-8, well inside the 1e-4 acceptance band for
-flag curvature.
+so every y-derivative of G is exact.  So are its x-derivatives, by a
+complex step (Squire-Trapp, SIAM Rev. 40, 1998): a builder is analytic
+in the chart point, and the spray in the jet, so for real x and y and
+a tiny real h
 
-Every point of a flag's stencil is fixed by (x, y) before anything is
-evaluated, so R_y is computed in array passes, and a stack of flags in
-the same passes as one.  A flag needs spray models at 4n + 5 chart
-points: x, the 4n points of its x-stencil and the 4 points of its
-stencil along y.  For a stack of F flags, the coefficient jets of all
-F (4n + 5) points come from one builder call, one batched solve per
-point gives the Christoffel symbols of alpha and alpha^-1 s, and the
-spray, its y-Jacobian and y-Hessian at every point are contractions
-over the whole stack: dG/dx from G along the x-stencil,
-y^j d^2G/dx^j dy from the Jacobian along y, and the rest exactly at x.
-geodesic_spray and riemann_curvature are the one-point cases of the
-same code.
+    dG/dx^k = Im G(x + ih e_k) / h,
+    y^j d^2G/dx^j dy = |y| Im J(x + ih u) / h,   u = y / |y|,
+
+to roundoff.  No difference is taken, so nothing cancels, and a model
+point leaves x by an imaginary part alone, so it needs no reach beyond
+the chart domain at x.
+
+A flag needs spray models at n + 2 chart points, fixed by (x, y) before
+anything is evaluated: x, the n points x + ih e_k and x + ih u.  So R_y
+is computed in array passes, and a stack of flags in the same passes as
+one.  For a stack of F flags, the coefficient jets of all F (n + 2)
+points come from one builder call, one batched solve per point gives
+the Christoffel symbols of alpha and alpha^-1 s, and the spray, its
+y-Jacobian and y-Hessian at every point are contractions over the whole
+stack.  geodesic_spray and riemann_curvature are the one-point cases of
+the same code.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ChartBoundary, DegenerateFlag, DifferentiationFailure,
-                     FinslabError, ZeroBaseVector)
+from .errors import ChartBoundary, DegenerateFlag, FinslabError, ZeroBaseVector
 from .minkowski import _any, _dot, _matvec, _vecmat, fiber
 from .sphere import _CHART_RADIUS, MetricField
 
@@ -56,46 +59,34 @@ from .sphere import _CHART_RADIUS, MetricField
 _OFFS = np.array([-2.0, -1.0, 1.0, 2.0])
 _WGTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
-_OUT_STEP = 5e-3    # stencils applied to the spray itself
-_RIEMANN_REACH = 2.0 * _OUT_STEP
+_OUT_STEP = 1e-30   # complex step of the spray's x-derivatives
 _FIELD_STEP = 1e-3  # stencil for the Jacobian of a chart vector field
 
 
-def stencil_points(x, h: float, directions=None) -> np.ndarray:
-    """The points of the derivative stencils of x (any leading axes, last
-    axis n) at step h, along the coordinate axes or along ``directions``:
-    one vector, or a stack of d on the first axis whose other axes
-    broadcast against those of x (for one direction per point of x).
-
-    The points are stacked offset-major on a new first axis: row
-    j * d + k is x + h * _OFFS[j] * direction_k.
-    """
+def stencil_points(x, h: float) -> np.ndarray:
+    """The points of the coordinate derivative stencils of x (any leading
+    axes, last axis n) at step h, stacked offset-major on a new first
+    axis: row j * n + k is x + h * _OFFS[j] * e_k."""
     x = np.asarray(x, dtype=float)
-    dirs = np.eye(x.shape[-1]) if directions is None \
-        else np.atleast_2d(directions)
-    steps = (h * _OFFS).reshape((4,) + (1,) * dirs.ndim) * dirs
-    # offset-major rows; the axes of each direction right-aligned with x's
-    return x + steps.reshape((-1,) + (1,) * (x.ndim + 1 - dirs.ndim)
-                             + steps.shape[2:])
+    n = x.shape[-1]
+    steps = (h * _OFFS)[:, None, None] * np.eye(n)          # [j, k, :]
+    return x + steps.reshape((4 * n,) + (1,) * (x.ndim - 1) + (n,))
 
 
 def stencil_derivative(values, h: float) -> np.ndarray:
     """Fourth-order central first derivatives from the values at the rows
-    of stencil_points (first axis 4d): ``out[k]`` is the derivative along
-    direction k.  Exact up to roundoff for polynomials of degree <= 4."""
+    of stencil_points (first axis 4n): ``out[k]`` is the derivative along
+    axis k.  Exact up to roundoff for polynomials of degree <= 4."""
     values = np.asarray(values)
     D = values.reshape((4, len(values) // 4) + values.shape[1:])
     return np.einsum("j,j...->...", _WGTS / h, D)
 
 
-def _check_chart(x: np.ndarray, reach: float = 0.0):
-    # ChartBoundary outside the chart domain; DifferentiationFailure where
-    # stencils of the given reach around x would leave it
+def _check_chart(x: np.ndarray):
+    # ChartBoundary outside the chart domain
     r = np.sqrt(_dot(x, x))
     if _any(r >= _CHART_RADIUS):
         raise ChartBoundary(f"|x| = {np.max(r):.3f} outside chart domain")
-    if reach and _any(r + 2.0 * reach >= _CHART_RADIUS):
-        raise DifferentiationFailure("stencil would leave the chart domain")
 
 
 def _spray_jet(alpha, beta, Dalpha, Dbeta, y) -> tuple:
@@ -109,7 +100,8 @@ def _spray_jet(alpha, beta, Dalpha, Dbeta, y) -> tuple:
     alpha, a = |y|_alpha, r and s the symmetric and skew parts of the
     alpha-covariant derivative b_i|j of beta, S = alpha^-1 s and
     s_j = b^i s_ij = b_i S^i_j.  One batched solve per model point gives
-    Gamma and S; each y needs contractions only.
+    Gamma and S; each y needs contractions only.  Analytic in the jet (no
+    abs and no comparison), so a complex jet gives the complex-step values.
     """
     n = y.shape[-1]
     # Gamma_{l,jk} = (d_j alpha_lk + d_k alpha_lj - d_l alpha_jk) / 2 on
@@ -171,20 +163,22 @@ def geodesic_spray(metric: MetricField, x, y) -> np.ndarray:
 
 def _flag_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # the spray-model points of the flags of the stacks x and y (F, n), on
-    # a new first axis: x (row 0), its x-stencil (rows 1 to 4n,
-    # offset-major) and its stencil along y (the last 4 rows)
-    u = y / np.sqrt(_dot(y, y))[..., None]
-    return np.concatenate((x[None], stencil_points(x, _OUT_STEP),
-                           stencil_points(x, _OUT_STEP, u[None])))
+    # a new first axis: x (row 0), x + ih e_k (rows 1 to n) and x + ih u,
+    # u = y / |y| (the last row)
+    n = x.shape[-1]
+    steps = np.zeros((n + 2,) + x.shape)
+    steps[1:n + 1] = np.eye(n)[:, None, :]
+    steps[n + 1] = y / np.sqrt(_dot(y, y))[..., None]
+    return x + 1j * _OUT_STEP * steps
 
 
 def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
-    """The matrix R^i_k(y); satisfies R(y) y = 0 up to stencil noise."""
+    """The matrix R^i_k(y); satisfies R(y) y = 0 up to roundoff."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not np.any(y):
         raise ZeroBaseVector("Riemann curvature undefined at y = 0")
-    _check_chart(x, _RIEMANN_REACH)
+    _check_chart(x)
     jet = metric.coefficients(_flag_points(x[None], y[None]))
     return _riemann(jet, y[None])[0]
 
@@ -192,16 +186,16 @@ def riemann_curvature(metric: MetricField, x, y) -> np.ndarray:
 def _riemann(jet: tuple, y: np.ndarray) -> np.ndarray:
     # R(y) (F, n, n) for the stack y (F, n) from the coefficient jet at
     # the points of _flag_points, built for positive multiples of the
-    # rows of y; the caller has checked the stencil reach
+    # rows of y
     n = y.shape[-1]
     G, J, H = _spray_jet(*jet, y)
-    # [k, flag, i] derivatives of G along the x-stencil, as [flag, i, k]
-    dGdx = np.moveaxis(stencil_derivative(G[1:4 * n + 1], _OUT_STEP), 0, -1)
-    mixed = np.sqrt(_dot(y, y))[:, None, None] \
-        * stencil_derivative(J[4 * n + 1:], _OUT_STEP)[0]
+    # [k, flag, i] derivatives of G along the axes, as [flag, i, k]
+    dGdx = np.moveaxis(G[1:n + 1].imag, 0, -1) / _OUT_STEP
+    mixed = np.sqrt(_dot(y, y))[:, None, None] * J[n + 1].imag / _OUT_STEP
+    G0, J0 = G[0].real, J[0].real
     # G^j d^2G^i/dy^j dy^k; H is symmetric in j and k
-    second = (H[0] @ G[0][:, None, :, None])[..., 0]
-    return 2.0 * dGdx - mixed + 2.0 * second - J[0] @ J[0]
+    second = (H[0].real @ G0[:, None, :, None])[..., 0]
+    return 2.0 * dGdx - mixed + 2.0 * second - J0 @ J0
 
 
 @dataclass
@@ -252,10 +246,11 @@ def _flag_curvature(metric: MetricField, x: np.ndarray, y: np.ndarray,
     # K over the rows of the stacks x, y and v (F, n)
     if _any(~y.any(axis=-1)):
         raise ZeroBaseVector("flagpole must be nonzero")
-    _check_chart(x, _RIEMANN_REACH)
+    _check_chart(x)
     jet = metric.coefficients(_flag_points(x, y))
     # g_y is 0-homogeneous in y, so the g at y serves the scaled y too
-    Fy, _, g = fiber(jet[0][0], None if jet[1] is None else jet[1][0], y)
+    Fy, _, g = fiber(jet[0][0].real,
+                     None if jet[1] is None else jet[1][0].real, y)
     if _any(Fy <= 0.0):
         raise ZeroBaseVector("flagpole has zero length")
     y = y / Fy[:, None]

@@ -38,10 +38,6 @@ class ChartBoundary(FinslabError):
     """Chart coordinates requested outside the chart domain."""
 
 
-class DifferentiationFailure(FinslabError):
-    """A finite-difference stencil would leave the chart domain."""
-
-
 class DegenerateFlag(FinslabError):
     """Flagpole and transverse vector are (numerically) linearly dependent."""
 

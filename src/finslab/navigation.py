@@ -51,12 +51,13 @@ class NavigationDatum:
 def randers_from_navigation(A: np.ndarray, w: np.ndarray):
     """Randers data (alpha, beta) of the metric navigated from (sqrt(y^T A y), w).
 
-    Broadcasts over the leading axes of (A, w).
+    Broadcasts over the leading axes of (A, w), and is analytic in them
+    (the strength test reads Re lam).
     """
-    A = np.asarray(A, dtype=float)
-    w = np.asarray(w, dtype=float)
+    A = np.asarray(A)
+    w = np.asarray(w)
     lam = 1.0 - _dot(_matvec(A.swapaxes(-1, -2), w), w)   # w^T A w
-    if _any(lam <= 0.0):
+    if _any(lam.real <= 0.0):
         raise WindTooStrong("quadratic wind has norm >= 1")
     Aw = _matvec(A, w)
     lam2 = lam[..., None, None]

@@ -54,13 +54,12 @@ class Chart:
         self.n = c.shape[-1] - 1
 
     def _lift(self, x: np.ndarray) -> tuple:
-        # (1 + |x|^2, center + B x) over the leading axes of x, after the
-        # domain check
-        xx = _dot(x, x)
-        r = np.sqrt(xx)
+        # (1 + x.x, center + B x) over the leading axes of x, after the
+        # domain check on Re x: a complex x is a complex step off it
+        r = np.sqrt(_dot(x.real, x.real))
         if _any(r >= _CHART_RADIUS):
             raise ChartBoundary(f"|x| = {np.max(r):.3f} outside chart")
-        return 1.0 + xx, self.center + _matvec(self.basis, x)
+        return 1.0 + _dot(x, x), self.center + _matvec(self.basis, x)
 
     def map(self, x) -> np.ndarray:
         """map(x), over the leading axes of x."""
@@ -179,7 +178,11 @@ class MetricField:
     (dA[..., k, i, j] = dA_ij / dx^k).  It reads the chart from the
     field, so re-centering swaps the chart and nothing else.  kind names
     the metric ("round-h", "randers-from-navigation").  Every call
-    builds afresh.
+    builds afresh.  A builder is analytic in X: complex X takes complex
+    arithmetic with no float cast, abs, norm, maximum, Cholesky factor or
+    comparison on a value that feeds the jet (a domain check reads Re X),
+    so Im jet(x + ih e) / h is the derivative along e for real x and tiny
+    h, the complex step of flag curvature.
     """
 
     def __init__(self, chart: Chart, kind: str,
@@ -195,8 +198,11 @@ class MetricField:
     def coefficients(self, X) -> tuple:
         """The coefficient jet (A, None, dA, None) or (alpha, beta,
         Dalpha, Dbeta) over the leading axes of X; its first two entries
-        are the coefficient pair of the pointwise norms."""
-        return self._builder(self, np.asarray(X, dtype=float))
+        are the coefficient pair of the pointwise norms.  Real X becomes
+        float, complex X stays complex."""
+        X = np.asarray(X)
+        return self._builder(self, X if np.iscomplexobj(X)
+                             else X.astype(float, copy=False))
 
     def norm_at(self, x) -> NormEvaluator:
         """The pointwise norm at the single chart point x."""

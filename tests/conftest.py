@@ -726,7 +726,12 @@ def localization_field(base, Y):
     along the nonvanishing chart vector field Y, which maps chart points
     (..., n) to vectors (..., n), with its x-derivatives from the stencil
     of ``fd_coefficient_jet``.  A build is one base builder call and one
-    call of Y over all its points and their stencils.
+    call of Y over all its points and their stencils, all real.
+
+    At a complex point X = x + i t u, t = |Im X|, the field takes the
+    first-order extension jet(x) + i t D_u jet(x), with D_u a fourth-order
+    stencil along u: what an analytic builder gives there to O(t^2), so
+    the complex step of flag curvature reads D_u jet(x) off it.
 
     The field builds in the chart of its base, whatever chart it is
     given, so it is never re-centered: with_center would swap a chart
@@ -738,8 +743,20 @@ def localization_field(base, Y):
         G = alpha if beta is None else randers_fiber(alpha, beta, Yx)[4]
         return 0.5 * (G + np.swapaxes(G, -1, -2)), None
 
-    return MetricField(base.chart, "localization",
-                       lambda field, X: _stencil_jet(pair, X))
+    def build(field, X, h=1e-3):
+        if not np.iscomplexobj(X):
+            return _stencil_jet(pair, X)
+        x, v = X.real, X.imag
+        t = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+        u = v / np.where(t > 0.0, t, 1.0)
+        offs = h * np.array(_OFFS4).reshape((4,) + (1,) * X.ndim)
+        jet = _stencil_jet(pair, np.concatenate((x[None], x + offs * u)))
+        wgts = np.array(_WGTS4) / h
+        return tuple(None if c is None else c[0] + 1j * t.reshape(
+            t.shape[:-1] + (1,) * (c.ndim - X.ndim)) * np.einsum(
+                "o,o...->...", wgts, c[1:]) for c in jet)
+
+    return MetricField(base.chart, "localization", build)
 
 
 def finsler_value_ambient(field, p, u):

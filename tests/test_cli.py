@@ -40,7 +40,7 @@ def test_run_flag_curvature_round():
 @pytest.mark.parametrize("metric", ["round", "randers"])
 def test_flag_curvature_report_builds_once(monkeypatch, metric):
     # all the flags of a report are evaluated in one pass: one builder
-    # call over the 4n + 5 spray-model points of each of its flags
+    # call over the n + 2 spray-model points of each of its flags
     calls = []
     coefficients = MetricField.coefficients
     monkeypatch.setattr(MetricField, "coefficients",
@@ -50,7 +50,7 @@ def test_flag_curvature_report_builds_once(monkeypatch, metric):
         {"check": "flag-curvature", "n": 3, "metric": metric,
          "samples": 7}))
     assert rep.passed and rep.n_samples == 7
-    assert len(calls) == 1 and np.prod(calls[0][:-1]) == 7 * 17
+    assert len(calls) == 1 and np.prod(calls[0][:-1]) == 7 * 5
 
 
 def test_spectrum_nan_spread_fails(monkeypatch):
@@ -1204,11 +1204,13 @@ def test_shipped_paper_suite_passes(paper_suite):
 # (check, max_deviation, pass) of each paper-suite entry, in suite order,
 # as recorded before the shared finite-difference stencil; the spectra as
 # recorded when the shape operator became a closed form, which took the
-# 1e-10 error of the chart stencil out of their cluster spreads
+# 1e-10 error of the chart stencil out of their cluster spreads; the flag
+# curvatures as recorded when the complex step replaced the x-stencil of
+# the spray, which took its 1e-8 truncation and cancellation error out
 PAPER_SUITE_PINS = [
-    ("flag-curvature", 4.316884516519792e-09, True),
-    ("flag-curvature", 3.828899086677495e-09, True),
-    ("flag-curvature", 1.700260376935603e-08, True),
+    ("flag-curvature", 1.7763568394002505e-15, True),
+    ("flag-curvature", 3.3306690738754696e-15, True),
+    ("flag-curvature", 1.1546319456101628e-14, True),
     ("navigation-lemma", 3.552713678800501e-15, True),
     ("transnormal", 3.881339694089547e-12, True),
     ("isoparametric", 2.389679565339975e-09, True),

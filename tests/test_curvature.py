@@ -7,13 +7,13 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import (_diff4, _PointModel, chart_coords, chart_pull_tangent,
-                      fd_spray, localization_field, pointwise_flag_curvature)
+                      fd_coefficient_jet, fd_spray, localization_field,
+                      pointwise_flag_curvature)
 from finslab.curvature import (Flag, _spray_jet, flag_curvature,
                                geodesic_spray, integrate_geodesic,
                                riemann_curvature, stencil_derivative,
                                stencil_points)
-from finslab.errors import (ChartBoundary, DegenerateFlag,
-                            DifferentiationFailure, FinslabError)
+from finslab.errors import ChartBoundary, DegenerateFlag, FinslabError
 from finslab.minkowski import fundamental_tensor
 from finslab.sphere import (Chart, KillingField, MetricField, block_killing,
                             killing_norm, randers_sphere, round_metric,
@@ -27,6 +27,49 @@ def flat_metric(n: int) -> MetricField:
                        lambda fld, X: (np.broadcast_to(
                            np.eye(n), X.shape[:-1] + (n, n)), None,
                            np.zeros(X.shape[:-1] + (n, n, n)), None))
+
+
+def fish_tank_metric(n: int) -> MetricField:
+    # Shen's fish tank: the Euclidean metric navigated by the rotation wind
+    # w = M x = (-x_2, x_1, 0, ...), a Killing field of R^n, so K = 0;
+    # alpha = I / lam + beta beta^T, beta = -w / lam, lam = 1 - |w|^2
+    M = np.zeros((n, n))
+    M[0, 1], M[1, 0] = -1.0, 1.0
+
+    def build(fld, X):
+        w = X @ M.T
+        lam = (1.0 - np.einsum("...i,...i->...", w, w))[..., None]
+        beta = -w / lam
+        dlam = -2.0 * w @ M                         # [k] = -2 w . M e_k
+        Dbeta = -(M.T + dlam[..., :, None] * beta[..., None, :]) \
+            / lam[..., None]
+        outer = Dbeta[..., :, None] * beta[..., None, None, :]
+        return (np.eye(n) / lam[..., None] + beta[..., :, None]
+                * beta[..., None, :], beta,
+                -(dlam / (lam * lam))[..., None, None] * np.eye(n)
+                + outer + outer.swapaxes(-1, -2), Dbeta)
+
+    return MetricField(Chart(np.eye(n + 1)[0]), "fish-tank", build)
+
+
+def funk_metric(n: int) -> MetricField:
+    # the Funk metric of the unit ball, K = -1/4: alpha = (r I + x x^T) / r^2
+    # and beta = x / r with r = 1 - |x|^2, whose x-derivatives follow from
+    # dr/dx^k = -2 x_k
+    eye = np.eye(n)
+
+    def build(fld, X):
+        r = 1.0 - np.einsum("...i,...i->...", X, X)
+        r1, r2, r3 = (r[(...,) + (None,) * k] for k in (1, 2, 3))
+        xx = X[..., :, None] * X[..., None, :]
+        xk = X[..., :, None, None]
+        ex = eye[:, :, None] * X[..., None, None, :]     # [k] = e_k x^T
+        return (eye / r2 + xx / r2 ** 2, X / r1,
+                (2.0 * xk * eye + ex + ex.swapaxes(-1, -2)) / r3 ** 2
+                + 4.0 * xk * xx[..., None, :, :] / r3 ** 3,
+                eye / r2 + 2.0 * xx / r2 ** 2)
+
+    return MetricField(Chart(np.eye(n + 1)[0]), "funk", build)
 
 
 def test_stencil_exact_on_quartics():
@@ -58,31 +101,26 @@ def test_stencil_exact_on_quartics():
         J[2, 1, 0] = 3.0 * x[0] * x[2] ** 2
         return J
 
-    def diff(fn, x, directions=None):
-        P = stencil_points(x, 0.25, directions)
+    def diff(fn, x):
+        P = stencil_points(x, 0.25)
         return stencil_derivative([fn(p) for p in P], 0.25)
 
-    u = rng.standard_normal(3)
-    u /= np.linalg.norm(u)
     X = rng.standard_normal((5, 3))
     for x in X:
-        g = quartic_grad(x)
         J = field_jac(x)
         scale = max(1.0, np.abs(J).max())
-        assert np.abs(diff(quartic, x) - g).max() < 1e-11 * scale
-        assert np.abs(diff(quartic, x, u) - [g @ u]).max() < 1e-11 * scale
+        assert np.abs(diff(quartic, x) - quartic_grad(x)).max() \
+            < 1e-11 * scale
         assert np.abs(diff(field, x) - J).max() < 1e-11 * scale
-        assert np.abs(diff(field, x, u)[0]
-                      - np.einsum("k,kij->ij", u, J)).max() < 1e-11 * scale
     # a stack of points in one pass: offset-major rows, then the stack axes
-    P = stencil_points(X.reshape(5, 1, 3), 0.25, [u, -u])
-    assert P.shape == (8, 5, 1, 3)
-    assert np.array_equal(P[5], X.reshape(5, 1, 3) - 0.25 * u)
+    P = stencil_points(X.reshape(5, 1, 3), 0.25)
+    assert P.shape == (12, 5, 1, 3)
+    assert np.array_equal(P[5], X.reshape(5, 1, 3) - 0.25 * np.eye(3)[2])
     D = stencil_derivative(quartic(P), 0.25)
     G = np.array([quartic_grad(x) for x in X])
     scale = max(1.0, np.abs(G).max())
-    assert D.shape == (2, 5, 1)
-    assert np.abs(D[:, :, 0] - [G @ u, -(G @ u)]).max() < 1e-11 * scale
+    assert D.shape == (3, 5, 1)
+    assert np.abs(D[:, :, 0] - G.T).max() < 1e-11 * scale
 
 
 def test_flat_spray_vanishes():
@@ -158,6 +196,10 @@ def test_round_flag_curvature_is_one():
                                      rng.standard_normal(2),
                                      rng.standard_normal(2)))
         assert abs(K - 1.0) < 1e-6
+    # the complex step leaves x by an imaginary part alone, so a flag at
+    # the edge of the radius-10 chart needs no reach beyond it
+    K = flag_curvature(met, Flag([9.99, 0.0], [1.0, 0.0], [0.0, 1.0]))
+    assert abs(K - 1.0) < 1e-11
 
 
 def test_randers_sphere_flag_curvature_is_one():
@@ -171,6 +213,29 @@ def test_randers_sphere_flag_curvature_is_one():
         v = rng.standard_normal(3)
         devs.append(abs(flag_curvature(met, Flag(x, y, v)) - 1.0))
     assert max(devs) < 1e-4
+    # and at the edge of the radius-10 chart
+    K = flag_curvature(met, Flag([9.99, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                 [0.0, 1.0, 0.0]))
+    assert abs(K - 1.0) < 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind,K", [("fish-tank", 0.0), ("funk", -0.25)])
+def test_flag_curvature_of_controls_away_from_one(kind, K, n):
+    # Randers metrics of constant flag curvature other than 1, with
+    # closed-form jets that match the stencil of their coefficient pairs:
+    # a spray or curvature fault that still gives K = 1 on navigated
+    # round spheres shows here
+    met = {"fish-tank": fish_tank_metric, "funk": funk_metric}[kind](n)
+    rng = np.random.default_rng(90 + n)
+    U = rng.standard_normal((20, n))
+    x = rng.uniform(0.0, 0.7, (20, 1)) * U / np.linalg.norm(
+        U, axis=-1, keepdims=True)
+    y, v = rng.standard_normal((2, 20, n))
+    for a, b in zip(met.coefficients(x), fd_coefficient_jet(met, x)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-8 * np.abs(b).max()
+    assert np.abs(flag_curvature(met, Flag(x, y, v)) - K).max() < 1e-12
 
 
 def test_randers_sphere_curvature_where_wind_vanishes():
@@ -184,16 +249,16 @@ def test_randers_sphere_curvature_where_wind_vanishes():
 
 
 def test_flag_curvature_builds_the_base_norm_once():
-    # a flag needs spray models at x and at 4n + 4 points off x for the
-    # x- and mixed derivatives, and the builder gives each its coefficient
-    # jet: one builder call sees all 4n + 5 points per flag, for one flag
-    # or a stack of F, and the base point of each flag once
+    # a flag needs spray models at x and at n + 1 complex steps off x for
+    # the x- and mixed derivatives, and the builder gives each its
+    # coefficient jet: one builder call sees all n + 2 points per flag, for
+    # one flag or a stack of F, and the base point of each flag once
     rng = np.random.default_rng(9)
     for met, n, count in (
             (randers_sphere(Chart(rng.standard_normal(4)),
-                            standard_rotation(4, 0.4)), 3, 17),
+                            standard_rotation(4, 0.4)), 3, 5),
             (randers_sphere(Chart([0.6, 0.8, 0.0]),
-                            block_killing(1, [0.5], [1])), 2, 13)):
+                            block_killing(1, [0.5], [1])), 2, 4)):
         build = met._builder
         for F in (None, 1, 5):
             seen = []
@@ -203,7 +268,7 @@ def test_flag_curvature_builds_the_base_norm_once():
             flag_curvature(met, Flag(x, *rng.standard_normal((2,) + shape)))
             assert len(seen) == 1
             pts = seen[0].reshape(-1, n)
-            assert len(pts) == (F or 1) * count == (F or 1) * (4 * n + 5)
+            assert len(pts) == (F or 1) * count == (F or 1) * (n + 2)
             for row in np.atleast_2d(x):
                 assert np.all(pts == row, axis=1).sum() == 1
 
@@ -248,7 +313,6 @@ def _first_error(call):
 _BAD_ROWS = {
     "degenerate-plane": ([0.1, 0.0], [1.0, 0.5], [-2.0, -1.0]),
     "zero-flagpole": ([0.1, 0.0], [0.0, 0.0], [1.0, 0.0]),
-    "stencil-leaves-chart": ([9.99, 0.0], [1.0, 0.0], [0.0, 1.0]),
     "outside-chart": ([0.0, 10.5], [1.0, 0.0], [0.0, 1.0]),
 }
 
@@ -368,12 +432,6 @@ def test_degenerate_flag_raises():
         flag_curvature(met, Flag(np.zeros(2), [1.0, 0.0], [2.0, 0.0]))
 
 
-def test_stencil_escape_raises():
-    met = round_metric(Chart([0.0, 0.0, 1.0]))
-    with pytest.raises(DifferentiationFailure):
-        riemann_curvature(met, np.array([9.99, 0.0]), np.array([1.0, 0.0]))
-
-
 def test_spray_outside_chart_raises():
     met = round_metric(Chart([0.0, 0.0, 1.0]))
     with pytest.raises(ChartBoundary):
@@ -461,8 +519,7 @@ def test_spray_jet_matches_the_pointwise_oracle(n, kind):
 
 def test_flag_stack_solves_once_per_model_point(monkeypatch):
     # every linear solve of a flag stack is one batched solve over at most
-    # its F (4n + 5) model points, never one per spray evaluation of the
-    # stencils
+    # its F (n + 2) model points, never one per spray evaluation
     sizes = []
     solve = np.linalg.solve
 
@@ -478,7 +535,7 @@ def test_flag_stack_solves_once_per_model_point(monkeypatch):
             sizes.clear()
             x, y, v = rng.standard_normal((3, F, n))
             flag_curvature(met, Flag(0.3 * x, y, v))
-            assert sizes and max(sizes) <= F * (4 * n + 5)
+            assert sizes and max(sizes) <= F * (n + 2)
 
 
 def test_integrate_flat_straight_line():

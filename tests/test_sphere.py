@@ -137,6 +137,18 @@ def test_closed_form_jets_match_the_stencil_oracle(n, wind, chart_kind):
             axes = tuple(range(points.ndim - 1, b.ndim))
             assert (np.abs(a - b).max(axis=axes)
                     <= 1e-8 * np.abs(b).max(axis=axes)).all()
+        # the complex step of flag curvature: Im (alpha, beta) at x + ih e_k
+        # over h is the closed-form derivative along e_k, which a float
+        # cast or a non-analytic call in the builder would break
+        for k in range(n):
+            pair = met.coefficients(points + 1e-30j * np.eye(n)[k])[:2]
+            for c, D in zip(pair, got[2:]):
+                if D is None:
+                    continue
+                Dk = np.take(D, k, axis=points.ndim - 1)
+                axes = tuple(range(points.ndim - 1, Dk.ndim))
+                assert (np.abs(c.imag / 1e-30 - Dk).max(axis=axes)
+                        <= 1e-12 * np.abs(Dk).max(axis=axes)).all()
 
 
 def test_round_metric_center_is_identity():
