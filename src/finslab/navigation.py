@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, WindTooStrong
-from .minkowski import (NormEvaluator, _any, _cholesky, _dot, _matvec,
-                        _vecmat, fiber)
+from .minkowski import NormEvaluator, _any, _cholesky, _dot, _matvec
 from .report import VerificationReport, worst_deviation
 
 
@@ -131,6 +130,58 @@ def invert_navigation(randers: NormEvaluator, v) -> NormEvaluator:
     return navigated_norm(NavigationDatum(randers, -np.asarray(v, float)))
 
 
+def _rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u . w over the rows."""
+    return np.einsum("ij,ij->i", u, w)
+
+
+def _fiber_rows(beta: np.ndarray, y: np.ndarray, ay: np.ndarray):
+    """(F, F / a, p, m) at the rows y of the Randers norm (alpha, beta),
+    from ay = alpha y: a = |y|_alpha, F = a + beta . y, p = alpha y / a
+    and m = p + beta, so g_y(y, .) = F m; a quadratic norm is beta = 0.
+    The closed form of minkowski.randers_fiber without its tensor g_y,
+    whose stacked products keep the one-point bits, as a product of all
+    rows by alpha does not; the lemma reads only inner products."""
+    a = np.sqrt(_rows(y, ay))
+    F = a + y @ beta
+    p = ay / a[:, None]
+    return F, F / a, p, p + beta
+
+
+def _square(ratio, p, m, u, au):
+    """g_y(u, u) = (F / a)(|u|_alpha^2 - (p . u)^2) + (m . u)^2 over the
+    rows, from ratio = F / a, p and m of _fiber_rows and au = alpha u."""
+    pu, mu = _rows(p, u), _rows(m, u)
+    return ratio * (_rows(u, au) - pu * pu) + mu * mu
+
+
+def _lemma_sides(F: NormEvaluator, Ft: NormEvaluator, v: np.ndarray,
+                 Y: np.ndarray, U: np.ndarray):
+    """<u,u>_y, <u,u>_y', <y',v>_y' and <y,v>_y over the pairs of rows
+    (y, u) of (Y, U), with y scaled to F(y) = 1 and u made g_y-orthogonal
+    to y.
+
+    F.alpha multiplies the stacked rows of Y and U once, and alpha y and
+    alpha u of the scaled y and the projected u follow by linearity;
+    Ft.alpha multiplies the stacked rows of y' and u once."""
+    N, n = Y.shape
+    beta, bt = (np.zeros(n) if b is None else b for b in (F.beta, Ft.beta))
+    AYU = np.concatenate((Y, U)) @ F.alpha
+    s = (1.0 / (np.sqrt(_rows(Y, AYU[:N])) + Y @ beta))[:, None]
+    y, ay = s * Y, s * AYU[:N]
+    Fy, ratio, p, m = _fiber_rows(beta, y, ay)
+    c = (_rows(m, U) / Fy)[:, None]     # <u,y>_y / <y,y>_y, <y,y>_y = F^2
+    u = U - c * y
+    yt = y + Fy[:, None] * v
+    BYU = np.concatenate((yt, u)) @ Ft.alpha
+    Ft_t, ratio_t, pt, mt = _fiber_rows(bt, yt, BYU[:N])
+    # g_y(y, v) = F m . v, summed as (F / a)(alpha y . v) + F (beta . v)
+    return (_square(ratio, p, m, u, AYU[N:] - c * ay),
+            _square(ratio_t, pt, mt, u, BYU[N:]),
+            ratio_t * (BYU[:N] @ v) + Ft_t * (bt @ v),
+            ratio * (ay @ v) + Fy * (beta @ v))
+
+
 def check_navigation_lemma(datum: NavigationDatum, samples: int,
                            tol: float = 1e-8,
                            seed: int = 0) -> VerificationReport:
@@ -145,25 +196,19 @@ def check_navigation_lemma(datum: NavigationDatum, samples: int,
     with y' = y + F(y) v, together with its rearranged corollary
     <u,u>_{y'}^{F'} = <u,u>_y^F / (1 + <y, v>_y^F) and the exact special
     case <u,u>_{y'}^{F'} = <u,u>_y^F when <v, y>_y^F = 0.
+
+    The four inner products of each pair come from the fiber data of y
+    and y' in closed form, g_y = (F/a)(alpha - p p^T) + m m^T
+    (Bao-Chern-Shen, Ch. 11), with no fundamental-tensor stack; each
+    norm's alpha enters as one matrix product over all rows of a pass.
     """
     F, v, n = datum.norm, datum.wind, datum.norm.dim
     Ft = navigated_norm(datum)
     rng = np.random.default_rng(seed)
 
-    def sides(yu):
-        # <u,u>_y, <u,u>_y', <y',v>_y' and <y,v>_y over the rows (y, u)
-        y = yu[:, 0] / F(yu[:, 0])[:, None]
-        Fy, _, gy = fiber(F.alpha, F.beta, y)
-        yg = _vecmat(y, gy)
-        u = yu[:, 1] - (_dot(_vecmat(yu[:, 1], gy), y)
-                        / _dot(yg, y))[:, None] * y
-        yt = y + Fy[:, None] * v
-        gt = fiber(Ft.alpha, Ft.beta, yt)[2]
-        return (_dot(_vecmat(u, gy), u), _dot(_vecmat(u, gt), u),
-                _dot(_vecmat(yt, gt), v), _dot(yg, v))
-
-    # y, then u, per pair; sides scales each y to F(y) = 1
-    uu_y, uu_t, ytv, yv_v = sides(rng.standard_normal((samples, 2, n)))
+    # y, then u, per pair; _lemma_sides scales each y to F(y) = 1
+    yu = rng.standard_normal((samples, 2, n))
+    uu_y, uu_t, ytv, yv_v = _lemma_sides(F, Ft, v, yu[:, 0], yu[:, 1])
     devs = {"identity": np.abs(uu_y * (1.0 - ytv) - uu_t),
             "corollary": np.abs(uu_t * (1.0 + yv_v) - uu_y)}
     # special case: base vectors with <v, y>_y^F = 0 give exact equality;
@@ -171,10 +216,10 @@ def check_navigation_lemma(datum: NavigationDatum, samples: int,
     if F.beta is None and float(v @ F.alpha @ v) > 0.0:
         A = F.alpha
         yu = rng.standard_normal((max(samples // 10, 1), 2, n))
-        yu[:, 0] -= (_dot(_vecmat(yu[:, 0], A), v) / (v @ A @ v))[:, None] * v
-        keep = np.linalg.norm(yu[:, 0], axis=-1) >= 1e-8
+        y = yu[:, 0] - ((yu[:, 0] @ (A @ v)) / (v @ A @ v))[:, None] * v
+        keep = np.linalg.norm(y, axis=-1) >= 1e-8
         if keep.any():
-            uu_y, uu_t, _, _ = sides(yu[keep])
+            uu_y, uu_t, _, _ = _lemma_sides(F, Ft, v, y[keep], yu[keep, 1])
             devs["orthogonal-wind"] = np.abs(uu_t - uu_y)
     levels = [{"level": name, "mean": float(np.mean(d)),
                "spread": float(np.max(d))} for name, d in devs.items()]

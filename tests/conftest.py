@@ -672,36 +672,40 @@ def pointwise_shape_eigenvalues(metric, f, x, h=1e-3):
     return eigh(0.5 * (B + B.T), T.T @ q @ T, eigvals_only=True)
 
 
+def _pointwise_lemma_sides(F, Ft, v, yv, uv):
+    """<u,u>_y, <u,u>_y', <y',v>_y' and <y,v>_y of one (y, u) pair, from
+    the Hessians of F^2 and F'^2, with y scaled to F(y) = 1 and u made
+    g_y-orthogonal to y."""
+    yv = yv / F(yv)
+    gy = 0.5 * F.sq_jet(yv).hess
+    uv = uv - (uv @ gy @ yv) / (yv @ gy @ yv) * yv      # enforce <u,y>_y = 0
+    yt = yv + F(yv) * v
+    gt = 0.5 * Ft.sq_jet(yt).hess
+    return (float(uv @ gy @ uv), float(uv @ gt @ uv), float(yt @ gt @ v),
+            float(yv @ gy @ v))
+
+
 def pointwise_navigation_lemma(datum, samples=1000, seed=0):
     """Deviations of the navigation inner-product identity, its corollary
     and its orthogonal-wind case, one (y, u) pair at a time, drawn from
-    default_rng(seed) in the order of ``check_navigation_lemma``; a
-    dict of arrays keyed by the report's level names."""
+    default_rng(seed) in the order of ``check_navigation_lemma``: a
+    dict of arrays keyed by the report's level names, and the list of
+    (pairs, 4) arrays of the four inner products of each pass, in the
+    order of ``_pointwise_lemma_sides``."""
     F = datum.norm
     v = datum.wind
     n = F.dim
     Ft = navigated_norm(datum)
     rng = np.random.default_rng(seed)
 
-    def both_sides(yv, uv):
-        yv = yv / F(yv)
-        gy = 0.5 * F.sq_jet(yv).hess
-        uv = uv - (uv @ gy @ yv) / (yv @ gy @ yv) * yv   # enforce <u,y>_y = 0
-        yt = yv + F(yv) * v
-        gt = 0.5 * Ft.sq_jet(yt).hess
-        uu_y = float(uv @ gy @ uv)
-        uu_t = float(uv @ gt @ uv)
-        ytv = float(yt @ gt @ v)
-        yv_v = float(yv @ gy @ v)
-        r_main = abs(uu_y * (1.0 - ytv) - uu_t)
-        r_cor = abs(uu_t * (1.0 + yv_v) - uu_y)
-        return r_main, r_cor
-
     pairs = [(rng.standard_normal(n), rng.standard_normal(n))
              for _ in range(samples)]
-    devs_main, devs_cor = np.array([both_sides(*p) for p in pairs]).T
-    devs = {"identity": devs_main, "corollary": devs_cor}
-    devs_orth = []
+    sides = [np.array([_pointwise_lemma_sides(F, Ft, v, *p)
+                       for p in pairs])]
+    uu_y, uu_t, ytv, yv_v = sides[0].T
+    devs = {"identity": np.abs(uu_y * (1.0 - ytv) - uu_t),
+            "corollary": np.abs(uu_t * (1.0 + yv_v) - uu_y)}
+    orth = []
     if F.beta is None and float(v @ F.alpha @ v) > 0.0:
         A = F.alpha
         for _ in range(max(samples // 10, 1)):
@@ -709,16 +713,12 @@ def pointwise_navigation_lemma(datum, samples=1000, seed=0):
             yv = yv - (yv @ A @ v) / (v @ A @ v) * v
             if np.linalg.norm(yv) < 1e-8:
                 continue
-            yv /= F(yv)
-            uv = rng.standard_normal(n)
-            gy = 0.5 * F.sq_jet(yv).hess
-            uv = uv - (uv @ gy @ yv) / (yv @ gy @ yv) * yv
-            yt = yv + F(yv) * v
-            gt = 0.5 * Ft.sq_jet(yt).hess
-            devs_orth.append(abs(float(uv @ gt @ uv) - float(uv @ gy @ uv)))
-        if devs_orth:
-            devs["orthogonal-wind"] = np.array(devs_orth)
-    return devs
+            orth.append(_pointwise_lemma_sides(F, Ft, v, yv,
+                                               rng.standard_normal(n)))
+        if orth:
+            sides.append(np.array(orth))
+            devs["orthogonal-wind"] = np.abs(sides[1][:, 1] - sides[1][:, 0])
+    return devs, sides
 
 
 def localization_field(base, Y):

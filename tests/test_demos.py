@@ -9,8 +9,8 @@ import pytest
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# demo 02 is left out: it takes about 3.4 s as a whole process
 @pytest.mark.parametrize("name", ["01_minkowski_and_navigation.py",
+                                  "02_randers_sphere_curvature.py",
                                   "03_otfkm_isoparametric.py",
                                   "04_symmetry_algebras.py",
                                   "05_normal_geodesics_and_spectra.py"])

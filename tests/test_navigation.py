@@ -178,12 +178,15 @@ def test_wind_is_checked_on_the_side_the_ball_moves():
         assert abs(navigate(datum, shifted) - F(y)) < 1e-12 * F(y)
 
 
-def _random_randers_datum(rng, n):
-    # a Randers base with |beta|_alpha < 1 and a wind with F(-v) < 1
+def _random_randers_datum(rng, n, beta=None):
+    # a Randers base with |beta|_alpha < 1 (the given one, else drawn in
+    # [0, 0.9)) and a wind with F(-v) < 1
     M = rng.standard_normal((n, n))
     alpha = M @ M.T + 0.5 * np.eye(n)
     b = rng.standard_normal(n)
-    b *= rng.uniform(0.0, 0.9) / np.sqrt(b @ np.linalg.solve(alpha, b))
+    strength = rng.uniform(0.0, 0.9)
+    b *= (strength if beta is None else beta) / np.sqrt(
+        b @ np.linalg.solve(alpha, b))
     F = NormEvaluator.randers(alpha, b)
     v = rng.standard_normal(n)
     return NavigationDatum(F, rng.uniform(0.05, 0.9) * v / F(-v))
@@ -241,7 +244,7 @@ def test_lemma_wind_below_underflow_has_finite_levels():
                for e in rep.per_level)
 
 
-def _lemma_datum(kind, n, rng, sign=1.0):
+def _lemma_datum(kind, n, rng, sign=1.0, beta=None):
     # a base of the given kind on R^n and a wind with F(-v) = 0.6
     if kind == "euclidean":
         F = NormEvaluator.euclidean(n)
@@ -249,57 +252,106 @@ def _lemma_datum(kind, n, rng, sign=1.0):
         M = rng.standard_normal((n, n))
         F = NormEvaluator.quadratic(M @ M.T + 0.5 * np.eye(n))
     else:
-        F = _random_randers_datum(rng, n).norm
+        F = _random_randers_datum(rng, n, beta).norm
     v = rng.standard_normal(n)
     return NavigationDatum(F, sign * 0.6 * v / F(-sign * v))
 
 
 _BASES = ("euclidean", "quadratic", "randers")
+# the strong-beta Randers bases close the list, where the closed form's
+# |u|_alpha^2 - (p . u)^2 cancels the most
 _LEMMA_CASES = [(kind, n, {}) for kind in _BASES for n in (1, 2, 3, 4)] + [
     ("quadratic", 3, {"sign": -1.0}), ("randers", 3, {"sign": -1.0}),
-    ("underflow", 3, {})]
+    ("underflow", 3, {}), ("quadratic", 7, {}), ("randers", 5, {"beta": 0.9}),
+    ("randers", 6, {"beta": 0.95}), ("randers", 7, {"beta": 0.95}),
+    ("randers", 7, {"beta": 0.95, "sign": -1.0})]
 
 
 @pytest.mark.parametrize("kind, n, extra", _LEMMA_CASES)
 def test_lemma_array_pass_matches_pointwise_oracle(kind, n, extra,
                                                    monkeypatch):
+    # the four inner products of every pair, in draw order, against the
+    # per-pair Hessians of F^2 and F'^2; y is F-unit, so 1 is their scale
+    # where one of them is near 0
     rng = np.random.default_rng(40 + n)
     if kind == "underflow":
         datum = NavigationDatum(NormEvaluator.euclidean(n),
                                 [1e-170] + [0.0] * (n - 1))
     else:
-        datum = _lemma_datum(kind, n, rng, extra.get("sign", 1.0))
-    seen = []
+        datum = _lemma_datum(kind, n, rng, **extra)
+    seen, sides = [], []
+    lemma_sides = navigation._lemma_sides
     monkeypatch.setattr(navigation, "worst_deviation",
                         lambda d: seen.append(d) or float(np.max(d)))
+    monkeypatch.setattr(navigation, "_lemma_sides",
+                        lambda *args: sides.append(lemma_sides(*args))
+                        or sides[-1])
     rep = check_navigation_lemma(datum, samples=40, seed=n)
-    oracle = pointwise_navigation_lemma(datum, samples=40, seed=n)
-    assert [e["level"] for e in rep.per_level] == list(oracle)
-    assert np.array_equal(seen[0], np.concatenate(list(oracle.values())))
+    devs, oracle = pointwise_navigation_lemma(datum, samples=40, seed=n)
+    assert [e["level"] for e in rep.per_level] == list(devs)
+    sides = [np.column_stack(s) for s in sides]
+    assert [s.shape for s in sides] == [o.shape for o in oracle]
+    for got, want in zip(sides, oracle):
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * np.maximum(np.abs(want), 1.0))
+    assert rep.n_samples == seen[0].size == sum(map(len, devs.values()))
+    cuts = np.cumsum([len(d) for d in devs.values()])[:-1]
     assert np.array_equal([[e["mean"], e["spread"]] for e in rep.per_level],
-                          [[np.mean(d), np.max(d)] for d in oracle.values()])
-    assert rep.n_samples == seen[0].size
+                          [[np.mean(d), np.max(d)]
+                           for d in np.split(seen[0], cuts)])
 
 
 @pytest.mark.parametrize("kind, passes", [("euclidean", 2), ("quadratic", 2),
                                           ("randers", 1)])
 def test_lemma_evaluates_each_fiber_quantity_once_per_pass(kind, passes,
                                                            monkeypatch):
-    # per pass: F of the drawn y to scale it, one fiber evaluation at the
-    # scaled y for F(y) and g_y, and one at y' for g_y'; no jet of F^2
+    # one closed-form pass per level set of pairs: no fiber evaluation,
+    # no jet of F^2 and no array of three or more axes, beyond the
+    # (pairs, 2, n) draws, from the draws or from a norm's coefficients
     datum = _lemma_datum(kind, 3, np.random.default_rng(5))
-    fibers, jets = [], []
-    fiber, sq_jet = minkowski.fiber, NormEvaluator.sq_jet
+    axes, calls, passed = [], [], []
 
-    def counted(*args):
-        fibers.append(np.shape(args[-1]))
-        return fiber(*args)
+    class Tracked(np.ndarray):
+        # every array derived from a tracked one records its axes
+        def __array_finalize__(self, obj):
+            axes.append(self.ndim)
 
-    monkeypatch.setattr(minkowski, "fiber", counted)
-    monkeypatch.setattr(navigation, "fiber", counted, raising=False)
+        def __array_function__(self, func, types, args, kwargs):
+            out = super().__array_function__(func, types, args, kwargs)
+            return out.view(Tracked) if isinstance(out, np.ndarray) else out
+
+    def tracked(a):
+        a = a.view(Tracked)
+        axes.pop()                      # the tracked array itself
+        return a
+
+    def track(norm):
+        norm.alpha = tracked(norm.alpha)
+        if norm.beta is not None:
+            norm.beta = tracked(norm.beta)
+        return norm
+
+    default_rng, navigated = np.random.default_rng, navigation.navigated_norm
+    lemma_sides = navigation._lemma_sides
+
+    class Draws:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, shape):
+            return tracked(self.rng.standard_normal(shape))
+
+    track(datum.norm)
+    monkeypatch.setattr(np.random, "default_rng", Draws)
+    monkeypatch.setattr(navigation, "navigated_norm",
+                        lambda d: track(navigated(d)))
+    monkeypatch.setattr(minkowski, "fiber",
+                        lambda *args: calls.append("fiber"))
     monkeypatch.setattr(NormEvaluator, "sq_jet",
-                        lambda norm, y: jets.append(y) or sq_jet(norm, y))
+                        lambda *args: calls.append("sq_jet"))
+    monkeypatch.setattr(navigation, "_lemma_sides",
+                        lambda *args: passed.append(1) or lemma_sides(*args))
     rep = check_navigation_lemma(datum, samples=20, seed=1)
-    assert len(rep.per_level) == 1 + passes
-    assert jets == []
-    assert fibers == [(20, 3)] * 3 + [(2, 3)] * 3 * (passes - 1)
+    assert len(rep.per_level) == 1 + passes == 1 + len(passed)
+    assert calls == []
+    assert axes and max(axes) <= 2
